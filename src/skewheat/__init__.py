@@ -18,7 +18,9 @@ from .solver import (
     SigmaSpec,
     SolutionField,
     SolutionPath,
+    SolverError,
     NonFiniteFieldError,
+    CovarianceError,
     sigma_one,
     sigma_affine,
     sigma_sin,
@@ -60,7 +62,9 @@ __all__ = [
     "SigmaSpec",
     "SolutionField",
     "SolutionPath",
+    "SolverError",
     "NonFiniteFieldError",
+    "CovarianceError",
     "sigma_one",
     "sigma_affine",
     "sigma_sin",

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 on success, 1 when a check or experiment gate fails, 2 on
-configuration errors.
+Exit codes: 0 on success, 1 when a check or experiment gate fails or a
+solver stage fails (one-line "solver failure" message), 2 on configuration
+errors.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import sys
 
 from .config import load_config, with_overrides, ConfigError, BACKENDS, COMMANDS
 from .harness import run_command
-from .solver import NonFiniteFieldError
+from .solver import SolverError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,7 +58,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NonFiniteFieldError as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
     if not ok:

@@ -7,7 +7,9 @@ and seed, independent of the worker count: replicates are keyed individually
 by (seed, replicate), work is split into fixed-size chunks regardless of the
 worker pool, and results are assembled by replicate index.  Wall-clock
 timings therefore live only in the JSON summary's `timings` block; the CSV
-`seconds` column is reserved and always zero.
+`seconds` column is reserved and always zero.  Exact-linear runs also record,
+per observation point, the Cholesky jitter and the covariance quadrature's
+node level in the summary's `exact_sampler` block.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def write_csv(path: str, rows: list[ResultRow], meta: dict) -> None:
 
 
 def write_summary(path: str, command: str, cfg: ExperimentConfig, rows: list[ResultRow],
-                  ok: bool, files: dict, timings: dict) -> None:
+                  ok: bool, files: dict, timings: dict, exact_sampler: list[dict]) -> None:
     payload = {
         "format_version": FORMAT_VERSION,
         "tool": "skewheat",
@@ -137,6 +139,7 @@ def write_summary(path: str, command: str, cfg: ExperimentConfig, rows: list[Res
         "files": files,
         "rows": [asdict(r) for r in rows],
         "timings": timings,
+        "exact_sampler": exact_sampler,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, allow_nan=True)
@@ -207,11 +210,16 @@ def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, xs: list[float]) -
     return out
 
 
-def _exact_paths(cfg: ExperimentConfig, n: int, x: float) -> np.ndarray:
-    """Exact Gaussian paths at the point x, shape (R, n+1); sigma must be one."""
+def _exact_paths(cfg: ExperimentConfig, n: int, x: float, log: list[dict]) -> np.ndarray:
+    """Exact Gaussian paths at the point x, shape (R, n+1); sigma must be one.
+
+    Appends what the sampler did (jitter, quadrature node level) to log.
+    """
     if cfg.sigma != "one":
         raise ConfigError("the exact-linear backend is valid only for sigma = one")
     sampler = ExactLinearSampler(cfg.medium, x, cfg.T, n)
+    log.append({"x": x, "n": n, "cholesky_jitter": sampler.jitter,
+                "covariance_node_level": sampler.node_level})
     return sampler.paths_array(cfg.seed, cfg.replicates)
 
 
@@ -286,11 +294,14 @@ def point_statistics(paths: np.ndarray, x: float, T: float, sigma: SigmaSpec,
 
 
 def _gather_point_paths(cfg: ExperimentConfig, grid: GridSpec,
-                        points: list[tuple[float, float]]) -> np.ndarray:
-    """(R, n_points, n+1) array of paths at the effective points."""
+                        points: list[tuple[float, float]], log: list[dict]) -> np.ndarray:
+    """(R, n_points, n+1) array of paths at the effective points.
+
+    Exact-linear runs append one sampler record per point to log.
+    """
     if cfg.backend == "convolution":
         return _convolution_paths(cfg, grid, [xe for _, xe in points])
-    blocks = [_exact_paths(cfg, grid.n, xe) for _, xe in points]
+    blocks = [_exact_paths(cfg, grid.n, xe, log) for _, xe in points]
     return np.stack(blocks, axis=1)
 
 
@@ -336,19 +347,21 @@ def run_quartic(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     sigma = parse_sigma(cfg.sigma)
     grid = _grid(cfg)
     points = _observation_points(cfg, grid)
-    paths = _gather_point_paths(cfg, grid, points)
+    log: list[dict] = []
+    paths = _gather_point_paths(cfg, grid, points, log)
     rows = []
     for idx, (_, xe) in enumerate(points):
         st = point_statistics(paths[:, idx, :], xe, cfg.T, sigma, cfg.medium)
         rows.extend(_quartic_rows(cfg, "quartic", grid, st, sigma))
-    return rows, True, {}
+    return rows, True, {"exact_sampler": log}
 
 
 def run_estimate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     sigma = parse_sigma(cfg.sigma)
     grid = _grid(cfg)
     points = _observation_points(cfg, grid)
-    paths = _gather_point_paths(cfg, grid, points)
+    log: list[dict] = []
+    paths = _gather_point_paths(cfg, grid, points, log)
     rows = []
     for idx, (_, xe) in enumerate(points):
         st = point_statistics(paths[:, idx, :], xe, cfg.T, sigma, cfg.medium)
@@ -364,7 +377,7 @@ def run_estimate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
                                  float(q75 - q25)))
         rows.append(make_row(cfg, "estimate", st.n, grid.m, xe, "degenerate_count",
                              float(st.degenerate), target=0.0))
-    return rows, True, {}
+    return rows, True, {"exact_sampler": log}
 
 
 def _averaged_points(cfg: ExperimentConfig, grid: GridSpec, num_points: int) -> list[tuple[float, float]]:
@@ -380,11 +393,12 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]
         raise ConfigError("convergence needs a nonempty [experiment] n_list")
     sigma = parse_sigma(cfg.sigma)
     rows = []
+    log: list[dict] = []
     trend: dict[float, list[tuple[int, float]]] = {}
     for n in cfg.n_list:
         grid = _grid(cfg, n)
         points = _observation_points(cfg, grid)
-        paths = _gather_point_paths(cfg, grid, points)
+        paths = _gather_point_paths(cfg, grid, points, log)
         for idx, (_, xe) in enumerate(points):
             st = point_statistics(paths[:, idx, :], xe, cfg.T, sigma, cfg.medium)
             rows.extend(_quartic_rows(cfg, "convergence", grid, st, sigma))
@@ -401,7 +415,7 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]
         grid = _grid(cfg, n)
         for num_points in cfg.m_list:
             pts = _averaged_points(cfg, grid, num_points)
-            paths = _gather_point_paths(cfg, grid, pts)
+            paths = _gather_point_paths(cfg, grid, pts, log)
             v_per_point = np.sum(np.diff(paths, axis=2) ** 4, axis=2)  # (R, num_points)
             v_nm = np.mean(v_per_point, axis=1)
             mean_v, se_v = _mean_se(v_nm)
@@ -415,7 +429,7 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]
                 target = math.nan
             rows.append(make_row(cfg, "convergence", n, num_points, math.nan,
                                  "v_avg", mean_v, se_v, target))
-    return rows, True, {}
+    return rows, True, {"exact_sampler": log}
 
 
 def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
@@ -424,7 +438,7 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     sigma = parse_sigma(cfg.sigma)
     grid = _grid(cfg)
     points = _observation_points(cfg, grid)
-    paths = _gather_point_paths(cfg, grid, points)
+    paths = _gather_point_paths(cfg, grid, points, [])
     rows = []
     ok = True
     path_files = {}
@@ -543,5 +557,6 @@ def run_command(command: str, cfg: ExperimentConfig) -> bool:
         os.path.join(cfg.out_dir, f"{command}_summary.json"),
         command, cfg, rows, ok, files,
         timings={"total_seconds": elapsed},
+        exact_sampler=extras.get("exact_sampler", []),
     )
     return ok

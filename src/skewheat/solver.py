@@ -24,8 +24,16 @@ from .noise import GridSpec, NoiseField, standard_normals, position_subkey, STRE
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
 
 
-class NonFiniteFieldError(RuntimeError):
+class SolverError(RuntimeError):
+    """A solver stage failed numerically; the CLI reports it and exits 1."""
+
+
+class NonFiniteFieldError(SolverError):
     """Raised when the field scheme produces a non-finite value."""
+
+
+class CovarianceError(SolverError):
+    """Raised when the covariance quadrature or its factorization fails."""
 
 
 # ---------------------------------------------------------------------------
@@ -264,59 +272,76 @@ def covariance_linear(t: float, s: float, x: float, medium: MediumParams) -> flo
     return val
 
 
+class CovarianceMatrix(np.ndarray):
+    """Covariance matrix that records the largest per-cell node level its quadrature used."""
+
+    node_level: int
+
+
 def covariance_matrix(
     times: np.ndarray,
     x: float,
     medium: MediumParams,
     tol: float = 1e-9,
-    start_nodes: int = 64,
+    start_nodes: int = 8,
     max_nodes: int = 1024,
-) -> np.ndarray:
+) -> CovarianceMatrix:
     """Covariance matrix C[i, j] = covariance_linear(times[i], times[j], x).
 
-    Vectorized Gauss-Legendre quadrature on the singularity-free substitution,
-    with node doubling per entry until successive levels agree within tol.
+    times must be a uniform grid starting at 0 (t_i = i*dt).  For s <= t,
+    C(t, s) = integral over q in [0, s] of cross_integral(t - s + q, q), so
+    along each lag diagonal t - s = k*dt the entries are cumulative sums of
+    the cell integrals over q in [c*dt, (c+1)*dt].  All cells are integrated
+    together by Gauss-Legendre; the first cell of every diagonal uses
+    q = dt*v**2, which removes the q**-1/2 endpoint at k = 0 and the
+    erfc(const/sqrt(2q)) onset at k >= 1.  Each cell starts at start_nodes
+    and doubles its nodes until successive levels agree within tol/n, so
+    every entry (a sum of at most n cells) is within about tol; raises
+    CovarianceError if a cell needs more than max_nodes.  The result's
+    node_level is the largest node level any cell reached.
     """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or np.any(times < 0) or np.any(np.diff(times) < 0):
-        raise ValueError("times must be a nondecreasing 1-D array of nonnegative values")
+    n = len(times) - 1 if times.ndim == 1 else 0
+    dt = times[-1] / n if n >= 1 else 0.0
+    if not dt > 0.0 or times[0] != 0.0 or np.any(np.abs(np.diff(times) - dt) > 1e-9 * dt):
+        raise ValueError("times must be a uniform 1-D grid 0 = t_0 < t_1 < ... < t_n")
     kernel = GreenKernel(medium)
-    N = len(times)
-    iu = np.triu_indices(N)
-    wv = times[iu[0]]
-    tv = times[iu[1]]
-    flat = np.zeros(len(wv))
-    idx = np.where(wv > 0)[0]
+    # One (lag k, cell c) pair per cell integral: c runs over 0..n-k-1.
+    lag, cell = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
+    first = cell == 0
 
     def level(indices, nodes):
         xg, wg = np.polynomial.legendre.leggauss(nodes)
-        vg = 0.5 * (xg + 1.0)
-        wgt = 0.5 * wg
-        w_ = wv[indices]
-        t_ = tv[indices]
+        k0, c = lag[indices] * dt, cell[indices]
+        f = first[indices]
         acc = np.zeros(len(indices))
-        for v_q, w_q in zip(vg, wgt):
-            r = w_ * (1.0 - v_q * v_q)
-            t2 = np.maximum(w_ - r, w_ * v_q * v_q)
-            acc += w_q * (2.0 * w_ * v_q) * kernel.cross_integral(tv[indices] - r, t2, x)
+        for v, w in zip(0.5 * (xg + 1.0), 0.5 * wg):
+            q = np.where(f, dt * v * v, dt * (c + v))
+            acc += np.where(f, 2.0 * dt * v * w, dt * w) * kernel.cross_integral(k0 + q, q, x)
         return acc
 
+    values = np.empty(len(lag))
+    idx = np.arange(len(lag))
     nodes = start_nodes
     prev = level(idx, nodes)
     while idx.size:
         nodes *= 2
         if nodes > max_nodes:
-            raise RuntimeError(
-                f"covariance quadrature did not reach tol={tol} with {max_nodes} nodes"
+            raise CovarianceError(
+                f"covariance quadrature did not reach tol={tol} with {max_nodes} nodes per cell"
             )
         cur = level(idx, nodes)
-        done = np.abs(cur - prev) <= tol
-        flat[idx[done]] = cur[done]
+        done = np.abs(cur - prev) <= tol / n
+        values[idx[done]] = cur[done]
         idx = idx[~done]
         prev = cur[~done]
-    out = np.zeros((N, N))
-    out[iu] = flat
-    out.T[iu] = flat
+    cells = np.zeros((n, n))
+    cells[lag, cell] = values
+    entries = np.cumsum(cells, axis=1)[lag, cell]
+    out = np.zeros((n + 1, n + 1)).view(CovarianceMatrix)
+    out[lag + cell + 1, cell + 1] = entries
+    out[cell + 1, lag + cell + 1] = entries
+    out.node_level = nodes
     return out
 
 
@@ -328,10 +353,15 @@ def covariance_matrix(
 class ExactLinearSampler:
     """Exact Gaussian path sampler at one spatial point for sigma = 1.
 
-    Builds the (n+1)x(n+1) time covariance once, factorizes it (with a
-    diagonal jitter ladder if the plain factorization fails) and then maps
-    per-replicate standard-normal streams through the factor.  Identical
-    (seed, replicate) always yields the identical path.
+    Builds the (n+1)x(n+1) time covariance once on the uniform grid
+    t_i = i*T/n with covariance_matrix (lag-diagonal cumulative sums of
+    per-cell quadratures), factorizes it (with a diagonal jitter ladder if
+    the plain factorization fails) and then maps per-replicate
+    standard-normal streams through the factor.  Identical (seed, replicate)
+    always yields the identical path.  `jitter` is the value added to every
+    diagonal entry before the factorization succeeded (0.0 when none) and
+    `node_level` the largest per-cell Gauss-Legendre node count the
+    covariance quadrature reached.
     """
 
     def __init__(self, medium: MediumParams, x: float, T: float, n: int, tol: float = 1e-9):
@@ -342,19 +372,22 @@ class ExactLinearSampler:
         self.T = float(T)
         self.n = int(n)
         self.times = np.linspace(0.0, T, n + 1)
-        self.covariance = covariance_matrix(self.times, x, medium, tol=tol)
-        self._factor = self._factorize(self.covariance[1:, 1:])
+        cov = covariance_matrix(self.times, x, medium, tol=tol)
+        self.node_level = int(cov.node_level)
+        self.covariance = np.asarray(cov)
+        self._factor, self.jitter = self._factorize(self.covariance[1:, 1:])
 
     @staticmethod
-    def _factorize(c: np.ndarray) -> np.ndarray:
+    def _factorize(c: np.ndarray) -> tuple[np.ndarray, float]:
+        """Cholesky factor of c and the diagonal jitter it needed."""
         scale = float(np.max(np.diag(c)))
         for jitter in (0.0, 1e-12, 1e-10, 1e-8):
             try:
-                return np.linalg.cholesky(c + jitter * scale * np.eye(len(c)))
+                return np.linalg.cholesky(c + jitter * scale * np.eye(len(c))), jitter * scale
             except np.linalg.LinAlgError:
                 continue
         smallest = float(np.linalg.eigvalsh(c)[0])
-        raise RuntimeError(
+        raise CovarianceError(
             f"covariance factorization failed after regularization; "
             f"smallest eigenvalue estimate {smallest:.3e}"
         )

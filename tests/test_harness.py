@@ -1,9 +1,11 @@
+import functools
 import json
 import math
 import os
 
 import pytest
 
+from skewheat import solver
 from skewheat.cli import main
 from skewheat.harness import CSV_COLUMNS
 
@@ -199,6 +201,35 @@ def test_summary_json_embeds_config_and_versions(tmp_path):
     assert len(payload["config_sha256"]) == 64
     assert payload["gaussian_transform"] == "philox4x64-boxmuller-v1"
     assert payload["timings"]["total_seconds"] >= 0
+
+
+def test_summary_json_records_exact_sampler_per_point(tmp_path):
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + GRID_SMALL
+        + f"[experiment]\nx = 0.5, -0.5\nreplicates = 4\nseed = 11\nbackend = exact-linear\nout = {tmp_path}/out\n",
+    )
+    assert main(["quartic", "--config", cfg]) == 0
+    payload = json.loads((tmp_path / "out" / "quartic_summary.json").read_text())
+    records = payload["exact_sampler"]
+    assert [(r["x"], r["n"]) for r in records] == [(0.5, 8), (-0.5, 8)]
+    for r in records:
+        assert r["cholesky_jitter"] == 0.0
+        assert r["covariance_node_level"] >= 16
+
+
+def test_covariance_nonconvergence_exits_one_with_one_line(tmp_path, monkeypatch, capsys):
+    strict = functools.partial(solver.covariance_matrix, max_nodes=4)
+    monkeypatch.setattr(solver, "covariance_matrix", strict)
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + GRID_SMALL
+        + f"[experiment]\nx = 0.5\nreplicates = 4\nseed = 11\nbackend = exact-linear\nout = {tmp_path}/out\n",
+    )
+    assert main(["quartic", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: covariance quadrature did not reach")
+    assert err.count("\n") == 1
 
 
 def test_csv_seconds_column_reserved_zero(tmp_path):

@@ -18,6 +18,7 @@ from skewheat import (
     solve_linear_exact,
     ExactLinearSampler,
     NonFiniteFieldError,
+    CovarianceError,
 )
 from skewheat.solver import solve_field_batch
 from skewheat.checks import brute_covariance
@@ -204,6 +205,38 @@ def test_covariance_matrix_interface_point():
     assert C[8, 8] == pytest.approx(covariance_linear(1.0, 1.0, 0.0, M14), abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("x", [-0.5, 0.0, 0.5, 0.93])
+def test_covariance_matrix_coarse_grid_every_entry(n, x):
+    # Coarse cells are where a fixed per-cell node count falls short.
+    times = np.linspace(0.0, 1.0, n + 1)
+    C = covariance_matrix(times, x, M14)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            assert C[i, j] == pytest.approx(
+                covariance_linear(times[i], times[j], x, M14), abs=1e-9
+            )
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        np.array([0.0, 0.1, 0.3, 0.4]),
+        np.linspace(0.1, 1.0, 5),
+        np.array([0.0]),
+        np.linspace(0.0, 1.0, 6)[::-1],
+    ],
+)
+def test_covariance_matrix_requires_uniform_grid_from_zero(times):
+    with pytest.raises(ValueError, match="uniform"):
+        covariance_matrix(times, 0.5, M14)
+
+
+def test_covariance_matrix_nonconvergence_raises():
+    with pytest.raises(CovarianceError, match="did not reach"):
+        covariance_matrix(np.linspace(0.0, 1.0, 5), 0.5, M14, max_nodes=4)
+
+
 # -- exact linear sampler ------------------------------------------------------
 
 
@@ -223,6 +256,13 @@ def test_exact_paths_replicate_keying_independent_of_batch():
     all_at_once = s.paths_array(seed=32, replicates=5)
     tail = s.paths_array(seed=32, replicates=2, first_replicate=3)
     assert np.array_equal(all_at_once[3:], tail)
+
+
+def test_exact_sampler_records_jitter_and_node_level():
+    s = ExactLinearSampler(M14, 0.5, 1.0, 16)
+    assert s.jitter == 0.0
+    assert s.node_level >= 16
+    assert type(s.covariance) is np.ndarray
 
 
 def test_exact_increment_kurtosis_gaussian():
