@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .medium import MediumParams, rho_of
 from .kernel import GreenKernel
@@ -30,6 +29,8 @@ def _support(kernel: GreenKernel, t: float, x: float) -> tuple[float, float]:
 
 def _split_quad(fn, lo: float, hi: float) -> float:
     """Adaptive quadrature split at the interface kink y = 0."""
+    from scipy.integrate import quad  # deferred: slow to import, and most runs never call it
+
     total = 0.0
     for a, b in ((lo, 0.0), (0.0, hi)):
         if a < b:
@@ -57,6 +58,8 @@ def quad_cross(kernel: GreenKernel, t1: float, t2: float, x: float) -> float:
 
 def brute_covariance(medium: MediumParams, t: float, s: float, x: float) -> float:
     """Two-dimensional brute-force covariance: nested quadrature of G*G over (r, y)."""
+    from scipy.integrate import quad  # deferred: slow to import, and most runs never call it
+
     kernel = GreenKernel(medium)
 
     def inner(r):

@@ -9,7 +9,9 @@ worker pool, and results are assembled by replicate index.  Wall-clock
 timings therefore live only in the JSON summary's `timings` block; the CSV
 `seconds` column is reserved and always zero.  Exact-linear runs also record,
 per observation point, the Cholesky jitter and the covariance quadrature's
-node level in the summary's `exact_sampler` block.
+node level in the summary's `exact_sampler` block; convolution runs record,
+per replicate chunk, the rows solved per time step and whether the kernel
+stack was cached or recomputed in its `convolution` block.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .solver import (
     SigmaSpec,
     parse_sigma,
     solve_field_batch,
+    scheme_variance,
     covariance_linear,
     ExactLinearSampler,
 )
@@ -125,7 +128,8 @@ def write_csv(path: str, rows: list[ResultRow], meta: dict) -> None:
 
 
 def write_summary(path: str, command: str, cfg: ExperimentConfig, rows: list[ResultRow],
-                  ok: bool, files: dict, timings: dict, exact_sampler: list[dict]) -> None:
+                  ok: bool, files: dict, timings: dict, exact_sampler: list[dict],
+                  convolution: list[dict]) -> None:
     payload = {
         "format_version": FORMAT_VERSION,
         "tool": "skewheat",
@@ -140,6 +144,7 @@ def write_summary(path: str, command: str, cfg: ExperimentConfig, rows: list[Res
         "rows": [asdict(r) for r in rows],
         "timings": timings,
         "exact_sampler": exact_sampler,
+        "convolution": convolution,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, allow_nan=True)
@@ -164,12 +169,13 @@ def _grid(cfg: ExperimentConfig, n: int | None = None) -> GridSpec:
     return GridSpec(T=cfg.T, n=int(n if n is not None else cfg.n), L=cfg.L, m=cfg.m)
 
 
-def _conv_chunk_worker(payload) -> tuple[int, np.ndarray]:
-    """Solve one fixed-size chunk of replicates; returns (first_replicate, paths).
+def _conv_chunk_worker(payload) -> tuple[int, np.ndarray, dict]:
+    """Solve one fixed-size chunk of replicates; returns (first_replicate, paths, report).
 
-    paths has shape (count, n_points, n+1).  Everything a chunk computes is a
-    pure function of (seed, replicate index, grid, medium, sigma), so chunk
-    scheduling cannot change results.
+    paths has shape (count, n_points, n+1); report is what solve_field_batch
+    says about the rows it solved and its kernel stack.  Everything a chunk
+    computes is a pure function of (seed, replicate index, grid, medium,
+    sigma), so chunk scheduling cannot change results.
     """
     (medium_fields, grid_fields, sigma_str, seed, first_rep, count,
      col_indices, budget_bytes, zero_noise) = payload
@@ -180,13 +186,18 @@ def _conv_chunk_worker(payload) -> tuple[int, np.ndarray]:
     if not zero_noise:
         for k in range(count):
             dw[:, :, k] = sample_noise(grid, seed, first_rep + k).increments
-    u = solve_field_batch(medium, grid, sigma, dw, budget_bytes)
-    sub = u[:, col_indices, :]
-    return first_rep, np.ascontiguousarray(np.transpose(sub, (2, 1, 0)))
+    report: dict = {}
+    u = solve_field_batch(medium, grid, sigma, dw, budget_bytes, columns=col_indices,
+                          report=report)
+    return first_rep, np.ascontiguousarray(np.transpose(u, (2, 1, 0))), report
 
 
-def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, xs: list[float]) -> np.ndarray:
-    """Paths at the snapped observation points, shape (R, n_points, n+1)."""
+def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, xs: list[float],
+                       log: dict) -> np.ndarray:
+    """Paths at the snapped observation points, shape (R, n_points, n+1).
+
+    Appends one record per replicate chunk to log["convolution"].
+    """
     cols = [grid.snap(x)[0] for x in xs]
     budget = cfg.memory_budget_mb * 1024 * 1024
     payloads = []
@@ -205,21 +216,26 @@ def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, xs: list[float]) -
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_conv_chunk_worker, payloads))
     out = np.empty((cfg.replicates, len(xs), grid.n + 1))
-    for first_rep, block in results:
+    records = log.setdefault("convolution", [])
+    for first_rep, block, report in results:
         out[first_rep : first_rep + block.shape[0]] = block
+        records.append({"n": grid.n, "m": grid.m, "first_replicate": first_rep,
+                        "replicates": block.shape[0], **report})
     return out
 
 
-def _exact_paths(cfg: ExperimentConfig, n: int, x: float, log: list[dict]) -> np.ndarray:
+def _exact_paths(cfg: ExperimentConfig, n: int, x: float, log: dict) -> np.ndarray:
     """Exact Gaussian paths at the point x, shape (R, n+1); sigma must be one.
 
-    Appends what the sampler did (jitter, quadrature node level) to log.
+    Appends what the sampler did (jitter, quadrature node level) to
+    log["exact_sampler"].
     """
     if cfg.sigma != "one":
         raise ConfigError("the exact-linear backend is valid only for sigma = one")
     sampler = ExactLinearSampler(cfg.medium, x, cfg.T, n)
-    log.append({"x": x, "n": n, "cholesky_jitter": sampler.jitter,
-                "covariance_node_level": sampler.node_level})
+    log.setdefault("exact_sampler", []).append(
+        {"x": x, "n": n, "cholesky_jitter": sampler.jitter,
+         "covariance_node_level": sampler.node_level})
     return sampler.paths_array(cfg.seed, cfg.replicates)
 
 
@@ -294,13 +310,14 @@ def point_statistics(paths: np.ndarray, x: float, T: float, sigma: SigmaSpec,
 
 
 def _gather_point_paths(cfg: ExperimentConfig, grid: GridSpec,
-                        points: list[tuple[float, float]], log: list[dict]) -> np.ndarray:
+                        points: list[tuple[float, float]], log: dict) -> np.ndarray:
     """(R, n_points, n+1) array of paths at the effective points.
 
-    Exact-linear runs append one sampler record per point to log.
+    Appends what the backend did to log: one sampler record per point under
+    "exact_sampler", or one record per replicate chunk under "convolution".
     """
     if cfg.backend == "convolution":
-        return _convolution_paths(cfg, grid, [xe for _, xe in points])
+        return _convolution_paths(cfg, grid, [xe for _, xe in points], log)
     blocks = [_exact_paths(cfg, grid.n, xe, log) for _, xe in points]
     return np.stack(blocks, axis=1)
 
@@ -347,20 +364,20 @@ def run_quartic(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     sigma = parse_sigma(cfg.sigma)
     grid = _grid(cfg)
     points = _observation_points(cfg, grid)
-    log: list[dict] = []
+    log: dict = {}
     paths = _gather_point_paths(cfg, grid, points, log)
     rows = []
     for idx, (_, xe) in enumerate(points):
         st = point_statistics(paths[:, idx, :], xe, cfg.T, sigma, cfg.medium)
         rows.extend(_quartic_rows(cfg, "quartic", grid, st, sigma))
-    return rows, True, {"exact_sampler": log}
+    return rows, True, log
 
 
 def run_estimate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     sigma = parse_sigma(cfg.sigma)
     grid = _grid(cfg)
     points = _observation_points(cfg, grid)
-    log: list[dict] = []
+    log: dict = {}
     paths = _gather_point_paths(cfg, grid, points, log)
     rows = []
     for idx, (_, xe) in enumerate(points):
@@ -377,7 +394,7 @@ def run_estimate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
                                  float(q75 - q25)))
         rows.append(make_row(cfg, "estimate", st.n, grid.m, xe, "degenerate_count",
                              float(st.degenerate), target=0.0))
-    return rows, True, {"exact_sampler": log}
+    return rows, True, log
 
 
 def _averaged_points(cfg: ExperimentConfig, grid: GridSpec, num_points: int) -> list[tuple[float, float]]:
@@ -393,7 +410,7 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]
         raise ConfigError("convergence needs a nonempty [experiment] n_list")
     sigma = parse_sigma(cfg.sigma)
     rows = []
-    log: list[dict] = []
+    log: dict = {}
     trend: dict[float, list[tuple[int, float]]] = {}
     for n in cfg.n_list:
         grid = _grid(cfg, n)
@@ -429,7 +446,7 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]
                 target = math.nan
             rows.append(make_row(cfg, "convergence", n, num_points, math.nan,
                                  "v_avg", mean_v, se_v, target))
-    return rows, True, {"exact_sampler": log}
+    return rows, True, log
 
 
 def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
@@ -438,7 +455,8 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     sigma = parse_sigma(cfg.sigma)
     grid = _grid(cfg)
     points = _observation_points(cfg, grid)
-    paths = _gather_point_paths(cfg, grid, points, [])
+    log: dict = {}
+    paths = _gather_point_paths(cfg, grid, points, log)
     rows = []
     ok = True
     path_files = {}
@@ -457,12 +475,15 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
         row = make_row(cfg, "simulate", grid.n, grid.m, xe, "variance_u_T", var_t,
                        var_se, target)
         rows.append(row)
+        if sigma.label == "one" and not cfg.zero_noise:
+            rows.append(make_row(cfg, "simulate", grid.n, grid.m, xe, "disc_variance_u_T",
+                                 scheme_variance(cfg.medium, grid, xe), target=target))
         if (cfg.check_tolerance is not None and sigma.label == "one"
                 and not cfg.zero_noise and not (row.rel_error <= cfg.check_tolerance)):
             ok = False
         path_files[f"paths_x{idx:03d}.csv"] = (xe, block)
-    extras = {"path_files": path_files, "times": times}
-    return rows, ok, extras
+    log.update(path_files=path_files, times=times)
+    return rows, ok, log
 
 
 def run_kernel_selftest(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
@@ -558,5 +579,6 @@ def run_command(command: str, cfg: ExperimentConfig) -> bool:
         command, cfg, rows, ok, files,
         timings={"total_seconds": elapsed},
         exact_sampler=extras.get("exact_sampler", []),
+        convolution=extras.get("convolution", []),
     )
     return ok

@@ -133,9 +133,3 @@ def sample_noise(grid: GridSpec, seed: int, replicate: int) -> NoiseField:
         replicate=replicate,
     )
 
-
-def default_half_width(params_max_sqrt_a: float, T: float, x_points) -> float:
-    """Conservative domain half-width: six diffusion lengths past the farthest
-    observation point, keeping the truncated Gaussian mass below ~1e-8."""
-    far = max(abs(float(x)) for x in x_points) if len(x_points) else 0.0
-    return far + 6.0 * params_max_sqrt_a * math.sqrt(T)

@@ -3,9 +3,13 @@
 The field scheme is a single causal pass: the increment of u over one time
 cell is the kernel (evaluated at a within-cell lag) times sigma of the field
 at the cell's left endpoint times the white-noise increment, summed over all
-past cells.  For sigma identically one the solution is Gaussian and its time
-covariance at a fixed point has an exact quadrature representation; the
-exact-linear backend samples such paths from a factorized covariance matrix.
+past cells.  When sigma is constant the noise term does not depend on u, so
+the field at an observation cell is a fixed linear map of the noise and the
+scheme solves only the kernel rows of the requested cells; a nonlinear sigma
+needs every cell of the previous row.  For sigma identically one the solution
+is Gaussian and its time covariance at a fixed point has an exact quadrature
+representation; the exact-linear backend samples such paths from a
+factorized covariance matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .medium import MediumParams
 from .kernel import GreenKernel
@@ -165,14 +168,14 @@ def _cell_lags(grid: GridSpec) -> np.ndarray:
     return lags
 
 
-def _kernel_matrices(kernel: GreenKernel, grid: GridSpec, budget: int):
-    """Per-lag kernel matrices K_d[j, l] = G_lag(d)(y_j, y_l), cached if they fit."""
+def _kernel_rows(kernel: GreenKernel, grid: GridSpec, rows: np.ndarray, budget: int):
+    """Per-lag kernel rows K_d[j, l] = G_lag(d)(y_j, y_l) for j in rows, cached if they fit."""
     lags = _cell_lags(grid)
     y = grid.cell_centers
-    if grid.n * grid.m * grid.m * 8 <= budget:
-        stack = np.empty((grid.n, grid.m, grid.m))
+    if grid.n * len(rows) * grid.m * 8 <= budget:
+        stack = np.empty((grid.n, len(rows), grid.m))
         for d in range(grid.n):
-            stack[d] = kernel.evaluate(lags[d], y[:, None], y[None, :])
+            stack[d] = kernel.evaluate(lags[d], y[rows, None], y[None, :])
         return stack, lags
     return None, lags
 
@@ -183,13 +186,27 @@ def solve_field_batch(
     sigma: SigmaSpec,
     increments: np.ndarray,
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
+    columns: list[int] | np.ndarray | None = None,
+    report: dict | None = None,
 ) -> np.ndarray:
     """Run the causal convolution scheme for a batch of noise replicates.
 
     increments has shape (n, m) or (n, m, R); the result has shape
-    (n+1, m) or (n+1, m, R) with row 0 identically zero.  Raises
-    NonFiniteFieldError naming the first offending (time row, cell) if the
-    field overflows.
+    (n+1, p) or (n+1, p, R) with row 0 identically zero, where p is the
+    number of requested cell indices in columns (default: all m cells, in
+    grid order).  Each step forms u_i = sum over d of K_d @ v_{i-d} with
+    v_k = sigma(u_k) * dW_k.  When sigma is constant (Lipschitz bound 0),
+    v does not depend on u, so every requested cell is a fixed linear map of
+    the noise and only the kernel rows K_d[columns, :] are built and
+    multiplied: the result equals the full field's columns up to BLAS
+    rounding, at about p/m of the work.  Otherwise sigma needs the whole
+    previous row, so all m rows are solved, but only the current row and the
+    requested columns are kept.  If report is given it receives
+    rows_per_step (the distinct requested cells, or m), kernel_stack
+    ("cached" when the per-lag rows fit in memory_budget_bytes, else
+    "recomputed" at every lag) and stack_mib (the kernel rows held at once).
+    Raises NonFiniteFieldError naming the first offending (time row, grid
+    cell) if the field overflows.
     """
     dW = np.asarray(increments, dtype=float)
     squeeze = dW.ndim == 2
@@ -200,28 +217,59 @@ def solve_field_batch(
         raise ValueError(
             f"noise shape {dW.shape[:2]} incompatible with grid (n={n}, m={m})"
         )
+    cols = np.arange(m) if columns is None else np.asarray(columns, dtype=np.intp)
+    if cols.ndim != 1 or np.any((cols < 0) | (cols >= m)):
+        raise ValueError(f"columns must be cell indices in [0, {m}), got {columns!r}")
+    constant = sigma.lipschitz_bound == 0.0
+    if constant:
+        rows, pick = np.unique(cols, return_inverse=True)
+    else:
+        rows, pick = np.arange(m), cols
     kernel = GreenKernel(medium)
-    stack, lags = _kernel_matrices(kernel, grid, memory_budget_bytes)
+    stack, lags = _kernel_rows(kernel, grid, rows, memory_budget_bytes)
+    if report is not None:
+        held = stack.nbytes if stack is not None else len(rows) * m * 8
+        report.update(rows_per_step=len(rows),
+                      kernel_stack="cached" if stack is not None else "recomputed",
+                      stack_mib=held / 2**20)
     y = grid.cell_centers
     r = dW.shape[2]
-    u = np.zeros((n + 1, m, r))
+    out = np.zeros((n + 1, len(cols), r))
+    # sigma's argument: the latest full field row (left at zero for a constant sigma).
+    state = np.zeros((m, r))
     v = np.empty((n, m, r))
     for i in range(1, n + 1):
         k = i - 1
-        v[k] = sigma.evaluate(u[k]) * dW[k]
-        acc = np.zeros((m, r))
+        v[k] = sigma.evaluate(state) * dW[k]
+        acc = np.zeros((len(rows), r))
         for d in range(1, i + 1):
             kd = stack[d - 1] if stack is not None else kernel.evaluate(
-                lags[d - 1], y[:, None], y[None, :]
+                lags[d - 1], y[rows, None], y[None, :]
             )
             acc += kd @ v[i - d]
         if not np.isfinite(acc).all():
-            j = int(np.argwhere(~np.isfinite(acc))[0][0])
+            j = int(rows[np.argwhere(~np.isfinite(acc))[0][0]])
             raise NonFiniteFieldError(
                 f"non-finite field value at time row i={i}, cell j={j}"
             )
-        u[i] = acc
-    return u[:, :, 0] if squeeze else u
+        if not constant:
+            state = acc
+        out[i] = acc[pick]
+    return out[:, :, 0] if squeeze else out
+
+
+def scheme_variance(medium: MediumParams, grid: GridSpec, x: float) -> float:
+    """Exact variance of the field scheme's u(T, x) for sigma = 1 at a cell center x.
+
+    With sigma = 1, u(T, x) = sum over lags d and cells l of
+    K_d(x, y_l) * dW_l, a sum of independent N(0, dt*dx) terms, so its
+    variance is the sum of K_d(x, y_l)**2 * dt * dx over the kernel rows the
+    scheme multiplies.  Set against covariance_linear it gives the scheme's
+    discretization bias, free of Monte Carlo error.
+    """
+    y = grid.cell_centers
+    rows = GreenKernel(medium).evaluate(_cell_lags(grid)[:, None], x, y[None, :])
+    return float(np.sum(rows**2) * grid.dt * grid.dx)
 
 
 def solve_field(
@@ -260,6 +308,8 @@ def covariance_linear(t: float, s: float, x: float, medium: MediumParams) -> flo
     w = min(t, s)
     if w == 0.0:
         return 0.0
+    from scipy.integrate import quad  # deferred: slow to import, and most runs never call it
+
     kernel = GreenKernel(medium)
 
     def integrand(v):

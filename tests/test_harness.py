@@ -3,9 +3,12 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from skewheat import solver
+from skewheat import harness, solver
+from skewheat.config import load_config, parse_config
+from skewheat.noise import sample_noise
 from skewheat.cli import main
 from skewheat.harness import CSV_COLUMNS
 
@@ -281,3 +284,86 @@ def test_quartic_target_columns(tmp_path):
     lrow2 = next(r for r in rows2 if r["statistic"] == "limit_functional")
     assert float(vrow2["target"]) == float(lrow2["value"])
     assert lrow2["target"] == "nan"
+
+
+def _conv_config(sigma, replicates, chunk):
+    return parse_config(
+        MEDIUM_14 + "[grid]\nT = 1.0\nn = 10\nL = 4.0\nm = 24\n"
+        + f"[experiment]\nsigma = {sigma}\nx = 0.5, -0.5, 0.5\nreplicates = {replicates}\n"
+        + f"seed = 8\nreplicate_chunk = {chunk}\n"
+    )
+
+
+@pytest.mark.parametrize("sigma", ["one", "sin1:0.5"])
+def test_convolution_paths_equal_full_field_columns(sigma):
+    cfg = _conv_config(sigma, 7, 3)
+    grid = harness._grid(cfg)
+    xs = [grid.snap(x)[1] for x in cfg.x_points]
+    log = {}
+    paths = harness._convolution_paths(cfg, grid, xs, log)
+    # Full-field reference, solved in the same fixed chunks of 3 replicates.
+    full = np.concatenate([
+        solver.solve_field_batch(cfg.medium, grid, solver.parse_sigma(sigma), np.stack(
+            [sample_noise(grid, cfg.seed, r).increments for r in range(first, min(first + 3, 7))],
+            axis=2))
+        for first in (0, 3, 6)
+    ], axis=2)
+    cols = [grid.snap(x)[0] for x in xs]
+    expected = np.transpose(full[:, cols, :], (2, 1, 0))
+    if sigma == "one":  # row-restricted BLAS products: rounding-level deviation
+        np.testing.assert_allclose(paths, expected, rtol=1e-13,
+                                   atol=1e-14 * np.abs(full).max())
+    else:
+        assert np.array_equal(paths, expected)
+    rows = 2 if sigma == "one" else 24
+    assert [(r["first_replicate"], r["replicates"], r["rows_per_step"]) for r in log["convolution"]] \
+        == [(0, 3, rows), (3, 3, rows), (6, 1, rows)]
+
+
+def test_summary_json_records_convolution_chunks(tmp_path):
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + GRID_SMALL
+        + "[experiment]\nx = 0.5, -0.5\nreplicates = 5\nseed = 11\nreplicate_chunk = 4\n"
+        + f"memory_budget_mb = 1\nout = {tmp_path}/out\n",
+    )
+    assert main(["simulate", "--config", cfg]) == 0
+    payload = json.loads((tmp_path / "out" / "simulate_summary.json").read_text())
+    assert payload["exact_sampler"] == []
+    assert payload["convolution"] == [
+        {"n": 8, "m": 32, "first_replicate": first, "replicates": count, "rows_per_step": 2,
+         "kernel_stack": "cached", "stack_mib": 8 * 2 * 32 * 8 / 2**20}
+        for first, count in ((0, 4), (4, 1))
+    ]
+    big = _write(tmp_path, "big.ini", MEDIUM_14 + "[grid]\nT = 1.0\nn = 8\nL = 8.0\nm = 256\n"
+                 + "[experiment]\nsigma = sin1:0.5\nx = 0.5\nreplicates = 2\nseed = 11\n"
+                 + f"memory_budget_mb = 1\nout = {tmp_path}/sin\n")
+    assert main(["quartic", "--config", big]) == 0
+    payload = json.loads((tmp_path / "sin" / "quartic_summary.json").read_text())
+    assert [(r["rows_per_step"], r["kernel_stack"]) for r in payload["convolution"]] \
+        == [(256, "recomputed")]
+
+
+def test_simulate_disc_variance_row_uses_scheme_variance(tmp_path):
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + GRID_SMALL
+        + f"[experiment]\nx = 0.5, -0.5\nreplicates = 3\nseed = 11\nout = {tmp_path}/out\n",
+    )
+    assert main(["simulate", "--config", cfg]) == 0
+    rows = _read_rows(tmp_path / "out" / "simulate.csv")
+    assert [r["statistic"] for r in rows] == ["mean_u_T", "variance_u_T", "disc_variance_u_T"] * 2
+    resolved = load_config(cfg)
+    grid = harness._grid(resolved)
+    for var_row, disc_row in ((rows[1], rows[2]), (rows[4], rows[5])):
+        x = float(disc_row["x"])
+        assert float(disc_row["value"]) == solver.scheme_variance(resolved.medium, grid, x)
+        assert disc_row["target"] == var_row["target"]
+        assert disc_row["std_error"] == "nan"
+    cfg_sin = _write(
+        tmp_path, "sin.ini",
+        MEDIUM_14 + GRID_SMALL
+        + f"[experiment]\nsigma = sin1:0.5\nx = 0.5\nreplicates = 3\nseed = 11\nout = {tmp_path}/sin\n",
+    )
+    assert main(["simulate", "--config", cfg_sin]) == 0
+    assert "disc_variance_u_T" not in {r["statistic"] for r in _read_rows(tmp_path / "sin" / "simulate.csv")}

@@ -20,7 +20,8 @@ from skewheat import (
     NonFiniteFieldError,
     CovarianceError,
 )
-from skewheat.solver import solve_field_batch
+from skewheat import GreenKernel
+from skewheat.solver import solve_field_batch, scheme_variance
 from skewheat.checks import brute_covariance
 
 M14 = MediumParams(1, 4, 1, 1)
@@ -327,3 +328,87 @@ def test_second_moment_uniformly_bounded_under_refinement():
         assert np.isfinite(second).all()
         target_mix.append(second.max())
     assert target_mix[1] == pytest.approx(target_mix[0], rel=0.3)
+
+
+# -- observed-column solve ---------------------------------------------------
+
+
+def _noise_batch(grid, seed, reps):
+    return np.stack([sample_noise(grid, seed, r).increments for r in range(reps)], axis=2)
+
+
+@pytest.mark.parametrize("sigma", [sigma_one(), sigma_affine(0.0, 0.7)], ids=["one", "affine0"])
+@pytest.mark.parametrize("n, m, reps", [(12, 24, 1), (20, 48, 3), (16, 40, 8)])
+def test_constant_sigma_columns_match_full_field(sigma, n, m, reps):
+    grid = build_grid(1.0, n, 4.0, m)
+    cols = [grid.snap(x)[0] for x in (0.5, -0.5, 0.0, 0.5)]
+    dw = _noise_batch(grid, 40, reps)
+    full = solve_field_batch(M14, grid, sigma, dw)
+    part = solve_field_batch(M14, grid, sigma, dw, columns=cols)
+    assert part.shape == (n + 1, len(cols), reps)
+    # The row-restricted products may round differently in BLAS (seen at
+    # R <= 3): the deviation is measured against the field's scale.
+    tol = dict(rtol=1e-13, atol=1e-14 * np.abs(full).max())
+    np.testing.assert_allclose(part, full[:, cols, :], **tol)
+    single = solve_field_batch(M14, grid, sigma, dw[:, :, 0], columns=cols)
+    np.testing.assert_allclose(single, full[:, cols, 0], **tol)
+
+
+def test_nonlinear_sigma_columns_equal_full_field_exactly():
+    grid = build_grid(1.0, 10, 4.0, 24)
+    cols = [3, 17, 3, 0, 23]
+    dw = _noise_batch(grid, 41, 3)
+    full = solve_field_batch(M14, grid, sigma_sin(0.5), dw)
+    report = {}
+    part = solve_field_batch(M14, grid, sigma_sin(0.5), dw, columns=cols, report=report)
+    assert np.array_equal(part, full[:, cols, :])
+    assert report["rows_per_step"] == 24
+
+
+@pytest.mark.parametrize("sigma", [sigma_one(), sigma_sin(0.5)], ids=["one", "sin"])
+def test_column_solve_cache_fallback_is_bit_identical(sigma):
+    grid = build_grid(1.0, 8, 4.0, 16)
+    cols = [11, 2]
+    dw = _noise_batch(grid, 42, 2)
+    cached_report, fallback_report = {}, {}
+    cached = solve_field_batch(M14, grid, sigma, dw, columns=cols, report=cached_report)
+    fallback = solve_field_batch(M14, grid, sigma, dw, memory_budget_bytes=8, columns=cols,
+                                 report=fallback_report)
+    assert np.array_equal(cached, fallback)
+    rows = 2 if sigma.lipschitz_bound == 0.0 else 16
+    assert cached_report == {"rows_per_step": rows, "kernel_stack": "cached",
+                             "stack_mib": 8 * rows * 16 * 8 / 2**20}
+    assert fallback_report == {"rows_per_step": rows, "kernel_stack": "recomputed",
+                               "stack_mib": rows * 16 * 8 / 2**20}
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_column_solve_overflow_names_grid_cell():
+    grid = build_grid(1.0, 4, 4.0, 16)
+    inc = np.zeros((4, 16))
+    inc[1, :] = 1e308
+    with pytest.raises(NonFiniteFieldError, match=r"i=2, cell j=5$"):
+        solve_field_batch(M14, grid, sigma_one(), inc, columns=[12, 5])
+
+
+def test_columns_out_of_range_rejected():
+    grid = build_grid(1.0, 4, 4.0, 16)
+    with pytest.raises(ValueError, match="columns"):
+        solve_field_batch(M14, grid, sigma_one(), np.zeros((4, 16)), columns=[3, 16])
+
+
+def test_scheme_variance_is_direct_kernel_sum():
+    grid = build_grid(1.0, 12, 4.0, 40)
+    j, xs = grid.snap(0.5)
+    kernel = GreenKernel(M14)
+    lags = [grid.dt / 4] + [(d - 0.5) * grid.dt for d in range(2, grid.n + 1)]
+    direct = sum(
+        float(kernel.evaluate(lag, xs, y)) ** 2 for lag in lags for y in grid.cell_centers
+    ) * grid.dt * grid.dx
+    assert scheme_variance(M14, grid, xs) == pytest.approx(direct, rel=1e-13)
+    # It is the exact variance of the scheme's u(T, x): compare with the
+    # linear map from the noise, one unit increment per cell at a time.
+    reps = grid.n * grid.m
+    basis = np.eye(reps).reshape(grid.n, grid.m, reps) * math.sqrt(grid.dt * grid.dx)
+    u_T = solve_field_batch(M14, grid, sigma_one(), basis, columns=[j])[-1, 0]
+    assert np.sum(u_T**2) == pytest.approx(direct, rel=1e-12)
