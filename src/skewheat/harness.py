@@ -22,21 +22,22 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .medium import MediumParams, derive_constants, tau, A_of
+from .medium import MediumParams, A_of
 from .kernel import GreenKernel
 from .noise import GridSpec, sample_noise, GAUSS_TRANSFORM_ID
 from .solver import (
-    SigmaSpec,
     parse_sigma,
     solve_field_batch,
     scheme_variance,
     covariance_linear,
     ExactLinearSampler,
 )
+from .stats import PointStats, point_statistics, averaged_points, averaged_statistics
 from .config import ExperimentConfig, ConfigError, config_sha256, FORMAT_VERSION
 from . import checks
 
@@ -239,120 +240,53 @@ def _exact_paths(cfg: ExperimentConfig, n: int, x: float, log: dict) -> np.ndarr
     return sampler.paths_array(cfg.seed, cfg.replicates)
 
 
-def _observation_points(cfg: ExperimentConfig, grid: GridSpec) -> list[tuple[float, float]]:
-    """Pairs (x_requested, x_effective): snapped for convolution, exact otherwise."""
-    if not cfg.x_points:
-        raise ConfigError("this command needs at least one observation point in [experiment] x")
-    if cfg.backend == "convolution":
-        return [(x, grid.snap(x)[1]) for x in cfg.x_points]
-    return [(x, float(x)) for x in cfg.x_points]
+def _point_paths(cfg: ExperimentConfig, log: dict, n: int | None = None,
+                 num_points: int | None = None):
+    """The run preamble shared by the commands: (sigma, grid, points, paths).
 
-
-# ---------------------------------------------------------------------------
-# per-point statistics shared by the quartic/convergence/estimate commands
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PointStats:
-    """Vectorized per-replicate statistics of paths observed at one point."""
-
-    x: float
-    n: int
-    v: np.ndarray
-    limit: np.ndarray
-    a_hat: np.ndarray  # NaN where degenerate
-    degenerate: int
-    m2: float
-    m4: float
-    ratio4: float
-    ratio6: float
-    closed_target: float | None  # limit value for sigma = one, else None
-
-
-def point_statistics(paths: np.ndarray, x: float, T: float, sigma: SigmaSpec,
-                     medium: MediumParams) -> PointStats:
-    paths = np.asarray(paths, dtype=float)
-    n = paths.shape[1] - 1
-    delta = T / n
-    d = np.diff(paths, axis=1)
-    v = np.sum(d**4, axis=1)
-    dc = derive_constants(medium)
-    coef = 6.0 * tau(x, dc) / (math.pi * A_of(x, medium))
-    s4_left = sigma.evaluate(paths[:, :-1]) ** 4
-    limit = coef * delta * np.sum(s4_left, axis=1)
-    s4_right = sigma.evaluate(paths[:, 1:]) ** 4
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_hat = np.where(
-            v > 0.0,
-            6.0 * T * tau(x, dc) * np.sum(s4_right, axis=1) / (n * math.pi * v),
-            math.nan,
-        )
-    start = max(1, math.ceil(n / 4))
-    dint = d[:, start - 1 :].ravel()
-    m2 = float(np.mean(dint**2))
-    m4 = float(np.mean(dint**4))
-    m6 = float(np.mean(dint**6))
-    closed = coef * T if sigma.label == "one" else None
-    return PointStats(
-        x=x,
-        n=n,
-        v=v,
-        limit=limit,
-        a_hat=a_hat,
-        degenerate=int(np.sum(~(v > 0.0))),
-        m2=m2,
-        m4=m4,
-        ratio4=m4 / m2**2,
-        ratio6=m6 / m2**3,
-        closed_target=closed,
-    )
-
-
-def _gather_point_paths(cfg: ExperimentConfig, grid: GridSpec,
-                        points: list[tuple[float, float]], log: dict) -> np.ndarray:
-    """(R, n_points, n+1) array of paths at the effective points.
-
-    Appends what the backend did to log: one sampler record per point under
-    "exact_sampler", or one record per replicate chunk under "convolution".
+    points are (x_requested, x_effective) pairs: the observation points, or
+    with num_points the averaged statistic's points.  Effective points are
+    snapped to cell centers on the convolution backend and for the averaged
+    statistic.  paths has shape (R, n_points, n+1).  What the backend did is
+    appended to log: one sampler record per point under "exact_sampler", or
+    one record per replicate chunk under "convolution".
     """
+    sigma = parse_sigma(cfg.sigma)
+    grid = _grid(cfg, n)
+    if num_points is None and not cfg.x_points:
+        raise ConfigError("this command needs at least one observation point in [experiment] x")
+    try:
+        requested = cfg.x_points if num_points is None else averaged_points(grid, num_points)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    snap = num_points is not None or cfg.backend == "convolution"
+    points = [(x, grid.snap(x)[1] if snap else float(x)) for x in requested]
     if cfg.backend == "convolution":
-        return _convolution_paths(cfg, grid, [xe for _, xe in points], log)
-    blocks = [_exact_paths(cfg, grid.n, xe, log) for _, xe in points]
-    return np.stack(blocks, axis=1)
+        paths = _convolution_paths(cfg, grid, [xe for _, xe in points], log)
+    else:
+        paths = np.stack([_exact_paths(cfg, grid.n, xe, log) for _, xe in points], axis=1)
+    return sigma, grid, points, paths
 
 
 def _quartic_rows(cfg: ExperimentConfig, experiment: str, grid: GridSpec,
-                  stats: PointStats, sigma: SigmaSpec) -> list[ResultRow]:
-    medium = cfg.medium
-    dc = derive_constants(medium)
-    delta = grid.T / stats.n
-    x = stats.x
-    n, m = stats.n, grid.m
-    target_v = stats.closed_target if stats.closed_target is not None else float(np.mean(stats.limit))
-    rows = []
-    mean_v, se_v = _mean_se(stats.v)
-    rows.append(make_row(cfg, experiment, n, m, x, "v_quartic", mean_v, se_v, target_v))
-    mean_l, se_l = _mean_se(stats.limit)
-    rows.append(make_row(cfg, experiment, n, m, x, "limit_functional", mean_l, se_l,
-                         stats.closed_target if stats.closed_target is not None else math.nan))
-    abs_err = np.abs(stats.v - stats.limit)
-    mean_e, se_e = _mean_se(abs_err)
-    rows.append(make_row(cfg, experiment, n, m, x, "mean_abs_error", mean_e, se_e))
-    valid = stats.a_hat[np.isfinite(stats.a_hat)]
+                  st: PointStats) -> list[ResultRow]:
+    row = partial(make_row, cfg, experiment, st.n, grid.m, st.x)
+    closed = st.closed_target
+    rows = [
+        row("v_quartic", *_mean_se(st.v), float(np.mean(st.limit)) if closed is None else closed),
+        row("limit_functional", *_mean_se(st.limit), math.nan if closed is None else closed),
+        row("mean_abs_error", *_mean_se(np.abs(st.v - st.limit))),
+    ]
+    valid = st.a_hat[np.isfinite(st.a_hat)]
     if len(valid):
-        mean_a, se_a = _mean_se(valid)
-        rows.append(make_row(cfg, experiment, n, m, x, "A_hat_mean", mean_a, se_a,
-                             A_of(x, medium)))
-    rows.append(make_row(cfg, experiment, n, m, x, "incr_m2", stats.m2,
-                         target=math.sqrt(delta) * math.sqrt(2.0 * tau(x, dc) / (math.pi * A_of(x, medium)))))
-    rows.append(make_row(cfg, experiment, n, m, x, "incr_m4", stats.m4,
-                         target=6.0 * delta * tau(x, dc) / (A_of(x, medium) * math.pi)))
-    rows.append(make_row(cfg, experiment, n, m, x, "incr_ratio4", stats.ratio4, target=3.0))
-    rows.append(make_row(cfg, experiment, n, m, x, "incr_ratio6", stats.ratio6, target=15.0))
-    rows.append(make_row(cfg, experiment, n, m, x, "degenerate_count",
-                         float(stats.degenerate), target=0.0))
-    return rows
+        rows.append(row("A_hat_mean", *_mean_se(valid), A_of(st.x, cfg.medium)))
+    return rows + [
+        row("incr_m2", st.m2, target=st.m2_target),
+        row("incr_m4", st.m4, target=st.m4_target),
+        row("incr_ratio4", st.ratio4, target=3.0),
+        row("incr_ratio6", st.ratio6, target=15.0),
+        row("degenerate_count", float(st.degenerate), target=0.0),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -361,66 +295,44 @@ def _quartic_rows(cfg: ExperimentConfig, experiment: str, grid: GridSpec,
 
 
 def run_quartic(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
-    sigma = parse_sigma(cfg.sigma)
-    grid = _grid(cfg)
-    points = _observation_points(cfg, grid)
     log: dict = {}
-    paths = _gather_point_paths(cfg, grid, points, log)
+    sigma, grid, points, paths = _point_paths(cfg, log)
     rows = []
     for idx, (_, xe) in enumerate(points):
         st = point_statistics(paths[:, idx, :], xe, cfg.T, sigma, cfg.medium)
-        rows.extend(_quartic_rows(cfg, "quartic", grid, st, sigma))
+        rows.extend(_quartic_rows(cfg, "quartic", grid, st))
     return rows, True, log
 
 
 def run_estimate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
-    sigma = parse_sigma(cfg.sigma)
-    grid = _grid(cfg)
-    points = _observation_points(cfg, grid)
     log: dict = {}
-    paths = _gather_point_paths(cfg, grid, points, log)
+    sigma, grid, points, paths = _point_paths(cfg, log)
     rows = []
     for idx, (_, xe) in enumerate(points):
         st = point_statistics(paths[:, idx, :], xe, cfg.T, sigma, cfg.medium)
+        row = partial(make_row, cfg, "estimate", st.n, grid.m, xe)
         valid = st.a_hat[np.isfinite(st.a_hat)]
-        target = A_of(xe, cfg.medium)
         if len(valid):
-            med = float(np.median(valid))
             q75, q25 = np.percentile(valid, [75.0, 25.0])
             se_med = 1.2533 * float(np.std(valid, ddof=1)) / math.sqrt(len(valid)) if len(valid) > 1 else math.nan
-            rows.append(make_row(cfg, "estimate", st.n, grid.m, xe, "A_hat_median",
-                                 med, se_med, target))
-            rows.append(make_row(cfg, "estimate", st.n, grid.m, xe, "A_hat_iqr",
-                                 float(q75 - q25)))
-        rows.append(make_row(cfg, "estimate", st.n, grid.m, xe, "degenerate_count",
-                             float(st.degenerate), target=0.0))
+            rows.append(row("A_hat_median", float(np.median(valid)), se_med, A_of(xe, cfg.medium)))
+            rows.append(row("A_hat_iqr", float(q75 - q25)))
+        rows.append(row("degenerate_count", float(st.degenerate), target=0.0))
     return rows, True, log
-
-
-def _averaged_points(cfg: ExperimentConfig, grid: GridSpec, num_points: int) -> list[tuple[float, float]]:
-    centers = grid.cell_centers
-    hi = (num_points - 1) / num_points
-    if centers[0] > 0.0 or centers[-1] < hi:
-        raise ConfigError("grid does not cover [0, 1) for the averaged statistic")
-    return [(j / num_points, grid.snap(j / num_points)[1]) for j in range(num_points)]
 
 
 def run_convergence(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     if not cfg.n_list:
         raise ConfigError("convergence needs a nonempty [experiment] n_list")
-    sigma = parse_sigma(cfg.sigma)
     rows = []
     log: dict = {}
     trend: dict[float, list[tuple[int, float]]] = {}
     for n in cfg.n_list:
-        grid = _grid(cfg, n)
-        points = _observation_points(cfg, grid)
-        paths = _gather_point_paths(cfg, grid, points, log)
+        sigma, grid, points, paths = _point_paths(cfg, log, n)
         for idx, (_, xe) in enumerate(points):
             st = point_statistics(paths[:, idx, :], xe, cfg.T, sigma, cfg.medium)
-            rows.extend(_quartic_rows(cfg, "convergence", grid, st, sigma))
-            err = float(np.mean(np.abs(st.v - st.limit)))
-            trend.setdefault(xe, []).append((n, err))
+            rows.extend(_quartic_rows(cfg, "convergence", grid, st))
+            trend.setdefault(xe, []).append((n, float(np.mean(np.abs(st.v - st.limit)))))
     for xe, pairs in trend.items():
         if len(pairs) >= 2:
             ln = np.log([p[0] for p in pairs])
@@ -429,38 +341,23 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]
             rows.append(make_row(cfg, "convergence", 0, cfg.m, xe, "loglog_slope", slope))
     # Averaged-statistic sweep over spatial point counts, when requested.
     for n in cfg.n_list if cfg.m_list else ():
-        grid = _grid(cfg, n)
         for num_points in cfg.m_list:
-            pts = _averaged_points(cfg, grid, num_points)
-            paths = _gather_point_paths(cfg, grid, pts, log)
-            v_per_point = np.sum(np.diff(paths, axis=2) ** 4, axis=2)  # (R, num_points)
-            v_nm = np.mean(v_per_point, axis=1)
-            mean_v, se_v = _mean_se(v_nm)
-            if sigma.label == "one":
-                dc = derive_constants(cfg.medium)
-                target = float(np.mean([
-                    6.0 * tau(xe, dc) / (math.pi * A_of(xe, cfg.medium)) * cfg.T
-                    for _, xe in pts
-                ]))
-            else:
-                target = math.nan
+            sigma, _, points, paths = _point_paths(cfg, log, n, num_points)
+            v_nm, target = averaged_statistics(paths, [xe for _, xe in points], cfg.T, sigma,
+                                               cfg.medium)
             rows.append(make_row(cfg, "convergence", n, num_points, math.nan,
-                                 "v_avg", mean_v, se_v, target))
+                                 "v_avg", *_mean_se(v_nm), target))
     return rows, True, log
 
 
 def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     if cfg.backend != "convolution":
         raise ConfigError("simulate runs the convolution scheme; set backend = convolution")
-    sigma = parse_sigma(cfg.sigma)
-    grid = _grid(cfg)
-    points = _observation_points(cfg, grid)
     log: dict = {}
-    paths = _gather_point_paths(cfg, grid, points, log)
+    sigma, grid, points, paths = _point_paths(cfg, log)
     rows = []
     ok = True
     path_files = {}
-    times = grid.time_nodes
     for idx, (_, xe) in enumerate(points):
         block = paths[:, idx, :]  # (R, n+1)
         mean_t = float(np.mean(block[:, -1]))
@@ -482,7 +379,7 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
                 and not cfg.zero_noise and not (row.rel_error <= cfg.check_tolerance)):
             ok = False
         path_files[f"paths_x{idx:03d}.csv"] = (xe, block)
-    log.update(path_files=path_files, times=times)
+    log.update(path_files=path_files, times=grid.time_nodes)
     return rows, ok, log
 
 

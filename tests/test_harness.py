@@ -1,4 +1,6 @@
 import functools
+import importlib
+import inspect
 import json
 import math
 import os
@@ -6,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from skewheat import harness, solver
+from skewheat import harness, kernel, solver
 from skewheat.config import load_config, parse_config
 from skewheat.noise import sample_noise
 from skewheat.cli import main
@@ -367,3 +369,67 @@ def test_simulate_disc_variance_row_uses_scheme_variance(tmp_path):
     )
     assert main(["simulate", "--config", cfg_sin]) == 0
     assert "disc_variance_u_T" not in {r["statistic"] for r in _read_rows(tmp_path / "sin" / "simulate.csv")}
+
+
+@pytest.mark.parametrize("command", ["quartic", "estimate", "convergence"])
+def test_zero_noise_statistics_exit_zero(tmp_path, capsys, command):
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + GRID_SMALL
+        + "[experiment]\nx = 0.5, -0.5\nreplicates = 3\nzero_noise = true\n"
+        + f"n_list = 8, 16\nm_list = 2, 4\nout = {tmp_path}/out\n",
+    )
+    assert main([command, "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    rows = _read_rows(tmp_path / "out" / f"{command}.csv")
+    degenerate = [r for r in rows if r["statistic"] == "degenerate_count"]
+    assert degenerate and all(float(r["value"]) == 3.0 for r in degenerate)
+    assert not any(r["statistic"].startswith("A_hat") for r in rows)
+    if command == "quartic":
+        ratios = [r["value"] for r in rows if r["statistic"] in ("incr_ratio4", "incr_ratio6")]
+        assert ratios == ["nan"] * 4
+    if command == "convergence":
+        averaged = [r for r in rows if r["statistic"] == "v_avg"]
+        assert len(averaged) == 4 and all(float(r["value"]) == 0.0 for r in averaged)
+
+
+def test_averaged_grid_coverage_exits_two_with_one_line(tmp_path, capsys):
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + "[grid]\nT = 1.0\nn = 4\nL = 0.4\nm = 8\n"
+        + f"[experiment]\nx = 0.0\nreplicates = 2\nn_list = 4\nm_list = 8\nout = {tmp_path}/out\n",
+    )
+    assert main(["convergence", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "cover" in err
+    assert err.count("\n") == 1
+
+
+def test_perfbench_layer_hooks_resolve(monkeypatch):
+    # The traced benchmark run wraps these attributes by name; a missing one
+    # would silently read 0 for its per-layer metric.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    traced = importlib.import_module("traced")
+    for owner, attr, name, _ in traced.layer_hooks(harness, solver, kernel):
+        assert getattr(owner, attr, None) is not None, f"{name}: {attr} not found"
+    assert next(iter(inspect.signature(harness.point_statistics).parameters)) == "paths"
+
+
+def test_point_statistics_is_called_through_harness(tmp_path, monkeypatch):
+    calls = []
+
+    original = harness.point_statistics
+
+    def counting(paths, *args):
+        calls.append(np.shape(paths))
+        return original(paths, *args)
+
+    monkeypatch.setattr(harness, "point_statistics", counting)
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + GRID_SMALL
+        + f"[experiment]\nx = 0.5, -0.5\nreplicates = 2\nseed = 3\nout = {tmp_path}/out\n",
+    )
+    assert main(["quartic", "--config", cfg]) == 0
+    assert calls == [(2, 9), (2, 9)]

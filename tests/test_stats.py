@@ -24,7 +24,7 @@ from skewheat import (
     moment_summary,
     DegeneratePathError,
 )
-from skewheat.stats import variation_report
+from skewheat.stats import variation_report, point_statistics, averaged_statistics
 
 M14 = MediumParams(1, 4, 1, 1)
 
@@ -166,6 +166,54 @@ def test_variation_report_fields_and_invariants():
 
     flat = variation_report(_path(np.zeros(9)), sigma_one(), M14, replicate=1)
     assert flat.estimator_A is None
+
+
+# -- statistics core and its views --------------------------------------------
+
+SIGMAS = {"one": sigma_one(), "affine:0,0.7": sigma_affine(0.0, 0.7), "sin1:0.5": sigma_sin(0.5)}
+
+
+@pytest.mark.parametrize("x", [0.5, -0.5, 0.0])
+@pytest.mark.parametrize("label", sorted(SIGMAS))
+def test_point_statistics_equals_per_path_views(label, x):
+    sigma = SIGMAS[label]
+    rng = np.random.default_rng(50)
+    paths = rng.normal(size=(6, 41)) * 0.3
+    paths[2] = 0.8  # one constant row
+    st = point_statistics(paths, x, 1.0, sigma, M14)
+    assert st.degenerate == 1
+    for r, row in enumerate(paths):
+        path = _path(row, x=x)
+        assert st.v[r] == quartic_variation(path)
+        assert st.limit[r] == limit_functional(path, sigma, M14, x)
+        if math.isnan(st.a_hat[r]):
+            with pytest.raises(DegeneratePathError):
+                estimate_A(path, sigma, M14, x)
+        else:
+            assert st.a_hat[r] == estimate_A(path, sigma, M14, x)
+    m = moment_summary([_path(row) for row in paths])
+    assert (st.m2, st.ratio4, st.ratio6) == (m.mean_sq, m.ratio4, m.ratio6)
+
+
+def test_point_statistics_zero_increments():
+    st = point_statistics(np.zeros((3, 9)), 0.5, 1.0, sigma_one(), M14)
+    assert st.degenerate == 3 and np.all(np.isnan(st.a_hat))
+    assert st.m2 == 0.0 and math.isnan(st.ratio4) and math.isnan(st.ratio6)
+    assert st.closed_target == pytest.approx(6.0 / (math.pi * 4.0), rel=1e-14)
+    assert point_statistics(np.zeros((3, 9)), 0.5, 1.0, sigma_sin(0.5), M14).closed_target is None
+
+
+def test_averaged_statistics_equals_per_replicate_view():
+    rng = np.random.default_rng(51)
+    paths = rng.normal(size=(4, 3, 17))
+    xs = [0.0, 1.0 / 3.0, 2.0 / 3.0]
+    v_nm, target = averaged_statistics(paths, xs, 1.0, sigma_one(), M14)
+    for r in range(4):
+        rep = averaged_variation_from_paths([_path(p, x=x) for p, x in zip(paths[r], xs)], xs, 3)
+        assert v_nm[r] == rep.v_nm
+    assert target == pytest.approx(np.mean([
+        limit_functional(_path(np.zeros(17), x=x), sigma_one(), M14, x) for x in xs]), rel=1e-14)
+    assert math.isnan(averaged_statistics(paths, xs, 1.0, sigma_sin(0.5), M14)[1])
 
 
 # -- averaged statistic -----------------------------------------------------------
