@@ -10,8 +10,10 @@ timings therefore live only in the JSON summary's `timings` block; the CSV
 `seconds` column is reserved and always zero.  Exact-linear runs also record,
 per observation point, the Cholesky jitter and the covariance quadrature's
 node level in the summary's `exact_sampler` block; convolution runs record,
-per replicate chunk, the rows solved per time step and whether the kernel
-stack was cached or recomputed in its `convolution` block.
+per replicate chunk, the rows solved per time step, the kernel path taken
+(cached or recomputed per-lag stack, or the semigroup recursion), whether dx
+meets the resolution bound and, for the recursion, its one-step semigroup
+gap in its `convolution` block.
 """
 
 from __future__ import annotations
@@ -197,7 +199,8 @@ def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, xs: list[float],
                        log: dict) -> np.ndarray:
     """Paths at the snapped observation points, shape (R, n_points, n+1).
 
-    Appends one record per replicate chunk to log["convolution"].
+    Appends one record per replicate chunk to log["convolution"]: the
+    solver's report plus dx_resolved, whether dx <= sqrt(min(a1, a2)*dt/4).
     """
     cols = [grid.snap(x)[0] for x in xs]
     budget = cfg.memory_budget_mb * 1024 * 1024
@@ -218,21 +221,26 @@ def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, xs: list[float],
             results = list(pool.map(_conv_chunk_worker, payloads))
     out = np.empty((cfg.replicates, len(xs), grid.n + 1))
     records = log.setdefault("convolution", [])
+    resolved = grid.dx <= math.sqrt(min(cfg.medium.a1, cfg.medium.a2) * grid.dt / 4.0)
     for first_rep, block, report in results:
         out[first_rep : first_rep + block.shape[0]] = block
-        records.append({"n": grid.n, "m": grid.m, "first_replicate": first_rep,
-                        "replicates": block.shape[0], **report})
+        records.append({"n": grid.n, "m": grid.m, "dx_resolved": resolved,
+                        "first_replicate": first_rep, "replicates": block.shape[0], **report})
     return out
 
 
 def _exact_paths(cfg: ExperimentConfig, n: int, x: float, log: dict) -> np.ndarray:
-    """Exact Gaussian paths at the point x, shape (R, n+1); sigma must be one.
+    """Exact Gaussian paths at the point x, shape (R, n+1).
 
+    sigma must be one and zero_noise off (the sampler always draws noise).
     Appends what the sampler did (jitter, quadrature node level) to
     log["exact_sampler"].
     """
     if cfg.sigma != "one":
         raise ConfigError("the exact-linear backend is valid only for sigma = one")
+    if cfg.zero_noise:
+        raise ConfigError("the exact-linear backend samples the noise; zero_noise needs "
+                          "backend = convolution")
     sampler = ExactLinearSampler(cfg.medium, x, cfg.T, n)
     log.setdefault("exact_sampler", []).append(
         {"x": x, "n": n, "cholesky_jitter": sampler.jitter,

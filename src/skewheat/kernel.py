@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
 from .medium import MediumParams, DerivedConstants, derive_constants, position_map, A_of
 
@@ -97,6 +96,8 @@ class GreenKernel:
         mass integral; the four error-function pieces (direct and reflected,
         each half-line) cancel to total mass one for every t and x.
         """
+        from scipy.special import erfc  # deferred: evaluate alone never needs it
+
         t = self._check_lag(t)
         beta = self.derived.beta
         b = np.asarray(self._fx(x), dtype=float)
@@ -109,6 +110,8 @@ class GreenKernel:
 
     def l2_norm_sq(self, t, x):
         """Exact integral of G_t(x, y)**2 over y, via error functions."""
+        from scipy.special import erfc  # deferred: evaluate alone never needs it
+
         t = self._check_lag(t)
         p, beta = self.params, self.derived.beta
         b = np.asarray(self._fx(x), dtype=float)
@@ -141,6 +144,8 @@ class GreenKernel:
         an error function; products across the two lags use the standard
         two-Gaussian product identity.
         """
+        from scipy.special import erfc  # deferred: evaluate alone never needs it
+
         t1 = self._check_lag(t1)
         t2 = self._check_lag(t2)
         p, beta = self.params, self.derived.beta
@@ -174,6 +179,39 @@ class GreenKernel:
             + beta**2 * upper_mass(-s)
         )
         out = pref * (left + right)
+        return float(out) if np.ndim(out) == 0 else out
+
+    def cell_mass(self, t, x, lo, hi):
+        """Exact integral of G_t(x, y) over the cell lo <= y <= hi.
+
+        In u = f(y) the weight 1/sqrt(a) is the Jacobian, so each branch is a
+        unit Gaussian of variance t (direct, centered at f(x)) or its
+        reflection (centered at +|f(x)| on the left, -|f(x)| on the right),
+        and its mass over the cell's image is an error-function difference.
+        A cell straddling y = 0 is split there; the point itself belongs to
+        the left branch, as in evaluate.  Entries are >= 0, and the masses of
+        adjacent cells add up to the mass of their union (at most l1_norm,
+        which is one).  Broadcasts over array arguments.
+        """
+        from scipy.special import erfc  # deferred: evaluate alone never needs it
+
+        t = self._check_lag(t)
+        p, beta = self.params, self.derived.beta
+        b = np.asarray(self._fx(x), dtype=float)
+        s = np.abs(b)
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        rt = np.sqrt(2.0 * t)
+
+        def mass(c, u0, u1):
+            # Gaussian mass over [u0, u1] from whichever tail keeps erfc small.
+            a, z = (u0 - c) / rt, (u1 - c) / rt
+            upper = a >= 0
+            return 0.5 * (erfc(np.where(upper, a, -z)) - erfc(np.where(upper, z, -a)))
+
+        l0, l1 = np.minimum(lo, 0.0) / math.sqrt(p.a1), np.minimum(hi, 0.0) / math.sqrt(p.a1)
+        r0, r1 = np.maximum(lo, 0.0) / math.sqrt(p.a2), np.maximum(hi, 0.0) / math.sqrt(p.a2)
+        out = (mass(b, l0, l1) - beta * mass(s, l0, l1)) + (mass(b, r0, r1) + beta * mass(-s, r0, r1))
         return float(out) if np.ndim(out) == 0 else out
 
     # -- bounds and diagnostics ----------------------------------------------

@@ -5,11 +5,13 @@ cell is the kernel (evaluated at a within-cell lag) times sigma of the field
 at the cell's left endpoint times the white-noise increment, summed over all
 past cells.  When sigma is constant the noise term does not depend on u, so
 the field at an observation cell is a fixed linear map of the noise and the
-scheme solves only the kernel rows of the requested cells; a nonlinear sigma
-needs every cell of the previous row.  For sigma identically one the solution
-is Gaussian and its time covariance at a fixed point has an exact quadrature
-representation; the exact-linear backend samples such paths from a
-factorized covariance matrix.
+scheme sums the kernel rows of the requested cells over every lag directly.
+A nonlinear sigma needs every cell of the previous row; there the lag sum is
+carried forward one step at a time by the heat semigroup, with a
+cell-integrated one-step kernel on a padded grid.  For sigma identically one
+the solution is Gaussian and its time covariance at a fixed point has an
+exact quadrature representation; the exact-linear backend samples such paths
+from a factorized covariance matrix.
 """
 
 from __future__ import annotations
@@ -180,6 +182,41 @@ def _kernel_rows(kernel: GreenKernel, grid: GridSpec, rows: np.ndarray, budget: 
     return None, lags
 
 
+def _semigroup_operators(kernel: GreenKernel, grid: GridSpec):
+    """The three matrices of the semigroup recursion and its one-step gap.
+
+    The history lives on the padded grid z: the m cells plus m//2 cells of
+    the same width on each side, about [-2L, 2L], with z[pad:pad+m] the cell
+    centers.  Returns (newest, history, step, gap): newest = K_{dt/4} on the
+    m cells, history = K_{3dt/2} from the m cells to the padded cells (the
+    direct scheme's kernel values at lags d = 1, 2), step[j, l] = the
+    integral of G_dt(z_j, y) over padded cell l, and gap = the largest
+    |step @ K_{3dt/2} - K_{5dt/2}| over padded rows in [-L/2, L/2], relative
+    to max K_{5dt/2}.
+    """
+    y = grid.cell_centers
+    pad, dx = grid.m // 2, grid.dx
+    z = np.concatenate([y[0] - dx * np.arange(pad, 0, -1), y, y[-1] + dx * np.arange(1, pad + 1)])
+    edges = z[0] - 0.5 * dx + dx * np.arange(len(z) + 1)
+    newest = kernel.evaluate(0.25 * grid.dt, y[:, None], y[None, :])
+    history = kernel.evaluate(1.5 * grid.dt, z[:, None], y[None, :])
+    step = kernel.cell_mass(grid.dt, z[:, None], edges[None, :-1], edges[None, 1:])
+    # Subnormal entries (below 2.2e-308, far under the rounding of any field
+    # value) are stored as zero: BLAS runs several times slower on them.
+    for a in (newest, history, step):
+        a[np.abs(a) < np.finfo(float).tiny] = 0.0
+    half = np.abs(z) <= 0.5 * grid.L
+    later = kernel.evaluate(2.5 * grid.dt, z[half, None], y[None, :])
+    gap = float(np.max(np.abs(step[half] @ history - later)) / np.max(later))
+    return newest, history, step, gap
+
+
+def _check_finite(u: np.ndarray, i: int, rows: np.ndarray) -> None:
+    if not np.isfinite(u).all():
+        j = int(rows[np.argwhere(~np.isfinite(u))[0][0]])
+        raise NonFiniteFieldError(f"non-finite field value at time row i={i}, cell j={j}")
+
+
 def solve_field_batch(
     medium: MediumParams,
     grid: GridSpec,
@@ -189,24 +226,38 @@ def solve_field_batch(
     columns: list[int] | np.ndarray | None = None,
     report: dict | None = None,
 ) -> np.ndarray:
-    """Run the causal convolution scheme for a batch of noise replicates.
+    """Run the field scheme for a batch of noise replicates.
 
     increments has shape (n, m) or (n, m, R); the result has shape
     (n+1, p) or (n+1, p, R) with row 0 identically zero, where p is the
     number of requested cell indices in columns (default: all m cells, in
-    grid order).  Each step forms u_i = sum over d of K_d @ v_{i-d} with
-    v_k = sigma(u_k) * dW_k.  When sigma is constant (Lipschitz bound 0),
-    v does not depend on u, so every requested cell is a fixed linear map of
-    the noise and only the kernel rows K_d[columns, :] are built and
-    multiplied: the result equals the full field's columns up to BLAS
-    rounding, at about p/m of the work.  Otherwise sigma needs the whole
-    previous row, so all m rows are solved, but only the current row and the
-    requested columns are kept.  If report is given it receives
-    rows_per_step (the distinct requested cells, or m), kernel_stack
-    ("cached" when the per-lag rows fit in memory_budget_bytes, else
-    "recomputed" at every lag) and stack_mib (the kernel rows held at once).
-    Raises NonFiniteFieldError naming the first offending (time row, grid
-    cell) if the field overflows.
+    grid order).  The scheme is u_i = sum over d of K_d @ v_{i-d} with
+    v_k = sigma(u_k) * dW_k and K_d the kernel at the lag of _cell_lags.
+
+    When sigma is constant (Lipschitz bound 0), v does not depend on u, so
+    every requested cell is a fixed linear map of the noise: the sum over d
+    is formed directly, with only the kernel rows K_d[columns, :] built and
+    multiplied.  The result equals the full field's columns up to BLAS
+    rounding, at about p/m of the work.  The per-lag rows are cached when
+    they fit in memory_budget_bytes and recomputed at every lag otherwise.
+
+    Otherwise sigma needs the whole previous row, and the lag sum is carried
+    by the heat semigroup: the history S_i = sum over d >= 2 of K_d v_{i-d}
+    lives on a padded grid about [-2L, 2L] (see _semigroup_operators), and
+    each step is u_i = K_{dt/4} v_{i-1} + S_i[inner] followed by
+    S_{i+1} = P S_i + K_{3dt/2} v_{i-1}, with P the cell-integrated one-step
+    kernel.  P is nonnegative with row sums at most one, so the recursion is
+    stable on every grid; its deviation from the direct sum is the
+    semigroup gap.  This is O(n m**2 R) instead of O(n**2 m**2 R), holds
+    three matrices instead of the per-lag stack and ignores
+    memory_budget_bytes.  Only the current row and the requested columns
+    are kept.
+
+    If report is given it receives rows_per_step (the distinct requested
+    cells, or m), kernel_stack ("cached", "recomputed" or "semigroup"),
+    stack_mib (the kernel matrices held at once) and, for the semigroup
+    path, semigroup_gap.  Raises NonFiniteFieldError naming the first
+    offending (time row, grid cell) if the field overflows.
     """
     dW = np.asarray(increments, dtype=float)
     squeeze = dW.ndim == 2
@@ -220,42 +271,59 @@ def solve_field_batch(
     cols = np.arange(m) if columns is None else np.asarray(columns, dtype=np.intp)
     if cols.ndim != 1 or np.any((cols < 0) | (cols >= m)):
         raise ValueError(f"columns must be cell indices in [0, {m}), got {columns!r}")
-    constant = sigma.lipschitz_bound == 0.0
-    if constant:
-        rows, pick = np.unique(cols, return_inverse=True)
-    else:
-        rows, pick = np.arange(m), cols
     kernel = GreenKernel(medium)
-    stack, lags = _kernel_rows(kernel, grid, rows, memory_budget_bytes)
+    if sigma.lipschitz_bound != 0.0:
+        out = _semigroup_field(kernel, grid, sigma, dW, cols, report)
+    else:
+        out = _direct_rows_field(kernel, grid, sigma, dW, cols, memory_budget_bytes, report)
+    return out[:, :, 0] if squeeze else out
+
+
+def _semigroup_field(kernel, grid, sigma, dW, cols, report):
+    """Nonlinear sigma: the semigroup recursion over all m cells, columns cols kept."""
+    n, m, r = dW.shape
+    newest, history, step, gap = _semigroup_operators(kernel, grid)
+    if report is not None:
+        held = newest.nbytes + history.nbytes + step.nbytes
+        report.update(rows_per_step=m, kernel_stack="semigroup", stack_mib=held / 2**20,
+                      semigroup_gap=gap)
+    inner, cells = slice(m // 2, m // 2 + m), np.arange(m)
+    out = np.zeros((n + 1, len(cols), r))
+    u = np.zeros((m, r))
+    hist = np.zeros((len(step), r))
+    for i in range(1, n + 1):
+        v = sigma.evaluate(u) * dW[i - 1]
+        u = newest @ v + hist[inner]
+        _check_finite(u, i, cells)
+        out[i] = u[cols]
+        if i < n:
+            hist = step @ hist + history @ v
+    return out
+
+
+def _direct_rows_field(kernel, grid, sigma, dW, cols, budget, report):
+    """Constant sigma: the direct lag sum over the kernel rows of the requested cells."""
+    n, m, r = dW.shape
+    rows, pick = np.unique(cols, return_inverse=True)
+    stack, lags = _kernel_rows(kernel, grid, rows, budget)
     if report is not None:
         held = stack.nbytes if stack is not None else len(rows) * m * 8
         report.update(rows_per_step=len(rows),
                       kernel_stack="cached" if stack is not None else "recomputed",
                       stack_mib=held / 2**20)
     y = grid.cell_centers
-    r = dW.shape[2]
     out = np.zeros((n + 1, len(cols), r))
-    # sigma's argument: the latest full field row (left at zero for a constant sigma).
-    state = np.zeros((m, r))
-    v = np.empty((n, m, r))
+    v = np.multiply(sigma.evaluate(np.zeros((m, r))), dW, out=np.empty((n, m, r)))
     for i in range(1, n + 1):
-        k = i - 1
-        v[k] = sigma.evaluate(state) * dW[k]
         acc = np.zeros((len(rows), r))
         for d in range(1, i + 1):
             kd = stack[d - 1] if stack is not None else kernel.evaluate(
                 lags[d - 1], y[rows, None], y[None, :]
             )
             acc += kd @ v[i - d]
-        if not np.isfinite(acc).all():
-            j = int(rows[np.argwhere(~np.isfinite(acc))[0][0]])
-            raise NonFiniteFieldError(
-                f"non-finite field value at time row i={i}, cell j={j}"
-            )
-        if not constant:
-            state = acc
+        _check_finite(acc, i, rows)
         out[i] = acc[pick]
-    return out[:, :, 0] if squeeze else out
+    return out
 
 
 def scheme_variance(medium: MediumParams, grid: GridSpec, x: float) -> float:

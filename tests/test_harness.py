@@ -4,6 +4,8 @@ import inspect
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -333,8 +335,8 @@ def test_summary_json_records_convolution_chunks(tmp_path):
     payload = json.loads((tmp_path / "out" / "simulate_summary.json").read_text())
     assert payload["exact_sampler"] == []
     assert payload["convolution"] == [
-        {"n": 8, "m": 32, "first_replicate": first, "replicates": count, "rows_per_step": 2,
-         "kernel_stack": "cached", "stack_mib": 8 * 2 * 32 * 8 / 2**20}
+        {"n": 8, "m": 32, "dx_resolved": False, "first_replicate": first, "replicates": count,
+         "rows_per_step": 2, "kernel_stack": "cached", "stack_mib": 8 * 2 * 32 * 8 / 2**20}
         for first, count in ((0, 4), (4, 1))
     ]
     big = _write(tmp_path, "big.ini", MEDIUM_14 + "[grid]\nT = 1.0\nn = 8\nL = 8.0\nm = 256\n"
@@ -342,8 +344,13 @@ def test_summary_json_records_convolution_chunks(tmp_path):
                  + f"memory_budget_mb = 1\nout = {tmp_path}/sin\n")
     assert main(["quartic", "--config", big]) == 0
     payload = json.loads((tmp_path / "sin" / "quartic_summary.json").read_text())
-    assert [(r["rows_per_step"], r["kernel_stack"]) for r in payload["convolution"]] \
-        == [(256, "recomputed")]
+    # Nonlinear sigma ignores the budget: the semigroup recursion holds three
+    # matrices, K_{dt/4} (m x m), K_{3dt/2} (2m x m) and P (2m x 2m).
+    [record] = payload["convolution"]
+    assert (record["rows_per_step"], record["kernel_stack"], record["dx_resolved"]) \
+        == (256, "semigroup", True)
+    assert record["stack_mib"] == (256 * 256 + 512 * 256 + 512 * 512) * 8 / 2**20
+    assert 0.0 < record["semigroup_gap"] < 0.1
 
 
 def test_simulate_disc_variance_row_uses_scheme_variance(tmp_path):
@@ -433,3 +440,26 @@ def test_point_statistics_is_called_through_harness(tmp_path, monkeypatch):
     )
     assert main(["quartic", "--config", cfg]) == 0
     assert calls == [(2, 9), (2, 9)]
+
+
+def test_exact_linear_refuses_zero_noise(tmp_path, capsys):
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + GRID_SMALL
+        + "[experiment]\nx = 0.5\nreplicates = 3\nzero_noise = true\nbackend = exact-linear\n"
+        + f"out = {tmp_path}/out\n",
+    )
+    assert main(["quartic", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "zero_noise" in err
+    assert err.count("\n") == 1
+
+
+def test_cli_import_leaves_scipy_special_and_integrate_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    probe = ("import sys, skewheat.cli; "
+             "print(sorted(m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -375,6 +375,14 @@ def test_column_solve_cache_fallback_is_bit_identical(sigma):
     fallback = solve_field_batch(M14, grid, sigma, dw, memory_budget_bytes=8, columns=cols,
                                  report=fallback_report)
     assert np.array_equal(cached, fallback)
+    if sigma.lipschitz_bound != 0.0:
+        # Nonlinear sigma takes the semigroup recursion whatever the budget. It
+        # holds K_{dt/4} (m x m), K_{3dt/2} (2m x m) and the one-step P (2m x 2m).
+        assert cached_report == fallback_report
+        assert 0.0 < cached_report.pop("semigroup_gap") < 0.1
+        assert cached_report == {"rows_per_step": 16, "kernel_stack": "semigroup",
+                                 "stack_mib": (16 * 16 + 32 * 16 + 32 * 32) * 8 / 2**20}
+        return
     rows = 2 if sigma.lipschitz_bound == 0.0 else 16
     assert cached_report == {"rows_per_step": rows, "kernel_stack": "cached",
                              "stack_mib": 8 * rows * 16 * 8 / 2**20}
@@ -412,3 +420,87 @@ def test_scheme_variance_is_direct_kernel_sum():
     basis = np.eye(reps).reshape(grid.n, grid.m, reps) * math.sqrt(grid.dt * grid.dx)
     u_T = solve_field_batch(M14, grid, sigma_one(), basis, columns=[j])[-1, 0]
     assert np.sum(u_T**2) == pytest.approx(direct, rel=1e-12)
+
+
+# -- semigroup recursion for nonlinear sigma ---------------------------------
+
+
+def _direct_field(medium, grid, sigma, dw):
+    """Reference scheme: u_i = sum over d of K_d @ v_{i-d}, every lag summed directly."""
+    kernel = GreenKernel(medium)
+    y = grid.cell_centers
+    lags = [grid.dt / 4] + [(d - 0.5) * grid.dt for d in range(2, grid.n + 1)]
+    stack = [kernel.evaluate(lag, y[:, None], y[None, :]) for lag in lags]
+    u = np.zeros((grid.n + 1,) + dw.shape[1:])
+    v = np.zeros(dw.shape)
+    for i in range(1, grid.n + 1):
+        v[i - 1] = sigma.evaluate(u[i - 1]) * dw[i - 1]
+        u[i] = sum(stack[d - 1] @ v[i - d] for d in range(1, i + 1))
+    return u
+
+
+def _quartic_variation_at(u, grid, xs):
+    cols = [grid.snap(x)[0] for x in xs]
+    return np.mean(np.sum(np.diff(u[:, cols], axis=0) ** 4, axis=0), axis=-1)
+
+
+# Tolerances are about twice the deviations measured with 8 replicates:
+# V_n 1.1e-2 and path 2.7e-2 on (n=16, L=4, m=25), whose middle cell is
+# centered on the interface; V_n 4.4e-3 and path 4.8e-3 on (n=24, L=2, m=32).
+# A single step (n=1) is one lag: the same sum, up to rounding.
+@pytest.mark.parametrize("sigma", [sigma_sin(0.5), sigma_affine(0.3, 1.0)], ids=["sin", "affine"])
+@pytest.mark.parametrize("n, L, m, v_tol, path_tol",
+                         [(16, 4.0, 25, 0.025, 0.05), (24, 2.0, 32, 0.01, 0.01),
+                          (1, 2.0, 8, 1e-13, 1e-13)])
+def test_semigroup_recursion_tracks_direct_lag_sum(sigma, n, L, m, v_tol, path_tol):
+    grid = build_grid(1.0, n, L, m)
+    dw = _noise_batch(grid, 50, 8)
+    ref = _direct_field(M14, grid, sigma, dw)
+    got = solve_field_batch(M14, grid, sigma, dw)
+    # Rows 1 and 2 hold one and two lags: the same sums, up to BLAS rounding.
+    np.testing.assert_allclose(got[:3], ref[:3], rtol=1e-13, atol=1e-14 * np.max(np.abs(ref)))
+    xs = (-0.5, 0.0, 0.5)
+    v_ref, v_got = _quartic_variation_at(ref, grid, xs), _quartic_variation_at(got, grid, xs)
+    assert np.max(np.abs(v_got / v_ref - 1.0)) <= v_tol
+    assert np.max(np.abs(got - ref)) <= path_tol * np.max(np.abs(ref))
+
+
+def test_semigroup_recursion_stable_on_coarse_grid():
+    # dx / sqrt(dt) = 2.83: the midpoint one-step matrix G_dt(z_j, z_l)*dx has
+    # row sums above one (spectral radius 1.17), so a recursion built on it
+    # would grow like 1.17**n.  The cell-integrated P keeps every row sum <= 1.
+    grid = build_grid(1.0, 128, 8.0, 64)
+    kernel = GreenKernel(M14)
+    z = -2 * grid.L + (np.arange(2 * grid.m) + 0.5) * grid.dx
+    edges = -2 * grid.L + np.arange(2 * grid.m + 1) * grid.dx
+    midpoint = kernel.evaluate(grid.dt, z[:, None], z[None, :]) * grid.dx
+    cells = kernel.cell_mass(grid.dt, z[:, None], edges[None, :-1], edges[None, 1:])
+    assert midpoint.sum(axis=1).max() > 1.2
+    assert cells.sum(axis=1).max() <= 1.0
+    dw = _noise_batch(grid, 51, 8)
+    ref = _direct_field(M14, grid, sigma_sin(0.5), dw)
+    got = solve_field_batch(M14, grid, sigma_sin(0.5), dw)
+    assert np.isfinite(got).all()
+    assert np.max(np.abs(got)) == pytest.approx(np.max(np.abs(ref)), rel=0.10)
+
+
+@pytest.mark.parametrize("medium", [MediumParams(1, 4, 1, 1), MediumParams(4, 1, 1, 1),
+                                    MediumParams(1, 4, 1, 3), MediumParams(2, 0.5, 3, 1)],
+                         ids=["a1<a2", "a1>a2", "rho1<rho2", "rho1>rho2"])
+def test_cell_mass_matches_quadrature_and_conserves_mass(medium):
+    from scipy.integrate import quad
+
+    kernel = GreenKernel(medium)
+    for t in (0.01, 0.2):
+        for x in (-0.6, -0.03, 0.0, 0.05, 0.7):
+            for lo, hi in ((-0.3, 0.2), (-0.02, 0.01), (-0.25, 0.0), (0.0, 0.3), (0.4, 0.9)):
+                pieces = [(lo, min(hi, 0.0)), (max(lo, 0.0), hi)]
+                ref = sum(quad(lambda y: kernel.evaluate(t, x, y), a, b, epsabs=1e-14)[0]
+                          for a, b in pieces if b > a)
+                assert kernel.cell_mass(t, x, lo, hi) == pytest.approx(ref, rel=1e-10, abs=1e-14)
+    edges = np.linspace(-12.0, 12.0, 481)
+    xs = np.linspace(-2.0, 2.0, 17)[:, None]
+    for t in (0.01, 0.2):
+        cells = kernel.cell_mass(t, xs, edges[None, :-1], edges[None, 1:])
+        assert np.all(cells >= 0.0)
+        np.testing.assert_allclose(cells.sum(axis=1), kernel.l1_norm(t, xs[:, 0]), rtol=0, atol=1e-14)
