@@ -1,8 +1,10 @@
-"""Numerical cross-checks of the kernel closed forms.
+"""Numerical cross-checks of the kernel closed forms and the linear covariance.
 
 Adaptive quadrature comparators and sweep suites used by the kernel-selftest
-command and by the test suite.  Production solver paths never import this
-module: the closed forms stay the only runtime route to the integrals.
+command and by the test suite.  Production solver paths never call into this
+module: the closed forms and solver.covariance_linear's fixed rule stay the
+only runtime routes to the integrals, and scipy.integrate is imported only
+when a comparator runs.
 """
 
 from __future__ import annotations
@@ -54,6 +56,32 @@ def quad_cross(kernel: GreenKernel, t1: float, t2: float, x: float) -> float:
     """Quadrature value of the integral of G_t1(x, y) G_t2(x, y) dy."""
     lo, hi = _support(kernel, max(t1, t2), x)
     return _split_quad(lambda y: kernel.evaluate(t1, x, y) * kernel.evaluate(t2, x, y), lo, hi)
+
+
+def quad_covariance(t: float, s: float, x: float, medium: MediumParams) -> float:
+    """Adaptive-quadrature value of solver.covariance_linear, its independent oracle.
+
+    The same substitution r = w(1 - v^2), w = min(t, s), integrated by quad.
+    Both lags are floored at w*v**2, their exact value at t = s, because
+    t - r rounds to zero for v below about 1e-8.  Near the interface
+    (|x| around 1e-7) quad itself is off by up to ~2e-7 relative.
+    """
+    from scipy.integrate import quad  # deferred: slow to import, and most runs never call it
+
+    if t < 0 or s < 0:
+        raise ValueError("times must be nonnegative")
+    w = min(t, s)
+    if w == 0.0:
+        return 0.0
+    kernel = GreenKernel(medium)
+
+    def integrand(v):
+        if v <= 0.0:
+            return 0.0
+        r, floor = w * (1.0 - v * v), w * v * v
+        return 2.0 * w * v * kernel.cross_integral(max(t - r, floor), max(s - r, floor), x)
+
+    return quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=200)[0]
 
 
 def brute_covariance(medium: MediumParams, t: float, s: float, x: float) -> float:

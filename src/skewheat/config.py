@@ -45,7 +45,6 @@ class ExperimentConfig:
     zero_noise: bool
     n_list: tuple[int, ...]
     m_list: tuple[int, ...]
-    memory_budget_mb: int
     replicate_chunk: int
     check_tolerance: float | None
 
@@ -67,7 +66,6 @@ _DEFAULTS = {
     "zero_noise": "false",
     "n_list": "",
     "m_list": "",
-    "memory_budget_mb": "2048",
     "replicate_chunk": "64",
     "check_tolerance": "",
 }
@@ -186,9 +184,6 @@ def parse_config(text: str) -> ExperimentConfig:
     workers = _parse_int("experiment", "workers", exp["workers"])
     if workers < 1:
         raise ConfigError("[experiment] workers must be >= 1")
-    memory_budget_mb = _parse_int("experiment", "memory_budget_mb", exp["memory_budget_mb"])
-    if memory_budget_mb < 1:
-        raise ConfigError("[experiment] memory_budget_mb must be >= 1")
     replicate_chunk = _parse_int("experiment", "replicate_chunk", exp["replicate_chunk"])
     if replicate_chunk < 1:
         raise ConfigError("[experiment] replicate_chunk must be >= 1")
@@ -220,7 +215,6 @@ def parse_config(text: str) -> ExperimentConfig:
         zero_noise=_parse_bool("experiment", "zero_noise", exp["zero_noise"]),
         n_list=n_list,
         m_list=m_list,
-        memory_budget_mb=memory_budget_mb,
         replicate_chunk=replicate_chunk,
         check_tolerance=check_tolerance,
     )
@@ -254,7 +248,6 @@ def to_ini_text(cfg: ExperimentConfig) -> str:
         "zero_noise": "true" if cfg.zero_noise else "false",
         "n_list": ", ".join(str(v) for v in cfg.n_list),
         "m_list": ", ".join(str(v) for v in cfg.m_list),
-        "memory_budget_mb": str(cfg.memory_budget_mb),
         "replicate_chunk": str(cfg.replicate_chunk),
         "check_tolerance": "" if cfg.check_tolerance is None else repr(cfg.check_tolerance),
     }

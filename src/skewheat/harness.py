@@ -11,7 +11,7 @@ timings therefore live only in the JSON summary's `timings` block; the CSV
 per observation point, the Cholesky jitter and the covariance quadrature's
 node level in the summary's `exact_sampler` block; convolution runs record,
 per replicate chunk, the rows solved per time step, the kernel path taken
-(cached or recomputed per-lag stack, or the semigroup recursion), whether dx
+(the FFT-in-time product or the semigroup recursion), whether dx
 meets the resolution bound and, for the recursion, its one-step semigroup
 gap in its `convolution` block.
 """
@@ -181,7 +181,7 @@ def _conv_chunk_worker(payload) -> tuple[int, np.ndarray, dict]:
     sigma), so chunk scheduling cannot change results.
     """
     (medium_fields, grid_fields, sigma_str, seed, first_rep, count,
-     col_indices, budget_bytes, zero_noise) = payload
+     col_indices, zero_noise) = payload
     medium = MediumParams(*medium_fields)
     grid = GridSpec(*grid_fields)
     sigma = parse_sigma(sigma_str)
@@ -190,8 +190,7 @@ def _conv_chunk_worker(payload) -> tuple[int, np.ndarray, dict]:
         for k in range(count):
             dw[:, :, k] = sample_noise(grid, seed, first_rep + k).increments
     report: dict = {}
-    u = solve_field_batch(medium, grid, sigma, dw, budget_bytes, columns=col_indices,
-                          report=report)
+    u = solve_field_batch(medium, grid, sigma, dw, columns=col_indices, report=report)
     return first_rep, np.ascontiguousarray(np.transpose(u, (2, 1, 0))), report
 
 
@@ -203,7 +202,6 @@ def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, xs: list[float],
     solver's report plus dx_resolved, whether dx <= sqrt(min(a1, a2)*dt/4).
     """
     cols = [grid.snap(x)[0] for x in xs]
-    budget = cfg.memory_budget_mb * 1024 * 1024
     payloads = []
     first = 0
     while first < cfg.replicates:
@@ -211,7 +209,7 @@ def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, xs: list[float],
         payloads.append((
             (cfg.medium.a1, cfg.medium.a2, cfg.medium.rho1, cfg.medium.rho2),
             (grid.T, grid.n, grid.L, grid.m),
-            cfg.sigma, cfg.seed, first, count, cols, budget, cfg.zero_noise,
+            cfg.sigma, cfg.seed, first, count, cols, cfg.zero_noise,
         ))
         first += count
     if cfg.workers <= 1 or len(payloads) <= 1:

@@ -4,14 +4,16 @@ The field scheme is a single causal pass: the increment of u over one time
 cell is the kernel (evaluated at a within-cell lag) times sigma of the field
 at the cell's left endpoint times the white-noise increment, summed over all
 past cells.  When sigma is constant the noise term does not depend on u, so
-the field at an observation cell is a fixed linear map of the noise and the
-scheme sums the kernel rows of the requested cells over every lag directly.
-A nonlinear sigma needs every cell of the previous row; there the lag sum is
-carried forward one step at a time by the heat semigroup, with a
-cell-integrated one-step kernel on a padded grid.  For sigma identically one
+the field at an observation cell is a fixed linear map of the noise: a
+causal convolution in time of the requested cells' kernel rows with the
+noise, formed by FFT in fixed-width blocks of source cells.  A nonlinear
+sigma needs every cell of the previous row; there the lag sum is carried
+forward one step at a time by the heat semigroup, with a cell-integrated
+one-step kernel on a padded grid.  For sigma identically one
 the solution is Gaussian and its time covariance at a fixed point has an
-exact quadrature representation; the exact-linear backend samples such paths
-from a factorized covariance matrix.
+exact quadrature representation (covariance_linear, a fixed-panel
+Gauss-Legendre rule); the exact-linear backend samples such paths from a
+factorized covariance matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +28,13 @@ from .medium import MediumParams
 from .kernel import GreenKernel
 from .noise import GridSpec, NoiseField, standard_normals, position_subkey, STREAM_EXACT_PATHS
 
-DEFAULT_MEMORY_BUDGET = 2 * 1024**3
+# Source cells per FFT block of the constant-sigma product.
+FFT_BLOCK = 32
+
+# covariance_linear's rule: dyadic panels in v, nodes per panel at start and at most.
+COV_PANELS = 30
+COV_NODES = 16
+COV_MAX_NODES = 256
 
 
 class SolverError(RuntimeError):
@@ -136,6 +144,9 @@ class SolutionField:
     """Simulated field u(s_i, y_l) on the full grid, with provenance.
 
     Row 0 is the zero initial condition; row i depends on noise rows < i only.
+    For a constant sigma the field is formed by FFT in time, so there the
+    dependence holds to rounding: later noise rows move row i by a few ulps
+    of max|u|, never more.
     """
 
     values: np.ndarray
@@ -168,18 +179,6 @@ def _cell_lags(grid: GridSpec) -> np.ndarray:
     lags = (d - 0.5) * grid.dt
     lags[0] = 0.25 * grid.dt
     return lags
-
-
-def _kernel_rows(kernel: GreenKernel, grid: GridSpec, rows: np.ndarray, budget: int):
-    """Per-lag kernel rows K_d[j, l] = G_lag(d)(y_j, y_l) for j in rows, cached if they fit."""
-    lags = _cell_lags(grid)
-    y = grid.cell_centers
-    if grid.n * len(rows) * grid.m * 8 <= budget:
-        stack = np.empty((grid.n, len(rows), grid.m))
-        for d in range(grid.n):
-            stack[d] = kernel.evaluate(lags[d], y[rows, None], y[None, :])
-        return stack, lags
-    return None, lags
 
 
 def _semigroup_operators(kernel: GreenKernel, grid: GridSpec):
@@ -222,7 +221,6 @@ def solve_field_batch(
     grid: GridSpec,
     sigma: SigmaSpec,
     increments: np.ndarray,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
     columns: list[int] | np.ndarray | None = None,
     report: dict | None = None,
 ) -> np.ndarray:
@@ -235,11 +233,10 @@ def solve_field_batch(
     v_k = sigma(u_k) * dW_k and K_d the kernel at the lag of _cell_lags.
 
     When sigma is constant (Lipschitz bound 0), v does not depend on u, so
-    every requested cell is a fixed linear map of the noise: the sum over d
-    is formed directly, with only the kernel rows K_d[columns, :] built and
-    multiplied.  The result equals the full field's columns up to BLAS
-    rounding, at about p/m of the work.  The per-lag rows are cached when
-    they fit in memory_budget_bytes and recomputed at every lag otherwise.
+    every requested cell is a fixed linear map of the noise, a causal
+    convolution in time: only the kernel rows K_d[columns, :] are built, and
+    the sum over d is formed by FFT (see _fft_rows_field).  The result is the
+    direct lag sum up to rounding, at about p/m of the full field's work.
 
     Otherwise sigma needs the whole previous row, and the lag sum is carried
     by the heat semigroup: the history S_i = sum over d >= 2 of K_d v_{i-d}
@@ -248,15 +245,14 @@ def solve_field_batch(
     S_{i+1} = P S_i + K_{3dt/2} v_{i-1}, with P the cell-integrated one-step
     kernel.  P is nonnegative with row sums at most one, so the recursion is
     stable on every grid; its deviation from the direct sum is the
-    semigroup gap.  This is O(n m**2 R) instead of O(n**2 m**2 R), holds
-    three matrices instead of the per-lag stack and ignores
-    memory_budget_bytes.  Only the current row and the requested columns
-    are kept.
+    semigroup gap.  This is O(n m**2 R) instead of O(n**2 m**2 R) and holds
+    three matrices instead of the per-lag stack.  Only the current row and
+    the requested columns are kept.
 
     If report is given it receives rows_per_step (the distinct requested
-    cells, or m), kernel_stack ("cached", "recomputed" or "semigroup"),
-    stack_mib (the kernel matrices held at once) and, for the semigroup
-    path, semigroup_gap.  Raises NonFiniteFieldError naming the first
+    cells, or m), kernel_stack ("fft" or "semigroup"), stack_mib (the kernel
+    and transform arrays held at once) and, for the semigroup path,
+    semigroup_gap.  Raises NonFiniteFieldError naming the first
     offending (time row, grid cell) if the field overflows.
     """
     dW = np.asarray(increments, dtype=float)
@@ -275,7 +271,7 @@ def solve_field_batch(
     if sigma.lipschitz_bound != 0.0:
         out = _semigroup_field(kernel, grid, sigma, dW, cols, report)
     else:
-        out = _direct_rows_field(kernel, grid, sigma, dW, cols, memory_budget_bytes, report)
+        out = _fft_rows_field(kernel, grid, sigma, dW, cols, report)
     return out[:, :, 0] if squeeze else out
 
 
@@ -301,28 +297,44 @@ def _semigroup_field(kernel, grid, sigma, dW, cols, report):
     return out
 
 
-def _direct_rows_field(kernel, grid, sigma, dW, cols, budget, report):
-    """Constant sigma: the direct lag sum over the kernel rows of the requested cells."""
+def _fft_rows_field(kernel, grid, sigma, dW, cols, report):
+    """Constant sigma: u_i = sum over d of K_d v_{i-d} at the requested cells, by FFT in time.
+
+    With a_k = K_{k+1}[rows, :] the sum is u_{i+1} = (a * v)_i, a linear
+    convolution over k, i = 0..n-1.  Both sequences are zero-padded to 2n
+    before rfft, so the circular product leaves no wrap-around in the first
+    n outputs.  Source cells are taken FFT_BLOCK at a time: one evaluate call
+    gives the block's kernel rows at every lag, and the block adds
+    rfft(a) @ rfft(v) per frequency to the accumulated transform, with v
+    formed block by block.  The noise is scaled by max|dW| before the
+    transforms and the result back after, so a field that overflows does so
+    in the rows that overflow in the direct sum and not in the padded
+    transforms.
+    """
     n, m, r = dW.shape
     rows, pick = np.unique(cols, return_inverse=True)
-    stack, lags = _kernel_rows(kernel, grid, rows, budget)
-    if report is not None:
-        held = stack.nbytes if stack is not None else len(rows) * m * 8
-        report.update(rows_per_step=len(rows),
-                      kernel_stack="cached" if stack is not None else "recomputed",
-                      stack_mib=held / 2**20)
+    p, nfft = len(rows), 2 * n
+    sig = sigma.evaluate(np.zeros((m, r)))
+    scale = float(max(dW.max(), -dW.min())) or 1.0
     y = grid.cell_centers
+    lags = _cell_lags(grid)
+    acc = np.zeros((n + 1, p, r), dtype=complex)
+    for lo in range(0, m, FFT_BLOCK):
+        block = slice(lo, min(lo + FFT_BLOCK, m))
+        k_rows = kernel.evaluate(lags[:, None, None], y[None, rows, None], y[None, None, block])
+        v = dW[:, block] / scale * sig[block]
+        acc += np.fft.rfft(k_rows, nfft, axis=0) @ np.fft.rfft(v, nfft, axis=0)
+    u = np.fft.irfft(acc, nfft, axis=0)[:n] * scale
+    if report is not None:
+        width = min(FFT_BLOCK, m)
+        held = (n + 1) * width * (p + r) * 16 + acc.nbytes
+        report.update(rows_per_step=p, kernel_stack="fft", stack_mib=held / 2**20)
+    bad = ~np.isfinite(u).reshape(n, -1).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        _check_finite(u[i], i + 1, rows)
     out = np.zeros((n + 1, len(cols), r))
-    v = np.multiply(sigma.evaluate(np.zeros((m, r))), dW, out=np.empty((n, m, r)))
-    for i in range(1, n + 1):
-        acc = np.zeros((len(rows), r))
-        for d in range(1, i + 1):
-            kd = stack[d - 1] if stack is not None else kernel.evaluate(
-                lags[d - 1], y[rows, None], y[None, :]
-            )
-            acc += kd @ v[i - d]
-        _check_finite(acc, i, rows)
-        out[i] = acc[pick]
+    out[1:] = u[:, pick]
     return out
 
 
@@ -345,10 +357,9 @@ def solve_field(
     grid: GridSpec,
     sigma: SigmaSpec,
     noise: NoiseField,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
 ) -> SolutionField:
     """Compute the mild solution for one noise replicate."""
-    values = solve_field_batch(medium, grid, sigma, noise.increments, memory_budget_bytes)
+    values = solve_field_batch(medium, grid, sigma, noise.increments)
     return SolutionField(
         values=values,
         grid=grid,
@@ -369,25 +380,45 @@ def covariance_linear(t: float, s: float, x: float, medium: MediumParams) -> flo
 
     Equals the time integral of the two-lag kernel cross products.  The
     substitution r = w(1 - v^2), w = min(t, s), removes the endpoint
-    square-root singularity before adaptive quadrature.
+    square-root singularity; the lags are then t - w + w*v**2 and
+    s - w + w*v**2, positive for every v > 0.  The v-integral is a fixed
+    Gauss-Legendre rule on COV_PANELS dyadic panels that refine toward
+    v = 0, where the cross product's scale shrinks with the lag (down to
+    x**2 near the interface).  The nodes per panel start at COV_NODES and
+    double until two levels agree to 1e-12 relative; raises CovarianceError
+    past COV_MAX_NODES.  checks.quad_covariance is the adaptive-quadrature
+    oracle for this function.
     """
     if t < 0 or s < 0:
         raise ValueError("times must be nonnegative")
     w = min(t, s)
     if w == 0.0:
         return 0.0
-    from scipy.integrate import quad  # deferred: slow to import, and most runs never call it
-
     kernel = GreenKernel(medium)
+    nodes = COV_NODES
+    prev = _covariance_rule(kernel, t, s, x, nodes)
+    while nodes < COV_MAX_NODES:
+        nodes *= 2
+        cur = _covariance_rule(kernel, t, s, x, nodes)
+        if abs(cur - prev) <= 1e-12 * abs(cur):
+            return cur
+        prev = cur
+    raise CovarianceError(
+        f"covariance_linear({t!r}, {s!r}, {x!r}) did not converge with {COV_MAX_NODES} "
+        "nodes per panel"
+    )
 
-    def integrand(v):
-        if v <= 0.0:
-            return 0.0
-        r = w * (1.0 - v * v)
-        return 2.0 * w * v * kernel.cross_integral(t - r, max(s - r, w * v * v), x)
 
-    val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=200)
-    return val
+def _covariance_rule(kernel: GreenKernel, t: float, s: float, x: float, nodes: int) -> float:
+    """covariance_linear's panel rule with the given number of nodes per panel."""
+    w = min(t, s)
+    edges = np.concatenate([[0.0], 2.0 ** np.arange(1 - COV_PANELS, 1)])
+    g, gw = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 * np.diff(edges)[:, None]
+    v = edges[:-1, None] + half * (g + 1.0)
+    q = w * v * v
+    f = 2.0 * w * v * kernel.cross_integral((t - w) + q, (s - w) + q, x)
+    return float(np.sum(half * gw * f))
 
 
 class CovarianceMatrix(np.ndarray):

@@ -36,7 +36,6 @@ out = results
 zero_noise = false
 n_list = 16, 32, 64
 m_list = 4, 16
-memory_budget_mb = 512
 replicate_chunk = 32
 check_tolerance = 0.05
 """
@@ -85,7 +84,6 @@ def test_defaults_applied():
     assert cfg.x_points == ()
     assert cfg.replicates == 1
     assert cfg.backend == "convolution"
-    assert cfg.memory_budget_mb == 2048
     assert cfg.check_tolerance is None
 
 
@@ -109,6 +107,17 @@ def test_unknown_key_and_section_rejected():
         parse_config(BASE + "\ntypo_key = 1\n")
     with pytest.raises(ConfigError, match="unknown section"):
         parse_config(BASE + "\n[extra]\nfoo = 1\n")
+
+
+def test_removed_memory_budget_key_exits_two_with_one_line(tmp_path, capsys):
+    from skewheat.cli import main
+
+    path = tmp_path / "c.ini"
+    path.write_text(BASE.replace("replicate_chunk = 32", "memory_budget_mb = 512\nreplicate_chunk = 32"))
+    assert main(["quartic", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "memory_budget_mb" in err
+    assert err.count("\n") == 1
 
 
 def test_missing_required_rejected():

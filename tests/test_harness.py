@@ -329,23 +329,27 @@ def test_summary_json_records_convolution_chunks(tmp_path):
         tmp_path, "c.ini",
         MEDIUM_14 + GRID_SMALL
         + "[experiment]\nx = 0.5, -0.5\nreplicates = 5\nseed = 11\nreplicate_chunk = 4\n"
-        + f"memory_budget_mb = 1\nout = {tmp_path}/out\n",
+        + f"out = {tmp_path}/out\n",
     )
     assert main(["simulate", "--config", cfg]) == 0
     payload = json.loads((tmp_path / "out" / "simulate_summary.json").read_text())
     assert payload["exact_sampler"] == []
+    # Constant sigma: one FFT block of 32 source cells holds the kernel rows'
+    # and the noise's transforms, (n+1) x 32 x (2 rows + R) complex, next to
+    # the accumulated (n+1) x 2 x R transform.
     assert payload["convolution"] == [
         {"n": 8, "m": 32, "dx_resolved": False, "first_replicate": first, "replicates": count,
-         "rows_per_step": 2, "kernel_stack": "cached", "stack_mib": 8 * 2 * 32 * 8 / 2**20}
+         "rows_per_step": 2, "kernel_stack": "fft",
+         "stack_mib": 9 * (32 * (2 + count) + 2 * count) * 16 / 2**20}
         for first, count in ((0, 4), (4, 1))
     ]
     big = _write(tmp_path, "big.ini", MEDIUM_14 + "[grid]\nT = 1.0\nn = 8\nL = 8.0\nm = 256\n"
                  + "[experiment]\nsigma = sin1:0.5\nx = 0.5\nreplicates = 2\nseed = 11\n"
-                 + f"memory_budget_mb = 1\nout = {tmp_path}/sin\n")
+                 + f"out = {tmp_path}/sin\n")
     assert main(["quartic", "--config", big]) == 0
     payload = json.loads((tmp_path / "sin" / "quartic_summary.json").read_text())
-    # Nonlinear sigma ignores the budget: the semigroup recursion holds three
-    # matrices, K_{dt/4} (m x m), K_{3dt/2} (2m x m) and P (2m x 2m).
+    # The semigroup recursion holds three matrices, K_{dt/4} (m x m),
+    # K_{3dt/2} (2m x m) and P (2m x 2m).
     [record] = payload["convolution"]
     assert (record["rows_per_step"], record["kernel_stack"], record["dx_resolved"]) \
         == (256, "semigroup", True)
@@ -463,3 +467,36 @@ def test_cli_import_leaves_scipy_special_and_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_simulate_next_to_the_interface_exits_zero_with_finite_rows(tmp_path, capsys):
+    # x = -0.0002 snaps to -1.9998e-4, where the target's quadrature once
+    # evaluated the kernel at a zero lag.
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + "[grid]\nT = 1.0\nn = 4\nL = 1.0\nm = 10001\n"
+        + f"[experiment]\nx = -0.0002\nreplicates = 2\nseed = 3\nout = {tmp_path}/out\n",
+    )
+    assert main(["simulate", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    rows = _read_rows(tmp_path / "out" / "simulate.csv")
+    assert float(rows[0]["x"]) == pytest.approx(-1.9998e-4)
+    assert all(math.isfinite(float(r[k])) for r in rows for k in ("value", "target"))
+
+
+def test_sigma_one_simulate_leaves_scipy_integrate_unloaded(tmp_path):
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + GRID_SMALL
+        + f"[experiment]\nx = 0.5, 0.0\nreplicates = 2\nseed = 3\nout = {tmp_path}/out\n",
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    probe = ("import sys, skewheat.solver, skewheat.harness; "
+             "loaded = ['scipy.integrate' in sys.modules]; "
+             "from skewheat.cli import main; "
+             f"loaded.append(main(['simulate', '--config', {cfg!r}])); "
+             "loaded.append('scipy.integrate' in sys.modules); print(loaded)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[False, 0, False]"

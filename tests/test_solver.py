@@ -21,8 +21,9 @@ from skewheat import (
     CovarianceError,
 )
 from skewheat import GreenKernel
+from skewheat import solver
 from skewheat.solver import solve_field_batch, scheme_variance
-from skewheat.checks import brute_covariance
+from skewheat.checks import brute_covariance, quad_covariance
 
 M14 = MediumParams(1, 4, 1, 1)
 HOMOG = MediumParams(1, 1, 1, 1)
@@ -132,12 +133,13 @@ def test_adaptedness_row_perturbation():
     assert not np.array_equal(pert[k + 1 :], base[k + 1 :])
 
 
-def test_kernel_cache_fallback_is_bit_identical():
+@pytest.mark.parametrize("sigma", [sigma_one(), sigma_sin(0.5)], ids=["one", "sin"])
+def test_solve_field_is_one_replicate_batch(sigma):
     grid = build_grid(1.0, 6, 4.0, 12)
     noise = sample_noise(grid, 25, 0)
-    cached = solve_field(M14, grid, sigma_sin(0.5), noise).values
-    uncached = solve_field(M14, grid, sigma_sin(0.5), noise, memory_budget_bytes=8).values
-    assert np.array_equal(cached, uncached)
+    field = solve_field(M14, grid, sigma, noise)
+    assert np.array_equal(field.values, solve_field_batch(M14, grid, sigma, noise.increments))
+    assert (field.sigma_label, field.seed, field.replicate) == (sigma.label, 25, 0)
 
 
 def test_batch_matches_loop_layout():
@@ -185,6 +187,42 @@ def test_covariance_matches_brute_force_2d():
     got = covariance_linear(1.0, 0.5, 0.5, M14)
     ref = brute_covariance(M14, 1.0, 0.5, 0.5)
     assert got == pytest.approx(ref, abs=1e-6)
+
+
+@pytest.mark.parametrize("medium", [MediumParams(1, 4, 1, 1), MediumParams(4, 1, 1, 2), HOMOG],
+                         ids=["a1<a2", "a1>a2", "homog"])
+def test_covariance_linear_matches_quad_oracle(medium):
+    for x in (0.5, -0.5, -0.515625, 0.484375, -0.015625, 0.0, 2.0, -3.0):
+        for t, s in ((1.0, 0.5), (0.5, 1.0), (1.0, 1.0), (0.01, 0.01)):
+            assert covariance_linear(t, s, x, medium) == pytest.approx(
+                quad_covariance(t, s, x, medium), rel=1e-10
+            )
+
+
+@pytest.mark.parametrize("x", [-2e-4, -1e-4, -1e-7, 1e-7, 1e-4])
+def test_covariance_linear_near_interface_self_converges(x, monkeypatch):
+    # Here quad is no oracle: it is off by up to 2e-7 relative at |x| = 1e-7.
+    # At t = s the lag t - r rounds to zero for v below 1e-8, which once
+    # raised ValueError at x = -2e-4, -1e-4 and 1e-4.
+    kernel = GreenKernel(M14)
+    for t, s in ((1.0, 1.0), (1.0, 0.5)):
+        value = covariance_linear(t, s, x, M14)
+        assert math.isfinite(value) and value > 0.0
+        for nodes in (16, 64, 256):
+            assert solver._covariance_rule(kernel, t, s, x, nodes) == pytest.approx(value, rel=1e-14)
+        monkeypatch.setattr(solver, "COV_PANELS", 45)
+        assert solver._covariance_rule(kernel, t, s, x, 32) == pytest.approx(value, rel=1e-14)
+        monkeypatch.undo()
+    # Continuity across the interface, with the one-sided slopes of C(x).
+    assert covariance_linear(1.0, 1.0, x, M14) == pytest.approx(
+        covariance_linear(1.0, 1.0, 0.0, M14), abs=0.4 * abs(x)
+    )
+
+
+def test_covariance_linear_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(solver, "COV_MAX_NODES", solver.COV_NODES)
+    with pytest.raises(CovarianceError, match="did not converge"):
+        covariance_linear(1.0, 1.0, 0.5, M14)
 
 
 def test_covariance_matrix_matches_scalar():
@@ -366,28 +404,22 @@ def test_nonlinear_sigma_columns_equal_full_field_exactly():
 
 
 @pytest.mark.parametrize("sigma", [sigma_one(), sigma_sin(0.5)], ids=["one", "sin"])
-def test_column_solve_cache_fallback_is_bit_identical(sigma):
+def test_column_solve_reports_kernel_path(sigma):
     grid = build_grid(1.0, 8, 4.0, 16)
-    cols = [11, 2]
     dw = _noise_batch(grid, 42, 2)
-    cached_report, fallback_report = {}, {}
-    cached = solve_field_batch(M14, grid, sigma, dw, columns=cols, report=cached_report)
-    fallback = solve_field_batch(M14, grid, sigma, dw, memory_budget_bytes=8, columns=cols,
-                                 report=fallback_report)
-    assert np.array_equal(cached, fallback)
+    report = {}
+    solve_field_batch(M14, grid, sigma, dw, columns=[11, 2], report=report)
     if sigma.lipschitz_bound != 0.0:
-        # Nonlinear sigma takes the semigroup recursion whatever the budget. It
-        # holds K_{dt/4} (m x m), K_{3dt/2} (2m x m) and the one-step P (2m x 2m).
-        assert cached_report == fallback_report
-        assert 0.0 < cached_report.pop("semigroup_gap") < 0.1
-        assert cached_report == {"rows_per_step": 16, "kernel_stack": "semigroup",
-                                 "stack_mib": (16 * 16 + 32 * 16 + 32 * 32) * 8 / 2**20}
+        # The semigroup recursion holds K_{dt/4} (m x m), K_{3dt/2} (2m x m)
+        # and the one-step P (2m x 2m).
+        assert 0.0 < report.pop("semigroup_gap") < 0.1
+        assert report == {"rows_per_step": 16, "kernel_stack": "semigroup",
+                          "stack_mib": (16 * 16 + 32 * 16 + 32 * 32) * 8 / 2**20}
         return
-    rows = 2 if sigma.lipschitz_bound == 0.0 else 16
-    assert cached_report == {"rows_per_step": rows, "kernel_stack": "cached",
-                             "stack_mib": 8 * rows * 16 * 8 / 2**20}
-    assert fallback_report == {"rows_per_step": rows, "kernel_stack": "recomputed",
-                               "stack_mib": rows * 16 * 8 / 2**20}
+    # One FFT block (all 16 cells) of the 2 rows' and the noise's transforms,
+    # (n+1) x 16 x (2 + R) complex, and the accumulated (n+1) x 2 x R one.
+    assert report == {"rows_per_step": 2, "kernel_stack": "fft",
+                      "stack_mib": 9 * (16 * (2 + 2) + 2 * 2) * 16 / 2**20}
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -403,6 +435,49 @@ def test_columns_out_of_range_rejected():
     grid = build_grid(1.0, 4, 4.0, 16)
     with pytest.raises(ValueError, match="columns"):
         solve_field_batch(M14, grid, sigma_one(), np.zeros((4, 16)), columns=[3, 16])
+
+
+def _direct_lag_sum(medium, grid, sigma, dw, cols):
+    """Reference for constant sigma: u_i = sum over d of K_d[cols] @ v_{i-d}, lag by lag."""
+    kernel = GreenKernel(medium)
+    y = grid.cell_centers
+    lags = [grid.dt / 4] + [(d - 0.5) * grid.dt for d in range(2, grid.n + 1)]
+    rows = [kernel.evaluate(lag, y[cols, None], y[None, :]) for lag in lags]
+    v = sigma.evaluate(np.zeros(dw.shape[1:])) * dw
+    u = np.zeros((grid.n + 1, len(cols)) + dw.shape[2:])
+    for i in range(1, grid.n + 1):
+        u[i] = sum(rows[d - 1] @ v[i - d] for d in range(1, i + 1))
+    return u
+
+
+# m = 8 fits one FFT block; 48 and 70 take two and three, the last one partial.
+@pytest.mark.parametrize("sigma", [sigma_one(), sigma_affine(0.0, 0.7)], ids=["one", "affine0"])
+@pytest.mark.parametrize("n, L, m", [(1, 2.0, 8), (20, 4.0, 48), (33, 3.0, 70)])
+@pytest.mark.parametrize("reps", [1, 3, 8])
+def test_fft_product_matches_direct_lag_sum(sigma, n, L, m, reps):
+    grid = build_grid(1.0, n, L, m)
+    cols = [grid.snap(x)[0] for x in (0.5, -0.5, 0.0, 0.5)] + [m - 1]
+    dw = _noise_batch(grid, 43, reps)
+    ref = _direct_lag_sum(M14, grid, sigma, dw, cols)
+    got = solve_field_batch(M14, grid, sigma, dw, columns=cols)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.all(got[0] == 0.0)
+    single = solve_field_batch(M14, grid, sigma, dw[:, :, 0], columns=cols)
+    assert np.max(np.abs(single - ref[:, :, 0])) <= 1e-13 * np.max(np.abs(ref[:, :, 0]))
+
+
+def test_fft_product_is_causal_to_rounding():
+    grid = build_grid(1.0, 24, 4.0, 40)
+    cols = [grid.snap(x)[0] for x in (-0.5, 0.0, 0.5)]
+    dw = _noise_batch(grid, 44, 3)
+    base = solve_field_batch(M14, grid, sigma_one(), dw, columns=cols)
+    scale = np.max(np.abs(base))
+    for k in (0, 7, 23):
+        bumped = dw.copy()
+        bumped[k] += 0.1
+        pert = solve_field_batch(M14, grid, sigma_one(), bumped, columns=cols)
+        assert np.max(np.abs(pert[: k + 1] - base[: k + 1])) <= 1e-14 * scale
+        assert np.min(np.max(np.abs(pert[k + 1:] - base[k + 1:]), axis=(1, 2))) > 1e-6 * scale
 
 
 def test_scheme_variance_is_direct_kernel_sum():
