@@ -61,10 +61,12 @@ def quad_cross(kernel: GreenKernel, t1: float, t2: float, x: float) -> float:
 def quad_covariance(t: float, s: float, x: float, medium: MediumParams) -> float:
     """Adaptive-quadrature value of solver.covariance_linear, its independent oracle.
 
-    The same substitution r = w(1 - v^2), w = min(t, s), integrated by quad.
-    Both lags are floored at w*v**2, their exact value at t = s, because
-    t - r rounds to zero for v below about 1e-8.  Near the interface
-    (|x| around 1e-7) quad itself is off by up to ~2e-7 relative.
+    The same substitution r = w(1 - v^2), w = min(t, s), integrated by quad
+    on the dyadic panels [2**(k-1), 2**k] in v for -40 < k <= 0, plus
+    [0, 2**-40].  Near the interface the integrand changes on the scale
+    v ~ |x|, where a single quad over [0, 1] runs out of subdivisions.  The
+    lags are formed as (t - w) + w*v**2, since t - r loses all its digits
+    once w*v**2 falls below the rounding of w.
     """
     from scipy.integrate import quad  # deferred: slow to import, and most runs never call it
 
@@ -78,10 +80,12 @@ def quad_covariance(t: float, s: float, x: float, medium: MediumParams) -> float
     def integrand(v):
         if v <= 0.0:
             return 0.0
-        r, floor = w * (1.0 - v * v), w * v * v
-        return 2.0 * w * v * kernel.cross_integral(max(t - r, floor), max(s - r, floor), x)
+        q = w * v * v
+        return 2.0 * w * v * kernel.cross_integral((t - w) + q, (s - w) + q, x)
 
-    return quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=200)[0]
+    edges = [0.0] + [2.0**k for k in range(-40, 1)]
+    return math.fsum(quad(integrand, a, b, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+                     for a, b in zip(edges[:-1], edges[1:]))
 
 
 def brute_covariance(medium: MediumParams, t: float, s: float, x: float) -> float:

@@ -8,12 +8,12 @@ by (seed, replicate), work is split into fixed-size chunks regardless of the
 worker pool, and results are assembled by replicate index.  Wall-clock
 timings therefore live only in the JSON summary's `timings` block; the CSV
 `seconds` column is reserved and always zero.  Exact-linear runs also record,
-per observation point, the Cholesky jitter and the covariance quadrature's
-node level in the summary's `exact_sampler` block; convolution runs record,
-per replicate chunk, the rows solved per time step, the kernel path taken
-(the FFT-in-time product or the semigroup recursion), whether dx
-meets the resolution bound and, for the recursion, its one-step semigroup
-gap in its `convolution` block.
+per sampler build, the Cholesky jitter, the covariance quadrature's node
+level and the wall seconds of both stages in the summary's `exact_sampler`
+block; convolution runs record, per replicate chunk, the rows solved per
+time step, the kernel path taken (the FFT-in-time product or the semigroup
+recursion), whether dx meets the resolution bound and, for the recursion,
+its one-step semigroup gap in its `convolution` block.
 """
 
 from __future__ import annotations
@@ -227,35 +227,42 @@ def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, xs: list[float],
     return out
 
 
-def _exact_paths(cfg: ExperimentConfig, n: int, x: float, log: dict) -> np.ndarray:
+def _exact_paths(cfg: ExperimentConfig, n: int, x: float, log: dict,
+                 samplers: dict) -> np.ndarray:
     """Exact Gaussian paths at the point x, shape (R, n+1).
 
     sigma must be one and zero_noise off (the sampler always draws noise).
-    Appends what the sampler did (jitter, quadrature node level) to
-    log["exact_sampler"].
+    A sampler is built once per (x, n) and kept in samplers; each build
+    appends what it did (jitter, quadrature node level, and the wall seconds
+    of the covariance and the Cholesky stages) to log["exact_sampler"].
     """
     if cfg.sigma != "one":
         raise ConfigError("the exact-linear backend is valid only for sigma = one")
     if cfg.zero_noise:
         raise ConfigError("the exact-linear backend samples the noise; zero_noise needs "
                           "backend = convolution")
-    sampler = ExactLinearSampler(cfg.medium, x, cfg.T, n)
-    log.setdefault("exact_sampler", []).append(
-        {"x": x, "n": n, "cholesky_jitter": sampler.jitter,
-         "covariance_node_level": sampler.node_level})
+    sampler = samplers.get((x, n))
+    if sampler is None:
+        sampler = samplers[(x, n)] = ExactLinearSampler(cfg.medium, x, cfg.T, n)
+        log.setdefault("exact_sampler", []).append(
+            {"x": x, "n": n, "cholesky_jitter": sampler.jitter,
+             "covariance_node_level": sampler.node_level,
+             "covariance_s": sampler.covariance_s, "cholesky_s": sampler.cholesky_s})
     return sampler.paths_array(cfg.seed, cfg.replicates)
 
 
 def _point_paths(cfg: ExperimentConfig, log: dict, n: int | None = None,
-                 num_points: int | None = None):
+                 num_points: int | None = None, samplers: dict | None = None):
     """The run preamble shared by the commands: (sigma, grid, points, paths).
 
     points are (x_requested, x_effective) pairs: the observation points, or
     with num_points the averaged statistic's points.  Effective points are
     snapped to cell centers on the convolution backend and for the averaged
     statistic.  paths has shape (R, n_points, n+1).  What the backend did is
-    appended to log: one sampler record per point under "exact_sampler", or
-    one record per replicate chunk under "convolution".
+    appended to log: one record per sampler build under "exact_sampler", or
+    one record per replicate chunk under "convolution".  Exact samplers are
+    reused from samplers, keyed by (x_effective, n), when the caller passes
+    the same dict to several calls of one run.
     """
     sigma = parse_sigma(cfg.sigma)
     grid = _grid(cfg, n)
@@ -270,7 +277,9 @@ def _point_paths(cfg: ExperimentConfig, log: dict, n: int | None = None,
     if cfg.backend == "convolution":
         paths = _convolution_paths(cfg, grid, [xe for _, xe in points], log)
     else:
-        paths = np.stack([_exact_paths(cfg, grid.n, xe, log) for _, xe in points], axis=1)
+        samplers = {} if samplers is None else samplers
+        paths = np.stack([_exact_paths(cfg, grid.n, xe, log, samplers) for _, xe in points],
+                         axis=1)
     return sigma, grid, points, paths
 
 
@@ -332,9 +341,10 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]
         raise ConfigError("convergence needs a nonempty [experiment] n_list")
     rows = []
     log: dict = {}
+    samplers: dict = {}
     trend: dict[float, list[tuple[int, float]]] = {}
     for n in cfg.n_list:
-        sigma, grid, points, paths = _point_paths(cfg, log, n)
+        sigma, grid, points, paths = _point_paths(cfg, log, n, samplers=samplers)
         for idx, (_, xe) in enumerate(points):
             st = point_statistics(paths[:, idx, :], xe, cfg.T, sigma, cfg.medium)
             rows.extend(_quartic_rows(cfg, "convergence", grid, st))
@@ -348,7 +358,7 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]
     # Averaged-statistic sweep over spatial point counts, when requested.
     for n in cfg.n_list if cfg.m_list else ():
         for num_points in cfg.m_list:
-            sigma, _, points, paths = _point_paths(cfg, log, n, num_points)
+            sigma, _, points, paths = _point_paths(cfg, log, n, num_points, samplers=samplers)
             v_nm, target = averaged_statistics(paths, [xe for _, xe in points], cfg.T, sigma,
                                                cfg.medium)
             rows.append(make_row(cfg, "convergence", n, num_points, math.nan,

@@ -94,55 +94,31 @@ class GreenKernel:
 
         Since |beta| < 1 keeps the kernel positive, this equals the plain
         mass integral; the four error-function pieces (direct and reflected,
-        each half-line) cancel to total mass one for every t and x.
+        each half-line) cancel to total mass one for every t and x, so the
+        value is exactly 1.0 in the broadcast shape of (t, x).
         """
-        from scipy.special import erfc  # deferred: evaluate alone never needs it
-
         t = self._check_lag(t)
-        beta = self.derived.beta
-        b = np.asarray(self._fx(x), dtype=float)
-        s = np.abs(b)
-        rt = np.sqrt(2.0 * t)
-        q_b = 0.5 * erfc(b / rt)
-        q_s = 0.5 * erfc(s / rt)
-        out = (q_b - beta * q_s) + (1.0 - q_b) + beta * q_s
-        return float(out) if np.ndim(out) == 0 else out
+        out = np.ones(np.broadcast(t, np.asarray(x, dtype=float)).shape)
+        return float(out) if out.ndim == 0 else out
 
     def l2_norm_sq(self, t, x):
-        """Exact integral of G_t(x, y)**2 over y, via error functions."""
-        from scipy.special import erfc  # deferred: evaluate alone never needs it
-
-        t = self._check_lag(t)
-        p, beta = self.params, self.derived.beta
-        b = np.asarray(self._fx(x), dtype=float)
-        s = np.abs(b)
-        rt = np.sqrt(t)
-
-        def upper(z):
-            # Upper tail of a centered Gaussian with variance t/2.
-            return 0.5 * erfc(z / rt)
-
-        pref = 1.0 / (2.0 * np.sqrt(math.pi * t))
-        left = (1.0 / math.sqrt(p.a1)) * (
-            upper(b)
-            - 2.0 * beta * np.exp(-((b - s) ** 2) / (4.0 * t)) * upper(0.5 * (b + s))
-            + beta**2 * upper(s)
-        )
-        right = (1.0 / math.sqrt(p.a2)) * (
-            (1.0 - upper(b))
-            + 2.0 * beta * np.exp(-((b + s) ** 2) / (4.0 * t)) * upper(0.5 * (s - b))
-            + beta**2 * upper(s)
-        )
-        out = pref * (left + right)
-        return float(out) if np.ndim(out) == 0 else out
+        """Exact integral of G_t(x, y)**2 over y: cross_integral at equal lags."""
+        return self.cross_integral(t, t, x)
 
     def cross_integral(self, t1, t2, x):
         """Exact integral of G_t1(x, y) G_t2(x, y) over y.
 
-        Symmetric in (t1, t2) and equal to l2_norm_sq when t1 == t2.  Each of
-        the four product terms is a Gaussian in y whose half-line integral is
-        an error function; products across the two lags use the standard
-        two-Gaussian product identity.
+        Symmetric in (t1, t2) and equal to l2_norm_sq when t1 == t2.  The four
+        product terms are Gaussians in y whose half-line masses are error
+        functions.  With b = f(x) and s = |b|, every mass on the side of x is
+        centered at s, and the two cross-reflected masses on the other side
+        sum to one, so the integral collapses to one erfc and one exp:
+        (c0 + c1*near + c2*e) / sqrt(2 pi (t1 + t2)), where
+        near = erfc(s / sqrt(2 t1 t2 / (t1 + t2))) / 2 and
+        e = exp(-2 s**2 / (t1 + t2)).  For b > 0, c0 = r2,
+        c1 = (1-beta)**2 r1 - (1-beta**2) r2 and c2 = beta r2; for b <= 0 the
+        mirror c0 = r1, c1 = (1+beta)**2 r2 - (1-beta**2) r1 and
+        c2 = -beta r1, with r_i = a_i**-1/2.
         """
         from scipy.special import erfc  # deferred: evaluate alone never needs it
 
@@ -152,33 +128,15 @@ class GreenKernel:
         b = np.asarray(self._fx(x), dtype=float)
         s = np.abs(b)
         tsum = t1 + t2
-        # Variance of the product Gaussian and the erfc scale derived from it.
-        scale = np.sqrt(2.0 * t1 * t2 / tsum)
-        pref = 1.0 / np.sqrt(2.0 * math.pi * tsum)
-
-        def center(c1, c2):
-            return (c1 * t2 + c2 * t1) / tsum
-
-        def lower_mass(mu):
-            # integral of the product Gaussian over y-image (-inf, 0]
-            return 0.5 * erfc(mu / scale)
-
-        def upper_mass(mu):
-            return 0.5 * erfc(-mu / scale)
-
-        damp_ds = np.exp(-((b - s) ** 2) / (2.0 * tsum))
-        damp_dr = np.exp(-((b + s) ** 2) / (2.0 * tsum))
-        left = (1.0 / math.sqrt(p.a1)) * (
-            lower_mass(center(b, b))
-            - beta * damp_ds * (lower_mass(center(b, s)) + lower_mass(center(s, b)))
-            + beta**2 * lower_mass(s)
-        )
-        right = (1.0 / math.sqrt(p.a2)) * (
-            upper_mass(center(b, b))
-            + beta * damp_dr * (upper_mass(center(b, -s)) + upper_mass(center(-s, b)))
-            + beta**2 * upper_mass(-s)
-        )
-        out = pref * (left + right)
+        near = 0.5 * erfc(s / np.sqrt(2.0 * t1 * t2 / tsum))
+        e = np.exp(-2.0 * (s * s) / tsum)
+        r1, r2 = 1.0 / math.sqrt(p.a1), 1.0 / math.sqrt(p.a2)
+        right = b > 0
+        c0 = np.where(right, r2, r1)
+        c1 = np.where(right, (1.0 - beta) ** 2 * r1 - (1.0 - beta * beta) * r2,
+                      (1.0 + beta) ** 2 * r2 - (1.0 - beta * beta) * r1)
+        c2 = np.where(right, beta * r2, -beta * r1)
+        out = (c0 + c1 * near + c2 * e) / np.sqrt(2.0 * math.pi * tsum)
         return float(out) if np.ndim(out) == 0 else out
 
     def cell_mass(self, t, x, lo, hi):

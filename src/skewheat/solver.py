@@ -18,6 +18,7 @@ factorized covariance matrix.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -508,9 +509,10 @@ class ExactLinearSampler:
     the plain factorization fails) and then maps per-replicate
     standard-normal streams through the factor.  Identical (seed, replicate)
     always yields the identical path.  `jitter` is the value added to every
-    diagonal entry before the factorization succeeded (0.0 when none) and
+    diagonal entry before the factorization succeeded (0.0 when none),
     `node_level` the largest per-cell Gauss-Legendre node count the
-    covariance quadrature reached.
+    covariance quadrature reached, and `covariance_s` and `cholesky_s` the
+    wall seconds (perf_counter) the two build stages took.
     """
 
     def __init__(self, medium: MediumParams, x: float, T: float, n: int, tol: float = 1e-9):
@@ -521,10 +523,14 @@ class ExactLinearSampler:
         self.T = float(T)
         self.n = int(n)
         self.times = np.linspace(0.0, T, n + 1)
+        started = time.perf_counter()
         cov = covariance_matrix(self.times, x, medium, tol=tol)
+        factoring = time.perf_counter()
         self.node_level = int(cov.node_level)
         self.covariance = np.asarray(cov)
         self._factor, self.jitter = self._factorize(self.covariance[1:, 1:])
+        self.covariance_s = factoring - started
+        self.cholesky_s = time.perf_counter() - factoring
 
     @staticmethod
     def _factorize(c: np.ndarray) -> tuple[np.ndarray, float]:

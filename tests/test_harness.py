@@ -166,6 +166,55 @@ def test_convergence_rows_and_slope(tmp_path):
     assert sorted(avg_rows) == [(8, 2), (8, 4), (16, 2), (16, 4)]
 
 
+def test_convergence_builds_each_exact_sampler_once(tmp_path, monkeypatch):
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + "[grid]\nT = 1.0\nn = 8\nL = 2.0\nm = 32\n"
+        + "[experiment]\nx = 0.5\nreplicates = 6\nseed = 6\nbackend = exact-linear\n"
+        + f"n_list = 8, 16\nm_list = 1, 2, 4, 8\nout = {tmp_path}/out\n",
+    )
+    built = []
+
+    class Counting(solver.ExactLinearSampler):
+        def __init__(self, medium, x, T, n):
+            built.append((x, n))
+            super().__init__(medium, x, T, n)
+
+    monkeypatch.setattr(harness, "ExactLinearSampler", Counting)
+    csv_path = tmp_path / "out" / "convergence.csv"
+    assert main(["convergence", "--config", cfg]) == 0
+    cached_csv = csv_path.read_bytes()
+    records = json.loads((tmp_path / "out" / "convergence_summary.json").read_text())["exact_sampler"]
+    # Per n: x = 0.5 plus the 8 distinct snapped points of m_list = 1, 2, 4, 8.
+    assert len(built) == len(set(built)) == 18
+    assert [(r["x"], r["n"]) for r in records] == built
+
+    # One sampler per call, as without the cache: 1 + (1 + 2 + 4 + 8) per n.
+    built.clear()
+    uncached = harness._point_paths
+    monkeypatch.setattr(harness, "_point_paths",
+                        lambda *args, samplers=None, **kwargs: uncached(*args, **kwargs))
+    assert main(["convergence", "--config", cfg]) == 0
+    assert len(built) == 32
+    assert csv_path.read_bytes() == cached_csv
+
+
+def test_summary_exact_sampler_records_stage_seconds(tmp_path):
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + GRID_SMALL
+        + f"[experiment]\nx = 0.5, 0.5, -0.5\nreplicates = 4\nseed = 11\nbackend = exact-linear\nout = {tmp_path}/out\n",
+    )
+    assert main(["quartic", "--config", cfg]) == 0
+    records = json.loads((tmp_path / "out" / "quartic_summary.json").read_text())["exact_sampler"]
+    assert [r["x"] for r in records] == [0.5, -0.5]
+    for r in records:
+        for key in ("covariance_s", "cholesky_s"):
+            assert isinstance(r[key], float) and math.isfinite(r[key]) and r[key] >= 0.0
+    csv_text = (tmp_path / "out" / "quartic.csv").read_text()
+    assert "covariance_s" not in csv_text and "cholesky_s" not in csv_text
+
+
 def test_exact_backend_requires_sigma_one(tmp_path):
     cfg = _write(
         tmp_path, "c.ini",

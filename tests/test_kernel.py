@@ -191,3 +191,113 @@ def test_bound_constants_formulas():
     assert c.c_l1 == pytest.approx(inv * (1 + beta) * 2.0, rel=1e-14)
     assert c.c_l2 == pytest.approx(4 ** 0.25 * (1 + beta) * inv, rel=1e-14)
     assert c.c_pointwise > 0 and c.c_l1 > 0 and c.c_l2 > 0
+
+
+# -- cross_integral's one-erfc closed form -----------------------------------------
+
+
+def _reference_cross_integral(kernel, t1, t2, x):
+    """The eight-erfc form of cross_integral: each product term's half-line mass."""
+    from scipy.special import erfc
+
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
+    p, beta = kernel.params, kernel.derived.beta
+    b = np.asarray(kernel._fx(x), dtype=float)
+    s = np.abs(b)
+    tsum = t1 + t2
+    scale = np.sqrt(2.0 * t1 * t2 / tsum)
+
+    def center(c1, c2):
+        return (c1 * t2 + c2 * t1) / tsum
+
+    def lower(mu):
+        return 0.5 * erfc(mu / scale)
+
+    def upper(mu):
+        return 0.5 * erfc(-mu / scale)
+
+    damp_ds = np.exp(-((b - s) ** 2) / (2.0 * tsum))
+    damp_dr = np.exp(-((b + s) ** 2) / (2.0 * tsum))
+    left = (lower(center(b, b)) - beta * damp_ds * (lower(center(b, s)) + lower(center(s, b)))
+            + beta**2 * lower(s)) / math.sqrt(p.a1)
+    right = (upper(center(b, b)) + beta * damp_dr * (upper(center(b, -s)) + upper(center(-s, b)))
+             + beta**2 * upper(-s)) / math.sqrt(p.a2)
+    return (left + right) / np.sqrt(2.0 * math.pi * tsum)
+
+
+ORACLE_MEDIA = [(1, 4, 1, 1), (4, 1, 1, 2), (1, 1, 1, 1), (2, 0.5, 3, 1)]
+TINY_X = [0.0, -0.0, 1e-9, -1e-9, 1e-300, -1e-300, 5e-324, -5e-324]
+
+
+@pytest.mark.parametrize("params", ORACLE_MEDIA, ids=str)
+def test_cross_integral_matches_eight_erfc_reference(params):
+    kernel = GreenKernel(MediumParams(*params))
+    rng = np.random.default_rng(41)
+    count = 30_000
+    t1 = 10.0 ** rng.uniform(-6.0, 1.0, count)
+    t2 = 10.0 ** rng.uniform(-6.0, 1.0, count)
+    # Half on a uniform range, half within a few lags of the interface.
+    x = np.concatenate([rng.uniform(-4.0, 4.0, count // 2),
+                        rng.choice([-1.0, 1.0], count // 2) * 10.0 ** rng.uniform(-12, 0, count // 2)])
+    x[: len(TINY_X)] = TINY_X
+    got = kernel.cross_integral(t1, t2, x)
+    ref = _reference_cross_integral(kernel, t1, t2, x)
+    assert np.all(ref > 0.0)
+    assert np.max(np.abs(got - ref) / ref) <= 2e-15
+
+
+def test_cross_integral_exactly_symmetric_and_scalar():
+    rng = np.random.default_rng(42)
+    t1 = 10.0 ** rng.uniform(-6.0, 1.0, 1000)
+    t2 = 10.0 ** rng.uniform(-6.0, 1.0, 1000)
+    x = rng.uniform(-3.0, 3.0, 1000)
+    for params in ORACLE_MEDIA:
+        kernel = GreenKernel(MediumParams(*params))
+        assert np.array_equal(kernel.cross_integral(t1, t2, x), kernel.cross_integral(t2, t1, x))
+        assert np.array_equal(kernel.l2_norm_sq(t1, x), kernel.cross_integral(t1, t1, x))
+        for xs in (0.5, -0.5, *TINY_X):
+            assert type(kernel.cross_integral(0.3, 0.7, xs)) is float
+            assert type(kernel.l2_norm_sq(0.3, xs)) is float
+            assert type(kernel.l1_norm(0.3, xs)) is float
+    # Broadcasting over a column of lags and a row of points.
+    assert K14.cross_integral(t1[:5, None], 0.4, x[None, :7]).shape == (5, 7)
+
+
+def test_l1_norm_is_exactly_one_in_broadcast_shape():
+    assert K14.l1_norm(0.5, -0.2) == 1.0
+    out = K14.l1_norm(np.array([[0.1], [0.2], [0.3]]), np.linspace(-2.0, 2.0, 4))
+    assert out.shape == (3, 4) and np.all(out == 1.0)
+    with pytest.raises(ValueError):
+        K14.l1_norm(np.array([0.1, -0.1]), 0.0)
+
+
+def test_covariance_matrix_matches_eight_erfc_reference(monkeypatch):
+    from skewheat import covariance_matrix
+
+    times = np.linspace(0.0, 1.0, 513)
+    medium = MediumParams(1, 4, 1, 1)
+    got = covariance_matrix(times, 0.5, medium)
+    monkeypatch.setattr(GreenKernel, "cross_integral", _reference_cross_integral)
+    ref = covariance_matrix(times, 0.5, medium)
+    assert got.node_level == ref.node_level
+    assert np.max(np.abs(got - ref)) <= 1e-15
+
+
+def test_cross_integral_matches_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    positive = st.floats(0.25, 4.0)
+    lag = st.floats(1e-6, 10.0)
+    point = st.one_of(st.floats(-5.0, 5.0), st.sampled_from(TINY_X))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(positive, positive, positive, positive, lag, lag, point)
+    def check(a1, a2, rho1, rho2, t1, t2, x):
+        kernel = GreenKernel(MediumParams(a1, a2, rho1, rho2))
+        got = kernel.cross_integral(t1, t2, x)
+        ref = float(_reference_cross_integral(kernel, t1, t2, x))
+        assert got == pytest.approx(ref, rel=2e-15, abs=0.0)
+        assert got == kernel.cross_integral(t2, t1, x)
+
+    check()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,19 @@ def test_covariance_linear_near_interface_self_converges(x, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("medium", [MediumParams(1, 4, 1, 1), MediumParams(4, 1, 1, 2), HOMOG],
+                         ids=["a1<a2", "a1>a2", "homog"])
+def test_covariance_linear_matches_quad_oracle_near_interface(medium):
+    # The oracle's dyadic panels resolve the v ~ |x| scale without warnings.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e-4, -1e-4, -2e-4, 1e-7, -1e-7):
+            for t, s in ((1.0, 0.5), (0.5, 1.0), (1.0, 1.0), (0.01, 0.01)):
+                assert covariance_linear(t, s, x, medium) == pytest.approx(
+                    quad_covariance(t, s, x, medium), rel=1e-10
+                )
+
+
 def test_covariance_linear_nonconvergence_raises(monkeypatch):
     monkeypatch.setattr(solver, "COV_MAX_NODES", solver.COV_NODES)
     with pytest.raises(CovarianceError, match="did not converge"):
@@ -295,6 +309,22 @@ def test_exact_paths_replicate_keying_independent_of_batch():
     all_at_once = s.paths_array(seed=32, replicates=5)
     tail = s.paths_array(seed=32, replicates=2, first_replicate=3)
     assert np.array_equal(all_at_once[3:], tail)
+
+
+@pytest.mark.parametrize("n", [16, 100, 512])
+def test_exact_paths_every_batch_layout_is_bitwise_one_call(n):
+    # Each replicate is its own matvec, so no batch split can change a bit.
+    s = ExactLinearSampler(M14, 0.5, 1.0, n)
+    full = s.paths_array(seed=34, replicates=300)
+    for first, count in ((0, 1), (3, 2), (7, 57), (63, 5), (64, 64), (100, 200), (299, 1), (1, 299)):
+        part = s.paths_array(seed=34, replicates=count, first_replicate=first)
+        assert np.array_equal(part, full[first : first + count]), (first, count)
+
+
+def test_exact_sampler_records_stage_seconds():
+    s = ExactLinearSampler(M14, 0.5, 1.0, 16)
+    for value in (s.covariance_s, s.cholesky_s):
+        assert isinstance(value, float) and math.isfinite(value) and value >= 0.0
 
 
 def test_exact_sampler_records_jitter_and_node_level():
