@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, replace, asdict
 
 from .medium import MediumParams
+from .solver import parse_sigma
 
 FORMAT_VERSION = 1
 
@@ -193,6 +194,11 @@ def parse_config(text: str) -> ExperimentConfig:
     m_list = _parse_int_list("experiment", "m_list", exp["m_list"])
     if any(v < 1 for v in m_list):
         raise ConfigError("[experiment] m_list entries must be >= 1")
+    sigma = exp["sigma"].strip()
+    try:
+        parse_sigma(sigma)
+    except ValueError as exc:
+        raise ConfigError(f"[experiment] sigma: {exc}") from None
     raw_tol = exp["check_tolerance"].strip()
     check_tolerance = _parse_float("experiment", "check_tolerance", raw_tol) if raw_tol else None
     if check_tolerance is not None and check_tolerance <= 0:
@@ -205,7 +211,7 @@ def parse_config(text: str) -> ExperimentConfig:
         L=L,
         m=m,
         kind=kind,
-        sigma=exp["sigma"].strip(),
+        sigma=sigma,
         x_points=_parse_float_list("experiment", "x", exp["x"]),
         replicates=replicates,
         seed=seed,

@@ -11,31 +11,34 @@ sigma needs every cell of the previous row; there the lag sum is carried
 forward one step at a time by the heat semigroup, with a cell-integrated
 one-step kernel on a padded grid.  For sigma identically one
 the solution is Gaussian and its time covariance at a fixed point has an
-exact quadrature representation (covariance_linear, a fixed-panel
+exact quadrature representation (covariance_linear, a dyadic-panel
 Gauss-Legendre rule); the exact-linear backend samples such paths from a
 factorized covariance matrix.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
-from .medium import MediumParams
+from .medium import MediumParams, position_map
 from .kernel import GreenKernel
 from .noise import GridSpec, NoiseField, standard_normals, position_subkey, STREAM_EXACT_PATHS
 
 # Source cells per FFT block of the constant-sigma product.
 FFT_BLOCK = 32
 
-# covariance_linear's rule: dyadic panels in v, nodes per panel at start and at most.
+# covariance_linear's rule: dyadic panels in v at most, nodes per panel at start and at
+# most, and times per vectorized block.
 COV_PANELS = 30
 COV_NODES = 16
 COV_MAX_NODES = 256
+COV_BLOCK = 32
 
 
 class SolverError(RuntimeError):
@@ -111,6 +114,8 @@ def parse_sigma(spec: str) -> SigmaSpec:
             values = [float(v) for v in args.split(",")] if args else []
         except ValueError:
             raise ValueError(f"bad numeric arguments in sigma spec {spec!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"non-finite numeric arguments in sigma spec {spec!r}")
         if name == "affine" and len(values) == 2:
             return sigma_affine(*values)
         if name == "sin1" and len(values) == 1:
@@ -376,50 +381,68 @@ def solve_field(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and cached by node count."""
+    g, w = np.polynomial.legendre.leggauss(nodes)
+    g.flags.writeable = w.flags.writeable = False
+    return g, w
+
+
 def covariance_linear(t: float, s: float, x: float, medium: MediumParams) -> float:
     """Time covariance E[u(t,x)u(s,x)] of the linear (sigma = 1) solution.
 
     Equals the time integral of the two-lag kernel cross products.  The
     substitution r = w(1 - v^2), w = min(t, s), removes the endpoint
     square-root singularity; the lags are then t - w + w*v**2 and
-    s - w + w*v**2, positive for every v > 0.  The v-integral is a fixed
-    Gauss-Legendre rule on COV_PANELS dyadic panels that refine toward
-    v = 0, where the cross product's scale shrinks with the lag (down to
-    x**2 near the interface).  The nodes per panel start at COV_NODES and
-    double until two levels agree to 1e-12 relative; raises CovarianceError
-    past COV_MAX_NODES.  checks.quad_covariance is the adaptive-quadrature
-    oracle for this function.
+    s - w + w*v**2, positive for every v > 0.  The v-integral is
+    Gauss-Legendre on the dyadic panels [0, 2**-P], ..., [1/2, 1].  The
+    cross product's erfc onset sits at v ~ |f(x)|/sqrt(w) and the integrand
+    is smooth below it, so the smallest edge 2**-P lies within 2**-3 to
+    2**-2 of that scale, with P at most COV_PANELS (which x = 0 uses).  The
+    nodes per panel start at COV_NODES and double until two levels agree to
+    1e-12 relative; raises CovarianceError past COV_MAX_NODES.
+    checks.quad_covariance is the adaptive-quadrature oracle for this function.
     """
     if t < 0 or s < 0:
         raise ValueError("times must be nonnegative")
-    w = min(t, s)
-    if w == 0.0:
+    if min(t, s) == 0.0:
         return 0.0
-    kernel = GreenKernel(medium)
-    nodes = COV_NODES
-    prev = _covariance_rule(kernel, t, s, x, nodes)
-    while nodes < COV_MAX_NODES:
-        nodes *= 2
-        cur = _covariance_rule(kernel, t, s, x, nodes)
-        if abs(cur - prev) <= 1e-12 * abs(cur):
-            return cur
-        prev = cur
-    raise CovarianceError(
-        f"covariance_linear({t!r}, {s!r}, {x!r}) did not converge with {COV_MAX_NODES} "
-        "nodes per panel"
-    )
+    return float(_panel_covariance(GreenKernel(medium), np.array([max(t, s)]), min(t, s), x)[0])
 
 
-def _covariance_rule(kernel: GreenKernel, t: float, s: float, x: float, nodes: int) -> float:
-    """covariance_linear's panel rule with the given number of nodes per panel."""
-    w = min(t, s)
-    edges = np.concatenate([[0.0], 2.0 ** np.arange(1 - COV_PANELS, 1)])
-    g, gw = np.polynomial.legendre.leggauss(nodes)
+def _panel_covariance(kernel: GreenKernel, t: np.ndarray, s: float, x: float) -> np.ndarray:
+    """covariance_linear(t_i, s, x) for each t_i >= s > 0; each block of COV_BLOCK doubles together."""
+    out = np.empty(len(t))
+    for lo in range(0, len(t), COV_BLOCK):
+        block, nodes = t[lo:lo + COV_BLOCK], COV_NODES
+        prev = _covariance_rule(kernel, block, s, x, nodes)
+        while nodes < COV_MAX_NODES:
+            nodes *= 2
+            cur = _covariance_rule(kernel, block, s, x, nodes)
+            if np.all(np.abs(cur - prev) <= 1e-12 * np.abs(cur)):
+                break
+            prev = cur
+        else:
+            raise CovarianceError(
+                f"covariance_linear({float(block[0])!r}, {s!r}, {x!r}) did not converge with "
+                f"{COV_MAX_NODES} nodes per panel"
+            )
+        out[lo:lo + COV_BLOCK] = cur
+    return out
+
+
+def _covariance_rule(kernel: GreenKernel, t, s: float, x: float, nodes: int):
+    """covariance_linear's panel rule for t >= s (t may be an array) at the given nodes per panel."""
+    fx = abs(position_map(x, kernel.params))
+    depth = COV_PANELS if fx == 0.0 else math.ceil(0.5 * math.log2(s) - math.log2(fx)) + 3
+    edges = np.concatenate([[0.0], 2.0 ** np.arange(1 - min(max(depth, 1), COV_PANELS), 1)])
+    g, gw = _leggauss(nodes)
     half = 0.5 * np.diff(edges)[:, None]
-    v = edges[:-1, None] + half * (g + 1.0)
-    q = w * v * v
-    f = 2.0 * w * v * kernel.cross_integral((t - w) + q, (s - w) + q, x)
-    return float(np.sum(half * gw * f))
+    v = (edges[:-1, None] + half * (g + 1.0)).ravel()
+    q = s * v * v
+    f = 2.0 * s * v * kernel.cross_integral((np.asarray(t, dtype=float)[..., None] - s) + q, q, x)
+    return np.sum(f * (half * gw).ravel(), axis=-1)
 
 
 class CovarianceMatrix(np.ndarray):
@@ -433,7 +456,6 @@ def covariance_matrix(
     x: float,
     medium: MediumParams,
     tol: float = 1e-9,
-    start_nodes: int = 8,
     max_nodes: int = 1024,
 ) -> CovarianceMatrix:
     """Covariance matrix C[i, j] = covariance_linear(times[i], times[j], x).
@@ -441,14 +463,14 @@ def covariance_matrix(
     times must be a uniform grid starting at 0 (t_i = i*dt).  For s <= t,
     C(t, s) = integral over q in [0, s] of cross_integral(t - s + q, q), so
     along each lag diagonal t - s = k*dt the entries are cumulative sums of
-    the cell integrals over q in [c*dt, (c+1)*dt].  All cells are integrated
-    together by Gauss-Legendre; the first cell of every diagonal uses
-    q = dt*v**2, which removes the q**-1/2 endpoint at k = 0 and the
-    erfc(const/sqrt(2q)) onset at k >= 1.  Each cell starts at start_nodes
-    and doubles its nodes until successive levels agree within tol/n, so
-    every entry (a sum of at most n cells) is within about tol; raises
-    CovarianceError if a cell needs more than max_nodes.  The result's
-    node_level is the largest node level any cell reached.
+    the cell integrals over q in [c*dt, (c+1)*dt].  The first cell, singular
+    at k = 0 and holding the erfc onset at k >= 1, is exactly
+    C((k+1)*dt, dt), so covariance_linear's panel rule gives all n of them.
+    The smooth cells c >= 1 are integrated together by Gauss-Legendre from 8
+    nodes, each doubling until two levels agree within tol/n, so every entry
+    is within about tol; raises CovarianceError if a cell needs more than
+    max_nodes.  The result's node_level is the largest level a cell c >= 1
+    reached.
     """
     times = np.asarray(times, dtype=float)
     n = len(times) - 1 if times.ndim == 1 else 0
@@ -456,37 +478,32 @@ def covariance_matrix(
     if not dt > 0.0 or times[0] != 0.0 or np.any(np.abs(np.diff(times) - dt) > 1e-9 * dt):
         raise ValueError("times must be a uniform 1-D grid 0 = t_0 < t_1 < ... < t_n")
     kernel = GreenKernel(medium)
-    # One (lag k, cell c) pair per cell integral: c runs over 0..n-k-1.
+    # cells[k, c] integrates over q in [c*dt, (c+1)*dt] on diagonal k, for c < n - k.
     lag, cell = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
-    first = cell == 0
+    cells = np.zeros((n, n))
+    cells[:, 0] = _panel_covariance(kernel, dt * np.arange(1, n + 1), dt, x)
 
-    def level(indices, nodes):
-        xg, wg = np.polynomial.legendre.leggauss(nodes)
-        k0, c = lag[indices] * dt, cell[indices]
-        f = first[indices]
-        acc = np.zeros(len(indices))
+    def level(k, c, nodes):
+        xg, wg = _leggauss(nodes)
+        acc = np.zeros(len(k))
         for v, w in zip(0.5 * (xg + 1.0), 0.5 * wg):
-            q = np.where(f, dt * v * v, dt * (c + v))
-            acc += np.where(f, 2.0 * dt * v * w, dt * w) * kernel.cross_integral(k0 + q, q, x)
+            q = dt * (c + v)
+            acc += dt * w * kernel.cross_integral(k * dt + q, q, x)
         return acc
 
-    values = np.empty(len(lag))
-    idx = np.arange(len(lag))
-    nodes = start_nodes
-    prev = level(idx, nodes)
-    while idx.size:
+    k, c = lag[cell > 0], cell[cell > 0]
+    nodes = 8
+    prev = level(k, c, nodes)
+    while k.size:
         nodes *= 2
         if nodes > max_nodes:
             raise CovarianceError(
                 f"covariance quadrature did not reach tol={tol} with {max_nodes} nodes per cell"
             )
-        cur = level(idx, nodes)
+        cur = level(k, c, nodes)
         done = np.abs(cur - prev) <= tol / n
-        values[idx[done]] = cur[done]
-        idx = idx[~done]
-        prev = cur[~done]
-    cells = np.zeros((n, n))
-    cells[lag, cell] = values
+        cells[k[done], c[done]] = cur[done]
+        k, c, prev = k[~done], c[~done], cur[~done]
     entries = np.cumsum(cells, axis=1)[lag, cell]
     out = np.zeros((n + 1, n + 1)).view(CovarianceMatrix)
     out[lag + cell + 1, cell + 1] = entries
@@ -510,12 +527,12 @@ class ExactLinearSampler:
     standard-normal streams through the factor.  Identical (seed, replicate)
     always yields the identical path.  `jitter` is the value added to every
     diagonal entry before the factorization succeeded (0.0 when none),
-    `node_level` the largest per-cell Gauss-Legendre node count the
-    covariance quadrature reached, and `covariance_s` and `cholesky_s` the
-    wall seconds (perf_counter) the two build stages took.
+    `node_level` the largest node count the cells past each diagonal's first
+    reached, and `covariance_s` and `cholesky_s` the wall seconds
+    (perf_counter) the two build stages took.
     """
 
-    def __init__(self, medium: MediumParams, x: float, T: float, n: int, tol: float = 1e-9):
+    def __init__(self, medium: MediumParams, x: float, T: float, n: int):
         if T <= 0 or n < 1:
             raise ValueError("need T > 0 and n >= 1")
         self.medium = medium
@@ -524,7 +541,7 @@ class ExactLinearSampler:
         self.n = int(n)
         self.times = np.linspace(0.0, T, n + 1)
         started = time.perf_counter()
-        cov = covariance_matrix(self.times, x, medium, tol=tol)
+        cov = covariance_matrix(self.times, x, medium)
         factoring = time.perf_counter()
         self.node_level = int(cov.node_level)
         self.covariance = np.asarray(cov)

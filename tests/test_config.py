@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from skewheat.config import (
+    BACKENDS,
+    COMMANDS,
     ConfigError,
+    ExperimentConfig,
     parse_config,
     to_ini_text,
     config_sha256,
@@ -120,6 +124,18 @@ def test_removed_memory_budget_key_exits_two_with_one_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("sigma", ["bogus", "affine:1", "sin1:x", "sin1:nan", "affine:0,inf"])
+def test_bad_sigma_exits_two_with_one_line(tmp_path, capsys, sigma):
+    from skewheat.cli import main
+
+    path = tmp_path / "c.ini"
+    path.write_text(BASE.replace("sigma = sin1:0.5", f"sigma = {sigma}"))
+    assert main(["quartic", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [experiment] sigma: ") and sigma in err
+    assert err.count("\n") == 1
+
+
 def test_missing_required_rejected():
     with pytest.raises(ConfigError, match="missing required"):
         parse_config("[medium]\na1=1\na2=1\nrho1=1\nrho2=1\n")
@@ -146,3 +162,46 @@ def test_config_hash_ignores_execution_fields():
     assert config_sha256(with_overrides(cfg, out_dir="/somewhere/else")) == h
     assert config_sha256(with_overrides(cfg, seed=999)) != h
     assert config_sha256(with_overrides(cfg, replicates=5)) != h
+
+
+def test_round_trip_and_hash_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    positive = st.floats(1e-6, 1e6)
+    count = st.integers(1, 10**6)
+    sigma = st.one_of(
+        st.just("one"),
+        st.builds(lambda h1, h2: f"affine:{h1!r},{h2!r}", finite, finite),
+        st.builds(lambda amp: f"sin1:{amp!r}", finite),
+    )
+    out_dir = st.from_regex(r"[A-Za-z0-9_./-]{0,24}", fullmatch=True)
+    configs = st.builds(
+        ExperimentConfig,
+        medium=st.builds(MediumParams, positive, positive, positive, positive),
+        T=positive, n=count, L=positive, m=count,
+        kind=st.one_of(st.none(), st.sampled_from(COMMANDS)),
+        sigma=sigma,
+        x_points=st.lists(finite, max_size=5).map(tuple),
+        replicates=count,
+        seed=st.integers(0, 2**64 - 1),
+        backend=st.sampled_from(BACKENDS),
+        workers=count,
+        out_dir=out_dir,
+        zero_noise=st.booleans(),
+        n_list=st.lists(count, max_size=4).map(tuple),
+        m_list=st.lists(count, max_size=4).map(tuple),
+        replicate_chunk=count,
+        check_tolerance=st.one_of(st.none(), positive),
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(configs, count, out_dir)
+    def check(cfg, workers, out):
+        assert parse_config(to_ini_text(cfg)) == cfg
+        h = config_sha256(cfg)
+        assert config_sha256(replace(cfg, workers=workers, out_dir=out)) == h
+        assert config_sha256(replace(cfg, seed=(cfg.seed + 1) % 2**64)) != h
+
+    check()

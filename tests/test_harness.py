@@ -274,6 +274,17 @@ def test_summary_json_records_exact_sampler_per_point(tmp_path):
         assert r["covariance_node_level"] >= 16
 
 
+def test_exact_quartic_near_interface_exits_zero(tmp_path):
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + GRID_SMALL.replace("n = 8", "n = 64")
+        + f"[experiment]\nx = 1e-4\nreplicates = 8\nseed = 11\nbackend = exact-linear\nout = {tmp_path}/out\n",
+    )
+    assert main(["quartic", "--config", cfg]) == 0
+    rows = _read_rows(tmp_path / "out" / "quartic.csv")
+    assert rows and all(math.isfinite(float(r["value"])) for r in rows)
+
+
 def test_covariance_nonconvergence_exits_one_with_one_line(tmp_path, monkeypatch, capsys):
     strict = functools.partial(solver.covariance_matrix, max_nodes=4)
     monkeypatch.setattr(solver, "covariance_matrix", strict)

@@ -202,7 +202,10 @@ def test_covariance_linear_matches_quad_oracle(medium):
 
 @pytest.mark.parametrize("x", [-2e-4, -1e-4, -1e-7, 1e-7, 1e-4])
 def test_covariance_linear_near_interface_self_converges(x, monkeypatch):
-    # Here quad is no oracle: it is off by up to 2e-7 relative at |x| = 1e-7.
+    # The rule must agree with itself at every node level; against the
+    # dyadic-panel quad_covariance it agrees to 4.4e-16 at these points (see
+    # the oracle test below).  The panel depth follows from x, so the deeper
+    # COV_PANELS cap leaves these points' panels as they are.
     # At t = s the lag t - r rounds to zero for v below 1e-8, which once
     # raised ValueError at x = -2e-4, -1e-4 and 1e-4.
     kernel = GreenKernel(M14)
@@ -231,6 +234,27 @@ def test_covariance_linear_matches_quad_oracle_near_interface(medium):
                 assert covariance_linear(t, s, x, medium) == pytest.approx(
                     quad_covariance(t, s, x, medium), rel=1e-10
                 )
+
+
+@pytest.mark.parametrize("medium", [MediumParams(1, 4, 1, 1), MediumParams(4, 1, 1, 2)],
+                         ids=["a1<a2", "a1>a2"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_covariance_matrix_matches_quad_oracle_near_interface(medium, n):
+    # The first cell of each lag diagonal holds the erfc onset at
+    # v ~ |f(x)|/sqrt(dt), which a single panel in v does not resolve.
+    times = np.linspace(0.0, 1.0, n + 1)
+    for x in (1e-4, -1e-4, 1e-6, -1e-6, 1e-9, 0.0):
+        C = covariance_matrix(times, x, medium)
+        for i, j in ((n, n), (n, 1), (n // 2 + 1, n // 2)):
+            assert C[i, j] == pytest.approx(
+                quad_covariance(times[i], times[j], x, medium), rel=0, abs=1e-13
+            )
+
+
+@pytest.mark.parametrize("x", [1e-6, -1e-6])
+def test_covariance_matrix_fine_grid_near_interface(x):
+    C = covariance_matrix(np.linspace(0.0, 1.0, 513), x, M14)
+    assert C[512, 512] == pytest.approx(covariance_linear(1.0, 1.0, x, M14), rel=0, abs=1e-13)
 
 
 def test_covariance_linear_nonconvergence_raises(monkeypatch):
