@@ -32,7 +32,6 @@ from .solver import (
     ExactLinearSampler,
 )
 from .stats import (
-    VariationReport,
     AveragedReport,
     Moments,
     DegeneratePathError,
@@ -74,7 +73,6 @@ __all__ = [
     "covariance_matrix",
     "solve_linear_exact",
     "ExactLinearSampler",
-    "VariationReport",
     "AveragedReport",
     "Moments",
     "DegeneratePathError",

@@ -169,18 +169,28 @@ def integral_bound_margins(seed: int, count: int) -> dict[str, float]:
     return {"l1": margin_l1, "l2": margin_l2}
 
 
-def pointwise_bound_violations(kernel: GreenKernel, seed: int, count: int) -> int:
-    """Number of randomized (t, x, y) points violating the pointwise bound."""
+def bound_points(seed: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded random (t, x, y) points for the pointwise bound; about 2% of the y are exactly 0."""
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.01, 2.0, size=count)
     x = rng.uniform(-4.0, 4.0, size=count)
     y = rng.uniform(-4.0, 4.0, size=count)
     y[rng.integers(0, count, size=count // 50)] = 0.0
+    return t, x, y
+
+
+def pointwise_bound_violations(kernel: GreenKernel, t, x, y) -> int:
+    """Number of points (t, x, y) violating the pointwise bound of BoundConstants.
+
+    The bound is |G_t(x,y)| <= c_pointwise * t**-0.5 * exp(-(f(x)-f(y))**2/(2t)).
+    Broadcasts over array arguments; raises ValueError on nonpositive lag.
+    """
+    g = np.abs(kernel.evaluate(t, x, y))
     c = kernel.bound_constants().c_pointwise
     fx = kernel._fx(x)
     fy = kernel._fx(y)
     bound = c / np.sqrt(t) * np.exp(-((fx - fy) ** 2) / (2.0 * t))
-    return int(np.sum(np.abs(kernel.evaluate(t, x, y)) > bound))
+    return int(np.sum(g > bound))
 
 
 def pde_residual_sweep(kernel: GreenKernel, t_grid, x_grid, y: float, h: float) -> float:

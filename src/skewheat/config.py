@@ -43,7 +43,6 @@ class ExperimentConfig:
     backend: str
     workers: int
     out_dir: str
-    zero_noise: bool
     n_list: tuple[int, ...]
     m_list: tuple[int, ...]
     replicate_chunk: int
@@ -64,7 +63,6 @@ _DEFAULTS = {
     "backend": "convolution",
     "workers": "1",
     "out": "out",
-    "zero_noise": "false",
     "n_list": "",
     "m_list": "",
     "replicate_chunk": "64",
@@ -93,13 +91,6 @@ def _parse_int(section: str, key: str, raw: str) -> int:
         return int(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
-
-
-def _parse_bool(section: str, key: str, raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "false"):
-        return low == "true"
-    raise ConfigError(f"[{section}] {key}: expected true or false, got {raw!r}")
 
 
 def _parse_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
@@ -218,7 +209,6 @@ def parse_config(text: str) -> ExperimentConfig:
         backend=backend,
         workers=workers,
         out_dir=exp["out"].strip(),
-        zero_noise=_parse_bool("experiment", "zero_noise", exp["zero_noise"]),
         n_list=n_list,
         m_list=m_list,
         replicate_chunk=replicate_chunk,
@@ -251,7 +241,6 @@ def to_ini_text(cfg: ExperimentConfig) -> str:
         "backend": cfg.backend,
         "workers": str(cfg.workers),
         "out": cfg.out_dir,
-        "zero_noise": "true" if cfg.zero_noise else "false",
         "n_list": ", ".join(str(v) for v in cfg.n_list),
         "m_list": ", ".join(str(v) for v in cfg.m_list),
         "replicate_chunk": str(cfg.replicate_chunk),

@@ -29,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .medium import MediumParams, A_of
+from .medium import A_of
 from .kernel import GreenKernel
 from .noise import GridSpec, sample_noise, GAUSS_TRANSFORM_ID
 from .solver import (
@@ -180,15 +180,10 @@ def _conv_chunk_worker(payload) -> tuple[int, np.ndarray, dict]:
     computes is a pure function of (seed, replicate index, grid, medium,
     sigma), so chunk scheduling cannot change results.
     """
-    (medium_fields, grid_fields, sigma_str, seed, first_rep, count,
-     col_indices, zero_noise) = payload
-    medium = MediumParams(*medium_fields)
-    grid = GridSpec(*grid_fields)
-    sigma = parse_sigma(sigma_str)
-    dw = np.zeros((grid.n, grid.m, count))
-    if not zero_noise:
-        for k in range(count):
-            dw[:, :, k] = sample_noise(grid, seed, first_rep + k).increments
+    medium, grid, sigma, seed, first_rep, count, col_indices = payload
+    dw = np.empty((grid.n, grid.m, count))
+    for k in range(count):
+        dw[:, :, k] = sample_noise(grid, seed, first_rep + k).increments
     report: dict = {}
     u = solve_field_batch(medium, grid, sigma, dw, columns=col_indices, report=report)
     return first_rep, np.ascontiguousarray(np.transpose(u, (2, 1, 0))), report
@@ -202,15 +197,12 @@ def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, xs: list[float],
     solver's report plus dx_resolved, whether dx <= sqrt(min(a1, a2)*dt/4).
     """
     cols = [grid.snap(x)[0] for x in xs]
+    sigma = parse_sigma(cfg.sigma)
     payloads = []
     first = 0
     while first < cfg.replicates:
         count = min(cfg.replicate_chunk, cfg.replicates - first)
-        payloads.append((
-            (cfg.medium.a1, cfg.medium.a2, cfg.medium.rho1, cfg.medium.rho2),
-            (grid.T, grid.n, grid.L, grid.m),
-            cfg.sigma, cfg.seed, first, count, cols, cfg.zero_noise,
-        ))
+        payloads.append((cfg.medium, grid, sigma, cfg.seed, first, count, cols))
         first += count
     if cfg.workers <= 1 or len(payloads) <= 1:
         results = [_conv_chunk_worker(p) for p in payloads]
@@ -229,18 +221,12 @@ def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, xs: list[float],
 
 def _exact_paths(cfg: ExperimentConfig, n: int, x: float, log: dict,
                  samplers: dict) -> np.ndarray:
-    """Exact Gaussian paths at the point x, shape (R, n+1).
+    """Exact sigma = 1 Gaussian paths at the point x, shape (R, n+1).
 
-    sigma must be one and zero_noise off (the sampler always draws noise).
     A sampler is built once per (x, n) and kept in samplers; each build
     appends what it did (jitter, quadrature node level, and the wall seconds
     of the covariance and the Cholesky stages) to log["exact_sampler"].
     """
-    if cfg.sigma != "one":
-        raise ConfigError("the exact-linear backend is valid only for sigma = one")
-    if cfg.zero_noise:
-        raise ConfigError("the exact-linear backend samples the noise; zero_noise needs "
-                          "backend = convolution")
     sampler = samplers.get((x, n))
     if sampler is None:
         sampler = samplers[(x, n)] = ExactLinearSampler(cfg.medium, x, cfg.T, n)
@@ -262,7 +248,8 @@ def _point_paths(cfg: ExperimentConfig, log: dict, n: int | None = None,
     appended to log: one record per sampler build under "exact_sampler", or
     one record per replicate chunk under "convolution".  Exact samplers are
     reused from samplers, keyed by (x_effective, n), when the caller passes
-    the same dict to several calls of one run.
+    the same dict to several calls of one run.  The exact backend takes a
+    constant sigma = c only, and scales its sigma = 1 paths by c.
     """
     sigma = parse_sigma(cfg.sigma)
     grid = _grid(cfg, n)
@@ -276,10 +263,13 @@ def _point_paths(cfg: ExperimentConfig, log: dict, n: int | None = None,
     points = [(x, grid.snap(x)[1] if snap else float(x)) for x in requested]
     if cfg.backend == "convolution":
         paths = _convolution_paths(cfg, grid, [xe for _, xe in points], log)
+    elif sigma.constant is None:
+        raise ConfigError(f"the exact-linear backend needs a constant sigma, got {sigma.label}")
     else:
         samplers = {} if samplers is None else samplers
         paths = np.stack([_exact_paths(cfg, grid.n, xe, log, samplers) for _, xe in points],
                          axis=1)
+        paths *= sigma.constant
     return sigma, grid, points, paths
 
 
@@ -374,6 +364,7 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     rows = []
     ok = True
     path_files = {}
+    c = sigma.constant
     for idx, (_, xe) in enumerate(points):
         block = paths[:, idx, :]  # (R, n+1)
         mean_t = float(np.mean(block[:, -1]))
@@ -382,17 +373,19 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
             var_se = var_t * math.sqrt(2.0 / (cfg.replicates - 1))
         else:
             var_t, var_se = 0.0, math.nan
-        target = 0.0 if cfg.zero_noise else covariance_linear(cfg.T, cfg.T, xe, cfg.medium)
+        target = (math.nan if c is None
+                  else c * c * covariance_linear(cfg.T, cfg.T, xe, cfg.medium))
         rows.append(make_row(cfg, "simulate", grid.n, grid.m, xe, "mean_u_T", mean_t,
                              target=0.0))
         row = make_row(cfg, "simulate", grid.n, grid.m, xe, "variance_u_T", var_t,
                        var_se, target)
         rows.append(row)
-        if sigma.label == "one" and not cfg.zero_noise:
+        if c is not None:
             rows.append(make_row(cfg, "simulate", grid.n, grid.m, xe, "disc_variance_u_T",
-                                 scheme_variance(cfg.medium, grid, xe), target=target))
-        if (cfg.check_tolerance is not None and sigma.label == "one"
-                and not cfg.zero_noise and not (row.rel_error <= cfg.check_tolerance)):
+                                 c * c * scheme_variance(cfg.medium, grid, xe), target=target))
+        # At c = 0 the target is 0 and rel_error NaN: nothing to gate.
+        if (cfg.check_tolerance is not None and c is not None and c != 0.0
+                and not (row.rel_error <= cfg.check_tolerance)):
             ok = False
         path_files[f"paths_x{idx:03d}.csv"] = (xe, block)
     log.update(path_files=path_files, times=grid.time_nodes)
@@ -424,7 +417,7 @@ def run_kernel_selftest(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, d
     check("l1_bound_margin_min", margins["l1"], 0.0, margins["l1"] > 0.0)
     check("l2_bound_margin_min", margins["l2"], 0.0, margins["l2"] > 0.0)
 
-    violations = checks.pointwise_bound_violations(kernel, cfg.seed, 10_000)
+    violations = checks.pointwise_bound_violations(kernel, *checks.bound_points(cfg.seed, 10_000))
     check("pointwise_bound_violations", float(violations), 0.0, violations == 0)
 
     res = checks.pde_residual_sweep(

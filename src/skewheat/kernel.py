@@ -46,11 +46,10 @@ class GreenKernel:
     """
 
     params: MediumParams
-    derived: DerivedConstants = field(default=None)
+    derived: DerivedConstants = field(init=False)
 
     def __post_init__(self):
-        if self.derived is None:
-            object.__setattr__(self, "derived", derive_constants(self.params))
+        object.__setattr__(self, "derived", derive_constants(self.params))
 
     # -- helpers -----------------------------------------------------------
 
@@ -188,15 +187,6 @@ class GreenKernel:
         c_l1 = inv_sum * (1.0 + ab) * max(math.sqrt(p.a1), math.sqrt(p.a2))
         c_l2 = max(p.a1, p.a2) ** 0.25 * (1.0 + ab) * inv_sum
         return BoundConstants(c_pointwise=c_pointwise, c_l1=c_l1, c_l2=c_l2)
-
-    def pointwise_bound_check(self, t, x, y) -> bool:
-        """True iff |G_t(x,y)| <= c_pointwise * t**-0.5 * exp(-(f(x)-f(y))**2/(2t))."""
-        t = self._check_lag(t)
-        c = self.bound_constants().c_pointwise
-        fx = np.asarray(self._fx(x), dtype=float)
-        fy = np.asarray(self._fx(y), dtype=float)
-        bound = c / np.sqrt(t) * np.exp(-((fx - fy) ** 2) / (2.0 * t))
-        return bool(np.all(np.abs(self.evaluate(t, x, y)) <= bound))
 
     def pde_residual(self, t, x, y, h) -> float:
         """Absolute residual |d/dt G - (A(x)/2) d2/dx2 G| by centered differences.

@@ -60,10 +60,16 @@ class CovarianceError(SolverError):
 
 @dataclass(frozen=True)
 class SigmaSpec:
-    """Nonlinear noise coefficient with its Lipschitz bound and a report label."""
+    """Noise coefficient with its Lipschitz bound, its constant value and a report label.
+
+    constant is the value c of a sigma that does not depend on u, and None
+    otherwise; every choice that turns on sigma reads it.  For a constant
+    sigma the solution is c times the sigma = 1 solution.
+    """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     lipschitz_bound: float
+    constant: float | None
     label: str
 
 
@@ -82,7 +88,8 @@ def _eval_sin1(u, amp):
 
 def sigma_one() -> SigmaSpec:
     """sigma identically one (the linear, exactly Gaussian case)."""
-    return SigmaSpec(evaluate=partial(_eval_const, value=1.0), lipschitz_bound=0.0, label="one")
+    return SigmaSpec(evaluate=partial(_eval_const, value=1.0), lipschitz_bound=0.0, constant=1.0,
+                     label="one")
 
 
 def sigma_affine(h1: float, h2: float) -> SigmaSpec:
@@ -90,6 +97,7 @@ def sigma_affine(h1: float, h2: float) -> SigmaSpec:
     return SigmaSpec(
         evaluate=partial(_eval_affine, h1=float(h1), h2=float(h2)),
         lipschitz_bound=abs(float(h1)),
+        constant=float(h2) if h1 == 0 else None,
         label=f"affine:{float(h1)!r},{float(h2)!r}",
     )
 
@@ -99,6 +107,7 @@ def sigma_sin(amp: float) -> SigmaSpec:
     return SigmaSpec(
         evaluate=partial(_eval_sin1, amp=float(amp)),
         lipschitz_bound=abs(float(amp)),
+        constant=1.0 if amp == 0 else None,
         label=f"sin1:{float(amp)!r}",
     )
 
@@ -238,7 +247,7 @@ def solve_field_batch(
     grid order).  The scheme is u_i = sum over d of K_d @ v_{i-d} with
     v_k = sigma(u_k) * dW_k and K_d the kernel at the lag of _cell_lags.
 
-    When sigma is constant (Lipschitz bound 0), v does not depend on u, so
+    When sigma is constant (sigma.constant is set), v does not depend on u, so
     every requested cell is a fixed linear map of the noise, a causal
     convolution in time: only the kernel rows K_d[columns, :] are built, and
     the sum over d is formed by FFT (see _fft_rows_field).  The result is the
@@ -274,10 +283,10 @@ def solve_field_batch(
     if cols.ndim != 1 or np.any((cols < 0) | (cols >= m)):
         raise ValueError(f"columns must be cell indices in [0, {m}), got {columns!r}")
     kernel = GreenKernel(medium)
-    if sigma.lipschitz_bound != 0.0:
+    if sigma.constant is None:
         out = _semigroup_field(kernel, grid, sigma, dW, cols, report)
     else:
-        out = _fft_rows_field(kernel, grid, sigma, dW, cols, report)
+        out = _fft_rows_field(kernel, grid, sigma.constant, dW, cols, report)
     return out[:, :, 0] if squeeze else out
 
 
@@ -303,8 +312,8 @@ def _semigroup_field(kernel, grid, sigma, dW, cols, report):
     return out
 
 
-def _fft_rows_field(kernel, grid, sigma, dW, cols, report):
-    """Constant sigma: u_i = sum over d of K_d v_{i-d} at the requested cells, by FFT in time.
+def _fft_rows_field(kernel, grid, c, dW, cols, report):
+    """Constant sigma c: u_i = sum over d of K_d v_{i-d} at the requested cells, by FFT in time.
 
     With a_k = K_{k+1}[rows, :] the sum is u_{i+1} = (a * v)_i, a linear
     convolution over k, i = 0..n-1.  Both sequences are zero-padded to 2n
@@ -320,7 +329,6 @@ def _fft_rows_field(kernel, grid, sigma, dW, cols, report):
     n, m, r = dW.shape
     rows, pick = np.unique(cols, return_inverse=True)
     p, nfft = len(rows), 2 * n
-    sig = sigma.evaluate(np.zeros((m, r)))
     scale = float(max(dW.max(), -dW.min())) or 1.0
     y = grid.cell_centers
     lags = _cell_lags(grid)
@@ -328,7 +336,7 @@ def _fft_rows_field(kernel, grid, sigma, dW, cols, report):
     for lo in range(0, m, FFT_BLOCK):
         block = slice(lo, min(lo + FFT_BLOCK, m))
         k_rows = kernel.evaluate(lags[:, None, None], y[None, rows, None], y[None, None, block])
-        v = dW[:, block] / scale * sig[block]
+        v = dW[:, block] / scale * c
         acc += np.fft.rfft(k_rows, nfft, axis=0) @ np.fft.rfft(v, nfft, axis=0)
     u = np.fft.irfft(acc, nfft, axis=0)[:n] * scale
     if report is not None:

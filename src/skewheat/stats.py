@@ -9,8 +9,7 @@ This module is the single implementation of these statistics and of the
 pooled increment moments.  `point_statistics` computes all of them for the R
 paths observed at one point, with time on the last axis; the per-path
 functions (`quartic_variation`, `limit_functional`, `estimate_A`,
-`moment_summary`, `variation_report`) and the averaged statistic are views
-onto it.
+`moment_summary`) and the averaged statistic are views onto it.
 """
 
 from __future__ import annotations
@@ -41,20 +40,6 @@ class Moments:
     ratio4: float
     ratio6: float
     count: int
-
-
-@dataclass(frozen=True)
-class VariationReport:
-    """Per-replicate summary: variation, limit value, estimator and moments."""
-
-    v_quartic: float
-    limit_value: float
-    estimator_A: float | None
-    moments: Moments
-    n: int
-    x: float
-    T: float
-    replicate: int
 
 
 @dataclass(frozen=True)
@@ -90,7 +75,7 @@ class PointStats:
     m4: float
     ratio4: float  # NaN when m2 = 0
     ratio6: float  # NaN when m2 = 0
-    closed_target: float | None  # limit value for sigma = one, else None
+    closed_target: float | None  # limit value for a constant sigma, else None
     m2_target: float  # leading-order E d^2 and E d^4 of the sigma = one increments
     m4_target: float
 
@@ -131,6 +116,7 @@ def point_statistics(paths: np.ndarray, x: float, T: float, sigma: SigmaSpec,
     The limit functional is the left-endpoint Riemann sum of
     (6*tau(x)/(pi*A(x))) * int_0^T sigma^4(u(r,x)) dr, which keeps it adapted;
     the estimator is 6*T*tau(x)*sum_{i=1..n} sigma^4(u(t_i,x)) / (n*pi*V).
+    For a constant sigma = c the limit is closed, coef*T*c^4.
     """
     paths = _time_axis(paths)
     n = paths.shape[-1] - 1
@@ -157,7 +143,7 @@ def point_statistics(paths: np.ndarray, x: float, T: float, sigma: SigmaSpec,
         m4=m4,
         ratio4=ratio4,
         ratio6=ratio6,
-        closed_target=coef * T if sigma.label == "one" else None,
+        closed_target=None if sigma.constant is None else coef * T * sigma.constant**4,
         m2_target=math.sqrt(delta) * math.sqrt(2.0 * tau_x / (math.pi * A_of(x, medium))),
         m4_target=6.0 * delta * tau_x / (A_of(x, medium) * math.pi),
     )
@@ -181,11 +167,11 @@ def averaged_statistics(paths: np.ndarray, xs, T: float, sigma: SigmaSpec,
     """Averaged variation of (R, P, n+1) paths at the P points xs, and its target.
 
     The statistic is the per-replicate mean of the points' V_n; the target is
-    the mean of their closed-form limits (NaN unless sigma = one).
+    the mean of their closed-form limits (NaN unless sigma is constant).
     """
     per_point = [point_statistics(paths[..., j, :], x, T, sigma, medium) for j, x in enumerate(xs)]
     v_nm = np.mean(np.stack([st.v for st in per_point], axis=-1), axis=-1)
-    if sigma.label != "one":
+    if sigma.constant is None:
         return v_nm, math.nan
     return v_nm, float(np.mean([st.closed_target for st in per_point]))
 
@@ -223,26 +209,6 @@ def moment_summary(paths) -> Moments:
     if count < 2:
         raise ValueError("need at least 2 pooled increments")
     return Moments(mean_sq=m2, ratio4=ratio4, ratio6=ratio6, count=count)
-
-
-def variation_report(
-    path: SolutionPath,
-    sigma: SigmaSpec,
-    medium: MediumParams,
-    replicate: int,
-) -> VariationReport:
-    """All per-path statistics in one record; a degenerate estimator becomes None."""
-    st = point_statistics(path.values, path.x, path.T, sigma, medium)
-    return VariationReport(
-        v_quartic=float(st.v),
-        limit_value=float(st.limit),
-        estimator_A=None if st.degenerate else float(st.a_hat),
-        moments=moment_summary([path]),
-        n=st.n,
-        x=path.x,
-        T=path.T,
-        replicate=replicate,
-    )
 
 
 def averaged_variation_from_paths(

@@ -37,7 +37,6 @@ seed = 20240601
 backend = convolution
 workers = 2
 out = results
-zero_noise = false
 n_list = 16, 32, 64
 m_list = 4, 16
 replicate_chunk = 32
@@ -99,7 +98,6 @@ def test_defaults_applied():
     ("backend = convolution", "backend = warp"),
     ("seed = 20240601", "seed = -3"),
     ("kind = quartic", "kind = frobnicate"),
-    ("zero_noise = false", "zero_noise = maybe"),
 ])
 def test_invalid_values_rejected(mutation, fragment):
     with pytest.raises(ConfigError):
@@ -189,7 +187,6 @@ def test_round_trip_and_hash_property():
         backend=st.sampled_from(BACKENDS),
         workers=count,
         out_dir=out_dir,
-        zero_noise=st.booleans(),
         n_list=st.lists(count, max_size=4).map(tuple),
         m_list=st.lists(count, max_size=4).map(tuple),
         replicate_chunk=count,

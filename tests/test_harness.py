@@ -72,7 +72,7 @@ def test_zero_noise_simulate_gives_zero_summary(tmp_path):
     cfg = _write(
         tmp_path, "c.ini",
         MEDIUM_14 + GRID_SMALL
-        + f"[experiment]\nx = 0.5\nreplicates = 1\nzero_noise = true\nout = {tmp_path}/out\n",
+        + f"[experiment]\nx = 0.5\nreplicates = 1\nsigma = affine:0,0\nout = {tmp_path}/out\n",
     )
     assert main(["simulate", "--config", cfg]) == 0
     rows = _read_rows(tmp_path / "out" / "simulate.csv")
@@ -442,12 +442,58 @@ def test_simulate_disc_variance_row_uses_scheme_variance(tmp_path):
     assert "disc_variance_u_T" not in {r["statistic"] for r in _read_rows(tmp_path / "sin" / "simulate.csv")}
 
 
+def test_simulate_targets_scale_with_constant_sigma(tmp_path):
+    def rows_for(sigma, name):
+        cfg = _write(
+            tmp_path, f"{name}.ini",
+            MEDIUM_14 + GRID_SMALL
+            + f"[experiment]\nsigma = {sigma}\nx = 0.5, -0.5\nreplicates = 3\nseed = 11\n"
+            + f"out = {tmp_path}/{name}\n",
+        )
+        assert main(["simulate", "--config", cfg]) == 0
+        return _read_rows(tmp_path / name / "simulate.csv"), load_config(cfg)
+
+    rows, resolved = rows_for("affine:0,0.7", "aff")
+    assert [r["statistic"] for r in rows] == ["mean_u_T", "variance_u_T", "disc_variance_u_T"] * 2
+    grid, medium = harness._grid(resolved), resolved.medium
+    for var_row, disc_row in ((rows[1], rows[2]), (rows[4], rows[5])):
+        x = float(var_row["x"])
+        target = 0.7 * 0.7 * solver.covariance_linear(1.0, 1.0, x, medium)
+        assert float(var_row["target"]) == float(disc_row["target"]) == target
+        assert float(disc_row["value"]) == 0.7 * 0.7 * solver.scheme_variance(medium, grid, x)
+    rows, _ = rows_for("sin1:0.5", "sin")
+    assert [r["target"] for r in rows if r["statistic"] == "variance_u_T"] == ["nan", "nan"]
+
+
+def test_constant_sigma_quartic_scales_sigma_one_paths(tmp_path):
+    def data_lines(sigma, backend, name):
+        cfg = _write(
+            tmp_path, f"{name}.ini",
+            MEDIUM_14 + GRID_SMALL
+            + f"[experiment]\nsigma = {sigma}\nbackend = {backend}\nx = 0.5, -0.5\n"
+            + f"replicates = 4\nseed = 12\nout = {tmp_path}/{name}\n",
+        )
+        assert main(["quartic", "--config", cfg]) == 0
+        text = (tmp_path / name / "quartic.csv").read_text()
+        return [ln for ln in text.splitlines() if not ln.startswith("#")]
+
+    assert data_lines("affine:0,1", "convolution", "c1") == data_lines("one", "convolution", "c0")
+    one = _read_rows(tmp_path / "c0" / "quartic.csv")
+    assert all(r["target"] != "nan" for r in one if r["statistic"] == "limit_functional")
+
+    data_lines("one", "exact-linear", "e1")
+    data_lines("affine:0,2", "exact-linear", "e2")
+    v = {name: [float(r["value"]) for r in _read_rows(tmp_path / name / "quartic.csv")
+                if r["statistic"] == "v_quartic"] for name in ("e1", "e2")}
+    assert len(v["e1"]) == 2 and v["e2"] == [16.0 * val for val in v["e1"]]
+
+
 @pytest.mark.parametrize("command", ["quartic", "estimate", "convergence"])
 def test_zero_noise_statistics_exit_zero(tmp_path, capsys, command):
     cfg = _write(
         tmp_path, "c.ini",
         MEDIUM_14 + GRID_SMALL
-        + "[experiment]\nx = 0.5, -0.5\nreplicates = 3\nzero_noise = true\n"
+        + "[experiment]\nx = 0.5, -0.5\nreplicates = 3\nsigma = affine:0,0\n"
         + f"n_list = 8, 16\nm_list = 2, 4\nout = {tmp_path}/out\n",
     )
     assert main([command, "--config", cfg]) == 0
@@ -506,17 +552,19 @@ def test_point_statistics_is_called_through_harness(tmp_path, monkeypatch):
     assert calls == [(2, 9), (2, 9)]
 
 
-def test_exact_linear_refuses_zero_noise(tmp_path, capsys):
+def test_removed_zero_noise_key_exits_two_with_one_line(tmp_path, capsys):
+    # sigma = affine:0,0 is the zero-noise run now.
     cfg = _write(
         tmp_path, "c.ini",
         MEDIUM_14 + GRID_SMALL
-        + "[experiment]\nx = 0.5\nreplicates = 3\nzero_noise = true\nbackend = exact-linear\n"
+        + "[experiment]\nx = 0.5\nreplicates = 3\nzero_noise = true\n"
         + f"out = {tmp_path}/out\n",
     )
     assert main(["quartic", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "zero_noise" in err
+    assert err.startswith("config error: unknown key 'zero_noise' in section [experiment]")
     assert err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_cli_import_leaves_scipy_special_and_integrate_unloaded():

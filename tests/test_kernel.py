@@ -5,6 +5,7 @@ import pytest
 
 from skewheat import MediumParams, GreenKernel
 from skewheat.checks import (
+    pointwise_bound_violations,
     quad_l1,
     quad_l2,
     quad_cross,
@@ -108,13 +109,13 @@ def test_pointwise_bound_randomized():
     t = rng.uniform(0.01, 2.0, size=10_000)
     x = rng.uniform(-4, 4, size=10_000)
     y = rng.uniform(-4, 4, size=10_000)
-    assert GreenKernel(MediumParams(1, 4, 1, 2)).pointwise_bound_check(t, x, y)
-    assert HOMOG.pointwise_bound_check(t, x, y)
+    assert pointwise_bound_violations(GreenKernel(MediumParams(1, 4, 1, 2)), t, x, y) == 0
+    assert pointwise_bound_violations(HOMOG, t, x, y) == 0
 
 
 def test_pointwise_bound_at_boundary_sign_convention():
     # y = 0 takes sign -1, the left-branch pairing.
-    assert K14.pointwise_bound_check(0.4, 0.9, 0.0)
+    assert pointwise_bound_violations(K14, 0.4, 0.9, 0.0) == 0
     val = K14.evaluate(0.4, 0.9, 0.0)
     d = K14.derived
     fx = 0.9 / 2.0

@@ -5,7 +5,7 @@ import pytest
 from numpy.random import Philox
 
 from skewheat import build_grid, sample_noise
-from skewheat.noise import standard_normals, STREAM_FIELD_NOISE
+from skewheat.noise import standard_normals, STREAM_FIELD_NOISE, STREAM_EXACT_PATHS
 
 
 def test_grid_arithmetic():
@@ -128,3 +128,22 @@ def test_standard_normals_moments():
     assert abs(z.mean()) < 0.01
     assert abs(z.var() - 1.0) < 0.01
     assert abs((z**4).mean() / z.var() ** 2 - 3.0) < 0.05
+
+
+def test_standard_normals_prefix_is_chunk_invariant_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
+        st.sampled_from([STREAM_FIELD_NOISE, STREAM_EXACT_PATHS]), st.integers(0, 2**64 - 1),
+        st.integers(0, 2000), st.data(),
+    )
+    def check(seed, replicate, kind, subkey, count, data):
+        k = data.draw(st.integers(0, count))
+        whole = standard_normals(seed, replicate, count, kind=kind, subkey=subkey)
+        assert np.array_equal(whole[:k], standard_normals(seed, replicate, k, kind=kind,
+                                                          subkey=subkey))
+
+    check()

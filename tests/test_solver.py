@@ -57,6 +57,13 @@ def test_parse_sigma_round_trip_and_errors():
             parse_sigma(bad)
 
 
+def test_sigma_constant_values():
+    cases = {"one": 1.0, "affine:0,0.7": 0.7, "affine:-0.0,2": 2.0, "affine:0,0": 0.0,
+             "sin1:0": 1.0, "affine:0.5,1": None, "sin1:0.5": None}
+    for spec, value in cases.items():
+        assert parse_sigma(spec).constant == value, spec
+
+
 def test_sigma_lipschitz_spot_check():
     rng = np.random.default_rng(13)
     for spec in (sigma_affine(1.7, 0.4), sigma_sin(0.5)):
@@ -463,7 +470,7 @@ def test_column_solve_reports_kernel_path(sigma):
     dw = _noise_batch(grid, 42, 2)
     report = {}
     solve_field_batch(M14, grid, sigma, dw, columns=[11, 2], report=report)
-    if sigma.lipschitz_bound != 0.0:
+    if sigma.constant is None:
         # The semigroup recursion holds K_{dt/4} (m x m), K_{3dt/2} (2m x m)
         # and the one-step P (2m x 2m).
         assert 0.0 < report.pop("semigroup_gap") < 0.1

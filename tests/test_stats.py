@@ -24,7 +24,7 @@ from skewheat import (
     moment_summary,
     DegeneratePathError,
 )
-from skewheat.stats import variation_report, point_statistics, averaged_statistics
+from skewheat.stats import point_statistics, averaged_statistics
 
 M14 = MediumParams(1, 4, 1, 1)
 
@@ -155,19 +155,6 @@ def test_moment_summary_gaussian_ratios():
     )
 
 
-def test_variation_report_fields_and_invariants():
-    sampler = ExactLinearSampler(M14, 0.5, 1.0, 32)
-    path = sampler.paths(seed=47, replicates=1)[0]
-    rep = variation_report(path, sigma_one(), M14, replicate=0)
-    assert rep.v_quartic >= 0
-    assert rep.limit_value >= 0
-    assert rep.estimator_A is not None and rep.estimator_A > 0
-    assert rep.n == 32 and rep.x == 0.5 and rep.T == 1.0
-
-    flat = variation_report(_path(np.zeros(9)), sigma_one(), M14, replicate=1)
-    assert flat.estimator_A is None
-
-
 # -- statistics core and its views --------------------------------------------
 
 SIGMAS = {"one": sigma_one(), "affine:0,0.7": sigma_affine(0.0, 0.7), "sin1:0.5": sigma_sin(0.5)}
@@ -201,6 +188,21 @@ def test_point_statistics_zero_increments():
     assert st.m2 == 0.0 and math.isnan(st.ratio4) and math.isnan(st.ratio6)
     assert st.closed_target == pytest.approx(6.0 / (math.pi * 4.0), rel=1e-14)
     assert point_statistics(np.zeros((3, 9)), 0.5, 1.0, sigma_sin(0.5), M14).closed_target is None
+
+
+def test_constant_sigma_closed_targets_scale_by_c4():
+    zeros = np.zeros((3, 9))
+    one = point_statistics(zeros, 0.5, 1.0, sigma_one(), M14).closed_target
+    assert point_statistics(zeros, 0.5, 1.0, sigma_affine(0.0, 1.0), M14).closed_target == one
+    assert point_statistics(zeros, 0.5, 1.0, sigma_sin(0.0), M14).closed_target == one
+    assert point_statistics(zeros, 0.5, 1.0, sigma_affine(0.0, 2.0), M14).closed_target == 16 * one
+    st = point_statistics(zeros, 0.5, 1.0, sigma_affine(0.0, 0.7), M14)
+    assert st.closed_target == pytest.approx(0.7**4 * one, rel=1e-15)
+    assert st.closed_target == pytest.approx(float(st.limit[0]), rel=1e-14)
+    paths = np.zeros((2, 3, 9))
+    xs = [0.0, 0.5, -0.5]
+    assert averaged_statistics(paths, xs, 1.0, sigma_affine(0.0, 2.0), M14)[1] \
+        == 16 * averaged_statistics(paths, xs, 1.0, sigma_one(), M14)[1]
 
 
 def test_averaged_statistics_equals_per_replicate_view():
