@@ -13,11 +13,9 @@ __version__ = "0.1.0"
 
 from .medium import MediumParams, DerivedConstants, derive_constants, position_map, tau, A_of, rho_of
 from .kernel import GreenKernel, BoundConstants
-from .noise import GridSpec, NoiseField, build_grid, sample_noise
+from .noise import GridSpec, sample_noise
 from .solver import (
     SigmaSpec,
-    SolutionField,
-    SolutionPath,
     SolverError,
     NonFiniteFieldError,
     CovarianceError,
@@ -25,23 +23,12 @@ from .solver import (
     sigma_affine,
     sigma_sin,
     parse_sigma,
-    solve_field,
+    solve_field_batch,
     covariance_linear,
     covariance_matrix,
-    solve_linear_exact,
     ExactLinearSampler,
 )
-from .stats import (
-    AveragedReport,
-    Moments,
-    DegeneratePathError,
-    quartic_variation,
-    limit_functional,
-    estimate_A,
-    averaged_variation,
-    averaged_variation_from_paths,
-    moment_summary,
-)
+from .stats import PointStats, point_statistics, averaged_points, averaged_statistics
 
 __all__ = [
     "__version__",
@@ -55,12 +42,8 @@ __all__ = [
     "GreenKernel",
     "BoundConstants",
     "GridSpec",
-    "NoiseField",
-    "build_grid",
     "sample_noise",
     "SigmaSpec",
-    "SolutionField",
-    "SolutionPath",
     "SolverError",
     "NonFiniteFieldError",
     "CovarianceError",
@@ -68,18 +51,12 @@ __all__ = [
     "sigma_affine",
     "sigma_sin",
     "parse_sigma",
-    "solve_field",
+    "solve_field_batch",
     "covariance_linear",
     "covariance_matrix",
-    "solve_linear_exact",
     "ExactLinearSampler",
-    "AveragedReport",
-    "Moments",
-    "DegeneratePathError",
-    "quartic_variation",
-    "limit_functional",
-    "estimate_A",
-    "averaged_variation",
-    "averaged_variation_from_paths",
-    "moment_summary",
+    "PointStats",
+    "point_statistics",
+    "averaged_points",
+    "averaged_statistics",
 ]

@@ -144,76 +144,61 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
     grid = cp["grid"]
-    T = _parse_float("grid", "T", grid["T"])
-    n = _parse_int("grid", "n", grid["n"])
-    L = _parse_float("grid", "L", grid["L"])
-    m = _parse_int("grid", "m", grid["m"])
-    if T <= 0:
-        raise ConfigError("[grid] T must be > 0")
-    if n < 1:
-        raise ConfigError("[grid] n must be >= 1")
-    if L <= 0:
-        raise ConfigError("[grid] L must be > 0")
-    if m < 1:
-        raise ConfigError("[grid] m must be >= 1")
-
     exp = dict(_DEFAULTS)
     if "experiment" in cp:
         exp.update(cp["experiment"])
 
-    kind = exp["kind"].strip() or None
-    if kind is not None and kind not in COMMANDS:
-        raise ConfigError(f"[experiment] kind must be one of {COMMANDS}, got {kind!r}")
-    backend = exp["backend"].strip()
-    if backend not in BACKENDS:
-        raise ConfigError(f"[experiment] backend must be one of {BACKENDS}, got {backend!r}")
-    replicates = _parse_int("experiment", "replicates", exp["replicates"])
-    if replicates < 1:
-        raise ConfigError("[experiment] replicates must be >= 1")
-    seed = _parse_int("experiment", "seed", exp["seed"])
-    if not (0 <= seed < 2**64):
-        raise ConfigError("[experiment] seed must be in [0, 2**64)")
-    workers = _parse_int("experiment", "workers", exp["workers"])
-    if workers < 1:
-        raise ConfigError("[experiment] workers must be >= 1")
-    replicate_chunk = _parse_int("experiment", "replicate_chunk", exp["replicate_chunk"])
-    if replicate_chunk < 1:
-        raise ConfigError("[experiment] replicate_chunk must be >= 1")
-    n_list = _parse_int_list("experiment", "n_list", exp["n_list"])
-    if any(v < 1 for v in n_list):
-        raise ConfigError("[experiment] n_list entries must be >= 1")
-    m_list = _parse_int_list("experiment", "m_list", exp["m_list"])
-    if any(v < 1 for v in m_list):
-        raise ConfigError("[experiment] m_list entries must be >= 1")
-    sigma = exp["sigma"].strip()
+    raw_tol = exp["check_tolerance"].strip()
+    return _check_ranges(ExperimentConfig(
+        medium=medium,
+        T=_parse_float("grid", "T", grid["T"]),
+        n=_parse_int("grid", "n", grid["n"]),
+        L=_parse_float("grid", "L", grid["L"]),
+        m=_parse_int("grid", "m", grid["m"]),
+        kind=exp["kind"].strip() or None,
+        sigma=exp["sigma"].strip(),
+        x_points=_parse_float_list("experiment", "x", exp["x"]),
+        replicates=_parse_int("experiment", "replicates", exp["replicates"]),
+        seed=_parse_int("experiment", "seed", exp["seed"]),
+        backend=exp["backend"].strip(),
+        workers=_parse_int("experiment", "workers", exp["workers"]),
+        out_dir=exp["out"].strip(),
+        n_list=_parse_int_list("experiment", "n_list", exp["n_list"]),
+        m_list=_parse_int_list("experiment", "m_list", exp["m_list"]),
+        replicate_chunk=_parse_int("experiment", "replicate_chunk", exp["replicate_chunk"]),
+        check_tolerance=(_parse_float("experiment", "check_tolerance", raw_tol)
+                         if raw_tol else None),
+    ))
+
+
+def _check_ranges(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Return cfg, or raise ConfigError naming the first grid or experiment field out of range."""
+    checks = (
+        (cfg.T > 0, "[grid] T must be > 0"),
+        (cfg.n >= 1, "[grid] n must be >= 1"),
+        (cfg.L > 0, "[grid] L must be > 0"),
+        (cfg.m >= 1, "[grid] m must be >= 1"),
+        (cfg.kind is None or cfg.kind in COMMANDS,
+         f"[experiment] kind must be one of {COMMANDS}, got {cfg.kind!r}"),
+        (cfg.backend in BACKENDS,
+         f"[experiment] backend must be one of {BACKENDS}, got {cfg.backend!r}"),
+        (cfg.replicates >= 1, "[experiment] replicates must be >= 1"),
+        (0 <= cfg.seed < 2**64, "[experiment] seed must be in [0, 2**64)"),
+        (cfg.workers >= 1, "[experiment] workers must be >= 1"),
+        (cfg.replicate_chunk >= 1, "[experiment] replicate_chunk must be >= 1"),
+        (all(v >= 1 for v in cfg.n_list), "[experiment] n_list entries must be >= 1"),
+        (all(v >= 1 for v in cfg.m_list), "[experiment] m_list entries must be >= 1"),
+        (cfg.check_tolerance is None or cfg.check_tolerance > 0,
+         "[experiment] check_tolerance must be > 0"),
+    )
+    for ok, message in checks:
+        if not ok:
+            raise ConfigError(message)
     try:
-        parse_sigma(sigma)
+        parse_sigma(cfg.sigma)
     except ValueError as exc:
         raise ConfigError(f"[experiment] sigma: {exc}") from None
-    raw_tol = exp["check_tolerance"].strip()
-    check_tolerance = _parse_float("experiment", "check_tolerance", raw_tol) if raw_tol else None
-    if check_tolerance is not None and check_tolerance <= 0:
-        raise ConfigError("[experiment] check_tolerance must be > 0")
-
-    return ExperimentConfig(
-        medium=medium,
-        T=T,
-        n=n,
-        L=L,
-        m=m,
-        kind=kind,
-        sigma=sigma,
-        x_points=_parse_float_list("experiment", "x", exp["x"]),
-        replicates=replicates,
-        seed=seed,
-        backend=backend,
-        workers=workers,
-        out_dir=exp["out"].strip(),
-        n_list=n_list,
-        m_list=m_list,
-        replicate_chunk=replicate_chunk,
-        check_tolerance=check_tolerance,
-    )
+    return cfg
 
 
 def to_ini_text(cfg: ExperimentConfig) -> str:
@@ -275,14 +260,4 @@ def config_sha256(cfg: ExperimentConfig) -> str:
 def with_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
     """Apply non-None CLI overrides onto a parsed configuration."""
     fields = {k: v for k, v in overrides.items() if v is not None}
-    if not fields:
-        return cfg
-    if "seed" in fields and not (0 <= fields["seed"] < 2**64):
-        raise ConfigError("--seed must be in [0, 2**64)")
-    if "replicates" in fields and fields["replicates"] < 1:
-        raise ConfigError("--replicates must be >= 1")
-    if "workers" in fields and fields["workers"] < 1:
-        raise ConfigError("--workers must be >= 1")
-    if "backend" in fields and fields["backend"] not in BACKENDS:
-        raise ConfigError(f"--backend must be one of {BACKENDS}")
-    return replace(cfg, **fields)
+    return _check_ranges(replace(cfg, **fields)) if fields else cfg

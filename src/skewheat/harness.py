@@ -183,7 +183,7 @@ def _conv_chunk_worker(payload) -> tuple[int, np.ndarray, dict]:
     medium, grid, sigma, seed, first_rep, count, col_indices = payload
     dw = np.empty((grid.n, grid.m, count))
     for k in range(count):
-        dw[:, :, k] = sample_noise(grid, seed, first_rep + k).increments
+        dw[:, :, k] = sample_noise(grid, seed, first_rep + k)
     report: dict = {}
     u = solve_field_batch(medium, grid, sigma, dw, columns=col_indices, report=report)
     return first_rep, np.ascontiguousarray(np.transpose(u, (2, 1, 0))), report

@@ -75,24 +75,6 @@ class GridSpec:
         return j, float(self.cell_centers[j])
 
 
-def build_grid(T: float, n: int, L: float, m: int) -> GridSpec:
-    """Validate and build a GridSpec."""
-    return GridSpec(T=T, n=n, L=L, m=m)
-
-
-@dataclass(frozen=True)
-class NoiseField:
-    """White-noise increments over the grid cells for one replicate.
-
-    increments[k, l] is the noise mass of [s_k, s_{k+1}) x [y_l - dx/2, y_l + dx/2),
-    distributed N(0, dt*dx).
-    """
-
-    increments: np.ndarray
-    seed: int
-    replicate: int
-
-
 def _check_stream_key(seed: int, replicate: int) -> None:
     if not (isinstance(seed, int) and 0 <= seed < 2**64):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
@@ -123,13 +105,11 @@ def standard_normals(
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
-def sample_noise(grid: GridSpec, seed: int, replicate: int) -> NoiseField:
-    """Sample the n x m matrix of white-noise increments for one replicate."""
-    z = standard_normals(seed, replicate, grid.n * grid.m, kind=STREAM_FIELD_NOISE)
-    scale = math.sqrt(grid.dt * grid.dx)
-    return NoiseField(
-        increments=scale * z.reshape(grid.n, grid.m),
-        seed=seed,
-        replicate=replicate,
-    )
+def sample_noise(grid: GridSpec, seed: int, replicate: int) -> np.ndarray:
+    """The (n, m) white-noise increments of one replicate.
 
+    Entry [k, l] is the noise mass of [s_k, s_{k+1}) x [y_l - dx/2, y_l + dx/2),
+    distributed N(0, dt*dx).
+    """
+    z = standard_normals(seed, replicate, grid.n * grid.m, kind=STREAM_FIELD_NOISE)
+    return math.sqrt(grid.dt * grid.dx) * z.reshape(grid.n, grid.m)

@@ -28,10 +28,15 @@ import numpy as np
 
 from .medium import MediumParams, position_map
 from .kernel import GreenKernel
-from .noise import GridSpec, NoiseField, standard_normals, position_subkey, STREAM_EXACT_PATHS
+from .noise import GridSpec, standard_normals, position_subkey, STREAM_EXACT_PATHS
 
 # Source cells per FFT block of the constant-sigma product.
 FFT_BLOCK = 32
+
+# covariance_matrix's smooth cells: the per-entry tolerance, and the node count past which
+# a cell is a CovarianceError.
+COV_CELL_TOL = 1e-9
+COV_CELL_MAX_NODES = 1024
 
 # covariance_linear's rule: dyadic panels in v at most, nodes per panel at start and at
 # most, and times per vectorized block.
@@ -133,51 +138,6 @@ def parse_sigma(spec: str) -> SigmaSpec:
 
 
 # ---------------------------------------------------------------------------
-# solution containers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SolutionPath:
-    """Values u(t_i, x) at one spatial point over the time grid t_i = i*T/n."""
-
-    values: np.ndarray
-    x: float
-    T: float
-
-    @property
-    def n(self) -> int:
-        return len(self.values) - 1
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, len(self.values))
-
-
-@dataclass(frozen=True)
-class SolutionField:
-    """Simulated field u(s_i, y_l) on the full grid, with provenance.
-
-    Row 0 is the zero initial condition; row i depends on noise rows < i only.
-    For a constant sigma the field is formed by FFT in time, so there the
-    dependence holds to rounding: later noise rows move row i by a few ulps
-    of max|u|, never more.
-    """
-
-    values: np.ndarray
-    grid: GridSpec
-    medium: MediumParams
-    sigma_label: str
-    seed: int
-    replicate: int
-
-    def path_at(self, x: float) -> SolutionPath:
-        """Time path at the cell center nearest to x (ties snap left)."""
-        j, xs = self.grid.snap(x)
-        return SolutionPath(values=self.values[:, j].copy(), x=xs, T=self.grid.T)
-
-
-# ---------------------------------------------------------------------------
 # field scheme
 # ---------------------------------------------------------------------------
 
@@ -245,13 +205,16 @@ def solve_field_batch(
     (n+1, p) or (n+1, p, R) with row 0 identically zero, where p is the
     number of requested cell indices in columns (default: all m cells, in
     grid order).  The scheme is u_i = sum over d of K_d @ v_{i-d} with
-    v_k = sigma(u_k) * dW_k and K_d the kernel at the lag of _cell_lags.
+    v_k = sigma(u_k) * dW_k and K_d the kernel at the lag of _cell_lags, so
+    row i depends on noise rows < i only.
 
     When sigma is constant (sigma.constant is set), v does not depend on u, so
     every requested cell is a fixed linear map of the noise, a causal
     convolution in time: only the kernel rows K_d[columns, :] are built, and
     the sum over d is formed by FFT (see _fft_rows_field).  The result is the
     direct lag sum up to rounding, at about p/m of the full field's work.
+    There causality holds to rounding: later noise rows move row i by a few
+    ulps of max|u|, never more.
 
     Otherwise sigma needs the whole previous row, and the lag sum is carried
     by the heat semigroup: the history S_i = sum over d >= 2 of K_d v_{i-d}
@@ -366,24 +329,6 @@ def scheme_variance(medium: MediumParams, grid: GridSpec, x: float) -> float:
     return float(np.sum(rows**2) * grid.dt * grid.dx)
 
 
-def solve_field(
-    medium: MediumParams,
-    grid: GridSpec,
-    sigma: SigmaSpec,
-    noise: NoiseField,
-) -> SolutionField:
-    """Compute the mild solution for one noise replicate."""
-    values = solve_field_batch(medium, grid, sigma, noise.increments)
-    return SolutionField(
-        values=values,
-        grid=grid,
-        medium=medium,
-        sigma_label=sigma.label,
-        seed=noise.seed,
-        replicate=noise.replicate,
-    )
-
-
 # ---------------------------------------------------------------------------
 # exact covariance of the linear case
 # ---------------------------------------------------------------------------
@@ -459,13 +404,7 @@ class CovarianceMatrix(np.ndarray):
     node_level: int
 
 
-def covariance_matrix(
-    times: np.ndarray,
-    x: float,
-    medium: MediumParams,
-    tol: float = 1e-9,
-    max_nodes: int = 1024,
-) -> CovarianceMatrix:
+def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> CovarianceMatrix:
     """Covariance matrix C[i, j] = covariance_linear(times[i], times[j], x).
 
     times must be a uniform grid starting at 0 (t_i = i*dt).  For s <= t,
@@ -475,10 +414,10 @@ def covariance_matrix(
     at k = 0 and holding the erfc onset at k >= 1, is exactly
     C((k+1)*dt, dt), so covariance_linear's panel rule gives all n of them.
     The smooth cells c >= 1 are integrated together by Gauss-Legendre from 8
-    nodes, each doubling until two levels agree within tol/n, so every entry
-    is within about tol; raises CovarianceError if a cell needs more than
-    max_nodes.  The result's node_level is the largest level a cell c >= 1
-    reached.
+    nodes, each doubling until two levels agree within COV_CELL_TOL/n, so
+    every entry is within about COV_CELL_TOL; raises CovarianceError if a cell
+    needs more than COV_CELL_MAX_NODES.  The result's node_level is the
+    largest level a cell c >= 1 reached.
     """
     times = np.asarray(times, dtype=float)
     n = len(times) - 1 if times.ndim == 1 else 0
@@ -504,12 +443,13 @@ def covariance_matrix(
     prev = level(k, c, nodes)
     while k.size:
         nodes *= 2
-        if nodes > max_nodes:
+        if nodes > COV_CELL_MAX_NODES:
             raise CovarianceError(
-                f"covariance quadrature did not reach tol={tol} with {max_nodes} nodes per cell"
+                f"covariance quadrature did not reach tol={COV_CELL_TOL} with "
+                f"{COV_CELL_MAX_NODES} nodes per cell"
             )
         cur = level(k, c, nodes)
-        done = np.abs(cur - prev) <= tol / n
+        done = np.abs(cur - prev) <= COV_CELL_TOL / n
         cells[k[done], c[done]] = cur[done]
         k, c, prev = k[~done], c[~done], cur[~done]
     entries = np.cumsum(cells, axis=1)[lag, cell]
@@ -543,13 +483,10 @@ class ExactLinearSampler:
     def __init__(self, medium: MediumParams, x: float, T: float, n: int):
         if T <= 0 or n < 1:
             raise ValueError("need T > 0 and n >= 1")
-        self.medium = medium
         self.x = float(x)
-        self.T = float(T)
         self.n = int(n)
-        self.times = np.linspace(0.0, T, n + 1)
         started = time.perf_counter()
-        cov = covariance_matrix(self.times, x, medium)
+        cov = covariance_matrix(np.linspace(0.0, T, n + 1), x, medium)
         factoring = time.perf_counter()
         self.node_level = int(cov.node_level)
         self.covariance = np.asarray(cov)
@@ -586,19 +523,3 @@ class ExactLinearSampler:
             )
             out[k, 1:] = self._factor @ z
         return out
-
-    def paths(self, seed: int, replicates: int, first_replicate: int = 0) -> list[SolutionPath]:
-        arr = self.paths_array(seed, replicates, first_replicate)
-        return [SolutionPath(values=row, x=self.x, T=self.T) for row in arr]
-
-
-def solve_linear_exact(
-    medium: MediumParams,
-    x: float,
-    T: float,
-    n: int,
-    seed: int,
-    replicates: int,
-) -> list[SolutionPath]:
-    """Exact Gaussian sample paths of the linear solution at the point x."""
-    return ExactLinearSampler(medium, x, T, n).paths(seed, replicates)

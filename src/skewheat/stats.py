@@ -7,9 +7,8 @@ a plug-in estimator of the local diffusivity A(x).
 
 This module is the single implementation of these statistics and of the
 pooled increment moments.  `point_statistics` computes all of them for the R
-paths observed at one point, with time on the last axis; the per-path
-functions (`quartic_variation`, `limit_functional`, `estimate_A`,
-`moment_summary`) and the averaged statistic are views onto it.
+paths observed at one point, with time on the last axis; `averaged_statistics`
+is the per-replicate mean of its V_n over the points of `averaged_points`.
 """
 
 from __future__ import annotations
@@ -21,44 +20,7 @@ import numpy as np
 
 from .medium import MediumParams, derive_constants, tau, A_of
 from .noise import GridSpec
-from .solver import SigmaSpec, SolutionPath, SolutionField
-
-
-class DegeneratePathError(ValueError):
-    """Raised when a statistic is undefined on a constant (zero-variation) path."""
-
-
-@dataclass(frozen=True)
-class Moments:
-    """Pooled interior-increment moments: mean square and normalized ratios.
-
-    ratio4 = E d^4 / (E d^2)^2 (3 for Gaussian increments) and
-    ratio6 = E d^6 / (E d^2)^3 (15 for Gaussian increments).
-    """
-
-    mean_sq: float
-    ratio4: float
-    ratio6: float
-    count: int
-
-
-@dataclass(frozen=True)
-class PointVariation:
-    """Quartic variation of one averaged-statistic point."""
-
-    x_requested: float
-    x_snapped: float
-    v_quartic: float
-
-
-@dataclass(frozen=True)
-class AveragedReport:
-    """Spatially averaged quartic variation over the points j/num_points, j=0..num_points-1."""
-
-    v_nm: float
-    per_point: tuple[PointVariation, ...]
-    n: int
-    num_points: int
+from .solver import SigmaSpec
 
 
 @dataclass(frozen=True)
@@ -76,15 +38,8 @@ class PointStats:
     ratio4: float  # NaN when m2 = 0
     ratio6: float  # NaN when m2 = 0
     closed_target: float | None  # limit value for a constant sigma, else None
-    m2_target: float  # leading-order E d^2 and E d^4 of the sigma = one increments
+    m2_target: float  # leading-order E d^2 and E d^4 of the pooled increments
     m4_target: float
-
-
-def _time_axis(values) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1] < 2:
-        raise ValueError("path needs at least 2 points")
-    return values
 
 
 def _variation(d: np.ndarray) -> np.ndarray:
@@ -93,20 +48,16 @@ def _variation(d: np.ndarray) -> np.ndarray:
     return np.sum(sq, axis=-1)
 
 
-def _interior_moments(d: np.ndarray) -> tuple[int, float, float, float, float]:
-    """Pooled moments of the increments with 1-based index i >= n/4 (start-up dropped).
-
-    Returns (count, E d^2, E d^4, ratio4, ratio6); the ratios are NaN when E d^2 = 0.
-    """
-    pooled = d[..., max(1, math.ceil(d.shape[-1] / 4)) - 1 :]
+def _interior_moments(pooled: np.ndarray) -> tuple[float, float, float, float]:
+    """(E d^2, E d^4, ratio4, ratio6) of the pooled increments; the ratios are NaN when E d^2 = 0."""
     p2 = pooled * pooled
     p4 = p2 * p2
     m2 = float(np.mean(p2))
     m4 = float(np.mean(p4))
     if m2 == 0.0:
-        return pooled.size, m2, m4, math.nan, math.nan
+        return m2, m4, math.nan, math.nan
     p4 *= p2
-    return pooled.size, m2, m4, m4 / m2**2, float(np.mean(p4)) / m2**3
+    return m2, m4, m4 / m2**2, float(np.mean(p4)) / m2**3
 
 
 def point_statistics(paths: np.ndarray, x: float, T: float, sigma: SigmaSpec,
@@ -117,17 +68,30 @@ def point_statistics(paths: np.ndarray, x: float, T: float, sigma: SigmaSpec,
     (6*tau(x)/(pi*A(x))) * int_0^T sigma^4(u(r,x)) dr, which keeps it adapted;
     the estimator is 6*T*tau(x)*sum_{i=1..n} sigma^4(u(t_i,x)) / (n*pi*V).
     For a constant sigma = c the limit is closed, coef*T*c^4.
+
+    The increment moments pool the increments with 1-based index i >= n/4
+    (start-up dropped).  Their targets are the leading-order sigma = one
+    values sqrt(2*tau*dt/(pi*A)) and 6*tau*dt/(pi*A), times the pooled mean
+    of sigma^2(u) and of sigma^4(u) at those increments' left endpoints:
+    c^2 and c^4 for a constant sigma = c.
     """
-    paths = _time_axis(paths)
+    paths = np.asarray(paths, dtype=float)
+    if paths.shape[-1] < 2:
+        raise ValueError("path needs at least 2 points")
     n = paths.shape[-1] - 1
     delta = T / n
+    start = max(1, math.ceil(n / 4)) - 1
     d = np.diff(paths, axis=-1)
     v = _variation(d)
-    _, m2, m4, ratio4, ratio6 = _interior_moments(d)
+    m2, m4, ratio4, ratio6 = _interior_moments(d[..., start:])
     tau_x = tau(x, derive_constants(medium))
     coef = 6.0 * tau_x / (math.pi * A_of(x, medium))
-    s4 = sigma.evaluate(paths) ** 2
-    s4 *= s4
+    leading_m2 = math.sqrt(delta) * math.sqrt(2.0 * tau_x / (math.pi * A_of(x, medium)))
+    leading_m4 = 6.0 * delta * tau_x / (A_of(x, medium) * math.pi)
+    s2 = sigma.evaluate(paths) ** 2
+    s2_pooled = float(np.mean(s2[..., start:-1]))
+    s4 = s2
+    s4 *= s4  # in place: sigma^2 is not needed past its pooled mean
     s4_left, s4_right = s4[..., :-1], s4[..., 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         a_hat = np.where(v > 0.0,
@@ -144,8 +108,8 @@ def point_statistics(paths: np.ndarray, x: float, T: float, sigma: SigmaSpec,
         ratio4=ratio4,
         ratio6=ratio6,
         closed_target=None if sigma.constant is None else coef * T * sigma.constant**4,
-        m2_target=math.sqrt(delta) * math.sqrt(2.0 * tau_x / (math.pi * A_of(x, medium))),
-        m4_target=6.0 * delta * tau_x / (A_of(x, medium) * math.pi),
+        m2_target=leading_m2 * s2_pooled,
+        m4_target=leading_m4 * float(np.mean(s4[..., start:-1])),
     )
 
 
@@ -174,67 +138,3 @@ def averaged_statistics(paths: np.ndarray, xs, T: float, sigma: SigmaSpec,
     if sigma.constant is None:
         return v_nm, math.nan
     return v_nm, float(np.mean([st.closed_target for st in per_point]))
-
-
-def quartic_variation(path: SolutionPath) -> float:
-    """Sum of fourth powers of the temporal increments of the path."""
-    return float(_variation(np.diff(_time_axis(path.values))))
-
-
-def limit_functional(path: SolutionPath, sigma: SigmaSpec, medium: MediumParams, x: float) -> float:
-    """Left-endpoint Riemann value of (6*tau(x)/(pi*A(x))) * int_0^T sigma^4(u(r,x)) dr.
-
-    Left endpoints keep the statistic adapted; the difference from using
-    right endpoints is a single term bounded by dt * sup sigma^4.
-    """
-    return float(point_statistics(path.values, x, path.T, sigma, medium).limit)
-
-
-def estimate_A(path: SolutionPath, sigma: SigmaSpec, medium: MediumParams, x: float) -> float:
-    """Plug-in diffusivity estimate 6*T*tau(x)*sum sigma^4(u(t_i,x)) / (n*pi*V).
-
-    The sum runs over i = 1..n.  Raises DegeneratePathError when the quartic
-    variation vanishes.
-    """
-    st = point_statistics(path.values, x, path.T, sigma, medium)
-    if st.degenerate:
-        raise DegeneratePathError("quartic variation is zero; estimator undefined")
-    return float(st.a_hat)
-
-
-def moment_summary(paths) -> Moments:
-    """Pooled interior-increment moments over a collection of equal-length paths."""
-    values = _time_axis([p.values for p in paths])
-    count, m2, _, ratio4, ratio6 = _interior_moments(np.diff(values))
-    if count < 2:
-        raise ValueError("need at least 2 pooled increments")
-    return Moments(mean_sq=m2, ratio4=ratio4, ratio6=ratio6, count=count)
-
-
-def averaged_variation_from_paths(
-    paths: list[SolutionPath],
-    requested: list[float],
-    num_points: int,
-) -> AveragedReport:
-    """Averaged statistic from per-point paths; the mean reuses the per-point values exactly."""
-    per_point = tuple(
-        PointVariation(x_requested=float(xr), x_snapped=p.x, v_quartic=quartic_variation(p))
-        for xr, p in zip(requested, paths)
-    )
-    v_values = np.array([pv.v_quartic for pv in per_point])
-    return AveragedReport(
-        v_nm=float(np.mean(v_values)),
-        per_point=per_point,
-        n=paths[0].n if paths else 0,
-        num_points=num_points,
-    )
-
-
-def averaged_variation(field: SolutionField, num_points: int) -> AveragedReport:
-    """Averaged quartic variation of a field over x_j = j/num_points, j = 0..num_points-1.
-
-    Points snap to the nearest cell center; the grid must cover [0, 1).
-    """
-    requested = averaged_points(field.grid, num_points)
-    paths = [field.path_at(xj) for xj in requested]
-    return averaged_variation_from_paths(paths, requested, num_points)

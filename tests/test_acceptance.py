@@ -13,23 +13,20 @@ import pytest
 
 from skewheat import (
     MediumParams,
-    build_grid,
+    GridSpec,
     sample_noise,
     derive_constants,
     tau,
     A_of,
     sigma_one,
     sigma_sin,
-    solve_field,
-    SolutionPath,
+    solve_field_batch,
     covariance_linear,
     ExactLinearSampler,
-    quartic_variation,
-    estimate_A,
-    averaged_variation,
-    averaged_variation_from_paths,
+    point_statistics,
+    averaged_points,
+    averaged_statistics,
 )
-from skewheat.solver import solve_field_batch
 from skewheat.checks import (
     closed_form_vs_quadrature,
     integral_bound_margins,
@@ -63,7 +60,7 @@ def exact_paths_512():
 @pytest.fixture(scope="module")
 def convolution_run_500():
     """sigma = one, n = 64, m = 128, L = 8, R = 500 convolution paths at x = 0.5."""
-    grid = build_grid(1.0, 64, 8.0, 128)
+    grid = GridSpec(1.0, 64, 8.0, 128)
     j, _ = grid.snap(0.5)
     values_T = np.empty(500)
     increments = []
@@ -71,7 +68,7 @@ def convolution_run_500():
     while first < 500:
         count = min(64, 500 - first)
         stack = np.stack(
-            [sample_noise(grid, SEED, first + r).increments for r in range(count)],
+            [sample_noise(grid, SEED, first + r) for r in range(count)],
             axis=2,
         )
         u = solve_field_batch(M14, grid, sigma_one(), stack)
@@ -193,11 +190,7 @@ def test_criterion_08_estimator_consistency(exact_sampler_1024, exact_sampler_64
     medians = {}
     for n, sampler in ((1024, exact_sampler_1024), (64, exact_sampler_64)):
         arr = sampler.paths_array(SEED, 200)
-        a_hat = [
-            estimate_A(SolutionPath(values=row, x=0.5, T=1.0), sigma_one(), M14, 0.5)
-            for row in arr
-        ]
-        medians[n] = float(np.median(a_hat))
+        medians[n] = float(np.median(point_statistics(arr, 0.5, 1.0, sigma_one(), M14).a_hat))
     err_1024 = abs(medians[1024] - 4.0) / 4.0
     err_64 = abs(medians[64] - 4.0) / 4.0
     ok = err_1024 <= 0.10 and err_64 <= 0.20 and err_1024 < err_64
@@ -216,7 +209,7 @@ def test_criterion_09_nonlinear_error_trend():
     errs = {}
     ses = {}
     for n in (16, 32, 64):
-        grid = build_grid(1.0, n, 8.0, 128)
+        grid = GridSpec(1.0, n, 8.0, 128)
         j, xs = grid.snap(0.5)
         coef = 6.0 * tau(xs, dc) / (math.pi * A_of(xs, M14))
         abs_err = np.empty(100)
@@ -224,7 +217,7 @@ def test_criterion_09_nonlinear_error_trend():
         while first < 100:
             count = min(64, 100 - first)
             stack = np.stack(
-                [sample_noise(grid, SEED, first + r).increments for r in range(count)],
+                [sample_noise(grid, SEED, first + r) for r in range(count)],
                 axis=2,
             )
             u = solve_field_batch(M14, grid, sigma, stack)
@@ -248,17 +241,21 @@ def test_criterion_09_nonlinear_error_trend():
 
 
 def test_criterion_10_averaged_statistic():
-    # Bit-level identity on a simulated field.
-    grid_small = build_grid(1.0, 16, 4.0, 256)
-    field = solve_field(M14, grid_small, sigma_one(), sample_noise(grid_small, SEED, 0))
-    rep = averaged_variation(field, 16)
-    per_point = [pv.v_quartic for pv in rep.per_point]
-    identity_field = rep.v_nm == float(np.mean(per_point)) and rep.v_nm == float(
-        np.mean([quartic_variation(field.path_at(j / 16)) for j in range(16)])
-    )
+    # Bit-level identity on a simulated field: the averaged statistic is the
+    # mean of the points' quartic variations.
+    grid_small = GridSpec(1.0, 16, 4.0, 256)
+    u = solve_field_batch(M14, grid_small, sigma_one(), sample_noise(grid_small, SEED, 0))
+    cols, xs_small = zip(*(grid_small.snap(x) for x in averaged_points(grid_small, 16)))
+
+    def identity(paths, xs):
+        v_nm, _ = averaged_statistics(paths[None], xs, 1.0, sigma_one(), M14)
+        per_point = [point_statistics(p, x, 1.0, sigma_one(), M14).v for p, x in zip(paths, xs)]
+        return v_nm[0] == float(np.mean(per_point))
+
+    identity_field = identity(u[:, list(cols)].T, xs_small)
 
     # Monte Carlo tracking with the exact backend at the snapped points.
-    grid = build_grid(1.0, 256, 4.0, 256)
+    grid = GridSpec(1.0, 256, 4.0, 256)
     dc = derive_constants(M14)
     snapped = [grid.snap(j / 16)[1] for j in range(16)]
     v_matrix = np.empty((200, 16))
@@ -272,12 +269,8 @@ def test_criterion_10_averaged_statistic():
     mean_vnm = float(np.mean(v_nm))
     rel = abs(mean_vnm / target_avg - 1.0)
 
-    # Bit-level identity again, through the path-level reducer.
-    paths0 = [
-        SolutionPath(values=np.zeros(2), x=xs, T=1.0) for xs in snapped
-    ]
-    rep0 = averaged_variation_from_paths(paths0, [j / 16 for j in range(16)], 16)
-    identity_paths = rep0.v_nm == float(np.mean([pv.v_quartic for pv in rep0.per_point]))
+    # Bit-level identity again, on zero paths at the snapped points.
+    identity_paths = identity(np.zeros((16, 2)), snapped)
 
     ok = identity_field and identity_paths and rel <= 0.10
     _report(

@@ -1,4 +1,3 @@
-import functools
 import importlib
 import inspect
 import json
@@ -286,8 +285,7 @@ def test_exact_quartic_near_interface_exits_zero(tmp_path):
 
 
 def test_covariance_nonconvergence_exits_one_with_one_line(tmp_path, monkeypatch, capsys):
-    strict = functools.partial(solver.covariance_matrix, max_nodes=4)
-    monkeypatch.setattr(solver, "covariance_matrix", strict)
+    monkeypatch.setattr(solver, "COV_CELL_MAX_NODES", 4)
     cfg = _write(
         tmp_path, "c.ini",
         MEDIUM_14 + GRID_SMALL
@@ -368,7 +366,7 @@ def test_convolution_paths_equal_full_field_columns(sigma):
     # Full-field reference, solved in the same fixed chunks of 3 replicates.
     full = np.concatenate([
         solver.solve_field_batch(cfg.medium, grid, solver.parse_sigma(sigma), np.stack(
-            [sample_noise(grid, cfg.seed, r).increments for r in range(first, min(first + 3, 7))],
+            [sample_noise(grid, cfg.seed, r) for r in range(first, min(first + 3, 7))],
             axis=2))
         for first in (0, 3, 6)
     ], axis=2)
@@ -483,9 +481,18 @@ def test_constant_sigma_quartic_scales_sigma_one_paths(tmp_path):
 
     data_lines("one", "exact-linear", "e1")
     data_lines("affine:0,2", "exact-linear", "e2")
-    v = {name: [float(r["value"]) for r in _read_rows(tmp_path / name / "quartic.csv")
-                if r["statistic"] == "v_quartic"] for name in ("e1", "e2")}
-    assert len(v["e1"]) == 2 and v["e2"] == [16.0 * val for val in v["e1"]]
+    data_lines("affine:0,0.7", "exact-linear", "e3")
+    rows = {name: _read_rows(tmp_path / name / "quartic.csv") for name in ("e1", "e2", "e3")}
+
+    def column(name, statistic, key="value"):
+        return [float(r[key]) for r in rows[name] if r["statistic"] == statistic]
+
+    assert len(column("e1", "v_quartic")) == 2
+    assert column("e2", "v_quartic") == [16.0 * val for val in column("e1", "v_quartic")]
+    # The increment-moment targets scale by c^2 and c^4 as well.
+    for statistic, factor in (("incr_m2", 0.49), ("incr_m4", 0.2401)):
+        assert column("e3", statistic, "target") == pytest.approx(
+            [factor * t for t in column("e1", statistic, "target")], rel=1e-14)
 
 
 @pytest.mark.parametrize("command", ["quartic", "estimate", "convergence"])

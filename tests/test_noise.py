@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from numpy.random import Philox
 
-from skewheat import build_grid, sample_noise
+from skewheat import GridSpec, sample_noise
 from skewheat.noise import standard_normals, STREAM_FIELD_NOISE, STREAM_EXACT_PATHS
 
 
 def test_grid_arithmetic():
-    g = build_grid(T=1.0, n=4, L=2.0, m=4)
+    g = GridSpec(T=1.0, n=4, L=2.0, m=4)
     assert g.dt == 0.25
     assert g.dx == 1.0
     assert np.allclose(g.cell_centers, [-1.5, -0.5, 0.5, 1.5])
@@ -18,7 +18,7 @@ def test_grid_arithmetic():
 
 
 def test_degenerate_single_cell_grid_accepted():
-    g = build_grid(T=1.0, n=1, L=1.0, m=1)
+    g = GridSpec(T=1.0, n=1, L=1.0, m=1)
     assert g.dx == 2.0
     assert g.cell_centers.tolist() == [0.0]
 
@@ -31,11 +31,11 @@ def test_degenerate_single_cell_grid_accepted():
 ])
 def test_invalid_grid_rejected(kwargs):
     with pytest.raises(ValueError):
-        build_grid(**kwargs)
+        GridSpec(**kwargs)
 
 
 def test_snap_prefers_left_on_ties():
-    g = build_grid(T=1.0, n=2, L=8.0, m=128)
+    g = GridSpec(T=1.0, n=2, L=8.0, m=128)
     j, xs = g.snap(0.5)
     assert xs == 0.4375
     j0, xs0 = g.snap(0.0)
@@ -43,19 +43,20 @@ def test_snap_prefers_left_on_ties():
 
 
 def test_same_stream_is_bit_identical():
-    g = build_grid(T=1.0, n=16, L=4.0, m=32)
+    g = GridSpec(T=1.0, n=16, L=4.0, m=32)
     a = sample_noise(g, seed=123, replicate=5)
     b = sample_noise(g, seed=123, replicate=5)
-    assert np.array_equal(a.increments, b.increments)
+    assert np.array_equal(a, b)
     c = sample_noise(g, seed=123, replicate=6)
-    assert not np.array_equal(a.increments, c.increments)
+    assert not np.array_equal(a, c)
 
 
 def test_entry_depends_only_on_cell_index():
     # Recompute one cell's value straight from its own Philox block: the
     # matrix entry must match without generating any neighbors.
-    g = build_grid(T=1.0, n=8, L=4.0, m=16)
-    field = sample_noise(g, seed=99, replicate=3).increments
+    g = GridSpec(T=1.0, n=8, L=4.0, m=16)
+    field = sample_noise(g, seed=99, replicate=3)
+    assert field.shape == (g.n, g.m)
     k, l = 5, 11
     cell = k * g.m + l
     bg = Philox(
@@ -70,32 +71,32 @@ def test_entry_depends_only_on_cell_index():
 
 
 def test_sample_mean_within_clt_band():
-    g = build_grid(T=1.0, n=1000, L=5.0, m=1000)
-    field = sample_noise(g, seed=7, replicate=0).increments
+    g = GridSpec(T=1.0, n=1000, L=5.0, m=1000)
+    field = sample_noise(g, seed=7, replicate=0)
     band = 4.0 * math.sqrt(g.dt * g.dx) / 1e3
     assert abs(field.mean()) < band
 
 
 def test_sample_variance_within_one_percent():
-    g = build_grid(T=1.0, n=400, L=5.0, m=256)
-    field = sample_noise(g, seed=8, replicate=0).increments
+    g = GridSpec(T=1.0, n=400, L=5.0, m=256)
+    field = sample_noise(g, seed=8, replicate=0)
     target = g.dt * g.dx
     assert abs(field.var() / target - 1.0) < 0.01
 
 
 def test_cross_replicate_independence():
-    g = build_grid(T=1.0, n=400, L=5.0, m=256)
-    a = sample_noise(g, seed=9, replicate=0).increments.ravel()
-    b = sample_noise(g, seed=9, replicate=1).increments.ravel()
+    g = GridSpec(T=1.0, n=400, L=5.0, m=256)
+    a = sample_noise(g, seed=9, replicate=0).ravel()
+    b = sample_noise(g, seed=9, replicate=1).ravel()
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.01
 
 
 def test_total_mass_variance_matches_measure():
     # The sum of all increments is N(0, T * 2L); check its variance by MC.
-    g = build_grid(T=0.5, n=8, L=2.0, m=8)
+    g = GridSpec(T=0.5, n=8, L=2.0, m=8)
     totals = np.array([
-        sample_noise(g, seed=10, replicate=r).increments.sum() for r in range(2000)
+        sample_noise(g, seed=10, replicate=r).sum() for r in range(2000)
     ])
     target = g.T * 2 * g.L
     assert abs(totals.var() / target - 1.0) < 0.1
@@ -104,9 +105,9 @@ def test_total_mass_variance_matches_measure():
 def test_refinement_variance_additivity():
     # Summing the four sub-increments of a 2x-refined grid has the coarse
     # cell variance.
-    coarse = build_grid(T=1.0, n=64, L=4.0, m=64)
-    fine = build_grid(T=1.0, n=128, L=4.0, m=128)
-    inc = sample_noise(fine, seed=11, replicate=0).increments
+    coarse = GridSpec(T=1.0, n=64, L=4.0, m=64)
+    fine = GridSpec(T=1.0, n=128, L=4.0, m=128)
+    inc = sample_noise(fine, seed=11, replicate=0)
     summed = (
         inc[0::2, 0::2] + inc[0::2, 1::2] + inc[1::2, 0::2] + inc[1::2, 1::2]
     )

@@ -6,24 +6,22 @@ import pytest
 
 from skewheat import (
     MediumParams,
-    build_grid,
+    GridSpec,
     sample_noise,
-    NoiseField,
     sigma_one,
     sigma_affine,
     sigma_sin,
     parse_sigma,
-    solve_field,
+    solve_field_batch,
     covariance_linear,
     covariance_matrix,
-    solve_linear_exact,
     ExactLinearSampler,
     NonFiniteFieldError,
     CovarianceError,
 )
 from skewheat import GreenKernel
 from skewheat import solver
-from skewheat.solver import solve_field_batch, scheme_variance
+from skewheat.solver import scheme_variance
 from skewheat.checks import brute_covariance, quad_covariance
 
 M14 = MediumParams(1, 4, 1, 1)
@@ -76,84 +74,76 @@ def test_sigma_lipschitz_spot_check():
 # -- field scheme ------------------------------------------------------------
 
 
-def _zero_noise(grid, seed=0, replicate=0):
-    return NoiseField(np.zeros((grid.n, grid.m)), seed, replicate)
-
-
 def test_zero_noise_gives_zero_field():
-    grid = build_grid(1.0, 8, 4.0, 16)
-    field = solve_field(M14, grid, sigma_sin(0.5), _zero_noise(grid))
-    assert np.all(field.values == 0.0)
+    grid = GridSpec(1.0, 8, 4.0, 16)
+    u = solve_field_batch(M14, grid, sigma_sin(0.5), np.zeros((grid.n, grid.m)))
+    assert np.all(u == 0.0)
 
 
 def test_zero_sigma_gives_zero_field():
-    grid = build_grid(1.0, 8, 4.0, 16)
-    noise = sample_noise(grid, 21, 0)
-    field = solve_field(M14, grid, sigma_affine(0.0, 0.0), noise)
-    assert np.all(field.values == 0.0)
+    grid = GridSpec(1.0, 8, 4.0, 16)
+    u = solve_field_batch(M14, grid, sigma_affine(0.0, 0.0), sample_noise(grid, 21, 0))
+    assert np.all(u == 0.0)
 
 
 def test_initial_row_zero_and_shape():
-    grid = build_grid(1.0, 8, 4.0, 16)
-    field = solve_field(M14, grid, sigma_one(), sample_noise(grid, 22, 0))
-    assert field.values.shape == (9, 16)
-    assert np.all(field.values[0] == 0.0)
+    grid = GridSpec(1.0, 8, 4.0, 16)
+    u = solve_field_batch(M14, grid, sigma_one(), sample_noise(grid, 22, 0))
+    assert u.shape == (9, 16)
+    assert np.all(u[0] == 0.0)
 
 
 def test_incompatible_noise_shape_rejected():
-    grid = build_grid(1.0, 8, 4.0, 16)
-    bad = NoiseField(np.zeros((4, 16)), 0, 0)
+    grid = GridSpec(1.0, 8, 4.0, 16)
     with pytest.raises(ValueError, match="incompatible"):
-        solve_field(M14, grid, sigma_one(), bad)
+        solve_field_batch(M14, grid, sigma_one(), np.zeros((4, 16)))
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_non_finite_field_abort_names_indices():
-    grid = build_grid(1.0, 4, 4.0, 8)
+    grid = GridSpec(1.0, 4, 4.0, 8)
     inc = np.zeros((4, 8))
     inc[1, 3] = 1e300
     sigma = sigma_affine(1e9, 1.0)
     with pytest.raises(NonFiniteFieldError, match=r"i=3"):
-        solve_field(M14, grid, sigma, NoiseField(inc, 0, 0))
+        solve_field_batch(M14, grid, sigma, inc)
 
 
 def test_linearity_in_noise_for_sigma_one():
-    grid = build_grid(1.0, 10, 4.0, 24)
+    grid = GridSpec(1.0, 10, 4.0, 24)
     n1 = sample_noise(grid, 23, 0)
     n2 = sample_noise(grid, 23, 1)
-    u1 = solve_field(M14, grid, sigma_one(), n1).values
-    u2 = solve_field(M14, grid, sigma_one(), n2).values
-    both = solve_field(
-        M14, grid, sigma_one(), NoiseField(n1.increments + n2.increments, 0, 0)
-    ).values
+    u1 = solve_field_batch(M14, grid, sigma_one(), n1)
+    u2 = solve_field_batch(M14, grid, sigma_one(), n2)
+    both = solve_field_batch(M14, grid, sigma_one(), n1 + n2)
     np.testing.assert_allclose(both, u1 + u2, rtol=1e-12, atol=1e-15)
 
 
 def test_adaptedness_row_perturbation():
-    grid = build_grid(1.0, 8, 4.0, 16)
+    grid = GridSpec(1.0, 8, 4.0, 16)
     noise = sample_noise(grid, 24, 0)
-    base = solve_field(M14, grid, sigma_sin(0.5), noise).values
+    base = solve_field_batch(M14, grid, sigma_sin(0.5), noise)
     k = 4
-    bumped = noise.increments.copy()
+    bumped = noise.copy()
     bumped[k] += 0.1
-    pert = solve_field(M14, grid, sigma_sin(0.5), NoiseField(bumped, 0, 0)).values
+    pert = solve_field_batch(M14, grid, sigma_sin(0.5), bumped)
     assert np.array_equal(pert[: k + 1], base[: k + 1])
     assert not np.array_equal(pert[k + 1 :], base[k + 1 :])
 
 
 @pytest.mark.parametrize("sigma", [sigma_one(), sigma_sin(0.5)], ids=["one", "sin"])
 def test_solve_field_is_one_replicate_batch(sigma):
-    grid = build_grid(1.0, 6, 4.0, 12)
+    # An (n, m) noise array gives the (n+1, m) field of the one-replicate batch.
+    grid = GridSpec(1.0, 6, 4.0, 12)
     noise = sample_noise(grid, 25, 0)
-    field = solve_field(M14, grid, sigma, noise)
-    assert np.array_equal(field.values, solve_field_batch(M14, grid, sigma, noise.increments))
-    assert (field.sigma_label, field.seed, field.replicate) == (sigma.label, 25, 0)
+    batch = solve_field_batch(M14, grid, sigma, noise[:, :, None])
+    assert np.array_equal(solve_field_batch(M14, grid, sigma, noise), batch[:, :, 0])
 
 
 def test_batch_matches_loop_layout():
-    grid = build_grid(1.0, 6, 4.0, 12)
+    grid = GridSpec(1.0, 6, 4.0, 12)
     stack = np.stack(
-        [sample_noise(grid, 26, r).increments for r in range(3)], axis=2
+        [sample_noise(grid, 26, r) for r in range(3)], axis=2
     )
     batch = solve_field_batch(M14, grid, sigma_sin(0.5), stack)
     assert batch.shape == (7, 12, 3)
@@ -316,23 +306,21 @@ def test_covariance_matrix_requires_uniform_grid_from_zero(times):
         covariance_matrix(times, 0.5, M14)
 
 
-def test_covariance_matrix_nonconvergence_raises():
+def test_covariance_matrix_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(solver, "COV_CELL_MAX_NODES", 4)
     with pytest.raises(CovarianceError, match="did not reach"):
-        covariance_matrix(np.linspace(0.0, 1.0, 5), 0.5, M14, max_nodes=4)
+        covariance_matrix(np.linspace(0.0, 1.0, 5), 0.5, M14)
 
 
 # -- exact linear sampler ------------------------------------------------------
 
 
 def test_exact_paths_start_at_zero_and_reproduce():
-    paths = solve_linear_exact(M14, 0.5, 1.0, 16, seed=31, replicates=4)
-    assert len(paths) == 4
-    for p in paths:
-        assert p.values[0] == 0.0
-        assert p.x == 0.5 and p.T == 1.0
-    again = solve_linear_exact(M14, 0.5, 1.0, 16, seed=31, replicates=4)
-    for a, b in zip(paths, again):
-        assert np.array_equal(a.values, b.values)
+    paths = ExactLinearSampler(M14, 0.5, 1.0, 16).paths_array(seed=31, replicates=4)
+    assert paths.shape == (4, 17)
+    assert np.all(paths[:, 0] == 0.0)
+    again = ExactLinearSampler(M14, 0.5, 1.0, 16).paths_array(seed=31, replicates=4)
+    assert np.array_equal(paths, again)
 
 
 def test_exact_paths_replicate_keying_independent_of_batch():
@@ -403,10 +391,10 @@ def test_quasi_helix_scaling_band():
 
 def test_solver_variance_tracks_oracle_small_run():
     # Reduced-size version of the solver-vs-oracle experiment.
-    grid = build_grid(1.0, 32, 8.0, 64)
+    grid = GridSpec(1.0, 32, 8.0, 64)
     reps = 160
     stack = np.stack(
-        [sample_noise(grid, 35, r).increments for r in range(reps)], axis=2
+        [sample_noise(grid, 35, r) for r in range(reps)], axis=2
     )
     u = solve_field_batch(M14, grid, sigma_one(), stack)
     j, xs = grid.snap(0.5)
@@ -418,9 +406,9 @@ def test_solver_variance_tracks_oracle_small_run():
 def test_second_moment_uniformly_bounded_under_refinement():
     target_mix = []
     for n, m in ((16, 64), (32, 128)):
-        grid = build_grid(1.0, n, 8.0, m)
+        grid = GridSpec(1.0, n, 8.0, m)
         stack = np.stack(
-            [sample_noise(grid, 36, r).increments for r in range(48)], axis=2
+            [sample_noise(grid, 36, r) for r in range(48)], axis=2
         )
         u = solve_field_batch(M14, grid, sigma_sin(0.5), stack)
         second = np.mean(u**2, axis=2)
@@ -433,13 +421,13 @@ def test_second_moment_uniformly_bounded_under_refinement():
 
 
 def _noise_batch(grid, seed, reps):
-    return np.stack([sample_noise(grid, seed, r).increments for r in range(reps)], axis=2)
+    return np.stack([sample_noise(grid, seed, r) for r in range(reps)], axis=2)
 
 
 @pytest.mark.parametrize("sigma", [sigma_one(), sigma_affine(0.0, 0.7)], ids=["one", "affine0"])
 @pytest.mark.parametrize("n, m, reps", [(12, 24, 1), (20, 48, 3), (16, 40, 8)])
 def test_constant_sigma_columns_match_full_field(sigma, n, m, reps):
-    grid = build_grid(1.0, n, 4.0, m)
+    grid = GridSpec(1.0, n, 4.0, m)
     cols = [grid.snap(x)[0] for x in (0.5, -0.5, 0.0, 0.5)]
     dw = _noise_batch(grid, 40, reps)
     full = solve_field_batch(M14, grid, sigma, dw)
@@ -454,7 +442,7 @@ def test_constant_sigma_columns_match_full_field(sigma, n, m, reps):
 
 
 def test_nonlinear_sigma_columns_equal_full_field_exactly():
-    grid = build_grid(1.0, 10, 4.0, 24)
+    grid = GridSpec(1.0, 10, 4.0, 24)
     cols = [3, 17, 3, 0, 23]
     dw = _noise_batch(grid, 41, 3)
     full = solve_field_batch(M14, grid, sigma_sin(0.5), dw)
@@ -466,7 +454,7 @@ def test_nonlinear_sigma_columns_equal_full_field_exactly():
 
 @pytest.mark.parametrize("sigma", [sigma_one(), sigma_sin(0.5)], ids=["one", "sin"])
 def test_column_solve_reports_kernel_path(sigma):
-    grid = build_grid(1.0, 8, 4.0, 16)
+    grid = GridSpec(1.0, 8, 4.0, 16)
     dw = _noise_batch(grid, 42, 2)
     report = {}
     solve_field_batch(M14, grid, sigma, dw, columns=[11, 2], report=report)
@@ -485,7 +473,7 @@ def test_column_solve_reports_kernel_path(sigma):
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_column_solve_overflow_names_grid_cell():
-    grid = build_grid(1.0, 4, 4.0, 16)
+    grid = GridSpec(1.0, 4, 4.0, 16)
     inc = np.zeros((4, 16))
     inc[1, :] = 1e308
     with pytest.raises(NonFiniteFieldError, match=r"i=2, cell j=5$"):
@@ -493,7 +481,7 @@ def test_column_solve_overflow_names_grid_cell():
 
 
 def test_columns_out_of_range_rejected():
-    grid = build_grid(1.0, 4, 4.0, 16)
+    grid = GridSpec(1.0, 4, 4.0, 16)
     with pytest.raises(ValueError, match="columns"):
         solve_field_batch(M14, grid, sigma_one(), np.zeros((4, 16)), columns=[3, 16])
 
@@ -516,7 +504,7 @@ def _direct_lag_sum(medium, grid, sigma, dw, cols):
 @pytest.mark.parametrize("n, L, m", [(1, 2.0, 8), (20, 4.0, 48), (33, 3.0, 70)])
 @pytest.mark.parametrize("reps", [1, 3, 8])
 def test_fft_product_matches_direct_lag_sum(sigma, n, L, m, reps):
-    grid = build_grid(1.0, n, L, m)
+    grid = GridSpec(1.0, n, L, m)
     cols = [grid.snap(x)[0] for x in (0.5, -0.5, 0.0, 0.5)] + [m - 1]
     dw = _noise_batch(grid, 43, reps)
     ref = _direct_lag_sum(M14, grid, sigma, dw, cols)
@@ -528,7 +516,7 @@ def test_fft_product_matches_direct_lag_sum(sigma, n, L, m, reps):
 
 
 def test_fft_product_is_causal_to_rounding():
-    grid = build_grid(1.0, 24, 4.0, 40)
+    grid = GridSpec(1.0, 24, 4.0, 40)
     cols = [grid.snap(x)[0] for x in (-0.5, 0.0, 0.5)]
     dw = _noise_batch(grid, 44, 3)
     base = solve_field_batch(M14, grid, sigma_one(), dw, columns=cols)
@@ -542,7 +530,7 @@ def test_fft_product_is_causal_to_rounding():
 
 
 def test_scheme_variance_is_direct_kernel_sum():
-    grid = build_grid(1.0, 12, 4.0, 40)
+    grid = GridSpec(1.0, 12, 4.0, 40)
     j, xs = grid.snap(0.5)
     kernel = GreenKernel(M14)
     lags = [grid.dt / 4] + [(d - 0.5) * grid.dt for d in range(2, grid.n + 1)]
@@ -589,7 +577,7 @@ def _quartic_variation_at(u, grid, xs):
                          [(16, 4.0, 25, 0.025, 0.05), (24, 2.0, 32, 0.01, 0.01),
                           (1, 2.0, 8, 1e-13, 1e-13)])
 def test_semigroup_recursion_tracks_direct_lag_sum(sigma, n, L, m, v_tol, path_tol):
-    grid = build_grid(1.0, n, L, m)
+    grid = GridSpec(1.0, n, L, m)
     dw = _noise_batch(grid, 50, 8)
     ref = _direct_field(M14, grid, sigma, dw)
     got = solve_field_batch(M14, grid, sigma, dw)
@@ -605,7 +593,7 @@ def test_semigroup_recursion_stable_on_coarse_grid():
     # dx / sqrt(dt) = 2.83: the midpoint one-step matrix G_dt(z_j, z_l)*dx has
     # row sums above one (spectral radius 1.17), so a recursion built on it
     # would grow like 1.17**n.  The cell-integrated P keeps every row sum <= 1.
-    grid = build_grid(1.0, 128, 8.0, 64)
+    grid = GridSpec(1.0, 128, 8.0, 64)
     kernel = GreenKernel(M14)
     z = -2 * grid.L + (np.arange(2 * grid.m) + 0.5) * grid.dx
     edges = -2 * grid.L + np.arange(2 * grid.m + 1) * grid.dx
