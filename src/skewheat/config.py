@@ -11,7 +11,7 @@ import configparser
 import hashlib
 import io
 import math
-from dataclasses import dataclass, replace, asdict
+from dataclasses import dataclass, fields, replace
 
 from .medium import MediumParams
 from .solver import parse_sigma
@@ -45,35 +45,7 @@ class ExperimentConfig:
     out_dir: str
     n_list: tuple[int, ...]
     m_list: tuple[int, ...]
-    replicate_chunk: int
     check_tolerance: float | None
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["medium"] = asdict(self.medium)
-        return d
-
-
-_DEFAULTS = {
-    "kind": "",
-    "sigma": "one",
-    "x": "",
-    "replicates": "1",
-    "seed": "0",
-    "backend": "convolution",
-    "workers": "1",
-    "out": "out",
-    "n_list": "",
-    "m_list": "",
-    "replicate_chunk": "64",
-    "check_tolerance": "",
-}
-
-_SECTIONS = {
-    "medium": ("a1", "a2", "rho1", "rho2"),
-    "grid": ("T", "n", "L", "m"),
-    "experiment": tuple(_DEFAULTS),
-}
 
 
 def _parse_float(section: str, key: str, raw: str) -> float:
@@ -93,18 +65,79 @@ def _parse_int(section: str, key: str, raw: str) -> int:
         raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
 
 
-def _parse_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(_parse_float(section, key, part) for part in raw.split(","))
+# Value kinds: one item's (parser, formatter); a kind ending in "," is a
+# comma-separated tuple, one ending in "?" is None when left empty.
+_ITEMS = {
+    "float": (_parse_float, repr),
+    "int": (_parse_int, str),
+    "text": (lambda section, key, raw: raw, str),
+}
 
 
-def _parse_int_list(section: str, key: str, raw: str) -> tuple[int, ...]:
+def _rule(ok, complaint: str):
+    """A range rule: None when ok(value), else the complaint that follows "[section] key"."""
+    return lambda v: None if ok(v) else complaint
+
+
+def _one_of(choices: tuple[str, ...]):
+    return lambda v: None if v is None or v in choices else f" must be one of {choices}, got {v!r}"
+
+
+def _sigma_rule(spec: str) -> str | None:
+    try:
+        parse_sigma(spec)
+    except ValueError as exc:
+        return f": {exc}"
+    return None
+
+
+_AT_LEAST_ONE = _rule(lambda v: v >= 1, " must be >= 1")
+_POSITIVE = _rule(lambda v: v > 0, " must be > 0")
+_ENTRIES_AT_LEAST_ONE = _rule(lambda v: all(i >= 1 for i in v), " entries must be >= 1")
+
+# Every config key, in file order: (section, key, field, kind, default, range
+# rule).  A default of None makes the key required.  The medium keys fill
+# MediumParams, which checks its own ranges.
+_KEYS = (
+    ("medium", "a1", "a1", "float", None, None),
+    ("medium", "a2", "a2", "float", None, None),
+    ("medium", "rho1", "rho1", "float", None, None),
+    ("medium", "rho2", "rho2", "float", None, None),
+    ("grid", "T", "T", "float", None, _POSITIVE),
+    ("grid", "n", "n", "int", None, _AT_LEAST_ONE),
+    ("grid", "L", "L", "float", None, _POSITIVE),
+    ("grid", "m", "m", "int", None, _AT_LEAST_ONE),
+    ("experiment", "kind", "kind", "text?", "", _one_of(COMMANDS)),
+    ("experiment", "sigma", "sigma", "text", "one", _sigma_rule),
+    ("experiment", "x", "x_points", "float,", "", None),
+    ("experiment", "replicates", "replicates", "int", "1", _AT_LEAST_ONE),
+    ("experiment", "seed", "seed", "int", "0",
+     _rule(lambda v: 0 <= v < 2**64, " must be in [0, 2**64)")),
+    ("experiment", "backend", "backend", "text", "convolution", _one_of(BACKENDS)),
+    ("experiment", "workers", "workers", "int", "1", _AT_LEAST_ONE),
+    ("experiment", "out", "out_dir", "text", "out", None),
+    ("experiment", "n_list", "n_list", "int,", "", _ENTRIES_AT_LEAST_ONE),
+    ("experiment", "m_list", "m_list", "int,", "", _ENTRIES_AT_LEAST_ONE),
+    ("experiment", "check_tolerance", "check_tolerance", "float?", "",
+     _rule(lambda v: v is None or v > 0, " must be > 0")),
+)
+
+
+def _parse_value(section: str, key: str, kind: str, raw: str):
+    parse = _ITEMS[kind.rstrip(",?")][0]
     raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(_parse_int(section, key, part) for part in raw.split(","))
+    if kind.endswith(","):
+        return tuple(parse(section, key, part) for part in raw.split(",")) if raw else ()
+    if kind.endswith("?") and not raw:
+        return None
+    return parse(section, key, raw)
+
+
+def _format_value(kind: str, value) -> str:
+    fmt = _ITEMS[kind.rstrip(",?")][1]
+    if kind.endswith(","):
+        return ", ".join(fmt(v) for v in value)
+    return "" if value is None else fmt(value)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -119,118 +152,51 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
+    known = {(section, key) for section, key, *_ in _KEYS}
     for section in cp.sections():
-        if section not in _SECTIONS:
+        if section not in {s for s, *_ in _KEYS}:
             raise ConfigError(f"unknown section [{section}]")
         for key in cp[section]:
-            if key not in _SECTIONS[section]:
+            if (section, key) not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    for section in ("medium", "grid"):
-        if section not in cp:
-            raise ConfigError(f"missing required section [{section}]")
-        for key in _SECTIONS[section]:
-            if key not in cp[section]:
-                raise ConfigError(f"missing required key {key!r} in section [{section}]")
 
-    med = cp["medium"]
+    values = {}
+    for section, key, field, kind, default, _ in _KEYS:
+        if section in cp and key in cp[section]:
+            raw = cp[section][key]
+        elif default is not None:
+            raw = default
+        elif section not in cp:
+            raise ConfigError(f"missing required section [{section}]")
+        else:
+            raise ConfigError(f"missing required key {key!r} in section [{section}]")
+        values[field] = _parse_value(section, key, kind, raw)
+
     try:
-        medium = MediumParams(
-            a1=_parse_float("medium", "a1", med["a1"]),
-            a2=_parse_float("medium", "a2", med["a2"]),
-            rho1=_parse_float("medium", "rho1", med["rho1"]),
-            rho2=_parse_float("medium", "rho2", med["rho2"]),
-        )
+        medium = MediumParams(**{f.name: values.pop(f.name) for f in fields(MediumParams)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    grid = cp["grid"]
-    exp = dict(_DEFAULTS)
-    if "experiment" in cp:
-        exp.update(cp["experiment"])
-
-    raw_tol = exp["check_tolerance"].strip()
-    return _check_ranges(ExperimentConfig(
-        medium=medium,
-        T=_parse_float("grid", "T", grid["T"]),
-        n=_parse_int("grid", "n", grid["n"]),
-        L=_parse_float("grid", "L", grid["L"]),
-        m=_parse_int("grid", "m", grid["m"]),
-        kind=exp["kind"].strip() or None,
-        sigma=exp["sigma"].strip(),
-        x_points=_parse_float_list("experiment", "x", exp["x"]),
-        replicates=_parse_int("experiment", "replicates", exp["replicates"]),
-        seed=_parse_int("experiment", "seed", exp["seed"]),
-        backend=exp["backend"].strip(),
-        workers=_parse_int("experiment", "workers", exp["workers"]),
-        out_dir=exp["out"].strip(),
-        n_list=_parse_int_list("experiment", "n_list", exp["n_list"]),
-        m_list=_parse_int_list("experiment", "m_list", exp["m_list"]),
-        replicate_chunk=_parse_int("experiment", "replicate_chunk", exp["replicate_chunk"]),
-        check_tolerance=(_parse_float("experiment", "check_tolerance", raw_tol)
-                         if raw_tol else None),
-    ))
+    return _check_ranges(ExperimentConfig(medium=medium, **values))
 
 
 def _check_ranges(cfg: ExperimentConfig) -> ExperimentConfig:
     """Return cfg, or raise ConfigError naming the first grid or experiment field out of range."""
-    checks = (
-        (cfg.T > 0, "[grid] T must be > 0"),
-        (cfg.n >= 1, "[grid] n must be >= 1"),
-        (cfg.L > 0, "[grid] L must be > 0"),
-        (cfg.m >= 1, "[grid] m must be >= 1"),
-        (cfg.kind is None or cfg.kind in COMMANDS,
-         f"[experiment] kind must be one of {COMMANDS}, got {cfg.kind!r}"),
-        (cfg.backend in BACKENDS,
-         f"[experiment] backend must be one of {BACKENDS}, got {cfg.backend!r}"),
-        (cfg.replicates >= 1, "[experiment] replicates must be >= 1"),
-        (0 <= cfg.seed < 2**64, "[experiment] seed must be in [0, 2**64)"),
-        (cfg.workers >= 1, "[experiment] workers must be >= 1"),
-        (cfg.replicate_chunk >= 1, "[experiment] replicate_chunk must be >= 1"),
-        (all(v >= 1 for v in cfg.n_list), "[experiment] n_list entries must be >= 1"),
-        (all(v >= 1 for v in cfg.m_list), "[experiment] m_list entries must be >= 1"),
-        (cfg.check_tolerance is None or cfg.check_tolerance > 0,
-         "[experiment] check_tolerance must be > 0"),
-    )
-    for ok, message in checks:
-        if not ok:
-            raise ConfigError(message)
-    try:
-        parse_sigma(cfg.sigma)
-    except ValueError as exc:
-        raise ConfigError(f"[experiment] sigma: {exc}") from None
+    for section, key, field, _, _, rule in _KEYS:
+        complaint = rule and rule(getattr(cfg, field))
+        if complaint:
+            raise ConfigError(f"[{section}] {key}{complaint}")
     return cfg
 
 
 def to_ini_text(cfg: ExperimentConfig) -> str:
     """Serialize the resolved configuration; parse_config inverts this losslessly."""
+    sections: dict[str, dict[str, str]] = {}
+    for section, key, field, kind, _, _ in _KEYS:
+        owner = cfg.medium if section == "medium" else cfg
+        sections.setdefault(section, {})[key] = _format_value(kind, getattr(owner, field))
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
-    cp["medium"] = {
-        "a1": repr(cfg.medium.a1),
-        "a2": repr(cfg.medium.a2),
-        "rho1": repr(cfg.medium.rho1),
-        "rho2": repr(cfg.medium.rho2),
-    }
-    cp["grid"] = {
-        "T": repr(cfg.T),
-        "n": str(cfg.n),
-        "L": repr(cfg.L),
-        "m": str(cfg.m),
-    }
-    cp["experiment"] = {
-        "kind": cfg.kind or "",
-        "sigma": cfg.sigma,
-        "x": ", ".join(repr(v) for v in cfg.x_points),
-        "replicates": str(cfg.replicates),
-        "seed": str(cfg.seed),
-        "backend": cfg.backend,
-        "workers": str(cfg.workers),
-        "out": cfg.out_dir,
-        "n_list": ", ".join(str(v) for v in cfg.n_list),
-        "m_list": ", ".join(str(v) for v in cfg.m_list),
-        "replicate_chunk": str(cfg.replicate_chunk),
-        "check_tolerance": "" if cfg.check_tolerance is None else repr(cfg.check_tolerance),
-    }
+    cp.read_dict(sections)
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

@@ -23,7 +23,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -43,22 +43,6 @@ from .stats import PointStats, point_statistics, averaged_points, averaged_stati
 from .config import ExperimentConfig, ConfigError, config_sha256, FORMAT_VERSION
 from . import checks
 
-CSV_COLUMNS = (
-    "experiment",
-    "backend",
-    "n",
-    "m",
-    "x",
-    "R",
-    "statistic",
-    "value",
-    "std_error",
-    "target",
-    "rel_error",
-    "seconds",
-)
-
-
 @dataclass(frozen=True)
 class ResultRow:
     """One aggregated statistic of one experiment, in the fixed CSV schema."""
@@ -75,6 +59,9 @@ class ResultRow:
     target: float
     rel_error: float
     seconds: float = 0.0
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _fmt(v) -> str:
@@ -120,47 +107,13 @@ def make_row(cfg: ExperimentConfig, experiment, n, m, x, statistic, value,
 # ---------------------------------------------------------------------------
 
 
-def write_csv(path: str, rows: list[ResultRow], meta: dict) -> None:
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines.append(",".join(CSV_COLUMNS))
-    for row in rows:
-        d = asdict(row)
-        lines.append(",".join(_fmt(d[c]) for c in CSV_COLUMNS))
+def _write_csv(path: str, meta: dict, header, lines) -> None:
+    """Write "# key=value" provenance lines, the header and one line per row of values."""
+    out = [f"# {k}={v}" for k, v in meta.items()]
+    out.append(",".join(header))
+    out.extend(",".join(_fmt(v) for v in line) for line in lines)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_summary(path: str, command: str, cfg: ExperimentConfig, rows: list[ResultRow],
-                  ok: bool, files: dict, timings: dict, exact_sampler: list[dict],
-                  convolution: list[dict]) -> None:
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "tool": "skewheat",
-        "version": __version__,
-        "command": command,
-        "ok": ok,
-        "seed": cfg.seed,
-        "config_sha256": config_sha256(cfg),
-        "gaussian_transform": GAUSS_TRANSFORM_ID,
-        "config": cfg.to_dict(),
-        "files": files,
-        "rows": [asdict(r) for r in rows],
-        "timings": timings,
-        "exact_sampler": exact_sampler,
-        "convolution": convolution,
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=True)
-        fh.write("\n")
-
-
-def _meta(cfg: ExperimentConfig) -> dict:
-    return {
-        "config_sha256": config_sha256(cfg),
-        "seed": cfg.seed,
-        "version": __version__,
-        "generator": GAUSS_TRANSFORM_ID,
-    }
+        fh.write("\n".join(out) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +123,10 @@ def _meta(cfg: ExperimentConfig) -> dict:
 
 def _grid(cfg: ExperimentConfig, n: int | None = None) -> GridSpec:
     return GridSpec(T=cfg.T, n=int(n if n is not None else cfg.n), L=cfg.L, m=cfg.m)
+
+
+# Replicates per convolution chunk, fixed so that no worker count changes the chunks.
+REPLICATE_CHUNK = 64
 
 
 def _conv_chunk_worker(payload) -> tuple[int, np.ndarray, dict]:
@@ -201,7 +158,7 @@ def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, xs: list[float],
     payloads = []
     first = 0
     while first < cfg.replicates:
-        count = min(cfg.replicate_chunk, cfg.replicates - first)
+        count = min(REPLICATE_CHUNK, cfg.replicates - first)
         payloads.append((cfg.medium, grid, sigma, cfg.seed, first, count, cols))
         first += count
     if cfg.workers <= 1 or len(payloads) <= 1:
@@ -219,24 +176,6 @@ def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, xs: list[float],
     return out
 
 
-def _exact_paths(cfg: ExperimentConfig, n: int, x: float, log: dict,
-                 samplers: dict) -> np.ndarray:
-    """Exact sigma = 1 Gaussian paths at the point x, shape (R, n+1).
-
-    A sampler is built once per (x, n) and kept in samplers; each build
-    appends what it did (jitter, quadrature node level, and the wall seconds
-    of the covariance and the Cholesky stages) to log["exact_sampler"].
-    """
-    sampler = samplers.get((x, n))
-    if sampler is None:
-        sampler = samplers[(x, n)] = ExactLinearSampler(cfg.medium, x, cfg.T, n)
-        log.setdefault("exact_sampler", []).append(
-            {"x": x, "n": n, "cholesky_jitter": sampler.jitter,
-             "covariance_node_level": sampler.node_level,
-             "covariance_s": sampler.covariance_s, "cholesky_s": sampler.cholesky_s})
-    return sampler.paths_array(cfg.seed, cfg.replicates)
-
-
 def _point_paths(cfg: ExperimentConfig, log: dict, n: int | None = None,
                  num_points: int | None = None, samplers: dict | None = None):
     """The run preamble shared by the commands: (sigma, grid, points, paths).
@@ -245,11 +184,13 @@ def _point_paths(cfg: ExperimentConfig, log: dict, n: int | None = None,
     with num_points the averaged statistic's points.  Effective points are
     snapped to cell centers on the convolution backend and for the averaged
     statistic.  paths has shape (R, n_points, n+1).  What the backend did is
-    appended to log: one record per sampler build under "exact_sampler", or
-    one record per replicate chunk under "convolution".  Exact samplers are
-    reused from samplers, keyed by (x_effective, n), when the caller passes
-    the same dict to several calls of one run.  The exact backend takes a
-    constant sigma = c only, and scales its sigma = 1 paths by c.
+    appended to log: one record per replicate chunk under "convolution", or
+    one record per exact sampler build under "exact_sampler" (jitter,
+    quadrature node level, and the wall seconds of the covariance and the
+    Cholesky stages).  Exact samplers are built once per (x_effective, n) and
+    kept in samplers, so a caller passing the same dict to several calls of
+    one run reuses them.  The exact backend takes a constant sigma = c only,
+    and scales its sigma = 1 paths by c.
     """
     sigma = parse_sigma(cfg.sigma)
     grid = _grid(cfg, n)
@@ -267,10 +208,25 @@ def _point_paths(cfg: ExperimentConfig, log: dict, n: int | None = None,
         raise ConfigError(f"the exact-linear backend needs a constant sigma, got {sigma.label}")
     else:
         samplers = {} if samplers is None else samplers
-        paths = np.stack([_exact_paths(cfg, grid.n, xe, log, samplers) for _, xe in points],
-                         axis=1)
+        for _, xe in points:
+            if (xe, grid.n) not in samplers:
+                sampler = samplers[(xe, grid.n)] = ExactLinearSampler(cfg.medium, xe, cfg.T, grid.n)
+                log.setdefault("exact_sampler", []).append(
+                    {"x": xe, "n": grid.n, "cholesky_jitter": sampler.jitter,
+                     "covariance_node_level": sampler.node_level,
+                     "covariance_s": sampler.covariance_s, "cholesky_s": sampler.cholesky_s})
+        paths = np.stack([samplers[(xe, grid.n)].paths_array(cfg.seed, cfg.replicates)
+                          for _, xe in points], axis=1)
         paths *= sigma.constant
     return sigma, grid, points, paths
+
+
+def _point_stats(cfg: ExperimentConfig, log: dict, n: int | None = None,
+                 samplers: dict | None = None) -> tuple[GridSpec, list[PointStats]]:
+    """The grid and one PointStats per observation point, from _point_paths."""
+    sigma, grid, points, paths = _point_paths(cfg, log, n, samplers=samplers)
+    return grid, [point_statistics(paths[:, idx, :], xe, cfg.T, sigma, cfg.medium)
+                  for idx, (_, xe) in enumerate(points)]
 
 
 def _quartic_rows(cfg: ExperimentConfig, experiment: str, grid: GridSpec,
@@ -301,26 +257,21 @@ def _quartic_rows(cfg: ExperimentConfig, experiment: str, grid: GridSpec,
 
 def run_quartic(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     log: dict = {}
-    sigma, grid, points, paths = _point_paths(cfg, log)
-    rows = []
-    for idx, (_, xe) in enumerate(points):
-        st = point_statistics(paths[:, idx, :], xe, cfg.T, sigma, cfg.medium)
-        rows.extend(_quartic_rows(cfg, "quartic", grid, st))
-    return rows, True, log
+    grid, stats = _point_stats(cfg, log)
+    return [row for st in stats for row in _quartic_rows(cfg, "quartic", grid, st)], True, log
 
 
 def run_estimate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     log: dict = {}
-    sigma, grid, points, paths = _point_paths(cfg, log)
+    grid, stats = _point_stats(cfg, log)
     rows = []
-    for idx, (_, xe) in enumerate(points):
-        st = point_statistics(paths[:, idx, :], xe, cfg.T, sigma, cfg.medium)
-        row = partial(make_row, cfg, "estimate", st.n, grid.m, xe)
+    for st in stats:
+        row = partial(make_row, cfg, "estimate", st.n, grid.m, st.x)
         valid = st.a_hat[np.isfinite(st.a_hat)]
         if len(valid):
             q75, q25 = np.percentile(valid, [75.0, 25.0])
             se_med = 1.2533 * float(np.std(valid, ddof=1)) / math.sqrt(len(valid)) if len(valid) > 1 else math.nan
-            rows.append(row("A_hat_median", float(np.median(valid)), se_med, A_of(xe, cfg.medium)))
+            rows.append(row("A_hat_median", float(np.median(valid)), se_med, A_of(st.x, cfg.medium)))
             rows.append(row("A_hat_iqr", float(q75 - q25)))
         rows.append(row("degenerate_count", float(st.degenerate), target=0.0))
     return rows, True, log
@@ -334,11 +285,10 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]
     samplers: dict = {}
     trend: dict[float, list[tuple[int, float]]] = {}
     for n in cfg.n_list:
-        sigma, grid, points, paths = _point_paths(cfg, log, n, samplers=samplers)
-        for idx, (_, xe) in enumerate(points):
-            st = point_statistics(paths[:, idx, :], xe, cfg.T, sigma, cfg.medium)
+        grid, stats = _point_stats(cfg, log, n, samplers)
+        for st in stats:
             rows.extend(_quartic_rows(cfg, "convergence", grid, st))
-            trend.setdefault(xe, []).append((n, float(np.mean(np.abs(st.v - st.limit)))))
+            trend.setdefault(st.x, []).append((n, float(np.mean(np.abs(st.v - st.limit)))))
     for xe, pairs in trend.items():
         if len(pairs) >= 2:
             ln = np.log([p[0] for p in pairs])
@@ -464,27 +414,37 @@ def run_command(command: str, cfg: ExperimentConfig) -> bool:
     elapsed = time.perf_counter() - started
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    meta = _meta(cfg)
-    csv_name = f"{command}.csv"
-    write_csv(os.path.join(cfg.out_dir, csv_name), rows, meta)
-    files = {"results_csv": csv_name}
-
+    sha = config_sha256(cfg)
+    meta = {"config_sha256": sha, "seed": cfg.seed, "version": __version__,
+            "generator": GAUSS_TRANSFORM_ID}
+    files = {"results_csv": f"{command}.csv"}
+    _write_csv(os.path.join(cfg.out_dir, files["results_csv"]), meta, CSV_COLUMNS,
+               map(astuple, rows))
+    times = extras.get("times")
     for name, (xe, block) in extras.get("path_files", {}).items():
-        times = extras["times"]
-        lines = [f"# {k}={v}" for k, v in meta.items()]
-        lines.append(f"# x={_fmt(xe)}")
-        lines.append(",".join(["t"] + [f"rep_{r:06d}" for r in range(block.shape[0])]))
-        for i, t in enumerate(times):
-            lines.append(",".join([_fmt(t)] + [_fmt(v) for v in block[:, i]]))
-        with open(os.path.join(cfg.out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(os.path.join(cfg.out_dir, name), {**meta, "x": _fmt(xe)},
+                   ["t"] + [f"rep_{r:06d}" for r in range(block.shape[0])],
+                   ([t, *block[:, i]] for i, t in enumerate(times)))
         files[name] = name
 
-    write_summary(
-        os.path.join(cfg.out_dir, f"{command}_summary.json"),
-        command, cfg, rows, ok, files,
-        timings={"total_seconds": elapsed},
-        exact_sampler=extras.get("exact_sampler", []),
-        convolution=extras.get("convolution", []),
-    )
+    payload = {
+        "format_version": FORMAT_VERSION,
+        "tool": "skewheat",
+        "version": __version__,
+        "command": command,
+        "ok": ok,
+        "seed": cfg.seed,
+        "config_sha256": sha,
+        "gaussian_transform": GAUSS_TRANSFORM_ID,
+        "config": asdict(cfg),
+        "files": files,
+        "rows": [asdict(r) for r in rows],
+        "timings": {"total_seconds": elapsed},
+        "exact_sampler": extras.get("exact_sampler", []),
+        "convolution": extras.get("convolution", []),
+    }
+    with open(os.path.join(cfg.out_dir, f"{command}_summary.json"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        json.dump(payload, fh, indent=2, allow_nan=True)
+        fh.write("\n")
     return ok

@@ -74,10 +74,8 @@ class GreenKernel:
         """
         t = self._check_lag(t)
         p, beta = self.params, self.derived.beta
-        x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        fx = np.where(x <= 0, x / math.sqrt(p.a1), x / math.sqrt(p.a2))
-        fy = np.where(y <= 0, y / math.sqrt(p.a1), y / math.sqrt(p.a2))
+        fx, fy = np.asarray(self._fx(x)), np.asarray(self._fx(y))  # arrays: ** 2 squares exactly
         left = y <= 0
         weight = np.where(left, 1.0 / math.sqrt(p.a1), 1.0 / math.sqrt(p.a2))
         sgn = np.where(left, -1.0, 1.0)
@@ -199,9 +197,8 @@ class GreenKernel:
         if not (abs(x) > 2.0 * h):
             raise ValueError("need |x| > 2h to stay off the interface")
         g = self.evaluate
-        dt = (g(t + h, x, y) - g(t - h, x, y)) / (2.0 * h)
         dxx = (g(t, x + h, y) - 2.0 * g(t, x, y) + g(t, x - h, y)) / (h * h)
-        return abs(dt - 0.5 * A_of(x, self.params) * dxx)
+        return abs(self.time_derivative_fd(t, x, y, h) - 0.5 * A_of(x, self.params) * dxx)
 
     def time_derivative_fd(self, t, x, y, h) -> float:
         """Centered finite-difference estimate of d/dt G, for normalizing residuals."""

@@ -65,7 +65,7 @@ class CovarianceError(SolverError):
 
 @dataclass(frozen=True)
 class SigmaSpec:
-    """Noise coefficient with its Lipschitz bound, its constant value and a report label.
+    """Noise coefficient with its constant value and a report label.
 
     constant is the value c of a sigma that does not depend on u, and None
     otherwise; every choice that turns on sigma reads it.  For a constant
@@ -73,7 +73,6 @@ class SigmaSpec:
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
-    lipschitz_bound: float
     constant: float | None
     label: str
 
@@ -93,15 +92,13 @@ def _eval_sin1(u, amp):
 
 def sigma_one() -> SigmaSpec:
     """sigma identically one (the linear, exactly Gaussian case)."""
-    return SigmaSpec(evaluate=partial(_eval_const, value=1.0), lipschitz_bound=0.0, constant=1.0,
-                     label="one")
+    return SigmaSpec(evaluate=partial(_eval_const, value=1.0), constant=1.0, label="one")
 
 
 def sigma_affine(h1: float, h2: float) -> SigmaSpec:
     """sigma(u) = h1*u + h2, Lipschitz bound |h1|."""
     return SigmaSpec(
         evaluate=partial(_eval_affine, h1=float(h1), h2=float(h2)),
-        lipschitz_bound=abs(float(h1)),
         constant=float(h2) if h1 == 0 else None,
         label=f"affine:{float(h1)!r},{float(h2)!r}",
     )
@@ -111,7 +108,6 @@ def sigma_sin(amp: float) -> SigmaSpec:
     """sigma(u) = 1 + amp*sin(u), Lipschitz bound |amp|."""
     return SigmaSpec(
         evaluate=partial(_eval_sin1, amp=float(amp)),
-        lipschitz_bound=abs(float(amp)),
         constant=1.0 if amp == 0 else None,
         label=f"sin1:{float(amp)!r}",
     )

@@ -32,6 +32,7 @@ from skewheat.checks import (
     integral_bound_margins,
     pde_residual_sweep,
 )
+from skewheat import harness
 from skewheat.kernel import GreenKernel
 from skewheat.cli import main
 
@@ -280,15 +281,16 @@ def test_criterion_10_averaged_statistic():
     )
 
 
-def test_criterion_11_reproducibility(tmp_path):
+def test_criterion_11_reproducibility(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "REPLICATE_CHUNK", 3)  # several chunks at R = 10
     medium = "[medium]\na1 = 1.0\na2 = 4.0\nrho1 = 1.0\nrho2 = 1.0\n"
     grid = "[grid]\nT = 1.0\nn = 8\nL = 8.0\nm = 32\n"
     experiments = {
         "kernel-selftest": f"[experiment]\nseed = {SEED}\n",
-        "simulate": f"[experiment]\nseed = {SEED}\nx = 0.5\nreplicates = 10\nreplicate_chunk = 3\n",
+        "simulate": f"[experiment]\nseed = {SEED}\nx = 0.5\nreplicates = 10\n",
         "quartic": (
             f"[experiment]\nseed = {SEED}\nsigma = sin1:0.5\nx = 0.5, -0.5\n"
-            "replicates = 10\nreplicate_chunk = 3\n"
+            "replicates = 10\n"
         ),
         "convergence": (
             f"[experiment]\nseed = {SEED}\nx = 0.5\nreplicates = 6\n"

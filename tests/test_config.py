@@ -1,4 +1,5 @@
 import math
+import pathlib
 from dataclasses import replace
 
 import pytest
@@ -8,6 +9,7 @@ from skewheat.config import (
     COMMANDS,
     ConfigError,
     ExperimentConfig,
+    load_config,
     parse_config,
     to_ini_text,
     config_sha256,
@@ -39,7 +41,6 @@ workers = 2
 out = results
 n_list = 16, 32, 64
 m_list = 4, 16
-replicate_chunk = 32
 check_tolerance = 0.05
 """
 
@@ -115,11 +116,12 @@ def test_removed_memory_budget_key_exits_two_with_one_line(tmp_path, capsys):
     from skewheat.cli import main
 
     path = tmp_path / "c.ini"
-    path.write_text(BASE.replace("replicate_chunk = 32", "memory_budget_mb = 512\nreplicate_chunk = 32"))
-    assert main(["quartic", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "memory_budget_mb" in err
-    assert err.count("\n") == 1
+    for key, value in (("memory_budget_mb", 512), ("replicate_chunk", 64)):
+        path.write_text(BASE + f"{key} = {value}\n")
+        assert main(["quartic", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("sigma", ["bogus", "affine:1", "sin1:x", "sin1:nan", "affine:0,inf"])
@@ -162,6 +164,14 @@ def test_config_hash_ignores_execution_fields():
     assert config_sha256(with_overrides(cfg, replicates=5)) != h
 
 
+def test_demo_config_hash_is_pinned():
+    # Every output file's header carries this hash, so a serializer change
+    # that moves it has to show up here.
+    demo = pathlib.Path(__file__).resolve().parents[1] / "configs" / "demo_quartic.ini"
+    assert config_sha256(load_config(str(demo))) \
+        == "b5b8710a8e692a50a7c9ba2374af496d18c6580f3e85555f5667b5b4ffcb8152"
+
+
 def test_round_trip_and_hash_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -189,7 +199,6 @@ def test_round_trip_and_hash_property():
         out_dir=out_dir,
         n_list=st.lists(count, max_size=4).map(tuple),
         m_list=st.lists(count, max_size=4).map(tuple),
-        replicate_chunk=count,
         check_tolerance=st.one_of(st.none(), positive),
     )
 

@@ -111,11 +111,11 @@ def test_simulate_is_bit_reproducible(tmp_path):
     assert pa == pb
 
 
-def test_quartic_csv_identical_across_workers(tmp_path):
+def test_quartic_csv_identical_across_workers(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "REPLICATE_CHUNK", 3)
     base = (
         MEDIUM_14 + GRID_SMALL
         + "[experiment]\nsigma = sin1:0.5\nx = 0.5\nreplicates = 10\nseed = 3\n"
-        + "replicate_chunk = 3\n"
     )
     cfg = _write(tmp_path, "c.ini", base)
     assert main(["quartic", "--config", cfg, "--out", str(tmp_path / "w1"), "--workers", "1"]) == 0
@@ -348,17 +348,13 @@ def test_quartic_target_columns(tmp_path):
     assert lrow2["target"] == "nan"
 
 
-def _conv_config(sigma, replicates, chunk):
-    return parse_config(
-        MEDIUM_14 + "[grid]\nT = 1.0\nn = 10\nL = 4.0\nm = 24\n"
-        + f"[experiment]\nsigma = {sigma}\nx = 0.5, -0.5, 0.5\nreplicates = {replicates}\n"
-        + f"seed = 8\nreplicate_chunk = {chunk}\n"
-    )
-
-
 @pytest.mark.parametrize("sigma", ["one", "sin1:0.5"])
-def test_convolution_paths_equal_full_field_columns(sigma):
-    cfg = _conv_config(sigma, 7, 3)
+def test_convolution_paths_equal_full_field_columns(sigma, monkeypatch):
+    monkeypatch.setattr(harness, "REPLICATE_CHUNK", 3)
+    cfg = parse_config(
+        MEDIUM_14 + "[grid]\nT = 1.0\nn = 10\nL = 4.0\nm = 24\n"
+        + f"[experiment]\nsigma = {sigma}\nx = 0.5, -0.5, 0.5\nreplicates = 7\nseed = 8\n"
+    )
     grid = harness._grid(cfg)
     xs = [grid.snap(x)[1] for x in cfg.x_points]
     log = {}
@@ -382,11 +378,12 @@ def test_convolution_paths_equal_full_field_columns(sigma):
         == [(0, 3, rows), (3, 3, rows), (6, 1, rows)]
 
 
-def test_summary_json_records_convolution_chunks(tmp_path):
+def test_summary_json_records_convolution_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "REPLICATE_CHUNK", 4)
     cfg = _write(
         tmp_path, "c.ini",
         MEDIUM_14 + GRID_SMALL
-        + "[experiment]\nx = 0.5, -0.5\nreplicates = 5\nseed = 11\nreplicate_chunk = 4\n"
+        + "[experiment]\nx = 0.5, -0.5\nreplicates = 5\nseed = 11\n"
         + f"out = {tmp_path}/out\n",
     )
     assert main(["simulate", "--config", cfg]) == 0
@@ -560,18 +557,20 @@ def test_point_statistics_is_called_through_harness(tmp_path, monkeypatch):
 
 
 def test_removed_zero_noise_key_exits_two_with_one_line(tmp_path, capsys):
-    # sigma = affine:0,0 is the zero-noise run now.
-    cfg = _write(
-        tmp_path, "c.ini",
-        MEDIUM_14 + GRID_SMALL
-        + "[experiment]\nx = 0.5\nreplicates = 3\nzero_noise = true\n"
-        + f"out = {tmp_path}/out\n",
-    )
-    assert main(["quartic", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: unknown key 'zero_noise' in section [experiment]")
-    assert err.count("\n") == 1
-    assert not os.path.exists(tmp_path / "out")
+    # sigma = affine:0,0 is the zero-noise run now, and the convolution chunk
+    # width is the fixed harness.REPLICATE_CHUNK.
+    for line in ("zero_noise = true", "replicate_chunk = 64"):
+        cfg = _write(
+            tmp_path, "c.ini",
+            MEDIUM_14 + GRID_SMALL
+            + f"[experiment]\nx = 0.5\nreplicates = 3\n{line}\nout = {tmp_path}/out\n",
+        )
+        assert main(["quartic", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        key = line.split(" ")[0]
+        assert err.startswith(f"config error: unknown key {key!r} in section [experiment]")
+        assert err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "out")
 
 
 def test_cli_import_leaves_scipy_special_and_integrate_unloaded():
