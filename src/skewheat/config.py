@@ -150,7 +150,9 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         cp.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from None
+        # configparser's text spans several lines; every config error is one.
+        detail = "; ".join(line.strip() for line in str(exc).splitlines() if line.strip())
+        raise ConfigError(f"malformed config: {detail}") from None
 
     known = {(section, key) for section, key, *_ in _KEYS}
     for section in cp.sections():

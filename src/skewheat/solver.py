@@ -461,6 +461,27 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> Cova
 # ---------------------------------------------------------------------------
 
 
+def _cholesky(c: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of c by a left-looking column loop.
+
+    Column j is (c[j+1:, j] - L[j+1:, :j] @ L[j, :j]) / L[j, j]: one
+    matrix-vector product per column, whose rounding does not depend on the
+    BLAS thread count, unlike threaded LAPACK potrf.  Raises LinAlgError
+    when a pivot is not positive.
+    """
+    n = len(c)
+    factor = np.zeros((n, n))
+    for j in range(n):
+        row = factor[j, :j]
+        d = c[j, j] - row @ row
+        if not d > 0.0:
+            raise np.linalg.LinAlgError(f"matrix is not positive definite at pivot {j}")
+        pivot = math.sqrt(d)
+        factor[j, j] = pivot
+        factor[j + 1:, j] = (c[j + 1:, j] - factor[j + 1:, :j] @ row) / pivot
+    return factor
+
+
 class ExactLinearSampler:
     """Exact Gaussian path sampler at one spatial point for sigma = 1.
 
@@ -496,7 +517,7 @@ class ExactLinearSampler:
         scale = float(np.max(np.diag(c)))
         for jitter in (0.0, 1e-12, 1e-10, 1e-8):
             try:
-                return np.linalg.cholesky(c + jitter * scale * np.eye(len(c))), jitter * scale
+                return _cholesky(c + jitter * scale * np.eye(len(c))), jitter * scale
             except np.linalg.LinAlgError:
                 continue
         smallest = float(np.linalg.eigvalsh(c)[0])

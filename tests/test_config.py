@@ -124,6 +124,17 @@ def test_removed_memory_budget_key_exits_two_with_one_line(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_malformed_section_header_exits_two_with_one_line(tmp_path, capsys):
+    from skewheat.cli import main
+
+    path = tmp_path / "c.ini"
+    path.write_text("[medium")
+    assert main(["quartic", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: malformed config: ") and "[medium" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("sigma", ["bogus", "affine:1", "sin1:x", "sin1:nan", "affine:0,inf"])
 def test_bad_sigma_exits_two_with_one_line(tmp_path, capsys, sigma):
     from skewheat.cli import main

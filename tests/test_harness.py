@@ -573,14 +573,52 @@ def test_removed_zero_noise_key_exits_two_with_one_line(tmp_path, capsys):
         assert not os.path.exists(tmp_path / "out")
 
 
-def test_cli_import_leaves_scipy_special_and_integrate_unloaded():
+# Wraps the convolution chunk worker so that each chunk reports whether its
+# process had loaded scipy, and which process ran it.
+_SCIPY_PROBE = """\
+import os, sys
+from skewheat import harness
+
+_chunk = harness._conv_chunk_worker
+
+
+def chunk_reporting_scipy(payload):
+    first, paths, report = _chunk(payload)
+    return first, paths, {**report, "scipy": "scipy" in sys.modules, "pid": os.getpid()}
+
+
+harness._conv_chunk_worker = chunk_reporting_scipy
+"""
+
+
+def test_cli_import_leaves_scipy_special_and_integrate_unloaded(tmp_path):
+    exact = (MEDIUM_14 + GRID_SMALL
+             + "[experiment]\nx = 0.5\nreplicates = 4\nseed = 3\nbackend = exact-linear\n")
+    runs = [
+        ("quartic", exact),
+        ("quartic", MEDIUM_14 + GRID_SMALL + "[experiment]\nx = 0.5\nreplicates = 130\n"
+         "seed = 3\nsigma = sin1:0.5\nworkers = 2\n"),
+        ("estimate", exact),
+        ("convergence", exact + "n_list = 4, 8\nm_list = 2\n"),
+    ]
+    argvs = [[command, "--config", _write(tmp_path, f"c{i}.ini", text),
+              "--out", str(tmp_path / f"out{i}")] for i, (command, text) in enumerate(runs)]
+    (tmp_path / "scipy_probe.py").write_text(_SCIPY_PROBE)
+    probe = ("import json, os, sys, skewheat.cli; "
+             "print(sorted(m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules)); "
+             "import scipy_probe; "
+             f"print(json.dumps([[skewheat.cli.main(a), 'scipy' in sys.modules] for a in {argvs!r}])); "
+             "print(os.getpid())")
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
-    probe = ("import sys, skewheat.cli; "
-             "print(sorted(m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(tmp_path)]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    imported, after_runs, pid = out.stdout.strip().splitlines()
+    assert imported == "[]"
+    assert json.loads(after_runs) == [[0, False]] * len(runs)
+    chunks = json.loads((tmp_path / "out1" / "quartic_summary.json").read_text())["convolution"]
+    assert len(chunks) == 3 and not any(c["scipy"] for c in chunks)
+    assert all(c["pid"] != int(pid) for c in chunks)  # the chunks ran in pool workers
 
 
 def test_simulate_next_to_the_interface_exits_zero_with_finite_rows(tmp_path, capsys):
@@ -609,8 +647,29 @@ def test_sigma_one_simulate_leaves_scipy_integrate_unloaded(tmp_path):
              "loaded = ['scipy.integrate' in sys.modules]; "
              "from skewheat.cli import main; "
              f"loaded.append(main(['simulate', '--config', {cfg!r}])); "
-             "loaded.append('scipy.integrate' in sys.modules); print(loaded)")
+             "loaded.append('scipy.integrate' in sys.modules); "
+             "loaded.append('scipy' in sys.modules); print(loaded)")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[False, 0, False]"
+    assert out.stdout.strip() == "[False, 0, False, False]"
+
+
+def test_exact_quartic_csv_identical_at_one_and_two_blas_threads(tmp_path):
+    # n = 512 is large enough that a threaded LAPACK Cholesky rounds
+    # differently at 1 and 2 threads.
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + "[grid]\nT = 1.0\nn = 512\nL = 8.0\nm = 128\n"
+        + "[experiment]\nx = 0.5\nreplicates = 64\nseed = 20250601\nbackend = exact-linear\n",
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "skewheat", "quartic", "--config", cfg,
+                        "--out", str(out)], env=env, capture_output=True, check=True)
+        csvs.append((out / "quartic.csv").read_bytes())
+    assert csvs[0] == csvs[1]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from skewheat import MediumParams, GreenKernel
+from skewheat.kernel import _erfc
 from skewheat.checks import (
     pointwise_bound_violations,
     quad_l1,
@@ -300,5 +301,109 @@ def test_cross_integral_matches_reference_property():
         ref = float(_reference_cross_integral(kernel, t1, t2, x))
         assert got == pytest.approx(ref, rel=2e-15, abs=0.0)
         assert got == kernel.cross_integral(t2, t1, x)
+
+    check()
+
+
+# -- the numpy erfc ------------------------------------------------------------------
+
+# Frozen 40-digit evaluations of erfc (mpmath), rounded to float64.
+ERFC_CASES = [
+    (0.0, 1.0),
+    (1e-300, 1.0),
+    (-1e-300, 1.0),
+    (0.1, 8.875370839817151015952877489856959382766e-1),
+    (-0.3, 1.328626759459127416189617985318203033258),
+    (0.46875, 5.073865267820620084118238980646533430763e-1),
+    (-0.46875, 1.492613473217937991588176101935346656924),
+    (0.5, 4.795001221869534623172533461080354712635e-1),
+    (1.0, 1.572992070502851306587793649173907407039e-1),
+    (-1.0, 1.842700792949714869341220635082609259296),
+    (2.5, 4.069520174449589395642157399749127203487e-4),
+    (4.0, 1.541725790028001885215967348688404857215e-8),
+    (-4.0, 1.999999984582742099719981147840326513116),
+    (4.5, 1.966160441542887476279160367664332660578e-10),
+    (10.0, 2.088487583762544757000786294957788611561e-45),
+    (-10.0, 2.0),
+    (26.5, 2.210907664263734275929239022915826039075e-307),
+    (27.0, 5.237048923789255685016067682849547090934e-319),
+    (-27.0, 2.0),
+    (math.inf, 0.0),
+    (-math.inf, 2.0),
+]
+
+
+def _assert_erfc_close(got, ref):
+    """At most 1e-15 absolute error, and 2e-15 relative wherever erfc >= 1e-300."""
+    err = np.abs(got - ref)
+    assert np.max(err) <= 1e-15
+    big = ref >= 1e-300
+    assert np.max(err[big] / ref[big]) <= 2e-15
+
+
+def test_erfc_matches_frozen_high_precision_values():
+    xs = np.array([x for x, _ in ERFC_CASES])
+    _assert_erfc_close(_erfc(xs), np.array([v for _, v in ERFC_CASES]))
+    assert np.isnan(_erfc(np.nan)) and np.all(np.isnan(_erfc(np.array([np.nan, -np.nan]))))
+    assert _erfc(0.5).shape == () and _erfc(xs.reshape(3, 7)).shape == (3, 7)
+    assert np.array_equal(_erfc(xs.reshape(3, 7)).ravel(), _erfc(xs))
+
+
+def test_erfc_matches_live_mpmath_sweep():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    # Every rational form, both signs, each region edge and the subnormal tail.
+    xs = np.concatenate([
+        rng.uniform(-6.0, 28.0, 2000),
+        rng.uniform(-0.5, 0.5, 300),
+        rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-300.0, 0.0, 300),
+        rng.choice([0.46875, 4.0, -0.46875, -4.0], 400) + rng.uniform(-1e-3, 1e-3, 400),
+        rng.uniform(25.5, 27.5, 200),
+    ])
+    with mpmath.workdps(40):
+        ref = [mpmath.erfc(mpmath.mpf(float(x))) for x in xs]
+        err = np.array([float(abs(mpmath.mpf(float(g)) - r)) for g, r in zip(_erfc(xs), ref)])
+        rel = np.array([float(e / r) if r >= 1e-300 else 0.0 for e, r in zip(err, ref)])
+    assert np.max(err) <= 1e-15
+    assert np.max(rel) <= 2e-15
+
+
+def test_erfc_reflection_and_monotone_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    edges = [0.46875, 4.0, 27.0, -0.46875, -4.0, -27.0]
+    point = st.one_of(st.floats(-30.0, 30.0), st.sampled_from(edges))
+
+    @hypothesis.settings(max_examples=500, deadline=None)
+    @hypothesis.given(point, st.floats(0.0, 60.0), st.integers(1, 64))
+    def check(x, gap, ulps):
+        ex = float(_erfc(x))
+        assert abs(ex + float(_erfc(-x)) - 2.0) <= 2 * np.spacing(2.0)
+        y = x + gap
+        y += ulps * abs(np.spacing(y))
+        # Not exactly monotone: rounding at Cody's region edges can rise by 2 ulp.
+        assert float(_erfc(y)) <= ex + 2 * np.spacing(ex)
+
+    check()
+
+
+def test_cell_mass_adjacent_cells_add_up_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    positive = st.floats(0.25, 4.0)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(positive, positive, positive, positive, st.floats(1e-4, 2.0),
+                      st.floats(0.5, 8.0), st.floats(-1.0, 1.0), st.integers(2, 64))
+    def check(a1, a2, rho1, rho2, t, half_width, where, cells):
+        kernel = GreenKernel(MediumParams(a1, a2, rho1, rho2))
+        edges = np.linspace(-half_width, half_width, cells + 1)
+        x = where * half_width
+        single = kernel.cell_mass(t, x, edges[:-1], edges[1:])
+        pairs = kernel.cell_mass(t, x, edges[:-2], edges[2:])
+        assert np.min(single) >= 0.0
+        assert np.max(np.abs(single[:-1] + single[1:] - pairs)) <= 4e-16
 
     check()
