@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a check or experiment gate fails or a
 solver stage fails (one-line "solver failure" message), 2 on configuration
-errors.
+errors.  A convolution run on a grid with dx above sqrt(min(a1, a2)*dt/4)
+prints one warning line on stderr and keeps its exit code.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import sys
 
 from .config import load_config, with_overrides, ConfigError, BACKENDS, COMMANDS
-from .harness import run_command
+from .harness import run_command, resolution_warning
 from .solver import SolverError
 
 
@@ -54,14 +55,17 @@ def main(argv=None) -> int:
             out_dir=args.out,
             backend=args.backend,
         )
-        ok = run_command(args.command, cfg)
+        summary = run_command(args.command, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
-    if not ok:
+    warning = resolution_warning(cfg, summary["convolution"])
+    if warning:
+        print(warning, file=sys.stderr)
+    if not summary["ok"]:
         print(f"{args.command}: checks failed (see {cfg.out_dir})", file=sys.stderr)
         return 1
     return 0

@@ -9,11 +9,12 @@ worker pool, and results are assembled by replicate index.  Wall-clock
 timings therefore live only in the JSON summary's `timings` block; the CSV
 `seconds` column is reserved and always zero.  Exact-linear runs also record,
 per sampler build, the Cholesky jitter, the covariance quadrature's node
-level and the wall seconds of both stages in the summary's `exact_sampler`
-block; convolution runs record, per replicate chunk, the rows solved per
-time step, the kernel path taken (the FFT-in-time product or the semigroup
-recursion), whether dx meets the resolution bound and, for the recursion,
-its one-step semigroup gap in its `convolution` block.
+level and the wall seconds of both build stages and of its path sampling in
+the summary's `exact_sampler` block; convolution runs record, per replicate
+chunk, the rows solved per time step, the kernel path taken (the
+FFT-in-time product or the semigroup recursion), whether dx meets the
+resolution bound and, for the recursion, its one-step semigroup gap in its
+`convolution` block.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .medium import A_of
+from .medium import A_of, MediumParams
 from .kernel import GreenKernel
 from .noise import GridSpec, sample_noise, GAUSS_TRANSFORM_ID
 from .solver import (
@@ -129,6 +130,26 @@ def _grid(cfg: ExperimentConfig, n: int | None = None) -> GridSpec:
 REPLICATE_CHUNK = 64
 
 
+def dx_bound(medium: MediumParams, grid: GridSpec) -> float:
+    """sqrt(min(a1, a2)*dt/4), the largest dx at which the convolution scheme is resolved."""
+    return math.sqrt(min(medium.a1, medium.a2) * grid.dt / 4.0)
+
+
+def resolution_warning(cfg: ExperimentConfig, records: list[dict]) -> str | None:
+    """One line naming dx and the bound when a convolution chunk ran with dx above it.
+
+    At the largest such n (the tightest bound).  None when every chunk was
+    resolved, and for sigma = 0, whose field is exactly zero on every grid.
+    """
+    coarse = [r["n"] for r in records if not r["dx_resolved"]]
+    if not coarse or parse_sigma(cfg.sigma).constant == 0.0:
+        return None
+    grid = _grid(cfg, max(coarse))
+    return (f"warning: dx = {grid.dx:.6g} exceeds sqrt(min(a1, a2)*dt/4) = "
+            f"{dx_bound(cfg.medium, grid):.6g} at n = {grid.n}; the convolution statistics "
+            f"are biased by the spatial resolution")
+
+
 def _conv_chunk_worker(payload) -> tuple[int, np.ndarray, dict]:
     """Solve one fixed-size chunk of replicates; returns (first_replicate, paths, report).
 
@@ -168,7 +189,7 @@ def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, xs: list[float],
             results = list(pool.map(_conv_chunk_worker, payloads))
     out = np.empty((cfg.replicates, len(xs), grid.n + 1))
     records = log.setdefault("convolution", [])
-    resolved = grid.dx <= math.sqrt(min(cfg.medium.a1, cfg.medium.a2) * grid.dt / 4.0)
+    resolved = grid.dx <= dx_bound(cfg.medium, grid)
     for first_rep, block, report in results:
         out[first_rep : first_rep + block.shape[0]] = block
         records.append({"n": grid.n, "m": grid.m, "dx_resolved": resolved,
@@ -187,8 +208,9 @@ def _point_paths(cfg: ExperimentConfig, log: dict, n: int | None = None,
     appended to log: one record per replicate chunk under "convolution", or
     one record per exact sampler build under "exact_sampler" (jitter,
     quadrature node level, and the wall seconds of the covariance and the
-    Cholesky stages).  Exact samplers are built once per (x_effective, n) and
-    kept in samplers, so a caller passing the same dict to several calls of
+    Cholesky stages and of all the sampler's paths_array calls).  Exact
+    samplers are built once per (x_effective, n) and kept in samplers with
+    their records, so a caller passing the same dict to several calls of
     one run reuses them.  The exact backend takes a constant sigma = c only,
     and scales its sigma = 1 paths by c.
     """
@@ -210,14 +232,17 @@ def _point_paths(cfg: ExperimentConfig, log: dict, n: int | None = None,
         samplers = {} if samplers is None else samplers
         for _, xe in points:
             if (xe, grid.n) not in samplers:
-                sampler = samplers[(xe, grid.n)] = ExactLinearSampler(cfg.medium, xe, cfg.T, grid.n)
-                log.setdefault("exact_sampler", []).append(
-                    {"x": xe, "n": grid.n, "cholesky_jitter": sampler.jitter,
-                     "covariance_node_level": sampler.node_level,
-                     "covariance_s": sampler.covariance_s, "cholesky_s": sampler.cholesky_s})
-        paths = np.stack([samplers[(xe, grid.n)].paths_array(cfg.seed, cfg.replicates)
+                sampler = ExactLinearSampler(cfg.medium, xe, cfg.T, grid.n)
+                record = {"x": xe, "n": grid.n, "cholesky_jitter": sampler.jitter,
+                          "covariance_node_level": sampler.node_level,
+                          "covariance_s": sampler.covariance_s, "cholesky_s": sampler.cholesky_s}
+                log.setdefault("exact_sampler", []).append(record)
+                samplers[(xe, grid.n)] = sampler, record
+        paths = np.stack([samplers[(xe, grid.n)][0].paths_array(cfg.seed, cfg.replicates)
                           for _, xe in points], axis=1)
         paths *= sigma.constant
+        for sampler, record in (samplers[(xe, grid.n)] for _, xe in points):
+            record["paths_s"] = sampler.paths_s
     return sigma, grid, points, paths
 
 
@@ -403,8 +428,8 @@ _RUNNERS = {
 }
 
 
-def run_command(command: str, cfg: ExperimentConfig) -> bool:
-    """Run one command and write its outputs; returns the overall pass flag."""
+def run_command(command: str, cfg: ExperimentConfig) -> dict:
+    """Run one command and write its outputs; returns the summary it wrote (pass flag "ok")."""
     if command not in _RUNNERS:
         raise ConfigError(f"unknown command {command!r}")
     if cfg.kind is not None and cfg.kind != command:
@@ -447,4 +472,4 @@ def run_command(command: str, cfg: ExperimentConfig) -> bool:
               newline="\n") as fh:
         json.dump(payload, fh, indent=2, allow_nan=True)
         fh.write("\n")
-    return ok
+    return payload

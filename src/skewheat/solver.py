@@ -33,9 +33,13 @@ from .noise import GridSpec, standard_normals, position_subkey, STREAM_EXACT_PAT
 # Source cells per FFT block of the constant-sigma product.
 FFT_BLOCK = 32
 
-# covariance_matrix's smooth cells: the per-entry tolerance, and the node count past which
-# a cell is a CovarianceError.
+# Replicates per exact-path gemm block; block b holds replicates 64*b .. 64*b + 63.
+PATH_BLOCK = 64
+
+# covariance_matrix's smooth cells: the per-entry tolerance, the node count each cell
+# starts at, and the node count past which a cell is a CovarianceError.
 COV_CELL_TOL = 1e-9
+COV_CELL_NODES = 2
 COV_CELL_MAX_NODES = 1024
 
 # covariance_linear's rule: dyadic panels in v at most, nodes per panel at start and at
@@ -409,11 +413,12 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> Cova
     the cell integrals over q in [c*dt, (c+1)*dt].  The first cell, singular
     at k = 0 and holding the erfc onset at k >= 1, is exactly
     C((k+1)*dt, dt), so covariance_linear's panel rule gives all n of them.
-    The smooth cells c >= 1 are integrated together by Gauss-Legendre from 8
-    nodes, each doubling until two levels agree within COV_CELL_TOL/n, so
-    every entry is within about COV_CELL_TOL; raises CovarianceError if a cell
-    needs more than COV_CELL_MAX_NODES.  The result's node_level is the
-    largest level a cell c >= 1 reached.
+    The smooth cells c >= 1 are integrated together by Gauss-Legendre from
+    COV_CELL_NODES = 2 nodes, each doubling until two levels agree within
+    COV_CELL_TOL/n (most stop at 4), so every entry is within about
+    COV_CELL_TOL; raises CovarianceError if a cell needs more than
+    COV_CELL_MAX_NODES.  The result's node_level is the largest level a cell
+    c >= 1 reached.
     """
     times = np.asarray(times, dtype=float)
     n = len(times) - 1 if times.ndim == 1 else 0
@@ -435,7 +440,7 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> Cova
         return acc
 
     k, c = lag[cell > 0], cell[cell > 0]
-    nodes = 8
+    nodes = COV_CELL_NODES
     prev = level(k, c, nodes)
     while k.size:
         nodes *= 2
@@ -489,12 +494,14 @@ class ExactLinearSampler:
     t_i = i*T/n with covariance_matrix (lag-diagonal cumulative sums of
     per-cell quadratures), factorizes it (with a diagonal jitter ladder if
     the plain factorization fails) and then maps per-replicate
-    standard-normal streams through the factor.  Identical (seed, replicate)
-    always yields the identical path.  `jitter` is the value added to every
-    diagonal entry before the factorization succeeded (0.0 when none),
-    `node_level` the largest node count the cells past each diagonal's first
-    reached, and `covariance_s` and `cholesky_s` the wall seconds
-    (perf_counter) the two build stages took.
+    standard-normal streams through the factor, PATH_BLOCK replicates per
+    gemm (see paths_array).  Identical (seed, replicate) always yields the
+    identical path.  `jitter` is the value added to every diagonal entry
+    before the factorization succeeded (0.0 when none), `node_level` the
+    largest node count the cells past each diagonal's first reached,
+    `covariance_s` and `cholesky_s` the wall seconds (perf_counter) the two
+    build stages took, and `paths_s` the wall seconds spent in paths_array
+    so far.
     """
 
     def __init__(self, medium: MediumParams, x: float, T: float, n: int):
@@ -510,6 +517,7 @@ class ExactLinearSampler:
         self._factor, self.jitter = self._factorize(self.covariance[1:, 1:])
         self.covariance_s = factoring - started
         self.cholesky_s = time.perf_counter() - factoring
+        self.paths_s = 0.0
 
     @staticmethod
     def _factorize(c: np.ndarray) -> tuple[np.ndarray, float]:
@@ -531,12 +539,28 @@ class ExactLinearSampler:
 
         Replicate r at point x always consumes the stream keyed by
         (seed, r, exact-path kind, bits of x), independent of batch layout.
+        Its normals fill row r mod PATH_BLOCK of a (PATH_BLOCK, n) buffer for
+        block r // PATH_BLOCK, rows outside the request are zero, and one gemm
+        maps the block through the factor.  A row of the product does not
+        depend on the other rows, and replicate r always sits in the same row
+        of the same-shape product, so no batch split and no BLAS thread count
+        changes a bit of its path.
         """
+        started = time.perf_counter()
         subkey = position_subkey(self.x)
         out = np.zeros((replicates, self.n + 1))
-        for k in range(replicates):
-            z = standard_normals(
-                seed, first_replicate + k, self.n, kind=STREAM_EXACT_PATHS, subkey=subkey
-            )
-            out[k, 1:] = self._factor @ z
+        block = np.empty((PATH_BLOCK, self.n))
+        product = np.empty((PATH_BLOCK, self.n))
+        stop = first_replicate + replicates
+        for base in range(first_replicate - first_replicate % PATH_BLOCK, stop, PATH_BLOCK):
+            lo, hi = max(first_replicate, base), min(stop, base + PATH_BLOCK)
+            block[: lo - base] = 0.0
+            block[hi - base :] = 0.0
+            for r in range(lo, hi):
+                block[r - base] = standard_normals(
+                    seed, r, self.n, kind=STREAM_EXACT_PATHS, subkey=subkey
+                )
+            np.matmul(block, self._factor.T, out=product)
+            out[lo - first_replicate : hi - first_replicate, 1:] = product[lo - base : hi - base]
+        self.paths_s += time.perf_counter() - started
         return out

@@ -208,10 +208,10 @@ def test_summary_exact_sampler_records_stage_seconds(tmp_path):
     records = json.loads((tmp_path / "out" / "quartic_summary.json").read_text())["exact_sampler"]
     assert [r["x"] for r in records] == [0.5, -0.5]
     for r in records:
-        for key in ("covariance_s", "cholesky_s"):
+        for key in ("covariance_s", "cholesky_s", "paths_s"):
             assert isinstance(r[key], float) and math.isfinite(r[key]) and r[key] >= 0.0
     csv_text = (tmp_path / "out" / "quartic.csv").read_text()
-    assert "covariance_s" not in csv_text and "cholesky_s" not in csv_text
+    assert all(key not in csv_text for key in ("covariance_s", "cholesky_s", "paths_s"))
 
 
 def test_exact_backend_requires_sigma_one(tmp_path):
@@ -295,6 +295,35 @@ def test_covariance_nonconvergence_exits_one_with_one_line(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("solver failure: covariance quadrature did not reach")
     assert err.count("\n") == 1
+
+
+def test_under_resolved_grid_warns_with_one_line(tmp_path, capsys):
+    # GRID_SMALL has dx = 0.5 against sqrt(min(a1, a2)*dt/4) = 0.1768 at n = 8.
+    coarse = _write(
+        tmp_path, "coarse.ini",
+        MEDIUM_14 + GRID_SMALL
+        + f"[experiment]\nx = 0.5\nreplicates = 3\nseed = 3\nout = {tmp_path}/coarse\n",
+    )
+    assert main(["quartic", "--config", coarse]) == 0
+    err = capsys.readouterr().err
+    assert err == ("warning: dx = 0.5 exceeds sqrt(min(a1, a2)*dt/4) = 0.176777 at n = 8; "
+                   "the convolution statistics are biased by the spatial resolution\n")
+    # A sweep names its tightest bound, at the largest under-resolved n.
+    sweep = _write(
+        tmp_path, "sweep.ini",
+        MEDIUM_14 + GRID_SMALL
+        + f"[experiment]\nx = 0.5\nreplicates = 3\nn_list = 8, 32\nout = {tmp_path}/sweep\n",
+    )
+    assert main(["convergence", "--config", sweep]) == 0
+    assert capsys.readouterr().err.startswith(
+        "warning: dx = 0.5 exceeds sqrt(min(a1, a2)*dt/4) = 0.0883883 at n = 32;")
+    fine = _write(
+        tmp_path, "fine.ini",
+        MEDIUM_14 + "[grid]\nT = 1.0\nn = 8\nL = 1.0\nm = 16\n"
+        + f"[experiment]\nx = 0.5\nreplicates = 3\nseed = 3\nout = {tmp_path}/fine\n",
+    )
+    assert main(["quartic", "--config", fine]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_csv_seconds_column_reserved_zero(tmp_path):
@@ -657,11 +686,12 @@ def test_sigma_one_simulate_leaves_scipy_integrate_unloaded(tmp_path):
 
 def test_exact_quartic_csv_identical_at_one_and_two_blas_threads(tmp_path):
     # n = 512 is large enough that a threaded LAPACK Cholesky rounds
-    # differently at 1 and 2 threads.
+    # differently at 1 and 2 threads; 100 replicates end in a partial
+    # 64-row path block.
     cfg = _write(
         tmp_path, "c.ini",
         MEDIUM_14 + "[grid]\nT = 1.0\nn = 512\nL = 8.0\nm = 128\n"
-        + "[experiment]\nx = 0.5\nreplicates = 64\nseed = 20250601\nbackend = exact-linear\n",
+        + "[experiment]\nx = 0.5\nreplicates = 100\nseed = 20250601\nbackend = exact-linear\n",
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
     csvs = []

@@ -23,6 +23,7 @@ from skewheat import GreenKernel
 from skewheat import solver
 from skewheat.solver import scheme_variance
 from skewheat.checks import brute_covariance, quad_covariance
+from skewheat.noise import STREAM_EXACT_PATHS, position_subkey, standard_normals
 
 M14 = MediumParams(1, 4, 1, 1)
 HOMOG = MediumParams(1, 1, 1, 1)
@@ -309,6 +310,27 @@ def test_covariance_matrix_nonconvergence_raises(monkeypatch):
         covariance_matrix(np.linspace(0.0, 1.0, 5), 0.5, M14)
 
 
+@pytest.mark.parametrize(
+    "medium, bound",
+    [(MediumParams(1, 4, 1, 1), 1e-14), (MediumParams(0.01, 100, 3, 0.2), 1e-11)],
+    ids=["a1<a2", "a2/a1=1e4"],
+)
+@pytest.mark.parametrize("n", [16, 64])
+def test_covariance_matrix_two_node_start_matches_eight_node_ladder(medium, bound, n, monkeypatch):
+    # From 2 nodes a smooth cell stops at 4 once levels 2 and 4 agree within
+    # COV_CELL_TOL/n; from 8 it stopped at 16.  On (0.01, 100, 3, 0.2) a few
+    # cells keep a 4-node error of a few 1e-13 (1.5e-12 of max|C| at
+    # x = 1e-3, n = 64), still 1e3 below COV_CELL_TOL.
+    times = np.linspace(0.0, 1.0, n + 1)
+    for x in (-2.0, 1e-3, 0.5, 3.5):
+        got = covariance_matrix(times, x, medium)
+        monkeypatch.setattr(solver, "COV_CELL_NODES", 8)
+        ref = covariance_matrix(times, x, medium)
+        monkeypatch.undo()
+        assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref)), x
+        assert got.node_level == ref.node_level, x
+
+
 # -- exact linear sampler ------------------------------------------------------
 
 
@@ -329,18 +351,42 @@ def test_exact_paths_replicate_keying_independent_of_batch():
 
 @pytest.mark.parametrize("n", [16, 100, 512])
 def test_exact_paths_every_batch_layout_is_bitwise_one_call(n):
-    # Each replicate is its own matvec, so no batch split can change a bit.
+    # Replicate r is always row r mod PATH_BLOCK of block r // PATH_BLOCK's
+    # gemm, whatever else the block holds, so no batch split can change a bit.
     s = ExactLinearSampler(M14, 0.5, 1.0, n)
     full = s.paths_array(seed=34, replicates=300)
-    for first, count in ((0, 1), (3, 2), (7, 57), (63, 5), (64, 64), (100, 200), (299, 1), (1, 299)):
+    for first, count in ((0, 1), (3, 2), (7, 57), (63, 5), (64, 64), (100, 200), (299, 1), (1, 299),
+                         (0, 64), (60, 10), (65, 3), (127, 2)):
         part = s.paths_array(seed=34, replicates=count, first_replicate=first)
         assert np.array_equal(part, full[first : first + count]), (first, count)
+
+
+@pytest.mark.parametrize("n", [16, 100, 512])
+def test_exact_paths_match_per_replicate_matvec(n):
+    s = ExactLinearSampler(M14, 0.5, 1.0, n)
+    first, count = 5, 130  # a partial first and last block
+    paths = s.paths_array(seed=35, replicates=count, first_replicate=first)
+    subkey = position_subkey(0.5)
+    for k, path in enumerate(paths):
+        z = standard_normals(35, first + k, n, kind=STREAM_EXACT_PATHS, subkey=subkey)
+        ref = s._factor @ z
+        assert path[0] == 0.0
+        assert np.max(np.abs(path[1:] - ref)) <= 1e-14 * np.max(np.abs(ref)), k
 
 
 def test_exact_sampler_records_stage_seconds():
     s = ExactLinearSampler(M14, 0.5, 1.0, 16)
     for value in (s.covariance_s, s.cholesky_s):
         assert isinstance(value, float) and math.isfinite(value) and value >= 0.0
+
+
+def test_exact_sampler_accumulates_paths_seconds():
+    s = ExactLinearSampler(M14, 0.5, 1.0, 16)
+    assert s.paths_s == 0.0
+    s.paths_array(seed=36, replicates=70)
+    once = s.paths_s
+    s.paths_array(seed=36, replicates=3, first_replicate=70)
+    assert math.isfinite(once) and 0.0 < once < s.paths_s
 
 
 def test_exact_sampler_records_jitter_and_node_level():
