@@ -9,7 +9,8 @@ causal convolution in time of the requested cells' kernel rows with the
 noise, formed by FFT in fixed-width blocks of source cells.  A nonlinear
 sigma needs every cell of the previous row; there the lag sum is carried
 forward one step at a time by the heat semigroup, with a cell-integrated
-one-step kernel on a padded grid.  For sigma identically one
+one-step kernel on a padded grid, every operator held only within the
+heat kernel's reach.  For sigma identically one
 the solution is Gaussian and its time covariance at a fixed point has an
 exact quadrature representation (covariance_linear, a dyadic-panel
 Gauss-Legendre rule); the exact-linear backend samples such paths from a
@@ -32,6 +33,11 @@ from .noise import GridSpec, standard_normals, position_subkey, STREAM_EXACT_PAT
 
 # Source cells per FFT block of the constant-sigma product.
 FFT_BLOCK = 32
+
+# Rows per block of the semigroup operators, and the direct Gaussian factor
+# exp(-(f(x) - f(y))**2 / 2t) below which a column lies outside a row's band.
+BAND_BLOCK = 64
+BAND_FLOOR = 1e-17
 
 # Replicates per exact-path gemm block; block b holds replicates 64*b .. 64*b + 63.
 PATH_BLOCK = 64
@@ -156,32 +162,84 @@ def _cell_lags(grid: GridSpec) -> np.ndarray:
     return lags
 
 
+def _band(t, rows, lo, hi, entries):
+    """An operator at lag t held as row blocks (r0, c0, c1, block), block = A[r0:r0+64, c0:c1].
+
+    rows are the rows' images f(x), increasing; column l has the image
+    interval [lo[l], hi[l]], increasing in l.  Row j's band is the columns
+    whose image comes within sqrt(2 t ln(1/BAND_FLOOR)) of rows[j], where
+    the direct Gaussian factor is at least BAND_FLOOR; the reflected one is
+    never nearer.  The bands are increasing intervals, so a block of
+    BAND_BLOCK rows spans from its first row's first column to its last
+    row's last.  entries(r0, r1, c0, c1) gives A[r0:r1, c0:c1].
+    """
+    reach = math.sqrt(2.0 * t * math.log(1.0 / BAND_FLOOR))
+    first = np.searchsorted(hi, rows - reach, side="left")
+    stop = np.searchsorted(lo, rows + reach, side="right")
+    blocks = []
+    for r0 in range(0, len(rows), BAND_BLOCK):
+        r1 = min(r0 + BAND_BLOCK, len(rows))
+        c0, c1 = int(first[r0]), int(stop[r1 - 1])
+        a = entries(r0, r1, c0, c1)
+        # Subnormal entries (below 2.2e-308, far under the rounding of any
+        # field value) are stored as zero: BLAS runs several times slower on them.
+        a[np.abs(a) < np.finfo(float).tiny] = 0.0
+        blocks.append((r0, c0, c1, a))
+    return blocks
+
+
+def _band_matmul(blocks, x, out, scratch=None):
+    """out = A @ x for A held as _band's blocks, or out += A @ x through scratch (64 x R)."""
+    for r0, c0, c1, a in blocks:
+        if scratch is None:
+            np.matmul(a, x[c0:c1], out=out[r0:r0 + len(a)])
+        else:
+            part = scratch[: len(a)]
+            np.matmul(a, x[c0:c1], out=part)
+            out[r0:r0 + len(a)] += part
+
+
+def _band_rows(blocks, r0, r1):
+    """(c0, c1, A[r0:r1, c0:c1]) with [c0, c1) the column hull of the blocks holding rows r0..r1-1."""
+    held = [(b0, c0, c1, a) for b0, c0, c1, a in blocks if b0 < r1 and b0 + len(a) > r0]
+    lo, hi = min(b[1] for b in held), max(b[2] for b in held)
+    out = np.zeros((r1 - r0, hi - lo))
+    for b0, c0, c1, a in held:
+        top, bottom = max(r0, b0), min(r1, b0 + len(a))
+        out[top - r0:bottom - r0, c0 - lo:c1 - lo] = a[top - b0:bottom - b0]
+    return lo, hi, out
+
+
 def _semigroup_operators(kernel: GreenKernel, grid: GridSpec):
-    """The three matrices of the semigroup recursion and its one-step gap.
+    """The three banded operators of the semigroup recursion and its one-step gap.
 
     The history lives on the padded grid z: the m cells plus m//2 cells of
     the same width on each side, about [-2L, 2L], with z[pad:pad+m] the cell
     centers.  Returns (newest, history, step, gap): newest = K_{dt/4} on the
     m cells, history = K_{3dt/2} from the m cells to the padded cells (the
     direct scheme's kernel values at lags d = 1, 2), step[j, l] = the
-    integral of G_dt(z_j, y) over padded cell l, and gap = the largest
+    integral of G_dt(z_j, y) over padded cell l, each held as _band's row
+    blocks and built on the blocks' column spans only, and gap = the largest
     |step @ K_{3dt/2} - K_{5dt/2}| over padded rows in [-L/2, L/2], relative
     to max K_{5dt/2}.
     """
     y = grid.cell_centers
-    pad, dx = grid.m // 2, grid.dx
+    pad, dx, dt = grid.m // 2, grid.dx, grid.dt
     z = np.concatenate([y[0] - dx * np.arange(pad, 0, -1), y, y[-1] + dx * np.arange(1, pad + 1)])
     edges = z[0] - 0.5 * dx + dx * np.arange(len(z) + 1)
-    newest = kernel.evaluate(0.25 * grid.dt, y[:, None], y[None, :])
-    history = kernel.evaluate(1.5 * grid.dt, z[:, None], y[None, :])
-    step = kernel.cell_mass(grid.dt, z[:, None], edges[None, :-1], edges[None, 1:])
-    # Subnormal entries (below 2.2e-308, far under the rounding of any field
-    # value) are stored as zero: BLAS runs several times slower on them.
-    for a in (newest, history, step):
-        a[np.abs(a) < np.finfo(float).tiny] = 0.0
-    half = np.abs(z) <= 0.5 * grid.L
-    later = kernel.evaluate(2.5 * grid.dt, z[half, None], y[None, :])
-    gap = float(np.max(np.abs(step[half] @ history - later)) / np.max(later))
+    fy, fz, fe = (position_map(a, kernel.params) for a in (y, z, edges))
+    newest = _band(0.25 * dt, fy, fy, fy, lambda r0, r1, c0, c1: kernel.evaluate(
+        0.25 * dt, y[r0:r1, None], y[None, c0:c1]))
+    history = _band(1.5 * dt, fz, fy, fy, lambda r0, r1, c0, c1: kernel.evaluate(
+        1.5 * dt, z[r0:r1, None], y[None, c0:c1]))
+    step = _band(dt, fz, fe[:-1], fe[1:], lambda r0, r1, c0, c1: kernel.cell_mass(
+        dt, z[r0:r1, None], edges[None, c0:c1], edges[None, c0 + 1:c1 + 1]))
+    # Outside the band both step @ history and K_{5dt/2} are below rounding.
+    h0, h1 = np.flatnonzero(np.abs(z) <= 0.5 * grid.L)[[0, -1]] + [0, 1]
+    p0, p1, p_rows = _band_rows(step, h0, h1)
+    k0, k1, h_rows = _band_rows(history, p0, p1)
+    later = kernel.evaluate(2.5 * dt, z[h0:h1, None], y[None, k0:k1])
+    gap = float(np.max(np.abs(p_rows @ h_rows - later)) / np.max(later))
     return newest, history, step, gap
 
 
@@ -223,15 +281,20 @@ def solve_field_batch(
     S_{i+1} = P S_i + K_{3dt/2} v_{i-1}, with P the cell-integrated one-step
     kernel.  P is nonnegative with row sums at most one, so the recursion is
     stable on every grid; its deviation from the direct sum is the
-    semigroup gap.  This is O(n m**2 R) instead of O(n**2 m**2 R) and holds
-    three matrices instead of the per-lag stack.  Only the current row and
-    the requested columns are kept.
+    semigroup gap.  The three are banded operators: each is held as blocks of
+    BAND_BLOCK rows with the one column span the rows' heat kernel reaches
+    (every left-out entry is below BAND_FLOOR times the Gaussian's peak), so
+    a step costs O(m w R) for a block span w, and the whole pass
+    O(n m w R) instead of the direct O(n**2 m**2 R).  Only the current row
+    and the requested columns are kept.
 
     If report is given it receives rows_per_step (the distinct requested
     cells, or m), kernel_stack ("fft" or "semigroup"), stack_mib (the kernel
-    and transform arrays held at once) and, for the semigroup path,
-    semigroup_gap.  Raises NonFiniteFieldError naming the first
-    offending (time row, grid cell) if the field overflows.
+    and transform arrays held at once: for the semigroup path, the stored
+    blocks) and, for the semigroup path, semigroup_gap and band_fraction
+    (the entries the blocks store over the three operators' dense size).
+    Raises NonFiniteFieldError naming the first offending (time row, grid
+    cell) if the field overflows.
     """
     dW = np.asarray(increments, dtype=float)
     squeeze = dW.ndim == 2
@@ -254,24 +317,33 @@ def solve_field_batch(
 
 
 def _semigroup_field(kernel, grid, sigma, dW, cols, report):
-    """Nonlinear sigma: the semigroup recursion over all m cells, columns cols kept."""
+    """Nonlinear sigma: the semigroup recursion over all m cells, columns cols kept.
+
+    Each step applies the three banded operators one gemm per row block,
+    into buffers allocated once.
+    """
     n, m, r = dW.shape
     newest, history, step, gap = _semigroup_operators(kernel, grid)
+    padded = m + 2 * (m // 2)
     if report is not None:
-        held = newest.nbytes + history.nbytes + step.nbytes
-        report.update(rows_per_step=m, kernel_stack="semigroup", stack_mib=held / 2**20,
-                      semigroup_gap=gap)
+        stored = sum(a.size for op in (newest, history, step) for _, _, _, a in op)
+        report.update(rows_per_step=m, kernel_stack="semigroup", stack_mib=8 * stored / 2**20,
+                      semigroup_gap=gap, band_fraction=stored / (m * m + padded * m + padded**2))
     inner, cells = slice(m // 2, m // 2 + m), np.arange(m)
     out = np.zeros((n + 1, len(cols), r))
-    u = np.zeros((m, r))
-    hist = np.zeros((len(step), r))
+    u, v = np.zeros((m, r)), np.empty((m, r))
+    hist, nxt = np.zeros((padded, r)), np.empty((padded, r))
+    scratch = np.empty((BAND_BLOCK, r))
     for i in range(1, n + 1):
-        v = sigma.evaluate(u) * dW[i - 1]
-        u = newest @ v + hist[inner]
+        np.multiply(sigma.evaluate(u), dW[i - 1], out=v)
+        _band_matmul(newest, v, u)
+        u += hist[inner]
         _check_finite(u, i, cells)
         out[i] = u[cols]
         if i < n:
-            hist = step @ hist + history @ v
+            _band_matmul(step, hist, nxt)
+            _band_matmul(history, v, nxt, scratch)
+            hist, nxt = nxt, hist
     return out
 
 

@@ -432,12 +432,17 @@ def test_summary_json_records_convolution_chunks(tmp_path, monkeypatch):
                  + f"out = {tmp_path}/sin\n")
     assert main(["quartic", "--config", big]) == 0
     payload = json.loads((tmp_path / "sin" / "quartic_summary.json").read_text())
-    # The semigroup recursion holds three matrices, K_{dt/4} (m x m),
-    # K_{3dt/2} (2m x m) and P (2m x 2m).
+    # The semigroup recursion holds three banded operators, K_{dt/4} (m x m),
+    # K_{3dt/2} (2m x m) and P (2m x 2m), as 64-row blocks over their column
+    # spans; at m = 256 the band leaves most of the dense entries out.
     [record] = payload["convolution"]
     assert (record["rows_per_step"], record["kernel_stack"], record["dx_resolved"]) \
         == (256, "semigroup", True)
-    assert record["stack_mib"] == (256 * 256 + 512 * 256 + 512 * 512) * 8 / 2**20
+    resolved = load_config(big)
+    ops = solver._semigroup_operators(kernel.GreenKernel(resolved.medium), harness._grid(resolved))
+    stored = sum(a.size for op in ops[:3] for _, _, _, a in op)
+    assert record["stack_mib"] == stored * 8 / 2**20
+    assert record["band_fraction"] == stored / (256 * 256 + 512 * 256 + 512 * 512) < 0.5
     assert 0.0 < record["semigroup_gap"] < 0.1
 
 
@@ -703,3 +708,25 @@ def test_exact_quartic_csv_identical_at_one_and_two_blas_threads(tmp_path):
                         "--out", str(out)], env=env, capture_output=True, check=True)
         csvs.append((out / "quartic.csv").read_bytes())
     assert csvs[0] == csvs[1]
+
+
+def test_semigroup_quartic_csv_identical_at_any_blas_threads_and_workers(tmp_path):
+    # m = 128 gives each banded operator several 64-row blocks with distinct
+    # column spans; 100 replicates are two chunks, the second partial.
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + "[grid]\nT = 1.0\nn = 32\nL = 4.0\nm = 128\n"
+        + "[experiment]\nsigma = sin1:0.5\nx = -0.5, 0.0, 0.5\nreplicates = 100\nseed = 20250602\n",
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    csvs = []
+    for threads in ("1", "2"):
+        for workers in ("1", "2"):
+            out = tmp_path / f"threads{threads}-workers{workers}"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "skewheat", "quartic", "--config", cfg,
+                            "--workers", workers, "--out", str(out)],
+                           env=env, capture_output=True, check=True)
+            csvs.append((out / "quartic.csv").read_bytes())
+    assert csvs[1:] == csvs[:1] * 3

@@ -503,10 +503,12 @@ def test_column_solve_reports_kernel_path(sigma):
     solve_field_batch(M14, grid, sigma, dw, columns=[11, 2], report=report)
     if sigma.constant is None:
         # The semigroup recursion holds K_{dt/4} (m x m), K_{3dt/2} (2m x m)
-        # and the one-step P (2m x 2m).
+        # and the one-step P (2m x 2m).  At m = 16 each is one block whose
+        # span is every column, so the band keeps every entry.
         assert 0.0 < report.pop("semigroup_gap") < 0.1
         assert report == {"rows_per_step": 16, "kernel_stack": "semigroup",
-                          "stack_mib": (16 * 16 + 32 * 16 + 32 * 32) * 8 / 2**20}
+                          "stack_mib": (16 * 16 + 32 * 16 + 32 * 32) * 8 / 2**20,
+                          "band_fraction": 1.0}
         return
     # One FFT block (all 16 cells) of the 2 rows' and the noise's transforms,
     # (n+1) x 16 x (2 + R) complex, and the accumulated (n+1) x 2 x R one.
@@ -649,6 +651,70 @@ def test_semigroup_recursion_stable_on_coarse_grid():
     got = solve_field_batch(M14, grid, sigma_sin(0.5), dw)
     assert np.isfinite(got).all()
     assert np.max(np.abs(got)) == pytest.approx(np.max(np.abs(ref)), rel=0.10)
+
+
+# -- banded semigroup operators ----------------------------------------------
+
+HIGH_CONTRAST = MediumParams(0.01, 100, 3, 0.2)
+
+
+def _dense_operators(medium, grid):
+    """Reference K_{dt/4}, K_{3dt/2} and P, evaluated on every entry, subnormals as zero."""
+    kernel = GreenKernel(medium)
+    y, pad, dx, dt = grid.cell_centers, grid.m // 2, grid.dx, grid.dt
+    z = np.concatenate([y[0] - dx * np.arange(pad, 0, -1), y, y[-1] + dx * np.arange(1, pad + 1)])
+    edges = z[0] - 0.5 * dx + dx * np.arange(len(z) + 1)
+    ops = [kernel.evaluate(0.25 * dt, y[:, None], y[None, :]),
+           kernel.evaluate(1.5 * dt, z[:, None], y[None, :]),
+           kernel.cell_mass(dt, z[:, None], edges[None, :-1], edges[None, 1:])]
+    for a in ops:
+        a[np.abs(a) < np.finfo(float).tiny] = 0.0
+    return ops
+
+
+# m = 1 is one cell, 48 less than one block of K_{dt/4}, 192 and 256 several
+# blocks of every operator, and 200 several blocks ending in a partial one.
+@pytest.mark.parametrize("medium", [M14, HIGH_CONTRAST], ids=["demo", "contrast"])
+@pytest.mark.parametrize("m", [1, 48, 192, 200, 256])
+def test_band_blocks_match_dense_operators_and_skip_only_negligible_entries(medium, m):
+    grid = GridSpec(1.0, 32, 4.0, m)
+    banded = solver._semigroup_operators(GreenKernel(medium), grid)[:3]
+    for blocks, dense in zip(banded, _dense_operators(medium, grid)):
+        kept = np.zeros(dense.shape, dtype=bool)
+        rows = 0
+        for r0, c0, c1, a in blocks:
+            assert r0 == rows and len(a) == min(solver.BAND_BLOCK, len(dense) - r0)
+            assert 0 <= c0 <= c1 <= dense.shape[1] and a.shape[1] == c1 - c0
+            np.testing.assert_allclose(a, dense[r0:r0 + len(a), c0:c1], rtol=1e-15, atol=0)
+            kept[r0:r0 + len(a), c0:c1] = True
+            rows += len(a)
+        assert rows == len(dense)
+        skipped = np.abs(dense[~kept])
+        assert skipped.size == 0 or skipped.max() <= solver.BAND_FLOOR * dense.max()
+        if m >= 192:
+            assert kept.mean() < 0.7
+
+
+def _dense_semigroup_field(medium, grid, sigma, dw):
+    """Reference recursion: the semigroup scheme with the dense operators."""
+    newest, history, step = _dense_operators(medium, grid)
+    inner = slice(grid.m // 2, grid.m // 2 + grid.m)
+    u = np.zeros((grid.n + 1,) + dw.shape[1:])
+    hist = np.zeros((len(step),) + dw.shape[2:])
+    for i in range(1, grid.n + 1):
+        v = sigma.evaluate(u[i - 1]) * dw[i - 1]
+        u[i] = newest @ v + hist[inner]
+        hist = step @ hist + history @ v
+    return u
+
+
+@pytest.mark.parametrize("medium", [M14, HIGH_CONTRAST], ids=["demo", "contrast"])
+def test_banded_recursion_matches_dense_operator_recursion(medium):
+    grid = GridSpec(1.0, 32, 4.0, 192)
+    dw = _noise_batch(grid, 52, 4)
+    ref = _dense_semigroup_field(medium, grid, sigma_sin(0.5), dw)
+    got = solve_field_batch(medium, grid, sigma_sin(0.5), dw)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("medium", [MediumParams(1, 4, 1, 1), MediumParams(4, 1, 1, 1),
