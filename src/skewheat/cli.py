@@ -2,8 +2,10 @@
 
 Exit codes: 0 on success, 1 when a check or experiment gate fails or a
 solver stage fails (one-line "solver failure" message), 2 on configuration
-errors.  A convolution run on a grid with dx above sqrt(min(a1, a2)*dt/4)
-prints one warning line on stderr and keeps its exit code.
+errors, among them an out path that cannot be a writable directory, found
+before any work runs.  A convolution run on a grid with dx above
+sqrt(min(a1, a2)*dt/4) prints one warning line on stderr and keeps its exit
+code.
 """
 
 from __future__ import annotations

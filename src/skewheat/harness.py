@@ -1,10 +1,11 @@
 """Experiment drivers: Monte Carlo replication, aggregation, CSV/JSON outputs.
 
 Every command writes one CSV with a fixed column schema plus a JSON run
-summary embedding the resolved configuration, its SHA-256, the seed and the
-tool version.  All scientific output is bit-reproducible for a fixed config
-and seed, independent of the worker count: replicates are keyed individually
-by (seed, replicate), work is split into fixed-size chunks regardless of the
+summary embedding the resolved configuration, its SHA-256, the seed, the
+tool version, the Gaussian transform and the numpy version that drew it.
+All scientific output is bit-reproducible for a fixed config and seed,
+independent of the worker count: replicates are keyed individually by
+(seed, replicate), work is split into fixed-size chunks regardless of the
 worker pool, and results are assembled by replicate index.  Wall-clock
 timings therefore live only in the JSON summary's `timings` block; the CSV
 `seconds` column is reserved and always zero.  Exact-linear runs also record,
@@ -23,7 +24,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 
@@ -185,6 +185,8 @@ def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, xs: list[float],
     if cfg.workers <= 1 or len(payloads) <= 1:
         results = [_conv_chunk_worker(p) for p in payloads]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: slow to import, unused by one worker
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_conv_chunk_worker, payloads))
     out = np.empty((cfg.replicates, len(xs), grid.n + 1))
@@ -428,17 +430,27 @@ _RUNNERS = {
 }
 
 
+def _make_out_dir(path: str) -> None:
+    """Create the out directory, or raise ConfigError when it cannot hold the outputs."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create out directory {path!r}: {exc.strerror}") from None
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise ConfigError(f"out directory {path!r} is not writable")
+
+
 def run_command(command: str, cfg: ExperimentConfig) -> dict:
     """Run one command and write its outputs; returns the summary it wrote (pass flag "ok")."""
     if command not in _RUNNERS:
         raise ConfigError(f"unknown command {command!r}")
     if cfg.kind is not None and cfg.kind != command:
         raise ConfigError(f"config kind {cfg.kind!r} does not match command {command!r}")
+    _make_out_dir(cfg.out_dir)
     started = time.perf_counter()
     rows, ok, extras = _RUNNERS[command](cfg)
     elapsed = time.perf_counter() - started
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
     sha = config_sha256(cfg)
     meta = {"config_sha256": sha, "seed": cfg.seed, "version": __version__,
             "generator": GAUSS_TRANSFORM_ID}
@@ -461,6 +473,7 @@ def run_command(command: str, cfg: ExperimentConfig) -> dict:
         "seed": cfg.seed,
         "config_sha256": sha,
         "gaussian_transform": GAUSS_TRANSFORM_ID,
+        "numpy_version": np.__version__,
         "config": asdict(cfg),
         "files": files,
         "rows": [asdict(r) for r in rows],

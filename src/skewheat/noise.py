@@ -1,9 +1,10 @@
 """Discretized space-time white noise on the simulation grid.
 
-Cell increments are i.i.d. N(0, dt*dx), generated by a counter-based scheme:
-the increment of cell (k, l) is a fixed function of (seed, replicate, cell
-index k*m + l) and of nothing else, so the matrix is bit-identical however
-generation is scheduled or parallelized.
+Cell increments are i.i.d. N(0, dt*dx), drawn from counter-based streams:
+the increment of cell (k, l) is draw k*m + l of the stream keyed by (seed,
+replicate), a fixed function of (seed, replicate, k*m + l) and of nothing
+else, so the matrix is bit-identical however replicates are chunked,
+scheduled or parallelized.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 
 #: Identifier of the uniform-to-Gaussian transform, recorded in run metadata.
-GAUSS_TRANSFORM_ID = "philox4x64-boxmuller-v1"
+GAUSS_TRANSFORM_ID = "philox4x64-ziggurat-v2"
 
 # Stream kinds occupy counter word 2, keeping independent uses of a
 # (seed, replicate) key on disjoint counter ranges.  Word 3 holds a
@@ -87,22 +88,20 @@ def standard_normals(
 ) -> np.ndarray:
     """`count` i.i.d. N(0,1) draws from the stream keyed by (seed, replicate, kind, subkey).
 
-    Draw i consumes exactly the Philox4x64 block at counter (i, 0, kind, subkey)
-    under key (seed, replicate): the first two 64-bit words become uniforms
-    u1 in (0,1], u2 in [0,1) and the Box-Muller cosine branch maps them to one
-    normal.  The value of draw i never depends on which other draws are made.
+    The stream is numpy's ziggurat (`Generator.standard_normal`, Marsaglia &
+    Tsang 2000) over the Philox4x64 generator with key (seed, replicate) and
+    counter (0, 0, kind, subkey).  Draw j is a function of (seed, replicate,
+    kind, subkey, j) only: a shorter request returns a prefix of a longer
+    one.  The ziggurat consumes a variable number of words per draw, so draw
+    j is reached only through the draws before it; its bits are those of
+    numpy's `Generator.standard_normal`.
     """
     _check_stream_key(seed, replicate)
-    if count == 0:
-        return np.zeros(0)
     bg = Philox(
         key=np.array([seed, replicate], dtype=np.uint64),
         counter=np.array([0, 0, kind, subkey], dtype=np.uint64),
     )
-    words = bg.random_raw(4 * count).reshape(count, 4)
-    u1 = ((words[:, 0] >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
-    u2 = (words[:, 1] >> np.uint64(11)) * 2.0**-53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return Generator(bg).standard_normal(count)
 
 
 def sample_noise(grid: GridSpec, seed: int, replicate: int) -> np.ndarray:
@@ -112,4 +111,5 @@ def sample_noise(grid: GridSpec, seed: int, replicate: int) -> np.ndarray:
     distributed N(0, dt*dx).
     """
     z = standard_normals(seed, replicate, grid.n * grid.m, kind=STREAM_FIELD_NOISE)
-    return math.sqrt(grid.dt * grid.dx) * z.reshape(grid.n, grid.m)
+    z *= math.sqrt(grid.dt * grid.dx)
+    return z.reshape(grid.n, grid.m)

@@ -609,10 +609,11 @@ class ExactLinearSampler:
     def paths_array(self, seed: int, replicates: int, first_replicate: int = 0) -> np.ndarray:
         """Sample paths as an array of shape (replicates, n+1); column 0 is zero.
 
-        Replicate r at point x always consumes the stream keyed by
-        (seed, r, exact-path kind, bits of x), independent of batch layout.
-        Its normals fill row r mod PATH_BLOCK of a (PATH_BLOCK, n) buffer for
-        block r // PATH_BLOCK, rows outside the request are zero, and one gemm
+        Replicate r at point x always takes the first n draws of the stream
+        keyed by (seed, r, exact-path kind, bits of x), one standard_normals
+        call per replicate, independent of batch layout.  They fill row
+        r mod PATH_BLOCK of a (PATH_BLOCK, n) buffer for block
+        r // PATH_BLOCK, rows outside the request are zero, and one gemm
         maps the block through the factor.  A row of the product does not
         depend on the other rows, and replicate r always sits in the same row
         of the same-shape product, so no batch split and no BLAS thread count

@@ -254,7 +254,8 @@ def test_summary_json_embeds_config_and_versions(tmp_path):
     assert payload["config"]["medium"]["a2"] == 4.0
     assert payload["config"]["x_points"] == [0.5]
     assert len(payload["config_sha256"]) == 64
-    assert payload["gaussian_transform"] == "philox4x64-boxmuller-v1"
+    assert payload["gaussian_transform"] == "philox4x64-ziggurat-v2"
+    assert payload["numpy_version"] == np.__version__
     assert payload["timings"]["total_seconds"] >= 0
 
 
@@ -560,6 +561,21 @@ def test_averaged_grid_coverage_exits_two_with_one_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_out_path_that_is_a_file_exits_two_before_running(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setitem(harness._RUNNERS, "quartic", lambda cfg: ran.append(cfg))
+    (tmp_path / "taken").write_text("not a directory\n")
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + GRID_SMALL + "[experiment]\nx = 0.5\nreplicates = 2\n",
+    )
+    assert main(["quartic", "--config", cfg, "--out", str(tmp_path / "taken")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create out directory ")
+    assert err.count("\n") == 1
+    assert ran == []
+
+
 def test_perfbench_layer_hooks_resolve(monkeypatch):
     # The traced benchmark run wraps these attributes by name; a missing one
     # would silently read 0 for its per-layer metric.
@@ -687,6 +703,24 @@ def test_sigma_one_simulate_leaves_scipy_integrate_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[False, 0, False, False]"
+
+
+def test_cli_import_and_one_worker_run_leave_process_pool_unloaded(tmp_path):
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + GRID_SMALL
+        + f"[experiment]\nx = 0.5\nreplicates = 2\nseed = 3\nsigma = sin1:0.5\n"
+        f"out = {tmp_path}/out\n",
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    probe = ("import sys, skewheat.cli; "
+             "loaded = ['concurrent.futures.process' in sys.modules]; "
+             f"loaded.append(skewheat.cli.main(['quartic', '--config', {cfg!r}])); "
+             "loaded.append('concurrent.futures.process' in sys.modules); print(loaded)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[False, 0, False]"
 
 
 def test_exact_quartic_csv_identical_at_one_and_two_blas_threads(tmp_path):

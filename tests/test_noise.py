@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 
 from skewheat import GridSpec, sample_noise
-from skewheat.noise import standard_normals, STREAM_FIELD_NOISE, STREAM_EXACT_PATHS
+from skewheat.kernel import _erfc
+from skewheat.noise import (
+    GAUSS_TRANSFORM_ID,
+    STREAM_EXACT_PATHS,
+    STREAM_FIELD_NOISE,
+    position_subkey,
+    standard_normals,
+)
 
 
 def test_grid_arithmetic():
@@ -52,22 +59,73 @@ def test_same_stream_is_bit_identical():
 
 
 def test_entry_depends_only_on_cell_index():
-    # Recompute one cell's value straight from its own Philox block: the
-    # matrix entry must match without generating any neighbors.
+    # Entry (k, l) is draw k*m + l of the replicate's field stream, and a
+    # request that stops at that draw returns the same prefix.
     g = GridSpec(T=1.0, n=8, L=4.0, m=16)
     field = sample_noise(g, seed=99, replicate=3)
     assert field.shape == (g.n, g.m)
+    stream = standard_normals(99, 3, g.n * g.m, kind=STREAM_FIELD_NOISE)
+    assert np.array_equal(field, (stream * math.sqrt(g.dt * g.dx)).reshape(g.n, g.m))
     k, l = 5, 11
     cell = k * g.m + l
-    bg = Philox(
-        key=np.array([99, 3], dtype=np.uint64),
-        counter=np.array([cell, 0, STREAM_FIELD_NOISE, 0], dtype=np.uint64),
-    )
-    w = bg.random_raw(4)
-    u1 = float(((w[0] >> np.uint64(11)) + np.uint64(1)) * 2.0**-53)
-    u2 = float((w[1] >> np.uint64(11)) * 2.0**-53)
-    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-    assert field[k, l] == z * math.sqrt(g.dt * g.dx)
+    prefix = standard_normals(99, 3, cell + 1, kind=STREAM_FIELD_NOISE)
+    assert np.array_equal(prefix, stream[: cell + 1])
+    assert field[k, l] == prefix[cell] * math.sqrt(g.dt * g.dx)
+
+
+def test_stream_is_numpy_ziggurat_on_keyed_philox():
+    z = standard_normals(5, 6, 100, kind=STREAM_EXACT_PATHS, subkey=7)
+    bg = Philox(key=np.array([5, 6], dtype=np.uint64),
+                counter=np.array([0, 0, STREAM_EXACT_PATHS, 7], dtype=np.uint64))
+    assert np.array_equal(z, Generator(bg).standard_normal(100))
+
+
+# The first draws of one field stream and one exact-path stream, pinned bit
+# for bit.  They come from numpy's Generator.standard_normal; a numpy release
+# that changes it fails here instead of moving every CSV silently.
+GOLDEN_FIELD = [0.8643578532904193, -0.5966570816345947, -2.7334048553079415,
+                -1.3509760903115522]
+GOLDEN_EXACT_PATH = [0.5783506335823094, -0.6630157872548903, -0.28170647241176444,
+                     0.6524186286246734]
+
+
+def test_golden_draws_pin_the_transform():
+    assert GAUSS_TRANSFORM_ID == "philox4x64-ziggurat-v2"
+    field = standard_normals(20240601, 0, 4, kind=STREAM_FIELD_NOISE)
+    path = standard_normals(20240601, 7, 4, kind=STREAM_EXACT_PATHS,
+                            subkey=position_subkey(0.5))
+    assert field.tolist() == GOLDEN_FIELD, f"numpy {np.__version__}"
+    assert path.tolist() == GOLDEN_EXACT_PATH, f"numpy {np.__version__}"
+
+
+def test_transform_statistics():
+    # N(0, 1) checks of the transform, each a 4-sigma band (or a KS level of
+    # about 1e-3) at N draws: moments, the CDF, the ziggurat's tail beyond
+    # its base-strip cutoff r, and correlations along and across streams.
+    N = 1_000_000
+    z = standard_normals(2024, 0, N, kind=STREAM_FIELD_NOISE)
+    assert abs(z.mean()) < 4.0 / math.sqrt(N)
+    assert abs(z.var() - 1.0) < 4.0 * math.sqrt(2.0 / N)
+    assert abs(np.mean(z**4) - 3.0) < 4.0 * math.sqrt(96.0 / N)
+
+    def phi(x):
+        return 0.5 * _erfc(-np.asarray(x) / math.sqrt(2.0))
+
+    cdf = phi(np.sort(z))
+    ranks = np.arange(1, N + 1) / N
+    ks = max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / N)))
+    assert ks * math.sqrt(N) < 1.95
+
+    r = 3.6541528853610088
+    p_tail = float(_erfc(np.array([r / math.sqrt(2.0)]))[0])
+    tail = int(np.count_nonzero(np.abs(z) > r))
+    assert abs(tail - N * p_tail) < 4.0 * math.sqrt(N * p_tail)
+
+    assert abs(np.corrcoef(z[:-1], z[1:])[0, 1]) < 4.0 / math.sqrt(N)
+    other = standard_normals(2024, 1, N, kind=STREAM_FIELD_NOISE)
+    assert abs(np.corrcoef(z, other)[0, 1]) < 4.0 / math.sqrt(N)
+    path = standard_normals(2024, 0, N, kind=STREAM_EXACT_PATHS)
+    assert abs(np.corrcoef(z, path)[0, 1]) < 4.0 / math.sqrt(N)
 
 
 def test_sample_mean_within_clt_band():

@@ -447,11 +447,13 @@ def test_solver_variance_tracks_oracle_small_run():
 
 
 def test_second_moment_uniformly_bounded_under_refinement():
+    # The maximum over cells of R-replicate second moments: at R = 256 the
+    # ratio read 0.85-1.13 over seeds 20-39; at R = 48 one seed in 20 failed.
     target_mix = []
     for n, m in ((16, 64), (32, 128)):
         grid = GridSpec(1.0, n, 8.0, m)
         stack = np.stack(
-            [sample_noise(grid, 36, r) for r in range(48)], axis=2
+            [sample_noise(grid, 36, r) for r in range(256)], axis=2
         )
         u = solve_field_batch(M14, grid, sigma_sin(0.5), stack)
         second = np.mean(u**2, axis=2)
