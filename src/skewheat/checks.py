@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .medium import MediumParams, rho_of
+from .medium import MediumParams, position_map, rho_of
 from .kernel import GreenKernel
 
 
@@ -24,7 +24,7 @@ def _support(kernel: GreenKernel, t: float, x: float) -> tuple[float, float]:
     leaves a tail below ~1e-14 of the integral.
     """
     p = kernel.params
-    s = abs(kernel._fx(x))
+    s = abs(position_map(x, p))
     reach = s + 8.0 * math.sqrt(t)
     return -math.sqrt(p.a1) * reach, math.sqrt(p.a2) * reach
 
@@ -44,12 +44,6 @@ def quad_l1(kernel: GreenKernel, t: float, x: float) -> float:
     """Quadrature value of the integral of |G_t(x, y)| dy."""
     lo, hi = _support(kernel, t, x)
     return _split_quad(lambda y: abs(kernel.evaluate(t, x, y)), lo, hi)
-
-
-def quad_l2(kernel: GreenKernel, t: float, x: float) -> float:
-    """Quadrature value of the integral of G_t(x, y)^2 dy."""
-    lo, hi = _support(kernel, t, x)
-    return _split_quad(lambda y: kernel.evaluate(t, x, y) ** 2, lo, hi)
 
 
 def quad_cross(kernel: GreenKernel, t1: float, t2: float, x: float) -> float:
@@ -145,7 +139,7 @@ def closed_form_vs_quadrature(seed: int, count: int) -> dict[str, float]:
     for medium, t, t2, x in random_cases(seed, count):
         kernel = GreenKernel(medium)
         worst["l1"] = max(worst["l1"], abs(kernel.l1_norm(t, x) - quad_l1(kernel, t, x)))
-        worst["l2"] = max(worst["l2"], abs(kernel.l2_norm_sq(t, x) - quad_l2(kernel, t, x)))
+        worst["l2"] = max(worst["l2"], abs(kernel.l2_norm_sq(t, x) - quad_cross(kernel, t, t, x)))
         worst["cross"] = max(
             worst["cross"], abs(kernel.cross_integral(t, t2, x) - quad_cross(kernel, t, t2, x))
         )
@@ -187,8 +181,8 @@ def pointwise_bound_violations(kernel: GreenKernel, t, x, y) -> int:
     """
     g = np.abs(kernel.evaluate(t, x, y))
     c = kernel.bound_constants().c_pointwise
-    fx = kernel._fx(x)
-    fy = kernel._fx(y)
+    fx = position_map(x, kernel.params)
+    fy = position_map(y, kernel.params)
     bound = c / np.sqrt(t) * np.exp(-((fx - fy) ** 2) / (2.0 * t))
     return int(np.sum(g > bound))
 

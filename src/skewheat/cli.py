@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 when a check or experiment gate fails or a
 solver stage fails (one-line "solver failure" message), 2 on configuration
-errors, among them an out path that cannot be a writable directory, found
-before any work runs.  A convolution run on a grid with dx above
+errors, among them an out path that cannot be a writable directory and a
+convolution-backend observation point outside [-L, L], both found before
+any work runs.  A convolution run on a grid with dx above
 sqrt(min(a1, a2)*dt/4) prints one warning line on stderr and keeps its exit
 code.
 """

@@ -39,6 +39,7 @@ from .solver import (
     scheme_variance,
     covariance_linear,
     ExactLinearSampler,
+    NEWEST_LAG,
 )
 from .stats import PointStats, point_statistics, averaged_points, averaged_statistics
 from .config import ExperimentConfig, ConfigError, config_sha256, FORMAT_VERSION
@@ -131,8 +132,8 @@ REPLICATE_CHUNK = 64
 
 
 def dx_bound(medium: MediumParams, grid: GridSpec) -> float:
-    """sqrt(min(a1, a2)*dt/4), the largest dx at which the convolution scheme is resolved."""
-    return math.sqrt(min(medium.a1, medium.a2) * grid.dt / 4.0)
+    """sqrt(min(a1, a2)*NEWEST_LAG*dt), the largest dx that resolves the convolution scheme."""
+    return math.sqrt(min(medium.a1, medium.a2) * NEWEST_LAG * grid.dt)
 
 
 def resolution_warning(cfg: ExperimentConfig, records: list[dict]) -> str | None:
@@ -145,7 +146,7 @@ def resolution_warning(cfg: ExperimentConfig, records: list[dict]) -> str | None
     if not coarse or parse_sigma(cfg.sigma).constant == 0.0:
         return None
     grid = _grid(cfg, max(coarse))
-    return (f"warning: dx = {grid.dx:.6g} exceeds sqrt(min(a1, a2)*dt/4) = "
+    return (f"warning: dx = {grid.dx:.6g} exceeds sqrt(min(a1, a2)*dt/{1 / NEWEST_LAG:g}) = "
             f"{dx_bound(cfg.medium, grid):.6g} at n = {grid.n}; the convolution statistics "
             f"are biased by the spatial resolution")
 
@@ -167,14 +168,13 @@ def _conv_chunk_worker(payload) -> tuple[int, np.ndarray, dict]:
     return first_rep, np.ascontiguousarray(np.transpose(u, (2, 1, 0))), report
 
 
-def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, xs: list[float],
+def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, cols: list[int],
                        log: dict) -> np.ndarray:
-    """Paths at the snapped observation points, shape (R, n_points, n+1).
+    """Paths at the cells with indices cols, shape (R, len(cols), n+1).
 
     Appends one record per replicate chunk to log["convolution"]: the
-    solver's report plus dx_resolved, whether dx <= sqrt(min(a1, a2)*dt/4).
+    solver's report plus dx_resolved, whether dx <= dx_bound.
     """
-    cols = [grid.snap(x)[0] for x in xs]
     sigma = parse_sigma(cfg.sigma)
     payloads = []
     first = 0
@@ -187,9 +187,9 @@ def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, xs: list[float],
     else:
         from concurrent.futures import ProcessPoolExecutor  # deferred: slow to import, unused by one worker
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(payloads))) as pool:
             results = list(pool.map(_conv_chunk_worker, payloads))
-    out = np.empty((cfg.replicates, len(xs), grid.n + 1))
+    out = np.empty((cfg.replicates, len(cols), grid.n + 1))
     records = log.setdefault("convolution", [])
     resolved = grid.dx <= dx_bound(cfg.medium, grid)
     for first_rep, block, report in results:
@@ -203,18 +203,19 @@ def _point_paths(cfg: ExperimentConfig, log: dict, n: int | None = None,
                  num_points: int | None = None, samplers: dict | None = None):
     """The run preamble shared by the commands: (sigma, grid, points, paths).
 
-    points are (x_requested, x_effective) pairs: the observation points, or
-    with num_points the averaged statistic's points.  Effective points are
-    snapped to cell centers on the convolution backend and for the averaged
-    statistic.  paths has shape (R, n_points, n+1).  What the backend did is
-    appended to log: one record per replicate chunk under "convolution", or
-    one record per exact sampler build under "exact_sampler" (jitter,
-    quadrature node level, and the wall seconds of the covariance and the
-    Cholesky stages and of all the sampler's paths_array calls).  Exact
-    samplers are built once per (x_effective, n) and kept in samplers with
-    their records, so a caller passing the same dict to several calls of
-    one run reuses them.  The exact backend takes a constant sigma = c only,
-    and scales its sigma = 1 paths by c.
+    points are the effective x of the observation points, or with
+    num_points of the averaged statistic's points, snapped to cell centers
+    on the convolution backend and for the averaged statistic.  On the
+    convolution backend a point outside [-L, L] is a ConfigError, raised
+    before any solve.  paths has shape (R, n_points, n+1).  What the backend
+    did is appended to log: one record per replicate chunk under
+    "convolution", or one record per exact sampler build under
+    "exact_sampler" (jitter, quadrature node level, and the wall seconds of
+    the covariance and the Cholesky stages and of all the sampler's
+    paths_array calls).  Exact samplers are built once per (x, n) and kept
+    in samplers with their records, so a caller passing the same dict to
+    several calls of one run reuses them.  The exact backend takes a
+    constant sigma = c only, and scales its sigma = 1 paths by c.
     """
     sigma = parse_sigma(cfg.sigma)
     grid = _grid(cfg, n)
@@ -224,15 +225,21 @@ def _point_paths(cfg: ExperimentConfig, log: dict, n: int | None = None,
         requested = cfg.x_points if num_points is None else averaged_points(grid, num_points)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    snap = num_points is not None or cfg.backend == "convolution"
-    points = [(x, grid.snap(x)[1] if snap else float(x)) for x in requested]
+    if num_points is not None or cfg.backend == "convolution":
+        outside = [x for x in requested if abs(x) > grid.L]
+        if outside:
+            raise ConfigError(f"observation point x = {outside[0]!r} lies outside [-L, L] = "
+                              f"[{-grid.L!r}, {grid.L!r}] on the convolution backend")
+        cols, points = zip(*(grid.snap(x) for x in requested))
+    else:
+        points = [float(x) for x in requested]
     if cfg.backend == "convolution":
-        paths = _convolution_paths(cfg, grid, [xe for _, xe in points], log)
+        paths = _convolution_paths(cfg, grid, list(cols), log)
     elif sigma.constant is None:
         raise ConfigError(f"the exact-linear backend needs a constant sigma, got {sigma.label}")
     else:
         samplers = {} if samplers is None else samplers
-        for _, xe in points:
+        for xe in points:
             if (xe, grid.n) not in samplers:
                 sampler = ExactLinearSampler(cfg.medium, xe, cfg.T, grid.n)
                 record = {"x": xe, "n": grid.n, "cholesky_jitter": sampler.jitter,
@@ -241,9 +248,9 @@ def _point_paths(cfg: ExperimentConfig, log: dict, n: int | None = None,
                 log.setdefault("exact_sampler", []).append(record)
                 samplers[(xe, grid.n)] = sampler, record
         paths = np.stack([samplers[(xe, grid.n)][0].paths_array(cfg.seed, cfg.replicates)
-                          for _, xe in points], axis=1)
+                          for xe in points], axis=1)
         paths *= sigma.constant
-        for sampler, record in (samplers[(xe, grid.n)] for _, xe in points):
+        for sampler, record in (samplers[(xe, grid.n)] for xe in points):
             record["paths_s"] = sampler.paths_s
     return sigma, grid, points, paths
 
@@ -253,7 +260,7 @@ def _point_stats(cfg: ExperimentConfig, log: dict, n: int | None = None,
     """The grid and one PointStats per observation point, from _point_paths."""
     sigma, grid, points, paths = _point_paths(cfg, log, n, samplers=samplers)
     return grid, [point_statistics(paths[:, idx, :], xe, cfg.T, sigma, cfg.medium)
-                  for idx, (_, xe) in enumerate(points)]
+                  for idx, xe in enumerate(points)]
 
 
 def _quartic_rows(cfg: ExperimentConfig, experiment: str, grid: GridSpec,
@@ -326,7 +333,7 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]
     for n in cfg.n_list if cfg.m_list else ():
         for num_points in cfg.m_list:
             sigma, _, points, paths = _point_paths(cfg, log, n, num_points, samplers=samplers)
-            v_nm, target = averaged_statistics(paths, [xe for _, xe in points], cfg.T, sigma,
+            v_nm, target = averaged_statistics(paths, points, cfg.T, sigma,
                                                cfg.medium)
             rows.append(make_row(cfg, "convergence", n, num_points, math.nan,
                                  "v_avg", *_mean_se(v_nm), target))
@@ -342,7 +349,7 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     ok = True
     path_files = {}
     c = sigma.constant
-    for idx, (_, xe) in enumerate(points):
+    for idx, xe in enumerate(points):
         block = paths[:, idx, :]  # (R, n+1)
         mean_t = float(np.mean(block[:, -1]))
         if cfg.replicates > 1:

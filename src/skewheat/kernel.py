@@ -145,9 +145,6 @@ class GreenKernel:
 
     # -- helpers -----------------------------------------------------------
 
-    def _fx(self, x):
-        return position_map(x, self.params)
-
     @staticmethod
     def _check_lag(t):
         t = np.asarray(t, dtype=float)
@@ -167,7 +164,7 @@ class GreenKernel:
         t = self._check_lag(t)
         p, beta = self.params, self.derived.beta
         y = np.asarray(y, dtype=float)
-        fx, fy = np.asarray(self._fx(x)), np.asarray(self._fx(y))  # arrays: ** 2 squares exactly
+        fx, fy = (np.asarray(position_map(v, p)) for v in (x, y))  # arrays: ** 2 squares exactly
         left = y <= 0
         weight = np.where(left, 1.0 / math.sqrt(p.a1), 1.0 / math.sqrt(p.a2))
         sgn = np.where(left, -1.0, 1.0)
@@ -212,7 +209,7 @@ class GreenKernel:
         t1 = self._check_lag(t1)
         t2 = self._check_lag(t2)
         p, beta = self.params, self.derived.beta
-        b = np.asarray(self._fx(x), dtype=float)
+        b = np.asarray(position_map(x, self.params), dtype=float)
         s = np.abs(b)
         tsum = t1 + t2
         near = 0.5 * _erfc(s / np.sqrt(2.0 * t1 * t2 / tsum))
@@ -240,7 +237,7 @@ class GreenKernel:
         """
         t = self._check_lag(t)
         p, beta = self.params, self.derived.beta
-        b = np.asarray(self._fx(x), dtype=float)
+        b = np.asarray(position_map(x, self.params), dtype=float)
         s = np.abs(b)
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)

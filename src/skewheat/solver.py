@@ -34,6 +34,9 @@ from .noise import GridSpec, standard_normals, position_subkey, STREAM_EXACT_PAT
 # Source cells per FFT block of the constant-sigma product.
 FFT_BLOCK = 32
 
+# The newest cell's kernel lag in units of dt (see _cell_lags).
+NEWEST_LAG = 0.25
+
 # Rows per block of the semigroup operators, and the direct Gaussian factor
 # exp(-(f(x) - f(y))**2 / 2t) below which a column lies outside a row's band.
 BAND_BLOCK = 64
@@ -148,17 +151,17 @@ def parse_sigma(spec: str) -> SigmaSpec:
 # ---------------------------------------------------------------------------
 
 
-def _cell_lags(grid: GridSpec) -> np.ndarray:
-    """Kernel time lag for each past-cell distance d = 1..n.
+def _cell_lags(dt: float, count: int) -> np.ndarray:
+    """Kernel time lag for each past-cell distance d = 1..count.
 
     Older cells use the midpoint lag (d - 1/2)*dt.  The newest cell (d = 1)
-    uses dt/4, which reproduces the exact cell average of the leading
-    r**-1/2 profile of the squared-kernel mass; the midpoint there would
-    understate the cell's variance contribution by a factor sqrt(2)/2.
+    uses NEWEST_LAG*dt; at dt/4 it reproduces the exact cell average of the
+    leading r**-1/2 profile of the squared-kernel mass, where the midpoint
+    would understate the cell's variance contribution by a factor sqrt(2)/2.
+    Both field schemes and harness.dx_bound take their lags from here.
     """
-    d = np.arange(1, grid.n + 1, dtype=float)
-    lags = (d - 0.5) * grid.dt
-    lags[0] = 0.25 * grid.dt
+    lags = (np.arange(1, count + 1, dtype=float) - 0.5) * dt
+    lags[0] = NEWEST_LAG * dt
     return lags
 
 
@@ -215,30 +218,30 @@ def _semigroup_operators(kernel: GreenKernel, grid: GridSpec):
 
     The history lives on the padded grid z: the m cells plus m//2 cells of
     the same width on each side, about [-2L, 2L], with z[pad:pad+m] the cell
-    centers.  Returns (newest, history, step, gap): newest = K_{dt/4} on the
-    m cells, history = K_{3dt/2} from the m cells to the padded cells (the
-    direct scheme's kernel values at lags d = 1, 2), step[j, l] = the
+    centers.  With K_d the kernel at _cell_lags' lag for distance d,
+    returns (newest, history, step, gap): newest = K_1 on the m cells,
+    history = K_2 from the m cells to the padded cells, step[j, l] = the
     integral of G_dt(z_j, y) over padded cell l, each held as _band's row
     blocks and built on the blocks' column spans only, and gap = the largest
-    |step @ K_{3dt/2} - K_{5dt/2}| over padded rows in [-L/2, L/2], relative
-    to max K_{5dt/2}.
+    |step @ K_2 - K_3| over padded rows in [-L/2, L/2], relative to max K_3.
     """
     y = grid.cell_centers
     pad, dx, dt = grid.m // 2, grid.dx, grid.dt
     z = np.concatenate([y[0] - dx * np.arange(pad, 0, -1), y, y[-1] + dx * np.arange(1, pad + 1)])
     edges = z[0] - 0.5 * dx + dx * np.arange(len(z) + 1)
     fy, fz, fe = (position_map(a, kernel.params) for a in (y, z, edges))
-    newest = _band(0.25 * dt, fy, fy, fy, lambda r0, r1, c0, c1: kernel.evaluate(
-        0.25 * dt, y[r0:r1, None], y[None, c0:c1]))
-    history = _band(1.5 * dt, fz, fy, fy, lambda r0, r1, c0, c1: kernel.evaluate(
-        1.5 * dt, z[r0:r1, None], y[None, c0:c1]))
+    t1, t2, t3 = _cell_lags(dt, 3)
+    newest = _band(t1, fy, fy, fy, lambda r0, r1, c0, c1: kernel.evaluate(
+        t1, y[r0:r1, None], y[None, c0:c1]))
+    history = _band(t2, fz, fy, fy, lambda r0, r1, c0, c1: kernel.evaluate(
+        t2, z[r0:r1, None], y[None, c0:c1]))
     step = _band(dt, fz, fe[:-1], fe[1:], lambda r0, r1, c0, c1: kernel.cell_mass(
         dt, z[r0:r1, None], edges[None, c0:c1], edges[None, c0 + 1:c1 + 1]))
-    # Outside the band both step @ history and K_{5dt/2} are below rounding.
+    # Outside the band both step @ history and K_3 are below rounding.
     h0, h1 = np.flatnonzero(np.abs(z) <= 0.5 * grid.L)[[0, -1]] + [0, 1]
     p0, p1, p_rows = _band_rows(step, h0, h1)
     k0, k1, h_rows = _band_rows(history, p0, p1)
-    later = kernel.evaluate(2.5 * dt, z[h0:h1, None], y[None, k0:k1])
+    later = kernel.evaluate(t3, z[h0:h1, None], y[None, k0:k1])
     gap = float(np.max(np.abs(p_rows @ h_rows - later)) / np.max(later))
     return newest, history, step, gap
 
@@ -277,8 +280,8 @@ def solve_field_batch(
     Otherwise sigma needs the whole previous row, and the lag sum is carried
     by the heat semigroup: the history S_i = sum over d >= 2 of K_d v_{i-d}
     lives on a padded grid about [-2L, 2L] (see _semigroup_operators), and
-    each step is u_i = K_{dt/4} v_{i-1} + S_i[inner] followed by
-    S_{i+1} = P S_i + K_{3dt/2} v_{i-1}, with P the cell-integrated one-step
+    each step is u_i = K_1 v_{i-1} + S_i[inner] followed by
+    S_{i+1} = P S_i + K_2 v_{i-1}, with P the cell-integrated one-step
     kernel.  P is nonnegative with row sums at most one, so the recursion is
     stable on every grid; its deviation from the direct sum is the
     semigroup gap.  The three are banded operators: each is held as blocks of
@@ -366,7 +369,7 @@ def _fft_rows_field(kernel, grid, c, dW, cols, report):
     p, nfft = len(rows), 2 * n
     scale = float(max(dW.max(), -dW.min())) or 1.0
     y = grid.cell_centers
-    lags = _cell_lags(grid)
+    lags = _cell_lags(grid.dt, grid.n)
     acc = np.zeros((n + 1, p, r), dtype=complex)
     for lo in range(0, m, FFT_BLOCK):
         block = slice(lo, min(lo + FFT_BLOCK, m))
@@ -397,7 +400,7 @@ def scheme_variance(medium: MediumParams, grid: GridSpec, x: float) -> float:
     discretization bias, free of Monte Carlo error.
     """
     y = grid.cell_centers
-    rows = GreenKernel(medium).evaluate(_cell_lags(grid)[:, None], x, y[None, :])
+    rows = GreenKernel(medium).evaluate(_cell_lags(grid.dt, grid.n)[:, None], x, y[None, :])
     return float(np.sum(rows**2) * grid.dt * grid.dx)
 
 
@@ -565,7 +568,7 @@ class ExactLinearSampler:
     Builds the (n+1)x(n+1) time covariance once on the uniform grid
     t_i = i*T/n with covariance_matrix (lag-diagonal cumulative sums of
     per-cell quadratures), factorizes it (with a diagonal jitter ladder if
-    the plain factorization fails) and then maps per-replicate
+    the plain factorization fails), keeps only the factor, and maps per-replicate
     standard-normal streams through the factor, PATH_BLOCK replicates per
     gemm (see paths_array).  Identical (seed, replicate) always yields the
     identical path.  `jitter` is the value added to every diagonal entry
@@ -585,8 +588,7 @@ class ExactLinearSampler:
         cov = covariance_matrix(np.linspace(0.0, T, n + 1), x, medium)
         factoring = time.perf_counter()
         self.node_level = int(cov.node_level)
-        self.covariance = np.asarray(cov)
-        self._factor, self.jitter = self._factorize(self.covariance[1:, 1:])
+        self._factor, self.jitter = self._factorize(np.asarray(cov)[1:, 1:])
         self.covariance_s = factoring - started
         self.cholesky_s = time.perf_counter() - factoring
         self.paths_s = 0.0
@@ -606,34 +608,31 @@ class ExactLinearSampler:
             f"smallest eigenvalue estimate {smallest:.3e}"
         )
 
-    def paths_array(self, seed: int, replicates: int, first_replicate: int = 0) -> np.ndarray:
-        """Sample paths as an array of shape (replicates, n+1); column 0 is zero.
+    def paths_array(self, seed: int, replicates: int) -> np.ndarray:
+        """Paths of replicates 0..replicates-1, shape (replicates, n+1); column 0 is zero.
 
         Replicate r at point x always takes the first n draws of the stream
         keyed by (seed, r, exact-path kind, bits of x), one standard_normals
-        call per replicate, independent of batch layout.  They fill row
-        r mod PATH_BLOCK of a (PATH_BLOCK, n) buffer for block
-        r // PATH_BLOCK, rows outside the request are zero, and one gemm
-        maps the block through the factor.  A row of the product does not
-        depend on the other rows, and replicate r always sits in the same row
-        of the same-shape product, so no batch split and no BLAS thread count
-        changes a bit of its path.
+        call per replicate.  They fill row r mod PATH_BLOCK of a
+        (PATH_BLOCK, n) buffer for block r // PATH_BLOCK, rows past the last
+        replicate are zero, and one gemm maps the block through the factor.
+        A row of the product does not depend on the other rows, and replicate
+        r always sits in the same row of the same-shape product, so neither
+        the replicate count nor the BLAS thread count changes its path.
         """
         started = time.perf_counter()
         subkey = position_subkey(self.x)
         out = np.zeros((replicates, self.n + 1))
         block = np.empty((PATH_BLOCK, self.n))
         product = np.empty((PATH_BLOCK, self.n))
-        stop = first_replicate + replicates
-        for base in range(first_replicate - first_replicate % PATH_BLOCK, stop, PATH_BLOCK):
-            lo, hi = max(first_replicate, base), min(stop, base + PATH_BLOCK)
-            block[: lo - base] = 0.0
+        for base in range(0, replicates, PATH_BLOCK):
+            hi = min(replicates, base + PATH_BLOCK)
             block[hi - base :] = 0.0
-            for r in range(lo, hi):
+            for r in range(base, hi):
                 block[r - base] = standard_normals(
                     seed, r, self.n, kind=STREAM_EXACT_PATHS, subkey=subkey
                 )
             np.matmul(block, self._factor.T, out=product)
-            out[lo - first_replicate : hi - first_replicate, 1:] = product[lo - base : hi - base]
+            out[base:hi, 1:] = product[: hi - base]
         self.paths_s += time.perf_counter() - started
         return out

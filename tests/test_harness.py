@@ -386,9 +386,9 @@ def test_convolution_paths_equal_full_field_columns(sigma, monkeypatch):
         + f"[experiment]\nsigma = {sigma}\nx = 0.5, -0.5, 0.5\nreplicates = 7\nseed = 8\n"
     )
     grid = harness._grid(cfg)
-    xs = [grid.snap(x)[1] for x in cfg.x_points]
+    cols = [grid.snap(x)[0] for x in cfg.x_points]
     log = {}
-    paths = harness._convolution_paths(cfg, grid, xs, log)
+    paths = harness._convolution_paths(cfg, grid, cols, log)
     # Full-field reference, solved in the same fixed chunks of 3 replicates.
     full = np.concatenate([
         solver.solve_field_batch(cfg.medium, grid, solver.parse_sigma(sigma), np.stack(
@@ -396,7 +396,6 @@ def test_convolution_paths_equal_full_field_columns(sigma, monkeypatch):
             axis=2))
         for first in (0, 3, 6)
     ], axis=2)
-    cols = [grid.snap(x)[0] for x in xs]
     expected = np.transpose(full[:, cols, :], (2, 1, 0))
     if sigma == "one":  # row-restricted BLAS products: rounding-level deviation
         np.testing.assert_allclose(paths, expected, rtol=1e-13,
@@ -721,6 +720,60 @@ def test_cli_import_and_one_worker_run_leave_process_pool_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[False, 0, False]"
+
+
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    # Under fork, ProcessPoolExecutor starts all max_workers processes on the
+    # first submit.  The fake records max_workers and runs the chunks here.
+    import concurrent.futures
+
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(harness, "REPLICATE_CHUNK", 2)
+    cfg = parse_config(MEDIUM_14 + GRID_SMALL
+                       + "[experiment]\nx = 0.5\nreplicates = 4\nseed = 3\nworkers = 8\n")
+    log = {}
+    paths = harness._convolution_paths(cfg, harness._grid(cfg), [16], log)
+    assert seen == [2]
+    assert paths.shape == (4, 1, 9) and len(log["convolution"]) == 2
+
+
+def test_convolution_point_outside_domain_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    solved = []
+    monkeypatch.setattr(harness, "solve_field_batch", lambda *args, **kwargs: solved.append(args))
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + "[grid]\nT = 1.0\nn = 4\nL = 2.0\nm = 16\n"
+        + f"[experiment]\nx = 0.5, 100.0\nreplicates = 2\nout = {tmp_path}/out\n",
+    )
+    assert main(["quartic", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: observation point x = 100.0 lies outside [-L, L] = "
+                   "[-2.0, 2.0] on the convolution backend\n")
+    assert solved == []
+    monkeypatch.undo()
+    edges = _write(
+        tmp_path, "edges.ini",
+        MEDIUM_14 + "[grid]\nT = 1.0\nn = 4\nL = 2.0\nm = 16\n"
+        + f"[experiment]\nx = -2.0, 2.0\nreplicates = 2\nout = {tmp_path}/edges\n",
+    )
+    assert main(["quartic", "--config", edges]) == 0
+    rows = _read_rows(tmp_path / "edges" / "quartic.csv")
+    assert sorted({float(r["x"]) for r in rows}) == [-1.875, 1.875]
 
 
 def test_exact_quartic_csv_identical_at_one_and_two_blas_threads(tmp_path):

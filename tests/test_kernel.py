@@ -5,10 +5,10 @@ import pytest
 
 from skewheat import MediumParams, GreenKernel
 from skewheat.kernel import _erfc
+from skewheat.medium import position_map
 from skewheat.checks import (
     pointwise_bound_violations,
     quad_l1,
-    quad_l2,
     quad_cross,
     random_cases,
     reduction_max_rel_error,
@@ -81,7 +81,7 @@ def test_closed_forms_match_quadrature_randomized():
     for medium, t, t2, x in random_cases(seed=11, count=20):
         kernel = GreenKernel(medium)
         assert kernel.l1_norm(t, x) == pytest.approx(quad_l1(kernel, t, x), abs=1e-10)
-        assert kernel.l2_norm_sq(t, x) == pytest.approx(quad_l2(kernel, t, x), abs=1e-10)
+        assert kernel.l2_norm_sq(t, x) == pytest.approx(quad_cross(kernel, t, t, x), abs=1e-10)
         assert kernel.cross_integral(t, t2, x) == pytest.approx(
             quad_cross(kernel, t, t2, x), abs=1e-10
         )
@@ -134,8 +134,8 @@ def test_positivity_when_beta_below_one():
         assert np.all(vals >= 0)
         # Strict positivity wherever the direct Gaussian is representable at
         # all; far in the tails both terms underflow to an exact float zero.
-        fx = np.asarray([kernel._fx(v) for v in x])
-        fy = np.asarray([kernel._fx(v) for v in y])
+        fx = np.asarray([position_map(v, kernel.params) for v in x])
+        fy = np.asarray([position_map(v, kernel.params) for v in y])
         representable = (fx - fy) ** 2 / (2 * t) < 700.0
         assert np.all(vals[representable] > 0)
 
@@ -204,7 +204,7 @@ def _reference_cross_integral(kernel, t1, t2, x):
 
     t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
     p, beta = kernel.params, kernel.derived.beta
-    b = np.asarray(kernel._fx(x), dtype=float)
+    b = np.asarray(position_map(x, kernel.params), dtype=float)
     s = np.abs(b)
     tsum = t1 + t2
     scale = np.sqrt(2.0 * t1 * t2 / tsum)

@@ -342,33 +342,24 @@ def test_exact_paths_start_at_zero_and_reproduce():
     assert np.array_equal(paths, again)
 
 
-def test_exact_paths_replicate_keying_independent_of_batch():
-    s = ExactLinearSampler(M14, 0.5, 1.0, 16)
-    all_at_once = s.paths_array(seed=32, replicates=5)
-    tail = s.paths_array(seed=32, replicates=2, first_replicate=3)
-    assert np.array_equal(all_at_once[3:], tail)
-
-
 @pytest.mark.parametrize("n", [16, 100, 512])
 def test_exact_paths_every_batch_layout_is_bitwise_one_call(n):
     # Replicate r is always row r mod PATH_BLOCK of block r // PATH_BLOCK's
-    # gemm, whatever else the block holds, so no batch split can change a bit.
+    # gemm, whatever else the block holds, so a call for R replicates is the
+    # first R rows of any longer call, bit for bit.
     s = ExactLinearSampler(M14, 0.5, 1.0, n)
     full = s.paths_array(seed=34, replicates=300)
-    for first, count in ((0, 1), (3, 2), (7, 57), (63, 5), (64, 64), (100, 200), (299, 1), (1, 299),
-                         (0, 64), (60, 10), (65, 3), (127, 2)):
-        part = s.paths_array(seed=34, replicates=count, first_replicate=first)
-        assert np.array_equal(part, full[first : first + count]), (first, count)
+    for count in (1, 5, 63, 64, 65, 130):
+        assert np.array_equal(s.paths_array(seed=34, replicates=count), full[:count]), count
 
 
 @pytest.mark.parametrize("n", [16, 100, 512])
 def test_exact_paths_match_per_replicate_matvec(n):
     s = ExactLinearSampler(M14, 0.5, 1.0, n)
-    first, count = 5, 130  # a partial first and last block
-    paths = s.paths_array(seed=35, replicates=count, first_replicate=first)
+    paths = s.paths_array(seed=35, replicates=130)  # a partial last block
     subkey = position_subkey(0.5)
     for k, path in enumerate(paths):
-        z = standard_normals(35, first + k, n, kind=STREAM_EXACT_PATHS, subkey=subkey)
+        z = standard_normals(35, k, n, kind=STREAM_EXACT_PATHS, subkey=subkey)
         ref = s._factor @ z
         assert path[0] == 0.0
         assert np.max(np.abs(path[1:] - ref)) <= 1e-14 * np.max(np.abs(ref)), k
@@ -385,7 +376,7 @@ def test_exact_sampler_accumulates_paths_seconds():
     assert s.paths_s == 0.0
     s.paths_array(seed=36, replicates=70)
     once = s.paths_s
-    s.paths_array(seed=36, replicates=3, first_replicate=70)
+    s.paths_array(seed=36, replicates=3)
     assert math.isfinite(once) and 0.0 < once < s.paths_s
 
 
@@ -393,7 +384,6 @@ def test_exact_sampler_records_jitter_and_node_level():
     s = ExactLinearSampler(M14, 0.5, 1.0, 16)
     assert s.jitter == 0.0
     assert s.node_level >= 16
-    assert type(s.covariance) is np.ndarray
 
 
 def test_exact_increment_kurtosis_gaussian():
@@ -634,6 +624,25 @@ def test_semigroup_recursion_tracks_direct_lag_sum(sigma, n, L, m, v_tol, path_t
     v_ref, v_got = _quartic_variation_at(ref, grid, xs), _quartic_variation_at(got, grid, xs)
     assert np.max(np.abs(v_got / v_ref - 1.0)) <= v_tol
     assert np.max(np.abs(got - ref)) <= path_tol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("m", [16, 64, 256])
+def test_newest_lag_moves_both_schemes_together(m, monkeypatch):
+    # Both schemes take their lags from _cell_lags.  At n = 2 a row holds at
+    # most two lags, so either scheme is the direct sum up to rounding;
+    # sin1:1e-300 is numerically one but takes the semigroup path.
+    monkeypatch.setattr(solver, "NEWEST_LAG", 0.3)
+    grid = GridSpec(1.0, 2, 4.0, m)
+    dw = _noise_batch(grid, 51, 3)
+    y = grid.cell_centers
+    k1, k2 = (GreenKernel(M14).evaluate(lag, y[:, None], y[None, :])
+              for lag in (0.3 * grid.dt, 1.5 * grid.dt))
+    direct = np.stack([np.zeros_like(dw[0]), k1 @ dw[0], k1 @ dw[1] + k2 @ dw[0]])
+    for spec, stack in (("sin1:1e-300", "semigroup"), ("one", "fft")):
+        report = {}
+        got = solve_field_batch(M14, grid, parse_sigma(spec), dw, report=report)
+        assert report["kernel_stack"] == stack
+        assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct)), spec
 
 
 def test_semigroup_recursion_stable_on_coarse_grid():
