@@ -342,6 +342,17 @@ def test_exact_paths_start_at_zero_and_reproduce():
     assert np.array_equal(paths, again)
 
 
+def test_exact_paths_replicate_keying_independent_of_batch():
+    # Replicate r's path is keyed by (seed, r) alone: the replicate count of
+    # the call does not move it, and another seed gives another path.
+    s = ExactLinearSampler(M14, 0.5, 1.0, 16)
+    all_at_once = s.paths_array(seed=32, replicates=5)
+    for count in (2, 4):
+        assert np.array_equal(s.paths_array(seed=32, replicates=count), all_at_once[:count])
+    other_seed = s.paths_array(seed=33, replicates=5)
+    assert not np.any(np.all(other_seed[:, 1:] == all_at_once[:, 1:], axis=1))
+
+
 @pytest.mark.parametrize("n", [16, 100, 512])
 def test_exact_paths_every_batch_layout_is_bitwise_one_call(n):
     # Replicate r is always row r mod PATH_BLOCK of block r // PATH_BLOCK's
