@@ -110,10 +110,19 @@ def make_row(cfg: ExperimentConfig, experiment, n, m, x, statistic, value,
 
 
 def _write_csv(path: str, meta: dict, header, lines) -> None:
-    """Write "# key=value" provenance lines, the header and one line per row of values."""
+    """Write "# key=value" provenance lines, the header and one line per row of values.
+
+    lines is an iterable of rows formatted value by value with _fmt, or a 2-D
+    float array, each row of which is formatted by one "%.17g" template:
+    the same bytes as _fmt gives its floats.
+    """
     out = [f"# {k}={v}" for k, v in meta.items()]
     out.append(",".join(header))
-    out.extend(",".join(_fmt(v) for v in line) for line in lines)
+    if isinstance(lines, np.ndarray):
+        template = ",".join(["%.17g"] * lines.shape[1])
+        out.extend(template % tuple(row) for row in lines.tolist())
+    else:
+        out.extend(",".join(_fmt(v) for v in line) for line in lines)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")
 
@@ -160,11 +169,14 @@ def _conv_chunk_worker(payload) -> tuple[int, np.ndarray, dict]:
     sigma), so chunk scheduling cannot change results.
     """
     medium, grid, sigma, seed, first_rep, count, col_indices = payload
-    dw = np.empty((grid.n, grid.m, count))
+    # Each replicate's field is one contiguous slab; the solver reads them
+    # through the zero-copy (n, m, count) view.
+    slabs = np.empty((count, grid.n, grid.m))
     for k in range(count):
-        dw[:, :, k] = sample_noise(grid, seed, first_rep + k)
+        slabs[k] = sample_noise(grid, seed, first_rep + k)
     report: dict = {}
-    u = solve_field_batch(medium, grid, sigma, dw, columns=col_indices, report=report)
+    u = solve_field_batch(medium, grid, sigma, slabs.transpose(1, 2, 0), columns=col_indices,
+                          report=report)
     return first_rep, np.ascontiguousarray(np.transpose(u, (2, 1, 0))), report
 
 
@@ -468,7 +480,7 @@ def run_command(command: str, cfg: ExperimentConfig) -> dict:
     for name, (xe, block) in extras.get("path_files", {}).items():
         _write_csv(os.path.join(cfg.out_dir, name), {**meta, "x": _fmt(xe)},
                    ["t"] + [f"rep_{r:06d}" for r in range(block.shape[0])],
-                   ([t, *block[:, i]] for i, t in enumerate(times)))
+                   np.column_stack((times, block.T)))
         files[name] = name
 
     payload = {

@@ -231,28 +231,33 @@ class GreenKernel:
         reflection (centered at +|f(x)| on the left, -|f(x)| on the right),
         and its mass over the cell's image is an error-function difference.
         A cell straddling y = 0 is split there; the point itself belongs to
-        the left branch, as in evaluate.  Entries are >= 0, and the masses of
-        adjacent cells add up to the mass of their union (at most l1_norm,
-        which is one).  Broadcasts over array arguments.
+        the left branch, as in evaluate.  A branch is evaluated only on the
+        cells that reach its side (lo < 0 for the left, hi > 0 for the
+        right): on the others its image interval is empty and its mass
+        exactly 0.0.  Entries are >= 0, and the masses of adjacent cells add
+        up to the mass of their union (at most l1_norm, which is one).
+        Broadcasts over array arguments.
         """
         t = self._check_lag(t)
         p, beta = self.params, self.derived.beta
-        b = np.asarray(position_map(x, self.params), dtype=float)
-        s = np.abs(b)
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        rt = np.sqrt(2.0 * t)
+        b = np.asarray(position_map(x, p))
+        rt, b, s, lo, hi = np.broadcast_arrays(np.sqrt(2.0 * t), b, np.abs(b),
+                                               np.asarray(lo, dtype=float),
+                                               np.asarray(hi, dtype=float))
 
-        def mass(c, u0, u1):
+        def mass(c, u0, u1, r):
             # Gaussian mass over [u0, u1] from whichever tail keeps erfc small.
-            a, z = (u0 - c) / rt, (u1 - c) / rt
+            a, z = (u0 - c) / r, (u1 - c) / r
             upper = a >= 0
             return 0.5 * (_erfc(np.where(upper, a, -z)) - _erfc(np.where(upper, z, -a)))
 
-        l0, l1 = np.minimum(lo, 0.0) / math.sqrt(p.a1), np.minimum(hi, 0.0) / math.sqrt(p.a1)
-        r0, r1 = np.maximum(lo, 0.0) / math.sqrt(p.a2), np.maximum(hi, 0.0) / math.sqrt(p.a2)
-        out = (mass(b, l0, l1) - beta * mass(s, l0, l1)) + (mass(b, r0, r1) + beta * mass(-s, r0, r1))
-        return float(out) if np.ndim(out) == 0 else out
+        out = np.zeros(b.shape)
+        left, right = lo < 0.0, hi > 0.0
+        u0, u1, r = lo[left] / math.sqrt(p.a1), np.minimum(hi[left], 0.0) / math.sqrt(p.a1), rt[left]
+        out[left] = mass(b[left], u0, u1, r) - beta * mass(s[left], u0, u1, r)
+        u0, u1, r = np.maximum(lo[right], 0.0) / math.sqrt(p.a2), hi[right] / math.sqrt(p.a2), rt[right]
+        out[right] += mass(b[right], u0, u1, r) + beta * mass(-s[right], u0, u1, r)
+        return float(out) if out.ndim == 0 else out
 
     # -- bounds and diagnostics ----------------------------------------------
 

@@ -595,11 +595,18 @@ class ExactLinearSampler:
 
     @staticmethod
     def _factorize(c: np.ndarray) -> tuple[np.ndarray, float]:
-        """Cholesky factor of c and the diagonal jitter it needed."""
+        """Cholesky factor of c and the diagonal jitter it needed.
+
+        c itself is factored first; each jitter is added to the diagonal of one copy.
+        """
         scale = float(np.max(np.diag(c)))
         for jitter in (0.0, 1e-12, 1e-10, 1e-8):
+            shifted = c
+            if jitter:
+                shifted = c.copy()
+                shifted[np.diag_indices(len(c))] += jitter * scale
             try:
-                return _cholesky(c + jitter * scale * np.eye(len(c))), jitter * scale
+                return _cholesky(shifted), jitter * scale
             except np.linalg.LinAlgError:
                 continue
         smallest = float(np.linalg.eigvalsh(c)[0])

@@ -407,6 +407,38 @@ def test_convolution_paths_equal_full_field_columns(sigma, monkeypatch):
         == [(0, 3, rows), (3, 3, rows), (6, 1, rows)]
 
 
+@pytest.mark.parametrize("count", [1, 5, 64])
+@pytest.mark.parametrize("sigma", ["one", "sin1:0.5"])
+def test_chunk_worker_paths_equal_contiguous_stack_solve(sigma, count):
+    # The worker's per-replicate slabs, read through the transposed view, give
+    # the bits of a solve on the contiguous (n, m, R) stack.
+    cfg = parse_config(MEDIUM_14 + "[grid]\nT = 1.0\nn = 8\nL = 4.0\nm = 16\n"
+                       + f"[experiment]\nsigma = {sigma}\nx = 0.5\nseed = 21\n")
+    grid, first, cols = harness._grid(cfg), 3, [11, 4, 11]
+    sig = solver.parse_sigma(sigma)
+    first_rep, paths, report = harness._conv_chunk_worker(
+        (cfg.medium, grid, sig, cfg.seed, first, count, cols))
+    stack = np.stack([sample_noise(grid, cfg.seed, first + k) for k in range(count)], axis=2)
+    expected_report: dict = {}
+    full = solver.solve_field_batch(cfg.medium, grid, sig, stack, columns=cols,
+                                    report=expected_report)
+    assert first_rep == first
+    assert paths.flags.c_contiguous
+    assert np.array_equal(paths, np.transpose(full, (2, 1, 0)))
+    assert report == expected_report
+
+
+def test_path_csv_rows_are_the_fmt_join(tmp_path):
+    # The row template writes the bytes _fmt gives each float.
+    block = np.array([[0.0, -0.0, 5e-324, 1e300],
+                      [-1.2345678901234567e-5, -5e-324, -1e300, 1.0 / 3.0]])
+    harness._write_csv(str(tmp_path / "a.csv"), {"seed": 1}, ["c0", "c1", "c2", "c3"], block)
+    expected = "# seed=1\nc0,c1,c2,c3\n" + "".join(
+        ",".join(harness._fmt(v) for v in row) + "\n" for row in block.tolist())
+    assert (tmp_path / "a.csv").read_text() == expected
+    assert expected.splitlines()[2] == "0,-0,4.9406564584124654e-324,1.0000000000000001e+300"
+
+
 def test_summary_json_records_convolution_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "REPLICATE_CHUNK", 4)
     cfg = _write(

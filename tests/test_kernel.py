@@ -407,3 +407,49 @@ def test_cell_mass_adjacent_cells_add_up_property():
         assert np.max(np.abs(single[:-1] + single[1:] - pairs)) <= 4e-16
 
     check()
+
+
+def _two_branch_cell_mass(kernel, t, x, lo, hi):
+    """cell_mass with both half-line branches evaluated on every cell."""
+    p, beta = kernel.params, kernel.derived.beta
+    b = np.asarray(position_map(x, p), dtype=float)
+    s = np.abs(b)
+    rt = np.sqrt(2.0 * t)
+
+    def mass(c, u0, u1):
+        a, z = (u0 - c) / rt, (u1 - c) / rt
+        upper = a >= 0
+        return 0.5 * (_erfc(np.where(upper, a, -z)) - _erfc(np.where(upper, z, -a)))
+
+    l0, l1 = np.minimum(lo, 0.0) / math.sqrt(p.a1), np.minimum(hi, 0.0) / math.sqrt(p.a1)
+    r0, r1 = np.maximum(lo, 0.0) / math.sqrt(p.a2), np.maximum(hi, 0.0) / math.sqrt(p.a2)
+    return (mass(b, l0, l1) - beta * mass(s, l0, l1)) + (mass(b, r0, r1) + beta * mass(-s, r0, r1))
+
+
+def test_cell_mass_skipped_branches_are_bitwise_exact_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    positive = st.floats(0.25, 4.0)
+    edge = st.one_of(st.floats(-8.0, 8.0), st.just(0.0))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(positive, st.one_of(positive, st.none()), positive,
+                      st.one_of(positive, st.none()), st.floats(1e-4, 2.0),
+                      st.lists(edge, min_size=2, max_size=40), st.booleans(),
+                      st.lists(edge, min_size=1, max_size=5))
+    def check(a1, a2, rho1, rho2, t, edges, with_zero, xs):
+        # None draws a2 = a1 or rho2 = rho1; both at once give beta = 0.
+        kernel = GreenKernel(MediumParams(a1, a1 if a2 is None else a2,
+                                          rho1, rho1 if rho2 is None else rho2))
+        edges = np.unique(np.array(edges + [0.0] * with_zero))
+        if len(edges) < 2:
+            return
+        x = np.array(xs)[:, None]
+        lo, hi = edges[None, :-1], edges[None, 1:]
+        got = kernel.cell_mass(t, x, lo, hi)
+        assert got.tobytes() == _two_branch_cell_mass(kernel, t, x, lo, hi).tobytes()
+        scalar = kernel.cell_mass(t, float(x[0, 0]), float(edges[0]), float(edges[1]))
+        assert scalar == float(_two_branch_cell_mass(kernel, t, x[0, 0], edges[0], edges[1]))
+
+    check()

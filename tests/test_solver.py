@@ -138,6 +138,19 @@ def test_solve_field_is_one_replicate_batch(sigma):
     assert np.array_equal(solve_field_batch(M14, grid, sigma, noise), batch[:, :, 0])
 
 
+@pytest.mark.parametrize("sigma", [sigma_one(), sigma_sin(0.5)], ids=["one", "sin"])
+def test_transposed_noise_view_solves_like_contiguous_copy(sigma):
+    # Any (n, m, R) array works: a strided view gives the contiguous copy's bits.
+    grid = GridSpec(1.0, 10, 4.0, 40)
+    slabs = np.stack([sample_noise(grid, 27, r) for r in range(5)])
+    view = slabs.transpose(1, 2, 0)
+    assert not view.flags.c_contiguous
+    for cols in (None, [3, 30, 3]):
+        assert np.array_equal(solve_field_batch(M14, grid, sigma, view, columns=cols),
+                              solve_field_batch(M14, grid, sigma, np.ascontiguousarray(view),
+                                                columns=cols))
+
+
 def test_batch_matches_loop_layout():
     grid = GridSpec(1.0, 6, 4.0, 12)
     stack = np.stack(
@@ -395,6 +408,18 @@ def test_exact_sampler_records_jitter_and_node_level():
     s = ExactLinearSampler(M14, 0.5, 1.0, 16)
     assert s.jitter == 0.0
     assert s.node_level >= 16
+
+
+def test_factorize_adds_jitter_to_the_diagonal_of_a_copy():
+    # A constant matrix is singular: the plain factorization fails, 1e-12 * max diag succeeds.
+    c = np.full((4, 4), 2.0)
+    factor, jitter = ExactLinearSampler._factorize(c)
+    assert jitter == 2e-12
+    assert np.array_equal(factor, solver._cholesky(c + jitter * np.eye(4)))
+    assert np.array_equal(c, np.full((4, 4), 2.0))
+    plain = np.array([[4.0, 2.0], [2.0, 3.0]])
+    factor, jitter = ExactLinearSampler._factorize(plain)
+    assert jitter == 0.0 and np.array_equal(factor, solver._cholesky(plain))
 
 
 def test_exact_increment_kurtosis_gaussian():
