@@ -211,68 +211,50 @@ def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, cols: list[int],
     return out
 
 
-def _point_paths(cfg: ExperimentConfig, log: dict, n: int | None = None,
-                 num_points: int | None = None, samplers: dict | None = None):
-    """The run preamble shared by the commands: (sigma, grid, points, paths).
+def _point_paths(cfg: ExperimentConfig, log: dict, grid: GridSpec, points):
+    """Paths at the given points on grid: (sigma, effective points, paths).
 
-    points are the effective x of the observation points, or with
-    num_points of the averaged statistic's points, snapped to cell centers
-    on the convolution backend and for the averaged statistic.  On the
-    convolution backend a point outside [-L, L] is a ConfigError, raised
-    before any solve.  paths has shape (R, n_points, n+1).  What the backend
-    did is appended to log: one record per replicate chunk under
-    "convolution", or one record per exact sampler build under
-    "exact_sampler" (jitter, quadrature node level, and the wall seconds of
-    the covariance and the Cholesky stages and of all the sampler's
-    paths_array calls).  Exact samplers are built once per (x, n) and kept
-    in samplers with their records, so a caller passing the same dict to
-    several calls of one run reuses them.  The exact backend takes a
-    constant sigma = c only, and scales its sigma = 1 paths by c.
+    paths has shape (R, len(points), n+1).  A config without observation
+    points is a ConfigError.  On the convolution backend the points are
+    snapped to cell centers, and a point outside [-L, L] is a ConfigError
+    raised before any solve.  What the backend did is appended
+    to log: one record per replicate chunk under "convolution", or one
+    record per exact sampler under "exact_sampler" (jitter, quadrature node
+    level, and the wall seconds of the covariance and the Cholesky stages
+    and of its paths_array call).  The exact backend builds one sampler per
+    distinct point of the call, takes a constant sigma = c only, and scales
+    its sigma = 1 paths by c.
     """
-    sigma = parse_sigma(cfg.sigma)
-    grid = _grid(cfg, n)
-    if num_points is None and not cfg.x_points:
+    if not cfg.x_points:
         raise ConfigError("this command needs at least one observation point in [experiment] x")
-    try:
-        requested = cfg.x_points if num_points is None else averaged_points(grid, num_points)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if num_points is not None or cfg.backend == "convolution":
-        outside = [x for x in requested if abs(x) > grid.L]
+    sigma = parse_sigma(cfg.sigma)
+    if cfg.backend == "convolution":
+        outside = [x for x in points if abs(x) > grid.L]
         if outside:
             raise ConfigError(f"observation point x = {outside[0]!r} lies outside [-L, L] = "
                               f"[{-grid.L!r}, {grid.L!r}] on the convolution backend")
-        cols, points = zip(*(grid.snap(x) for x in requested))
-    else:
-        points = [float(x) for x in requested]
-    if cfg.backend == "convolution":
-        paths = _convolution_paths(cfg, grid, list(cols), log)
-    elif sigma.constant is None:
+        cols, points = zip(*(grid.snap(x) for x in points))
+        return sigma, list(points), _convolution_paths(cfg, grid, list(cols), log)
+    if sigma.constant is None:
         raise ConfigError(f"the exact-linear backend needs a constant sigma, got {sigma.label}")
-    else:
-        samplers = {} if samplers is None else samplers
-        for xe in points:
-            if (xe, grid.n) not in samplers:
-                sampler = ExactLinearSampler(cfg.medium, xe, cfg.T, grid.n)
-                record = {"x": xe, "n": grid.n, "cholesky_jitter": sampler.jitter,
-                          "covariance_node_level": sampler.node_level,
-                          "covariance_s": sampler.covariance_s, "cholesky_s": sampler.cholesky_s}
-                log.setdefault("exact_sampler", []).append(record)
-                samplers[(xe, grid.n)] = sampler, record
-        paths = np.stack([samplers[(xe, grid.n)][0].paths_array(cfg.seed, cfg.replicates)
-                          for xe in points], axis=1)
-        paths *= sigma.constant
-        for sampler, record in (samplers[(xe, grid.n)] for xe in points):
-            record["paths_s"] = sampler.paths_s
-    return sigma, grid, points, paths
+    points = [float(x) for x in points]
+    distinct = {}
+    for xe in dict.fromkeys(points):
+        sampler = ExactLinearSampler(cfg.medium, xe, cfg.T, grid.n)
+        distinct[xe] = sampler.paths_array(cfg.seed, cfg.replicates)
+        log.setdefault("exact_sampler", []).append(
+            {"x": xe, "n": grid.n, "cholesky_jitter": sampler.jitter,
+             "covariance_node_level": sampler.node_level, "covariance_s": sampler.covariance_s,
+             "cholesky_s": sampler.cholesky_s, "paths_s": sampler.paths_s})
+    paths = np.stack([distinct[xe] for xe in points], axis=1)
+    paths *= sigma.constant
+    return sigma, points, paths
 
 
-def _point_stats(cfg: ExperimentConfig, log: dict, n: int | None = None,
-                 samplers: dict | None = None) -> tuple[GridSpec, list[PointStats]]:
-    """The grid and one PointStats per observation point, from _point_paths."""
-    sigma, grid, points, paths = _point_paths(cfg, log, n, samplers=samplers)
-    return grid, [point_statistics(paths[:, idx, :], xe, cfg.T, sigma, cfg.medium)
-                  for idx, xe in enumerate(points)]
+def _point_stats(cfg: ExperimentConfig, sigma, points, paths) -> list[PointStats]:
+    """One PointStats per point, from the first len(points) columns of paths."""
+    return [point_statistics(paths[:, idx, :], xe, cfg.T, sigma, cfg.medium)
+            for idx, xe in enumerate(points)]
 
 
 def _quartic_rows(cfg: ExperimentConfig, experiment: str, grid: GridSpec,
@@ -303,13 +285,15 @@ def _quartic_rows(cfg: ExperimentConfig, experiment: str, grid: GridSpec,
 
 def run_quartic(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     log: dict = {}
-    grid, stats = _point_stats(cfg, log)
+    grid = _grid(cfg)
+    stats = _point_stats(cfg, *_point_paths(cfg, log, grid, cfg.x_points))
     return [row for st in stats for row in _quartic_rows(cfg, "quartic", grid, st)], True, log
 
 
 def run_estimate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     log: dict = {}
-    grid, stats = _point_stats(cfg, log)
+    grid = _grid(cfg)
+    stats = _point_stats(cfg, *_point_paths(cfg, log, grid, cfg.x_points))
     rows = []
     for st in stats:
         row = partial(make_row, cfg, "estimate", st.n, grid.m, st.x)
@@ -324,39 +308,45 @@ def run_estimate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
 
 
 def run_convergence(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
+    """Per n of n_list, one solve at the observation points and at the averaged points of m_list."""
     if not cfg.n_list:
         raise ConfigError("convergence needs a nonempty [experiment] n_list")
-    rows = []
+    rows, avg_rows = [], []
     log: dict = {}
-    samplers: dict = {}
     trend: dict[float, list[tuple[int, float]]] = {}
     for n in cfg.n_list:
-        grid, stats = _point_stats(cfg, log, n, samplers)
-        for st in stats:
+        grid = _grid(cfg, n)
+        try:
+            averaged = [[grid.snap(x)[1] for x in averaged_points(grid, num_points)]
+                        for num_points in cfg.m_list]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        request = list(cfg.x_points)
+        request += [x for x in dict.fromkeys(sum(averaged, [])) if x not in request]
+        sigma, points, paths = _point_paths(cfg, log, grid, request)
+        for st in _point_stats(cfg, sigma, points[:len(cfg.x_points)], paths):
             rows.extend(_quartic_rows(cfg, "convergence", grid, st))
             trend.setdefault(st.x, []).append((n, float(np.mean(np.abs(st.v - st.limit)))))
+        for num_points, xs in zip(cfg.m_list, averaged):
+            v_nm, target = averaged_statistics(paths[:, [request.index(x) for x in xs], :], xs,
+                                               cfg.T, sigma, cfg.medium)
+            avg_rows.append(make_row(cfg, "convergence", n, num_points, math.nan,
+                                     "v_avg", *_mean_se(v_nm), target))
     for xe, pairs in trend.items():
         if len(pairs) >= 2:
             ln = np.log([p[0] for p in pairs])
             le = np.log([max(p[1], 1e-300) for p in pairs])
             slope = float(np.polyfit(ln, le, 1)[0])
             rows.append(make_row(cfg, "convergence", 0, cfg.m, xe, "loglog_slope", slope))
-    # Averaged-statistic sweep over spatial point counts, when requested.
-    for n in cfg.n_list if cfg.m_list else ():
-        for num_points in cfg.m_list:
-            sigma, _, points, paths = _point_paths(cfg, log, n, num_points, samplers=samplers)
-            v_nm, target = averaged_statistics(paths, points, cfg.T, sigma,
-                                               cfg.medium)
-            rows.append(make_row(cfg, "convergence", n, num_points, math.nan,
-                                 "v_avg", *_mean_se(v_nm), target))
-    return rows, True, log
+    return rows + avg_rows, True, log
 
 
 def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     if cfg.backend != "convolution":
         raise ConfigError("simulate runs the convolution scheme; set backend = convolution")
     log: dict = {}
-    sigma, grid, points, paths = _point_paths(cfg, log)
+    grid = _grid(cfg)
+    sigma, points, paths = _point_paths(cfg, log, grid, cfg.x_points)
     rows = []
     ok = True
     path_files = {}
@@ -364,9 +354,12 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     for idx, xe in enumerate(points):
         block = paths[:, idx, :]  # (R, n+1)
         mean_t = float(np.mean(block[:, -1]))
+        disc = None if c is None else c * c * scheme_variance(cfg.medium, grid, xe)
         if cfg.replicates > 1:
             var_t = float(np.var(block[:, -1], ddof=1))
-            var_se = var_t * math.sqrt(2.0 / (cfg.replicates - 1))
+            # From the scheme's exact variance when known, so that a low draw
+            # cannot narrow its own band.
+            var_se = (var_t if disc is None else disc) * math.sqrt(2.0 / (cfg.replicates - 1))
         else:
             var_t, var_se = 0.0, math.nan
         target = (math.nan if c is None
@@ -376,9 +369,9 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
         row = make_row(cfg, "simulate", grid.n, grid.m, xe, "variance_u_T", var_t,
                        var_se, target)
         rows.append(row)
-        if c is not None:
+        if disc is not None:
             rows.append(make_row(cfg, "simulate", grid.n, grid.m, xe, "disc_variance_u_T",
-                                 c * c * scheme_variance(cfg.medium, grid, xe), target=target))
+                                 disc, target=target))
         # At c = 0 the target is 0 and rel_error NaN: nothing to gate.
         if (cfg.check_tolerance is not None and c is not None and c != 0.0
                 and not (row.rel_error <= cfg.check_tolerance)):

@@ -12,6 +12,7 @@ import pytest
 from skewheat import harness, kernel, solver
 from skewheat.config import load_config, parse_config
 from skewheat.noise import sample_noise
+from skewheat.stats import averaged_points, averaged_statistics
 from skewheat.cli import main
 from skewheat.harness import CSV_COLUMNS
 
@@ -169,7 +170,7 @@ def test_convergence_builds_each_exact_sampler_once(tmp_path, monkeypatch):
     cfg = _write(
         tmp_path, "c.ini",
         MEDIUM_14 + "[grid]\nT = 1.0\nn = 8\nL = 2.0\nm = 32\n"
-        + "[experiment]\nx = 0.5\nreplicates = 6\nseed = 6\nbackend = exact-linear\n"
+        + "[experiment]\nx = 0.5, 0.5\nreplicates = 6\nseed = 6\nbackend = exact-linear\n"
         + f"n_list = 8, 16\nm_list = 1, 2, 4, 8\nout = {tmp_path}/out\n",
     )
     built = []
@@ -180,22 +181,60 @@ def test_convergence_builds_each_exact_sampler_once(tmp_path, monkeypatch):
             super().__init__(medium, x, T, n)
 
     monkeypatch.setattr(harness, "ExactLinearSampler", Counting)
-    csv_path = tmp_path / "out" / "convergence.csv"
     assert main(["convergence", "--config", cfg]) == 0
-    cached_csv = csv_path.read_bytes()
     records = json.loads((tmp_path / "out" / "convergence_summary.json").read_text())["exact_sampler"]
-    # Per n: x = 0.5 plus the 8 distinct snapped points of m_list = 1, 2, 4, 8.
+    # Per n: x = 0.5 (asked twice) plus the 8 distinct snapped points of m_list = 1, 2, 4, 8.
     assert len(built) == len(set(built)) == 18
     assert [(r["x"], r["n"]) for r in records] == built
 
-    # One sampler per call, as without the cache: 1 + (1 + 2 + 4 + 8) per n.
-    built.clear()
-    uncached = harness._point_paths
-    monkeypatch.setattr(harness, "_point_paths",
-                        lambda *args, samplers=None, **kwargs: uncached(*args, **kwargs))
+
+CONVERGENCE_SMALL = (
+    MEDIUM_14 + "[grid]\nT = 1.0\nn = 16\nL = 2.0\nm = 32\n"
+    + "[experiment]\nx = 0.5, -0.5\nreplicates = 70\nseed = 3\nn_list = 16, 32\nm_list = 1, 2\n"
+)
+
+
+def test_convolution_convergence_solves_each_n_once(tmp_path):
+    cfg = _write(tmp_path, "c.ini", CONVERGENCE_SMALL + "sigma = sin1:0.5\n")
+    for workers in ("1", "2"):
+        assert main(["convergence", "--config", cfg, "--workers", workers,
+                     "--out", str(tmp_path / f"w{workers}")]) == 0
+    csv_bytes = (tmp_path / "w1" / "convergence.csv").read_bytes()
+    assert csv_bytes == (tmp_path / "w2" / "convergence.csv").read_bytes()
+    records = json.loads((tmp_path / "w1" / "convergence_summary.json").read_text())["convolution"]
+    # 70 replicates are two chunks, and each n is one solve for both kinds of point.
+    assert [(r["n"], r["first_replicate"]) for r in records] == [(16, 0), (16, 64), (32, 0), (32, 64)]
+
+
+@pytest.mark.parametrize("backend, sigma", [("convolution", "sin1:0.5"), ("exact-linear", "one")])
+def test_convergence_v_avg_matches_paths_requested_alone(tmp_path, backend, sigma):
+    cfg = _write(tmp_path, "c.ini", CONVERGENCE_SMALL
+                 + f"backend = {backend}\nsigma = {sigma}\nout = {tmp_path}/out\n")
     assert main(["convergence", "--config", cfg]) == 0
-    assert len(built) == 32
-    assert csv_path.read_bytes() == cached_csv
+    rows = [r for r in _read_rows(tmp_path / "out" / "convergence.csv") if r["statistic"] == "v_avg"]
+    resolved = load_config(cfg)
+    parsed = solver.parse_sigma(sigma)
+    expected = []
+    for n in resolved.n_list:
+        grid = harness._grid(resolved, n)
+        for num_points in resolved.m_list:
+            cols, xs = zip(*(grid.snap(x) for x in averaged_points(grid, num_points)))
+            if backend == "convolution":
+                paths = harness._convolution_paths(resolved, grid, list(cols), {})
+            else:
+                paths = harness._point_paths(resolved, {}, grid, xs)[2]
+            v_nm, target = averaged_statistics(paths, xs, resolved.T, parsed, resolved.medium)
+            expected.append([str(n), str(num_points),
+                             *map(harness._fmt, (*harness._mean_se(v_nm), target))])
+    assert [[r["n"], r["m"], r["value"], r["std_error"], r["target"]] for r in rows] == expected
+
+
+def test_convergence_without_x_exits_two_with_one_line(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.ini", MEDIUM_14 + GRID_SMALL
+                 + f"[experiment]\nreplicates = 2\nn_list = 8\nm_list = 2\nout = {tmp_path}/out\n")
+    assert main(["convergence", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: this command needs at least one observation point in [experiment] x\n")
 
 
 def test_summary_exact_sampler_records_stage_seconds(tmp_path):
@@ -501,6 +540,29 @@ def test_simulate_disc_variance_row_uses_scheme_variance(tmp_path):
     )
     assert main(["simulate", "--config", cfg_sin]) == 0
     assert "disc_variance_u_T" not in {r["statistic"] for r in _read_rows(tmp_path / "sin" / "simulate.csv")}
+
+
+def test_simulate_variance_band_comes_from_the_scheme_for_constant_sigma(tmp_path):
+    def rows_for(sigma, seed):
+        name = f"{sigma.replace(':', '_')}_{seed}"
+        cfg = _write(tmp_path, f"{name}.ini", MEDIUM_14 + GRID_SMALL
+                     + f"[experiment]\nsigma = {sigma}\nx = 0.5, -0.5\nreplicates = 8\n"
+                     + f"seed = {seed}\nout = {tmp_path}/{name}\n")
+        assert main(["simulate", "--config", cfg]) == 0
+        rows = _read_rows(tmp_path / name / "simulate.csv")
+        return [r for r in rows if r["statistic"] == "variance_u_T"], rows
+
+    bands = []
+    for seed in (11, 12):
+        var_rows, rows = rows_for("one", seed)
+        disc = [float(r["value"]) for r in rows if r["statistic"] == "disc_variance_u_T"]
+        assert [float(r["std_error"]) for r in var_rows] == [d * math.sqrt(2.0 / 7) for d in disc]
+        bands.append([r["std_error"] for r in var_rows])
+    assert bands[0] == bands[1]
+    # A nonlinear sigma has no exact variance and keeps the sample's own band.
+    var_rows, _ = rows_for("sin1:0.5", 11)
+    assert [float(r["std_error"]) for r in var_rows] == [
+        float(r["value"]) * math.sqrt(2.0 / 7) for r in var_rows]
 
 
 def test_simulate_targets_scale_with_constant_sigma(tmp_path):
