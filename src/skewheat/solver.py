@@ -37,10 +37,12 @@ FFT_BLOCK = 32
 # The newest cell's kernel lag in units of dt (see _cell_lags).
 NEWEST_LAG = 0.25
 
-# Rows per block of the semigroup operators, and the direct Gaussian factor
-# exp(-(f(x) - f(y))**2 / 2t) below which a column lies outside a row's band.
+# Rows per block of the semigroup operators, the direct Gaussian factor
+# exp(-(f(x) - f(y))**2 / 2t) below which a column lies outside a row's band,
+# and the most bytes the three operators' blocks may hold together.
 BAND_BLOCK = 64
 BAND_FLOOR = 1e-17
+BAND_MAX_BYTES = 2**30
 
 # Replicates per exact-path gemm block; block b holds replicates 64*b .. 64*b + 63.
 PATH_BLOCK = 64
@@ -165,8 +167,8 @@ def _cell_lags(dt: float, count: int) -> np.ndarray:
     return lags
 
 
-def _band(t, rows, lo, hi, entries):
-    """An operator at lag t held as row blocks (r0, c0, c1, block), block = A[r0:r0+64, c0:c1].
+def _band_spans(t, rows, lo, hi):
+    """Row blocks (r0, r1, c0, c1) of an operator at lag t: rows r0..r1-1 reach columns c0..c1-1.
 
     rows are the rows' images f(x), increasing; column l has the image
     interval [lo[l], hi[l]], increasing in l.  Row j's band is the columns
@@ -174,15 +176,25 @@ def _band(t, rows, lo, hi, entries):
     the direct Gaussian factor is at least BAND_FLOOR; the reflected one is
     never nearer.  The bands are increasing intervals, so a block of
     BAND_BLOCK rows spans from its first row's first column to its last
-    row's last.  entries(r0, r1, c0, c1) gives A[r0:r1, c0:c1].
+    row's last.
     """
     reach = math.sqrt(2.0 * t * math.log(1.0 / BAND_FLOOR))
     first = np.searchsorted(hi, rows - reach, side="left")
     stop = np.searchsorted(lo, rows + reach, side="right")
-    blocks = []
+    spans = []
     for r0 in range(0, len(rows), BAND_BLOCK):
         r1 = min(r0 + BAND_BLOCK, len(rows))
-        c0, c1 = int(first[r0]), int(stop[r1 - 1])
+        spans.append((r0, r1, int(first[r0]), int(stop[r1 - 1])))
+    return spans
+
+
+def _band(spans, entries):
+    """An operator held as row blocks (r0, c0, c1, block), block = A[r0:r1, c0:c1] per span.
+
+    entries(r0, r1, c0, c1) gives A[r0:r1, c0:c1].
+    """
+    blocks = []
+    for r0, r1, c0, c1 in spans:
         a = entries(r0, r1, c0, c1)
         # Subnormal entries (below 2.2e-308, far under the rounding of any
         # field value) are stored as zero: BLAS runs several times slower on them.
@@ -224,6 +236,8 @@ def _semigroup_operators(kernel: GreenKernel, grid: GridSpec):
     integral of G_dt(z_j, y) over padded cell l, each held as _band's row
     blocks and built on the blocks' column spans only, and gap = the largest
     |step @ K_2 - K_3| over padded rows in [-L/2, L/2], relative to max K_3.
+    Raises SolverError, before any entry is evaluated, when the blocks would
+    hold more than BAND_MAX_BYTES.
     """
     y = grid.cell_centers
     pad, dx, dt = grid.m // 2, grid.dx, grid.dt
@@ -231,11 +245,18 @@ def _semigroup_operators(kernel: GreenKernel, grid: GridSpec):
     edges = z[0] - 0.5 * dx + dx * np.arange(len(z) + 1)
     fy, fz, fe = (position_map(a, kernel.params) for a in (y, z, edges))
     t1, t2, t3 = _cell_lags(dt, 3)
-    newest = _band(t1, fy, fy, fy, lambda r0, r1, c0, c1: kernel.evaluate(
+    spans = (_band_spans(t1, fy, fy, fy), _band_spans(t2, fz, fy, fy),
+             _band_spans(dt, fz, fe[:-1], fe[1:]))
+    need = 8 * sum((r1 - r0) * (c1 - c0) for op in spans for r0, r1, c0, c1 in op)
+    if need > BAND_MAX_BYTES:
+        raise SolverError(f"the semigroup operators need {need} bytes ({need / 2**30:.1f} GiB) "
+                          f"on the grid n = {grid.n}, m = {grid.m}, L = {grid.L!r}, over the "
+                          f"limit of {BAND_MAX_BYTES} bytes")
+    newest = _band(spans[0], lambda r0, r1, c0, c1: kernel.evaluate(
         t1, y[r0:r1, None], y[None, c0:c1]))
-    history = _band(t2, fz, fy, fy, lambda r0, r1, c0, c1: kernel.evaluate(
+    history = _band(spans[1], lambda r0, r1, c0, c1: kernel.evaluate(
         t2, z[r0:r1, None], y[None, c0:c1]))
-    step = _band(dt, fz, fe[:-1], fe[1:], lambda r0, r1, c0, c1: kernel.cell_mass(
+    step = _band(spans[2], lambda r0, r1, c0, c1: kernel.cell_mass(
         dt, z[r0:r1, None], edges[None, c0:c1], edges[None, c0 + 1:c1 + 1]))
     # Outside the band both step @ history and K_3 are below rounding.
     h0, h1 = np.flatnonzero(np.abs(z) <= 0.5 * grid.L)[[0, -1]] + [0, 1]
@@ -292,10 +313,11 @@ def solve_field_batch(
     and the requested columns are kept.
 
     If report is given it receives rows_per_step (the distinct requested
-    cells, or m), kernel_stack ("fft" or "semigroup"), stack_mib (the kernel
-    and transform arrays held at once: for the semigroup path, the stored
-    blocks) and, for the semigroup path, semigroup_gap and band_fraction
-    (the entries the blocks store over the three operators' dense size).
+    cells, at least two, or m), kernel_stack ("fft" or "semigroup"),
+    stack_mib (the kernel and transform arrays held at once: for the
+    semigroup path, the stored blocks) and, for the semigroup path,
+    semigroup_gap and band_fraction (the entries the blocks store over the
+    three operators' dense size).
     Raises NonFiniteFieldError naming the first offending (time row, grid
     cell) if the field overflows.
     """
@@ -366,6 +388,11 @@ def _fft_rows_field(kernel, grid, c, dW, cols, report):
     """
     n, m, r = dW.shape
     rows, pick = np.unique(cols, return_inverse=True)
+    if len(rows) == 1:
+        # A lone cell is solved twice over: numpy runs a one-row matmul
+        # through gemv, whose sums round unlike gemm's, so its path would
+        # depend on the other cells of the request.
+        rows = np.repeat(rows, 2)
     p, nfft = len(rows), 2 * n
     scale = float(max(dW.max(), -dW.min())) or 1.0
     y = grid.cell_centers
@@ -473,14 +500,8 @@ def _covariance_rule(kernel: GreenKernel, t, s: float, x: float, nodes: int):
     return np.sum(f * (half * gw).ravel(), axis=-1)
 
 
-class CovarianceMatrix(np.ndarray):
-    """Covariance matrix that records the largest per-cell node level its quadrature used."""
-
-    node_level: int
-
-
-def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> CovarianceMatrix:
-    """Covariance matrix C[i, j] = covariance_linear(times[i], times[j], x).
+def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> tuple[np.ndarray, int]:
+    """(C, node_level): C[i, j] = covariance_linear(times[i], times[j], x) and its node level.
 
     times must be a uniform grid starting at 0 (t_i = i*dt).  For s <= t,
     C(t, s) = integral over q in [0, s] of cross_integral(t - s + q, q), so
@@ -492,8 +513,8 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> Cova
     COV_CELL_NODES = 2 nodes, each doubling until two levels agree within
     COV_CELL_TOL/n (most stop at 4), so every entry is within about
     COV_CELL_TOL; raises CovarianceError if a cell needs more than
-    COV_CELL_MAX_NODES.  The result's node_level is the largest level a cell
-    c >= 1 reached.
+    COV_CELL_MAX_NODES.  node_level is the largest level a cell c >= 1
+    reached.
     """
     times = np.asarray(times, dtype=float)
     n = len(times) - 1 if times.ndim == 1 else 0
@@ -529,11 +550,10 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> Cova
         cells[k[done], c[done]] = cur[done]
         k, c, prev = k[~done], c[~done], cur[~done]
     entries = np.cumsum(cells, axis=1)[lag, cell]
-    out = np.zeros((n + 1, n + 1)).view(CovarianceMatrix)
+    out = np.zeros((n + 1, n + 1))
     out[lag + cell + 1, cell + 1] = entries
     out[cell + 1, lag + cell + 1] = entries
-    out.node_level = nodes
-    return out
+    return out, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +605,9 @@ class ExactLinearSampler:
         self.x = float(x)
         self.n = int(n)
         started = time.perf_counter()
-        cov = covariance_matrix(np.linspace(0.0, T, n + 1), x, medium)
+        cov, self.node_level = covariance_matrix(np.linspace(0.0, T, n + 1), x, medium)
         factoring = time.perf_counter()
-        self.node_level = int(cov.node_level)
-        self._factor, self.jitter = self._factorize(np.asarray(cov)[1:, 1:])
+        self._factor, self.jitter = self._factorize(cov[1:, 1:])
         self.covariance_s = factoring - started
         self.cholesky_s = time.perf_counter() - factoring
         self.paths_s = 0.0

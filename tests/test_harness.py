@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -45,9 +47,11 @@ def test_kernel_selftest_homogeneous_passes(tmp_path):
     )
     assert main(["kernel-selftest", "--config", cfg]) == 0
     rows = _read_rows(tmp_path / "out" / "kernel-selftest.csv")
-    names = {r["statistic"] for r in rows}
+    names = [r["statistic"] for r in rows]
     assert "pde_rel_residual_max" in names
-    assert "diag_chapman_kolmogorov_lebesgue" in names
+    assert [s for s in names if s.startswith("diag_")] == [
+        "diag_chapman_kolmogorov_lebesgue", "diag_flux_transmission_gap",
+        "diag_interface_continuity_gap"]
 
 
 def test_kernel_selftest_two_material_passes(tmp_path):
@@ -225,7 +229,7 @@ def test_convergence_v_avg_matches_paths_requested_alone(tmp_path, backend, sigm
                 paths = harness._point_paths(resolved, {}, grid, xs)[2]
             v_nm, target = averaged_statistics(paths, xs, resolved.T, parsed, resolved.medium)
             expected.append([str(n), str(num_points),
-                             *map(harness._fmt, (*harness._mean_se(v_nm), target))])
+                             *("%.17g" % v for v in (*harness._mean_se(v_nm), target))])
     assert [[r["n"], r["m"], r["value"], r["std_error"], r["target"]] for r in rows] == expected
 
 
@@ -435,12 +439,7 @@ def test_convolution_paths_equal_full_field_columns(sigma, monkeypatch):
             axis=2))
         for first in (0, 3, 6)
     ], axis=2)
-    expected = np.transpose(full[:, cols, :], (2, 1, 0))
-    if sigma == "one":  # row-restricted BLAS products: rounding-level deviation
-        np.testing.assert_allclose(paths, expected, rtol=1e-13,
-                                   atol=1e-14 * np.abs(full).max())
-    else:
-        assert np.array_equal(paths, expected)
+    assert np.array_equal(paths, np.transpose(full[:, cols, :], (2, 1, 0)))
     rows = 2 if sigma == "one" else 24
     assert [(r["first_replicate"], r["replicates"], r["rows_per_step"]) for r in log["convolution"]] \
         == [(0, 3, rows), (3, 3, rows), (6, 1, rows)]
@@ -467,15 +466,25 @@ def test_chunk_worker_paths_equal_contiguous_stack_solve(sigma, count):
     assert report == expected_report
 
 
-def test_path_csv_rows_are_the_fmt_join(tmp_path):
-    # The row template writes the bytes _fmt gives each float.
+def test_csv_rows_are_one_template_per_file(tmp_path):
+    # Results rows format each field by its type; floats, there and in the
+    # path files, at 17 significant digits.
+    assert harness.ROW_TEMPLATE == "%s,%s,%d,%d,%.17g,%d,%s,%.17g,%.17g,%.17g,%.17g,%.17g"
+    row = harness.ResultRow("quartic", "convolution", np.int64(8), 16, -0.0, 3, "v_quartic",
+                            1.0 / 3.0, math.nan, 5e-324, -math.inf)
+    harness._write_csv(str(tmp_path / "r.csv"), {"seed": 1}, harness.CSV_COLUMNS,
+                       harness.ROW_TEMPLATE, [astuple(row)])
+    assert (tmp_path / "r.csv").read_text().splitlines()[2] == (
+        "quartic,convolution,8,16,-0,3,v_quartic,0.33333333333333331,nan,"
+        "4.9406564584124654e-324,-inf,0")
     block = np.array([[0.0, -0.0, 5e-324, 1e300],
                       [-1.2345678901234567e-5, -5e-324, -1e300, 1.0 / 3.0]])
-    harness._write_csv(str(tmp_path / "a.csv"), {"seed": 1}, ["c0", "c1", "c2", "c3"], block)
-    expected = "# seed=1\nc0,c1,c2,c3\n" + "".join(
-        ",".join(harness._fmt(v) for v in row) + "\n" for row in block.tolist())
-    assert (tmp_path / "a.csv").read_text() == expected
-    assert expected.splitlines()[2] == "0,-0,4.9406564584124654e-324,1.0000000000000001e+300"
+    harness._write_csv(str(tmp_path / "a.csv"), {"seed": 1}, ["c0", "c1", "c2", "c3"],
+                       "%.17g,%.17g,%.17g,%.17g", map(tuple, block.tolist()))
+    assert (tmp_path / "a.csv").read_text() == (
+        "# seed=1\nc0,c1,c2,c3\n0,-0,4.9406564584124654e-324,1.0000000000000001e+300\n"
+        "-1.2345678901234568e-05,-4.9406564584124654e-324,-1.0000000000000001e+300,"
+        "0.33333333333333331\n")
 
 
 def test_summary_json_records_convolution_chunks(tmp_path, monkeypatch):
@@ -779,6 +788,33 @@ def test_simulate_next_to_the_interface_exits_zero_with_finite_rows(tmp_path, ca
     assert all(math.isfinite(float(r[k])) for r in rows for k in ("value", "target"))
 
 
+def test_semigroup_operators_over_the_memory_limit_exit_one_with_one_line(tmp_path, capsys,
+                                                                          monkeypatch):
+    # The same grid with a nonlinear sigma: at dt = 0.25 every row's band
+    # spans the whole grid, so the three operators need 7*m**2 doubles (5.2 GiB).
+    def unexpected(*args, **kwargs):
+        raise AssertionError("an operator entry was evaluated")
+
+    monkeypatch.setattr(kernel.GreenKernel, "evaluate", unexpected)
+    monkeypatch.setattr(kernel.GreenKernel, "cell_mass", unexpected)
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + "[grid]\nT = 1.0\nn = 4\nL = 1.0\nm = 10001\n"
+        + f"[experiment]\nsigma = sin1:0.5\nx = -0.0002\nreplicates = 2\nseed = 3\n"
+        + f"out = {tmp_path}/out\n",
+    )
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", cfg]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert capsys.readouterr().err == (
+        "solver failure: the semigroup operators need 5600720024 bytes (5.2 GiB) on the grid "
+        f"n = 4, m = 10001, L = 1.0, over the limit of {solver.BAND_MAX_BYTES} bytes\n")
+
+
 def test_sigma_one_simulate_leaves_scipy_integrate_unloaded(tmp_path):
     cfg = _write(
         tmp_path, "c.ini",
@@ -891,13 +927,16 @@ def test_exact_quartic_csv_identical_at_one_and_two_blas_threads(tmp_path):
     assert csvs[0] == csvs[1]
 
 
-def test_semigroup_quartic_csv_identical_at_any_blas_threads_and_workers(tmp_path):
-    # m = 128 gives each banded operator several 64-row blocks with distinct
-    # column spans; 100 replicates are two chunks, the second partial.
+@pytest.mark.parametrize("sigma", ["sin1:0.5", "one"])
+def test_convolution_quartic_csv_identical_at_any_blas_threads_and_workers(tmp_path, sigma):
+    # Both field schemes.  m = 128 gives each banded operator of the
+    # semigroup several 64-row blocks with distinct column spans, and the FFT
+    # product four blocks of source cells; 100 replicates are two chunks,
+    # the second partial.
     cfg = _write(
         tmp_path, "c.ini",
         MEDIUM_14 + "[grid]\nT = 1.0\nn = 32\nL = 4.0\nm = 128\n"
-        + "[experiment]\nsigma = sin1:0.5\nx = -0.5, 0.0, 0.5\nreplicates = 100\nseed = 20250602\n",
+        + f"[experiment]\nsigma = {sigma}\nx = -0.5, 0.0, 0.5\nreplicates = 100\nseed = 20250602\n",
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
     csvs = []

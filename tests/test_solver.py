@@ -252,7 +252,7 @@ def test_covariance_matrix_matches_quad_oracle_near_interface(medium, n):
     # v ~ |f(x)|/sqrt(dt), which a single panel in v does not resolve.
     times = np.linspace(0.0, 1.0, n + 1)
     for x in (1e-4, -1e-4, 1e-6, -1e-6, 1e-9, 0.0):
-        C = covariance_matrix(times, x, medium)
+        C, _ = covariance_matrix(times, x, medium)
         for i, j in ((n, n), (n, 1), (n // 2 + 1, n // 2)):
             assert C[i, j] == pytest.approx(
                 quad_covariance(times[i], times[j], x, medium), rel=0, abs=1e-13
@@ -261,7 +261,7 @@ def test_covariance_matrix_matches_quad_oracle_near_interface(medium, n):
 
 @pytest.mark.parametrize("x", [1e-6, -1e-6])
 def test_covariance_matrix_fine_grid_near_interface(x):
-    C = covariance_matrix(np.linspace(0.0, 1.0, 513), x, M14)
+    C, _ = covariance_matrix(np.linspace(0.0, 1.0, 513), x, M14)
     assert C[512, 512] == pytest.approx(covariance_linear(1.0, 1.0, x, M14), rel=0, abs=1e-13)
 
 
@@ -273,7 +273,8 @@ def test_covariance_linear_nonconvergence_raises(monkeypatch):
 
 def test_covariance_matrix_matches_scalar():
     times = np.linspace(0.0, 1.0, 17)
-    C = covariance_matrix(times, 0.5, M14)
+    C, _ = covariance_matrix(times, 0.5, M14)
+    assert type(C) is np.ndarray and C.shape == (17, 17)
     assert np.all(C[0] == 0.0) and np.all(C[:, 0] == 0.0)
     np.testing.assert_allclose(C, C.T, rtol=0, atol=0)
     rng = np.random.default_rng(27)
@@ -286,7 +287,7 @@ def test_covariance_matrix_matches_scalar():
 
 def test_covariance_matrix_interface_point():
     times = np.linspace(0.0, 1.0, 9)
-    C = covariance_matrix(times, 0.0, M14)
+    C, _ = covariance_matrix(times, 0.0, M14)
     assert C[8, 8] == pytest.approx(covariance_linear(1.0, 1.0, 0.0, M14), abs=1e-9)
 
 
@@ -295,7 +296,7 @@ def test_covariance_matrix_interface_point():
 def test_covariance_matrix_coarse_grid_every_entry(n, x):
     # Coarse cells are where a fixed per-cell node count falls short.
     times = np.linspace(0.0, 1.0, n + 1)
-    C = covariance_matrix(times, x, M14)
+    C, _ = covariance_matrix(times, x, M14)
     for i in range(n + 1):
         for j in range(n + 1):
             assert C[i, j] == pytest.approx(
@@ -336,12 +337,12 @@ def test_covariance_matrix_two_node_start_matches_eight_node_ladder(medium, boun
     # x = 1e-3, n = 64), still 1e3 below COV_CELL_TOL.
     times = np.linspace(0.0, 1.0, n + 1)
     for x in (-2.0, 1e-3, 0.5, 3.5):
-        got = covariance_matrix(times, x, medium)
+        got, got_level = covariance_matrix(times, x, medium)
         monkeypatch.setattr(solver, "COV_CELL_NODES", 8)
-        ref = covariance_matrix(times, x, medium)
+        ref, ref_level = covariance_matrix(times, x, medium)
         monkeypatch.undo()
         assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref)), x
-        assert got.node_level == ref.node_level, x
+        assert got_level == ref_level, x
 
 
 # -- exact linear sampler ------------------------------------------------------
@@ -407,7 +408,7 @@ def test_exact_sampler_accumulates_paths_seconds():
 def test_exact_sampler_records_jitter_and_node_level():
     s = ExactLinearSampler(M14, 0.5, 1.0, 16)
     assert s.jitter == 0.0
-    assert s.node_level >= 16
+    assert s.node_level == covariance_matrix(np.linspace(0.0, 1.0, 17), 0.5, M14)[1] >= 16
 
 
 def test_factorize_adds_jitter_to_the_diagonal_of_a_copy():
@@ -504,12 +505,27 @@ def test_constant_sigma_columns_match_full_field(sigma, n, m, reps):
     full = solve_field_batch(M14, grid, sigma, dw)
     part = solve_field_batch(M14, grid, sigma, dw, columns=cols)
     assert part.shape == (n + 1, len(cols), reps)
-    # The row-restricted products may round differently in BLAS (seen at
-    # R <= 3): the deviation is measured against the field's scale.
-    tol = dict(rtol=1e-13, atol=1e-14 * np.abs(full).max())
-    np.testing.assert_allclose(part, full[:, cols, :], **tol)
+    assert np.array_equal(part, full[:, cols, :])
+    # One replicate alone makes every product matrix-vector (gemv), which
+    # rounds unlike the batch's gemm: the deviation is measured against the
+    # field's scale.
     single = solve_field_batch(M14, grid, sigma, dw[:, :, 0], columns=cols)
-    np.testing.assert_allclose(single, full[:, cols, 0], **tol)
+    np.testing.assert_allclose(single, full[:, cols, 0], rtol=1e-13,
+                               atol=1e-14 * np.abs(full).max())
+
+
+@pytest.mark.parametrize("sigma", [sigma_one(), sigma_affine(0.0, 0.7)], ids=["one", "affine0"])
+@pytest.mark.parametrize("reps", [1, 3, 64])
+def test_constant_sigma_cell_path_does_not_depend_on_the_other_cells(sigma, reps):
+    # A lone cell's per-frequency product is a matrix-matrix one like a
+    # cell's among several; m = 40 is two FFT blocks of source cells.
+    grid = GridSpec(1.0, 24, 4.0, 40)
+    dw = _noise_batch(grid, 43, reps)
+    cols = [grid.snap(x)[0] for x in (-0.5, 0.0, 0.5)]
+    several = solve_field_batch(M14, grid, sigma, dw, columns=cols)
+    for k, j in enumerate(cols):
+        alone = solve_field_batch(M14, grid, sigma, dw, columns=[j])
+        assert np.array_equal(alone[:, 0], several[:, k]), j
 
 
 def test_nonlinear_sigma_columns_equal_full_field_exactly():
