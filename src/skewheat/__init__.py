@@ -11,7 +11,7 @@ the plug-in estimator of the local diffusivity.
 
 __version__ = "0.1.0"
 
-from .medium import MediumParams, DerivedConstants, derive_constants, position_map, tau, A_of, rho_of
+from .medium import MediumParams, DerivedConstants, derive_constants, position_map, tau, A_of
 from .kernel import GreenKernel, BoundConstants
 from .noise import GridSpec, sample_noise
 from .solver import (
@@ -38,7 +38,6 @@ __all__ = [
     "position_map",
     "tau",
     "A_of",
-    "rho_of",
     "GreenKernel",
     "BoundConstants",
     "GridSpec",

@@ -85,8 +85,3 @@ def tau(x: float, d: DerivedConstants) -> float:
 def A_of(x: float, p: MediumParams) -> float:
     """Local diffusivity: a1 on x <= 0, a2 on x > 0."""
     return p.a1 if x <= 0.0 else p.a2
-
-
-def rho_of(x: float, p: MediumParams) -> float:
-    """Local density weight: rho1 on x <= 0, rho2 on x > 0."""
-    return p.rho1 if x <= 0.0 else p.rho2

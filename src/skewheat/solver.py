@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,52 +79,46 @@ class CovarianceError(SolverError):
 
 @dataclass(frozen=True)
 class SigmaSpec:
-    """Noise coefficient with its constant value and a report label.
+    """Noise coefficient sigma(u), held as its coefficients, with a report label.
 
+    sigma(u) is 1 + amp*sin(u) when amp is nonzero, else h1*u + h2.
     constant is the value c of a sigma that does not depend on u, and None
     otherwise; every choice that turns on sigma reads it.  For a constant
     sigma the solution is c times the sigma = 1 solution.
     """
 
-    evaluate: Callable[[np.ndarray], np.ndarray]
-    constant: float | None
     label: str
+    h1: float = 0.0
+    h2: float = 1.0
+    amp: float = 0.0
 
+    @property
+    def constant(self) -> float | None:
+        return None if self.h1 or self.amp else self.h2
 
-def _eval_const(u, value):
-    u = np.asarray(u, dtype=float)
-    return np.full_like(u, value)
-
-
-def _eval_affine(u, h1, h2):
-    return h1 * np.asarray(u, dtype=float) + h2
-
-
-def _eval_sin1(u, amp):
-    return 1.0 + amp * np.sin(np.asarray(u, dtype=float))
+    def evaluate(self, u) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        if self.amp:
+            return 1.0 + self.amp * np.sin(u)
+        if self.h1:
+            return self.h1 * u + self.h2
+        return np.full_like(u, self.h2)
 
 
 def sigma_one() -> SigmaSpec:
     """sigma identically one (the linear, exactly Gaussian case)."""
-    return SigmaSpec(evaluate=partial(_eval_const, value=1.0), constant=1.0, label="one")
+    return SigmaSpec(label="one")
 
 
 def sigma_affine(h1: float, h2: float) -> SigmaSpec:
     """sigma(u) = h1*u + h2, Lipschitz bound |h1|."""
-    return SigmaSpec(
-        evaluate=partial(_eval_affine, h1=float(h1), h2=float(h2)),
-        constant=float(h2) if h1 == 0 else None,
-        label=f"affine:{float(h1)!r},{float(h2)!r}",
-    )
+    h1, h2 = float(h1), float(h2)
+    return SigmaSpec(label=f"affine:{h1!r},{h2!r}", h1=h1, h2=h2)
 
 
 def sigma_sin(amp: float) -> SigmaSpec:
     """sigma(u) = 1 + amp*sin(u), Lipschitz bound |amp|."""
-    return SigmaSpec(
-        evaluate=partial(_eval_sin1, amp=float(amp)),
-        constant=1.0 if amp == 0 else None,
-        label=f"sin1:{float(amp)!r}",
-    )
+    return SigmaSpec(label=f"sin1:{float(amp)!r}", amp=float(amp))
 
 
 def parse_sigma(spec: str) -> SigmaSpec:
@@ -561,8 +554,8 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> tupl
 # ---------------------------------------------------------------------------
 
 
-def _cholesky(c: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of c by a left-looking column loop.
+def _cholesky(c: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """Lower Cholesky factor of c + shift*I by a left-looking column loop.
 
     Column j is (c[j+1:, j] - L[j+1:, :j] @ L[j, :j]) / L[j, j]: one
     matrix-vector product per column, whose rounding does not depend on the
@@ -573,7 +566,7 @@ def _cholesky(c: np.ndarray) -> np.ndarray:
     factor = np.zeros((n, n))
     for j in range(n):
         row = factor[j, :j]
-        d = c[j, j] - row @ row
+        d = c[j, j] + shift - row @ row
         if not d > 0.0:
             raise np.linalg.LinAlgError(f"matrix is not positive definite at pivot {j}")
         pivot = math.sqrt(d)
@@ -616,16 +609,12 @@ class ExactLinearSampler:
     def _factorize(c: np.ndarray) -> tuple[np.ndarray, float]:
         """Cholesky factor of c and the diagonal jitter it needed.
 
-        c itself is factored first; each jitter is added to the diagonal of one copy.
+        c itself is factored first; each jitter shifts the pivots, and c is never copied.
         """
         scale = float(np.max(np.diag(c)))
         for jitter in (0.0, 1e-12, 1e-10, 1e-8):
-            shifted = c
-            if jitter:
-                shifted = c.copy()
-                shifted[np.diag_indices(len(c))] += jitter * scale
             try:
-                return _cholesky(shifted), jitter * scale
+                return _cholesky(c, jitter * scale), jitter * scale
             except np.linalg.LinAlgError:
                 continue
         smallest = float(np.linalg.eigvalsh(c)[0])

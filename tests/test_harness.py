@@ -466,6 +466,23 @@ def test_chunk_worker_paths_equal_contiguous_stack_solve(sigma, count):
     assert report == expected_report
 
 
+@pytest.mark.parametrize("sigma", ["one", "sin1:0.5"])
+def test_convolution_paths_in_a_full_chunk_do_not_depend_on_the_replicate_count(sigma):
+    # demo_simulate.ini's grid at x = -0.5, 0.5: the first 64-replicate chunk
+    # is the same solve at R = 100 and R = 128.  Replicates 64..99 are solved
+    # with 36 columns against 64, and those products round differently.
+    text = (MEDIUM_14 + "[grid]\nT = 1.0\nn = 32\nL = 2.0\nm = 64\n"
+            + f"[experiment]\nsigma = {sigma}\nx = -0.5, 0.5\nseed = 20250601\n")
+    paths = {}
+    for r in (100, 128):
+        cfg = parse_config(text + f"replicates = {r}\n")
+        grid = harness._grid(cfg)
+        paths[r] = harness._convolution_paths(cfg, grid, [grid.snap(x)[0] for x in cfg.x_points], {})
+    chunk = harness.REPLICATE_CHUNK
+    assert np.array_equal(paths[100][:chunk], paths[128][:chunk])
+    assert np.allclose(paths[100], paths[128][:100], rtol=0.0, atol=1e-14)
+
+
 def test_csv_rows_are_one_template_per_file(tmp_path):
     # Results rows format each field by its type; floats, there and in the
     # path files, at 17 significant digits.

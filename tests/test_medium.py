@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skewheat import MediumParams, derive_constants, position_map, tau, A_of, rho_of
+from skewheat import MediumParams, derive_constants, position_map, tau, A_of
 
 
 def test_homogeneous_collapses_all_corrections():
@@ -74,8 +74,6 @@ def test_left_branch_convention_at_zero():
     p = MediumParams(1.5, 2.5, 0.3, 0.8)
     assert A_of(0.0, p) == p.a1
     assert A_of(0.5, p) == p.a2
-    assert rho_of(-1.0, p) == p.rho1
-    assert rho_of(1e-12, p) == p.rho2
 
 
 @pytest.mark.parametrize("bad", [

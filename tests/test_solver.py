@@ -1,4 +1,6 @@
 import math
+import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -58,6 +60,16 @@ def test_sigma_constant_values():
              "sin1:0": 1.0, "affine:0.5,1": None, "sin1:0.5": None}
     for spec, value in cases.items():
         assert parse_sigma(spec).constant == value, spec
+
+
+def test_sigma_spec_is_a_value():
+    # Two parses of one spec are equal, and a spec survives pickling unchanged.
+    for text in ("one", "affine:0.5,1", "sin1:0.5"):
+        spec = parse_sigma(text)
+        assert spec == parse_sigma(text)
+        assert pickle.loads(pickle.dumps(spec)) == spec
+    assert parse_sigma("affine:0.5,1") == sigma_affine(0.5, 1.0)
+    assert parse_sigma("sin1:0.5") != parse_sigma("sin1:0.25")
 
 
 def test_sigma_lipschitz_spot_check():
@@ -411,7 +423,7 @@ def test_exact_sampler_records_jitter_and_node_level():
     assert s.node_level == covariance_matrix(np.linspace(0.0, 1.0, 17), 0.5, M14)[1] >= 16
 
 
-def test_factorize_adds_jitter_to_the_diagonal_of_a_copy():
+def test_factorize_shifts_the_pivots_by_the_jitter():
     # A constant matrix is singular: the plain factorization fails, 1e-12 * max diag succeeds.
     c = np.full((4, 4), 2.0)
     factor, jitter = ExactLinearSampler._factorize(c)
@@ -421,6 +433,24 @@ def test_factorize_adds_jitter_to_the_diagonal_of_a_copy():
     plain = np.array([[4.0, 2.0], [2.0, 3.0]])
     factor, jitter = ExactLinearSampler._factorize(plain)
     assert jitter == 0.0 and np.array_equal(factor, solver._cholesky(plain))
+
+
+def test_factorize_jitter_ladder_copies_nothing():
+    # The identity with its last eigenvalue -1e-14 needs the 1e-12 rung; the
+    # ladder holds the returned factor and no shifted copy of c.
+    n = 512
+    c = np.eye(n)
+    c[-1, -1] = -1e-14
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        factor, jitter = ExactLinearSampler._factorize(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert jitter == 1e-12
+    assert np.array_equal(factor, solver._cholesky(c + jitter * np.eye(n)))
+    assert peak <= 1.1 * 8 * n * n
 
 
 def test_exact_increment_kurtosis_gaussian():
