@@ -11,7 +11,7 @@ the plug-in estimator of the local diffusivity.
 
 __version__ = "0.1.0"
 
-from .medium import MediumParams, DerivedConstants, derive_constants, position_map, tau, A_of
+from .medium import MediumParams, position_map, tau, A_of
 from .kernel import GreenKernel, BoundConstants
 from .noise import GridSpec, sample_noise
 from .solver import (
@@ -33,8 +33,6 @@ from .stats import PointStats, point_statistics, averaged_points, averaged_stati
 __all__ = [
     "__version__",
     "MediumParams",
-    "DerivedConstants",
-    "derive_constants",
     "position_map",
     "tau",
     "A_of",

@@ -116,7 +116,9 @@ _KEYS = (
     ("experiment", "backend", "backend", "text", "convolution", _one_of(BACKENDS)),
     ("experiment", "workers", "workers", "int", "1", _AT_LEAST_ONE),
     ("experiment", "out", "out_dir", "text", "out", None),
-    ("experiment", "n_list", "n_list", "int,", "", _ENTRIES_AT_LEAST_ONE),
+    ("experiment", "n_list", "n_list", "int,", "",
+     _rule(lambda v: min(v, default=1) >= 1 and len(set(v)) == len(v),
+           " entries must be >= 1 and distinct")),
     ("experiment", "m_list", "m_list", "int,", "", _ENTRIES_AT_LEAST_ONE),
     ("experiment", "check_tolerance", "check_tolerance", "float?", "",
      _rule(lambda v: v is None or v > 0, " must be > 0")),

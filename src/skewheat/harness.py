@@ -224,7 +224,7 @@ def _point_paths(cfg: ExperimentConfig, log: dict, grid: GridSpec, points):
         cols, points = zip(*(grid.snap(x) for x in points))
         return sigma, list(points), _convolution_paths(cfg, grid, list(cols), log)
     if sigma.constant is None:
-        raise ConfigError(f"the exact-linear backend needs a constant sigma, got {sigma.label}")
+        raise ConfigError(f"the exact-linear backend needs a constant sigma, got {cfg.sigma}")
     points = [float(x) for x in points]
     distinct = {}
     for xe in dict.fromkeys(points):

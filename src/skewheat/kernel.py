@@ -14,11 +14,11 @@ quadrature in the check suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .medium import MediumParams, DerivedConstants, derive_constants, position_map, A_of
+from .medium import MediumParams, position_map, A_of
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -138,10 +138,6 @@ class GreenKernel:
     """
 
     params: MediumParams
-    derived: DerivedConstants = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "derived", derive_constants(self.params))
 
     # -- helpers -----------------------------------------------------------
 
@@ -162,7 +158,7 @@ class GreenKernel:
         array arguments; raises ValueError on nonpositive lag.
         """
         t = self._check_lag(t)
-        p, beta = self.params, self.derived.beta
+        p, beta = self.params, self.params.beta
         y = np.asarray(y, dtype=float)
         fx, fy = (np.asarray(position_map(v, p)) for v in (x, y))  # arrays: ** 2 squares exactly
         left = y <= 0
@@ -208,7 +204,7 @@ class GreenKernel:
         """
         t1 = self._check_lag(t1)
         t2 = self._check_lag(t2)
-        p, beta = self.params, self.derived.beta
+        p, beta = self.params, self.params.beta
         b = np.asarray(position_map(x, self.params), dtype=float)
         s = np.abs(b)
         tsum = t1 + t2
@@ -239,7 +235,7 @@ class GreenKernel:
         Broadcasts over array arguments.
         """
         t = self._check_lag(t)
-        p, beta = self.params, self.derived.beta
+        p, beta = self.params, self.params.beta
         b = np.asarray(position_map(x, p))
         rt, b, s, lo, hi = np.broadcast_arrays(np.sqrt(2.0 * t), b, np.abs(b),
                                                np.asarray(lo, dtype=float),
@@ -269,7 +265,7 @@ class GreenKernel:
         c_l2 = (a1 v a2)**0.25 * (1+|beta|) * (1/sqrt(a1) + 1/sqrt(a2)).
         """
         p = self.params
-        ab = abs(self.derived.beta)
+        ab = abs(p.beta)
         inv_sum = 1.0 / math.sqrt(p.a1) + 1.0 / math.sqrt(p.a2)
         c_pointwise = (1.0 + ab) / _SQRT_2PI * inv_sum
         c_l1 = inv_sum * (1.0 + ab) * max(math.sqrt(p.a1), math.sqrt(p.a2))

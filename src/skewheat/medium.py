@@ -21,7 +21,10 @@ class MediumParams:
     """The four positive material constants of the medium.
 
     a1, a2 are the diffusivities (length^2/time) on the left/right half-lines;
-    rho1, rho2 are the corresponding density weights.
+    rho1, rho2 are the corresponding density weights.  The derived constants
+    alpha, beta and eta depend on rho1, rho2 only through the ratio rho1/rho2;
+    a homogeneous medium (a1 == a2, rho1 == rho2) gives alpha = beta = 0 and
+    eta = 1 exactly.
     """
 
     a1: float
@@ -36,35 +39,22 @@ class MediumParams:
                 raise ValueError(f"medium parameter {name} must be finite and > 0, got {v!r}")
             object.__setattr__(self, name, float(v))
 
+    @property
+    def alpha(self) -> float:
+        """The jump of rho*A across the interface."""
+        return 1.0 - (self.rho1 * self.a1) / (self.rho2 * self.a2)
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Dimensionless constants derived from the material parameters.
+    @property
+    def beta(self) -> float:
+        """Reflection weight of the fundamental solution, always |beta| < 1."""
+        alpha, sa1, sa2 = self.alpha, math.sqrt(self.a1), math.sqrt(self.a2)
+        return (sa1 + sa2 * (alpha - 1.0)) / (sa1 - sa2 * (alpha - 1.0))
 
-    alpha measures the jump of rho*A across the interface, beta is the
-    reflection weight of the fundamental solution (always |beta| < 1), and
-    eta > 0 is the interface correction factor entering the variation limit
-    at x = 0 through tau(0) = eta**2.
-    """
-
-    alpha: float
-    beta: float
-    eta: float
-
-
-def derive_constants(p: MediumParams) -> DerivedConstants:
-    """Compute alpha, beta and eta from the material constants.
-
-    All three depend on rho1, rho2 only through the ratio rho1/rho2.  A
-    homogeneous medium (a1 == a2, rho1 == rho2) gives alpha = beta = 0 and
-    eta = 1 exactly.
-    """
-    alpha = 1.0 - (p.rho1 * p.a1) / (p.rho2 * p.a2)
-    sa1 = math.sqrt(p.a1)
-    sa2 = math.sqrt(p.a2)
-    beta = (sa1 + sa2 * (alpha - 1.0)) / (sa1 - sa2 * (alpha - 1.0))
-    eta = 0.5 * ((1.0 - beta) ** 2 + math.sqrt(p.a1 / p.a2) * (1.0 + beta) ** 2)
-    return DerivedConstants(alpha=alpha, beta=beta, eta=eta)
+    @property
+    def eta(self) -> float:
+        """Interface factor > 0 of the variation limit at x = 0: tau(0) = eta**2."""
+        beta = self.beta
+        return 0.5 * ((1.0 - beta) ** 2 + math.sqrt(self.a1 / self.a2) * (1.0 + beta) ** 2)
 
 
 def position_map(y, p: MediumParams):
@@ -77,9 +67,9 @@ def position_map(y, p: MediumParams):
     return float(out) if out.ndim == 0 else out
 
 
-def tau(x: float, d: DerivedConstants) -> float:
+def tau(x: float, p: MediumParams) -> float:
     """Interface correction factor: eta**2 exactly at x = 0, otherwise 1."""
-    return d.eta ** 2 if x == 0.0 else 1.0
+    return p.eta ** 2 if x == 0.0 else 1.0
 
 
 def A_of(x: float, p: MediumParams) -> float:

@@ -79,7 +79,7 @@ class CovarianceError(SolverError):
 
 @dataclass(frozen=True)
 class SigmaSpec:
-    """Noise coefficient sigma(u), held as its coefficients, with a report label.
+    """Noise coefficient sigma(u), held as its coefficients.
 
     sigma(u) is 1 + amp*sin(u) when amp is nonzero, else h1*u + h2.
     constant is the value c of a sigma that does not depend on u, and None
@@ -87,7 +87,6 @@ class SigmaSpec:
     sigma the solution is c times the sigma = 1 solution.
     """
 
-    label: str
     h1: float = 0.0
     h2: float = 1.0
     amp: float = 0.0
@@ -107,18 +106,17 @@ class SigmaSpec:
 
 def sigma_one() -> SigmaSpec:
     """sigma identically one (the linear, exactly Gaussian case)."""
-    return SigmaSpec(label="one")
+    return SigmaSpec()
 
 
 def sigma_affine(h1: float, h2: float) -> SigmaSpec:
     """sigma(u) = h1*u + h2, Lipschitz bound |h1|."""
-    h1, h2 = float(h1), float(h2)
-    return SigmaSpec(label=f"affine:{h1!r},{h2!r}", h1=h1, h2=h2)
+    return SigmaSpec(h1=float(h1), h2=float(h2))
 
 
 def sigma_sin(amp: float) -> SigmaSpec:
     """sigma(u) = 1 + amp*sin(u), Lipschitz bound |amp|."""
-    return SigmaSpec(label=f"sin1:{float(amp)!r}", amp=float(amp))
+    return SigmaSpec(amp=float(amp))
 
 
 def parse_sigma(spec: str) -> SigmaSpec:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .medium import MediumParams, derive_constants, tau, A_of
+from .medium import MediumParams, tau, A_of
 from .noise import GridSpec
 from .solver import SigmaSpec
 
@@ -84,7 +84,7 @@ def point_statistics(paths: np.ndarray, x: float, T: float, sigma: SigmaSpec,
     d = np.diff(paths, axis=-1)
     v = _variation(d)
     m2, m4, ratio4, ratio6 = _interior_moments(d[..., start:])
-    tau_x = tau(x, derive_constants(medium))
+    tau_x = tau(x, medium)
     coef = 6.0 * tau_x / (math.pi * A_of(x, medium))
     leading_m2 = math.sqrt(delta) * math.sqrt(2.0 * tau_x / (math.pi * A_of(x, medium)))
     leading_m4 = 6.0 * delta * tau_x / (A_of(x, medium) * math.pi)

@@ -15,7 +15,6 @@ from skewheat import (
     MediumParams,
     GridSpec,
     sample_noise,
-    derive_constants,
     tau,
     A_of,
     sigma_one,
@@ -217,13 +216,12 @@ def test_criterion_09_nonlinear_error_trend():
     # The quantitative n**(-1/20) rate is not reproducible at desk scale;
     # the stated substitute is a nonincreasing error trend within 2 SE.
     sigma = sigma_sin(0.5)
-    dc = derive_constants(M14)
     errs = {}
     ses = {}
     for n in (16, 32, 64):
         grid = GridSpec(1.0, n, 8.0, 128)
         j, xs = grid.snap(0.5)
-        coef = 6.0 * tau(xs, dc) / (math.pi * A_of(xs, M14))
+        coef = 6.0 * tau(xs, M14) / (math.pi * A_of(xs, M14))
         abs_err = np.empty(100)
         first = 0
         while first < 100:
@@ -268,7 +266,6 @@ def test_criterion_10_averaged_statistic():
 
     # Monte Carlo tracking with the exact backend at the snapped points.
     grid = GridSpec(1.0, 256, 4.0, 256)
-    dc = derive_constants(M14)
     snapped = [grid.snap(j / 16)[1] for j in range(16)]
     v_matrix = np.empty((200, 16))
     for idx, xs in enumerate(snapped):
@@ -276,7 +273,7 @@ def test_criterion_10_averaged_statistic():
         arr = sampler.paths_array(SEED, 200)
         v_matrix[:, idx] = np.sum(np.diff(arr, axis=1) ** 4, axis=1)
     v_nm = v_matrix.mean(axis=1)
-    targets = np.array([6.0 * tau(xs, dc) / (math.pi * A_of(xs, M14)) for xs in snapped])
+    targets = np.array([6.0 * tau(xs, M14) / (math.pi * A_of(xs, M14)) for xs in snapped])
     target_avg = float(np.mean(targets))
     mean_vnm = float(np.mean(v_nm))
     rel = abs(mean_vnm / target_avg - 1.0)

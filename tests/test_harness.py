@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from skewheat import harness, kernel, solver
-from skewheat.config import load_config, parse_config
+from skewheat.config import ConfigError, load_config, parse_config
 from skewheat.noise import sample_noise
 from skewheat.stats import averaged_points, averaged_statistics
 from skewheat.cli import main
@@ -21,6 +22,7 @@ from skewheat.harness import CSV_COLUMNS
 MEDIUM_14 = "[medium]\na1 = 1.0\na2 = 4.0\nrho1 = 1.0\nrho2 = 1.0\n"
 MEDIUM_HOMOG = "[medium]\na1 = 1.0\na2 = 1.0\nrho1 = 1.0\nrho2 = 1.0\n"
 GRID_SMALL = "[grid]\nT = 1.0\nn = 8\nL = 8.0\nm = 32\n"
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def _write(tmp_path, name, text):
@@ -239,6 +241,49 @@ def test_convergence_without_x_exits_two_with_one_line(tmp_path, capsys):
     assert main(["convergence", "--config", cfg]) == 2
     assert capsys.readouterr().err == (
         "config error: this command needs at least one observation point in [experiment] x\n")
+
+
+@pytest.mark.parametrize("command,demo,edit,flags,message", [
+    ("convergence", "demo_convergence", ("n_list = 16, 32", "n_list = 16, 16"), [],
+     "[experiment] n_list entries must be >= 1 and distinct"),
+    ("convergence", "demo_convergence", ("n_list = 16, 32", ""), [],
+     "convergence needs a nonempty [experiment] n_list"),
+    ("simulate", "demo_simulate_linear", None, ["--backend", "exact-linear"],
+     "simulate runs the convolution scheme; set backend = convolution"),
+    ("quartic", "demo_quartic", ("T = 1.0", "T = abc"), [], "[grid] T: expected a number, got 'abc'"),
+    ("quartic", "demo_quartic", ("T = 1.0", "T = inf"), [], "[grid] T: must be finite, got 'inf'"),
+    ("quartic", "demo_quartic", ("n = 512", "n = abc"), [], "[grid] n: expected an integer, got 'abc'"),
+    ("quartic", None, None, [], "cannot read config "),
+])
+def test_documented_config_errors_exit_two_with_one_line(tmp_path, capsys, command, demo, edit,
+                                                         flags, message):
+    cfg = str(tmp_path / "missing.ini")
+    if demo is not None:
+        text = (CONFIGS / f"{demo}.ini").read_text()
+        if edit is not None:
+            assert edit[0] in text
+            text = text.replace(*edit)
+        cfg = _write(tmp_path, "c.ini", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert err.count("\n") == 1
+
+
+def test_failed_simulate_checks_exit_one_and_still_write_outputs(tmp_path, capsys):
+    text = (CONFIGS / "demo_simulate_linear.ini").read_text()
+    cfg = _write(tmp_path, "c.ini", text + "check_tolerance = 1e-9\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"simulate: checks failed (see {out})\n"
+    assert len(list(out.glob("*.csv"))) == 3
+    assert json.loads((out / "simulate_summary.json").read_text())["ok"] is False
+
+
+def test_run_command_rejects_an_unknown_command():
+    cfg = load_config(str(CONFIGS / "demo_quartic.ini"))
+    with pytest.raises(ConfigError, match="unknown command 'nope'"):
+        harness.run_command("nope", cfg)
 
 
 def test_summary_exact_sampler_records_stage_seconds(tmp_path):
@@ -701,8 +746,14 @@ def test_perfbench_layer_hooks_resolve(monkeypatch):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
     traced = importlib.import_module("traced")
-    for owner, attr, name, _ in traced.layer_hooks(harness, solver, kernel):
-        assert getattr(owner, attr, None) is not None, f"{name}: {attr} not found"
+    for owner, attr, name, elements in traced.layer_hooks(harness, solver, kernel):
+        hooked = getattr(owner, attr, None)
+        assert hooked is not None, f"{name}: {attr} not found"
+        if elements is not None:
+            # Each element count reads the hooked call's bound arguments by name.
+            parameters = inspect.signature(hooked).parameters
+            for arg in (c for c in elements.__code__.co_consts if isinstance(c, str)):
+                assert arg in parameters, f"{name}: {attr} has no parameter {arg!r}"
     assert next(iter(inspect.signature(harness.point_statistics).parameters)) == "paths"
 
 

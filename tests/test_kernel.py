@@ -118,9 +118,8 @@ def test_pointwise_bound_at_boundary_sign_convention():
     # y = 0 takes sign -1, the left-branch pairing.
     assert pointwise_bound_violations(K14, 0.4, 0.9, 0.0) == 0
     val = K14.evaluate(0.4, 0.9, 0.0)
-    d = K14.derived
     fx = 0.9 / 2.0
-    expected = (1 - d.beta) * math.exp(-(fx**2) / 0.8) / math.sqrt(2 * math.pi * 0.4)
+    expected = (1 - K14.params.beta) * math.exp(-(fx**2) / 0.8) / math.sqrt(2 * math.pi * 0.4)
     assert val == pytest.approx(expected, rel=1e-14)
 
 
@@ -203,7 +202,7 @@ def _reference_cross_integral(kernel, t1, t2, x):
     from scipy.special import erfc
 
     t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
-    p, beta = kernel.params, kernel.derived.beta
+    p, beta = kernel.params, kernel.params.beta
     b = np.asarray(position_map(x, kernel.params), dtype=float)
     s = np.abs(b)
     tsum = t1 + t2
@@ -411,7 +410,7 @@ def test_cell_mass_adjacent_cells_add_up_property():
 
 def _two_branch_cell_mass(kernel, t, x, lo, hi):
     """cell_mass with both half-line branches evaluated on every cell."""
-    p, beta = kernel.params, kernel.derived.beta
+    p, beta = kernel.params, kernel.params.beta
     b = np.asarray(position_map(x, p), dtype=float)
     s = np.abs(b)
     rt = np.sqrt(2.0 * t)

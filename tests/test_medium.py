@@ -1,23 +1,23 @@
 import numpy as np
 import pytest
 
-from skewheat import MediumParams, derive_constants, position_map, tau, A_of
+from skewheat import MediumParams, position_map, tau, A_of
 
 
 def test_homogeneous_collapses_all_corrections():
-    d = derive_constants(MediumParams(1, 1, 1, 1))
-    assert d.alpha == 0.0
-    assert d.beta == 0.0
-    assert d.eta == 1.0
+    p = MediumParams(1, 1, 1, 1)
+    assert p.alpha == 0.0
+    assert p.beta == 0.0
+    assert p.eta == 1.0
 
 
 def test_hand_derived_constants_one_four():
     # alpha = 1 - 1/4; beta = (1 - 1/2)/(1 + 1/2) = 1/3;
     # eta = ((2/3)^2 + (1/2)(4/3)^2)/2 = 2/3.
-    d = derive_constants(MediumParams(1, 4, 1, 1))
-    assert d.alpha == pytest.approx(0.75, rel=1e-15)
-    assert d.beta == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert d.eta == pytest.approx(2.0 / 3.0, rel=1e-15)
+    p = MediumParams(1, 4, 1, 1)
+    assert p.alpha == pytest.approx(0.75, rel=1e-15)
+    assert p.beta == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert p.eta == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 def test_eta_positive_on_random_draws():
@@ -25,8 +25,8 @@ def test_eta_positive_on_random_draws():
     for _ in range(50):
         a1, a2 = np.exp(rng.uniform(-2, 2, size=2))
         r1, r2 = np.exp(rng.uniform(-1, 1, size=2))
-        d = derive_constants(MediumParams(a1, a2, r1, r2))
-        assert d.eta > 0.0
+        p = MediumParams(a1, a2, r1, r2)
+        assert p.eta > 0.0
 
 
 def test_beta_strictly_inside_unit_interval():
@@ -34,20 +34,19 @@ def test_beta_strictly_inside_unit_interval():
     for _ in range(200):
         a1, a2 = np.exp(rng.uniform(-3, 3, size=2))
         r1, r2 = np.exp(rng.uniform(-2, 2, size=2))
-        d = derive_constants(MediumParams(a1, a2, r1, r2))
-        assert abs(d.beta) < 1.0
+        p = MediumParams(a1, a2, r1, r2)
+        assert abs(p.beta) < 1.0
 
 
 def test_density_scale_invariance():
     rng = np.random.default_rng(3)
     base = MediumParams(0.7, 2.2, 0.9, 1.8)
-    d0 = derive_constants(base)
     for _ in range(20):
         c = float(np.exp(rng.uniform(-3, 3)))
-        d = derive_constants(MediumParams(base.a1, base.a2, c * base.rho1, c * base.rho2))
-        assert d.alpha == pytest.approx(d0.alpha, rel=1e-12)
-        assert d.beta == pytest.approx(d0.beta, rel=1e-12)
-        assert d.eta == pytest.approx(d0.eta, rel=1e-12)
+        p = MediumParams(base.a1, base.a2, c * base.rho1, c * base.rho2)
+        assert p.alpha == pytest.approx(base.alpha, rel=1e-12)
+        assert p.beta == pytest.approx(base.beta, rel=1e-12)
+        assert p.eta == pytest.approx(base.eta, rel=1e-12)
 
 
 def test_position_map_examples():
@@ -65,9 +64,9 @@ def test_position_map_monotone():
 
 
 def test_tau_values():
-    assert tau(1.0, derive_constants(MediumParams(1, 4, 1, 1))) == 1.0
-    assert tau(0.0, derive_constants(MediumParams(1, 1, 1, 1))) == 1.0
-    assert tau(0.0, derive_constants(MediumParams(1, 4, 1, 1))) == pytest.approx(4.0 / 9.0, rel=1e-14)
+    assert tau(1.0, MediumParams(1, 4, 1, 1)) == 1.0
+    assert tau(0.0, MediumParams(1, 1, 1, 1)) == 1.0
+    assert tau(0.0, MediumParams(1, 4, 1, 1)) == pytest.approx(4.0 / 9.0, rel=1e-14)
 
 
 def test_left_branch_convention_at_zero():

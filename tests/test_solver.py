@@ -36,7 +36,6 @@ HOMOG = MediumParams(1, 1, 1, 1)
 
 def test_sigma_presets():
     one = sigma_one()
-    assert one.label == "one"
     assert np.array_equal(one.evaluate(np.array([-3.0, 7.0])), [1.0, 1.0])
 
     aff = sigma_affine(2.0, -1.0)
@@ -47,9 +46,9 @@ def test_sigma_presets():
 
 
 def test_parse_sigma_round_trip_and_errors():
-    assert parse_sigma("one").label == "one"
-    assert parse_sigma("affine:2.0,-1.0").label == "affine:2.0,-1.0"
-    assert parse_sigma("sin1:0.5").label == "sin1:0.5"
+    assert parse_sigma("one") == sigma_one()
+    assert parse_sigma("affine:2.0,-1.0") == sigma_affine(2.0, -1.0)
+    assert parse_sigma("sin1:0.5") == sigma_sin(0.5)
     for bad in ("two", "affine:1", "sin1:", "sin1:а"):
         with pytest.raises(ValueError):
             parse_sigma(bad)
@@ -63,12 +62,13 @@ def test_sigma_constant_values():
 
 
 def test_sigma_spec_is_a_value():
-    # Two parses of one spec are equal, and a spec survives pickling unchanged.
+    # Two specs of one function are equal, and a spec survives pickling unchanged.
     for text in ("one", "affine:0.5,1", "sin1:0.5"):
         spec = parse_sigma(text)
         assert spec == parse_sigma(text)
         assert pickle.loads(pickle.dumps(spec)) == spec
     assert parse_sigma("affine:0.5,1") == sigma_affine(0.5, 1.0)
+    assert parse_sigma("affine:0,1") == sigma_one()
     assert parse_sigma("sin1:0.5") != parse_sigma("sin1:0.25")
 
 
@@ -451,6 +451,12 @@ def test_factorize_jitter_ladder_copies_nothing():
     assert jitter == 1e-12
     assert np.array_equal(factor, solver._cholesky(c + jitter * np.eye(n)))
     assert peak <= 1.1 * 8 * n * n
+
+
+def test_factorize_past_the_jitter_ladder_raises_covariance_error():
+    # The largest rung, 1e-8 * max diag, cannot lift an eigenvalue of -1.
+    with pytest.raises(CovarianceError, match=r"smallest eigenvalue estimate -1\.000e\+00$"):
+        ExactLinearSampler._factorize(np.diag([1.0, 1.0, 1.0, -1.0]))
 
 
 def test_exact_increment_kurtosis_gaussian():

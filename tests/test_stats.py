@@ -7,7 +7,6 @@ from skewheat import (
     MediumParams,
     GridSpec,
     sample_noise,
-    derive_constants,
     tau,
     A_of,
     sigma_one,
@@ -55,8 +54,7 @@ def test_quartic_shift_and_negation_invariance():
 def test_limit_functional_sigma_one_closed_form():
     assert _stats(np.zeros(65)).limit == pytest.approx(6.0 / (math.pi * 4.0), rel=1e-14)
     # At the interface the eta^2 correction enters with the left diffusivity.
-    d = derive_constants(M14)
-    assert _stats(np.zeros(65), x=0.0).limit == pytest.approx(6.0 * d.eta**2 / math.pi, rel=1e-14)
+    assert _stats(np.zeros(65), x=0.0).limit == pytest.approx(6.0 * M14.eta**2 / math.pi, rel=1e-14)
 
 
 def test_limit_functional_zero_path_vanishing_sigma():
@@ -72,7 +70,7 @@ def test_limit_functional_vs_trapezoid():
     got = _stats(vals, sigma).limit
     s4 = sigma.evaluate(vals) ** 4
     delta = 1.0 / (len(vals) - 1)
-    coef = 6.0 * tau(0.5, derive_constants(M14)) / (math.pi * A_of(0.5, M14))
+    coef = 6.0 * tau(0.5, M14) / (math.pi * A_of(0.5, M14))
     trapz = coef * delta * (np.sum(s4) - 0.5 * s4[0] - 0.5 * s4[-1])
     bound = coef * delta * 0.5 * abs(s4[0] - s4[-1]) + 1e-12
     assert abs(got - trapz) <= bound
@@ -96,9 +94,8 @@ def test_estimator_scale_equivariance_constant_sigma():
 
 def test_estimator_interface_uses_eta_squared():
     rng = np.random.default_rng(45)
-    d = derive_constants(M14)
     st = _stats(rng.normal(size=65), x=0.0)
-    assert st.a_hat == pytest.approx(6.0 * d.eta**2 / (math.pi * st.v), rel=1e-12)
+    assert st.a_hat == pytest.approx(6.0 * M14.eta**2 / (math.pi * st.v), rel=1e-12)
 
 
 def test_estimator_degenerate_path():
