@@ -93,7 +93,8 @@ def _sigma_rule(spec: str) -> str | None:
 
 _AT_LEAST_ONE = _rule(lambda v: v >= 1, " must be >= 1")
 _POSITIVE = _rule(lambda v: v > 0, " must be > 0")
-_ENTRIES_AT_LEAST_ONE = _rule(lambda v: all(i >= 1 for i in v), " entries must be >= 1")
+_DISTINCT_ENTRIES = _rule(lambda v: min(v, default=1) >= 1 and len(set(v)) == len(v),
+                          " entries must be >= 1 and distinct")
 
 # Every config key, in file order: (section, key, field, kind, default, range
 # rule).  A default of None makes the key required.  The medium keys fill
@@ -116,10 +117,8 @@ _KEYS = (
     ("experiment", "backend", "backend", "text", "convolution", _one_of(BACKENDS)),
     ("experiment", "workers", "workers", "int", "1", _AT_LEAST_ONE),
     ("experiment", "out", "out_dir", "text", "out", None),
-    ("experiment", "n_list", "n_list", "int,", "",
-     _rule(lambda v: min(v, default=1) >= 1 and len(set(v)) == len(v),
-           " entries must be >= 1 and distinct")),
-    ("experiment", "m_list", "m_list", "int,", "", _ENTRIES_AT_LEAST_ONE),
+    ("experiment", "n_list", "n_list", "int,", "", _DISTINCT_ENTRIES),
+    ("experiment", "m_list", "m_list", "int,", "", _DISTINCT_ENTRIES),
     ("experiment", "check_tolerance", "check_tolerance", "float?", "",
      _rule(lambda v: v is None or v > 0, " must be > 0")),
 )

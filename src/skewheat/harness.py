@@ -210,8 +210,9 @@ def _point_paths(cfg: ExperimentConfig, log: dict, grid: GridSpec, points):
     record per exact sampler under "exact_sampler" (jitter, quadrature node
     level, and the wall seconds of the covariance and the Cholesky stages
     and of its paths_array call).  The exact backend builds one sampler per
-    distinct point of the call, takes a constant sigma = c only, and scales
-    its sigma = 1 paths by c.
+    distinct point of the call, samples it straight into the point's column
+    of paths (a repeated point copies its first column), takes a constant
+    sigma = c only, and scales its sigma = 1 paths by c.
     """
     if not cfg.x_points:
         raise ConfigError("this command needs at least one observation point in [experiment] x")
@@ -226,15 +227,20 @@ def _point_paths(cfg: ExperimentConfig, log: dict, grid: GridSpec, points):
     if sigma.constant is None:
         raise ConfigError(f"the exact-linear backend needs a constant sigma, got {cfg.sigma}")
     points = [float(x) for x in points]
-    distinct = {}
-    for xe in dict.fromkeys(points):
+    paths = np.empty((cfg.replicates, len(points), grid.n + 1))
+    first: dict[float, int] = {}
+    for j, xe in enumerate(points):
+        if xe in first:
+            paths[:, j] = paths[:, first[xe]]
+            continue
+        first[xe] = j
         sampler = ExactLinearSampler(cfg.medium, xe, cfg.T, grid.n)
-        distinct[xe] = sampler.paths_array(cfg.seed, cfg.replicates)
+        sampler.paths_array(cfg.seed, cfg.replicates, out=paths[:, j])
         log.setdefault("exact_sampler", []).append(
             {"x": xe, "n": grid.n, "cholesky_jitter": sampler.jitter,
              "covariance_node_level": sampler.node_level, "covariance_s": sampler.covariance_s,
              "cholesky_s": sampler.cholesky_s, "paths_s": sampler.paths_s})
-    paths = np.stack([distinct[xe] for xe in points], axis=1)
+        del sampler  # its n x n factor is not held through the next point's build
     paths *= sigma.constant
     return sigma, points, paths
 

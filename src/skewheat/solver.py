@@ -52,6 +52,9 @@ COV_CELL_TOL = 1e-9
 COV_CELL_NODES = 2
 COV_CELL_MAX_NODES = 1024
 
+# covariance_matrix's lag diagonals per assembly block.
+COV_DIAGONALS = 32
+
 # covariance_linear's rule: dyadic panels in v at most, nodes per panel at start and at
 # most, and times per vectorized block.
 COV_PANELS = 30
@@ -500,12 +503,14 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> tupl
     the cell integrals over q in [c*dt, (c+1)*dt].  The first cell, singular
     at k = 0 and holding the erfc onset at k >= 1, is exactly
     C((k+1)*dt, dt), so covariance_linear's panel rule gives all n of them.
-    The smooth cells c >= 1 are integrated together by Gauss-Legendre from
+    The smooth cells c >= 1 are integrated by Gauss-Legendre from
     COV_CELL_NODES = 2 nodes, each doubling until two levels agree within
     COV_CELL_TOL/n (most stop at 4), so every entry is within about
     COV_CELL_TOL; raises CovarianceError if a cell needs more than
-    COV_CELL_MAX_NODES.  node_level is the largest level a cell c >= 1
-    reached.
+    COV_CELL_MAX_NODES.  The diagonals are assembled COV_DIAGONALS at a
+    time, straight into C: a cell's value depends on its own (k, c) only,
+    so the width changes no bit, and the build holds C and one block's
+    cells.  node_level is the largest level a cell c >= 1 reached.
     """
     times = np.asarray(times, dtype=float)
     n = len(times) - 1 if times.ndim == 1 else 0
@@ -513,10 +518,27 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> tupl
     if not dt > 0.0 or times[0] != 0.0 or np.any(np.abs(np.diff(times) - dt) > 1e-9 * dt):
         raise ValueError("times must be a uniform 1-D grid 0 = t_0 < t_1 < ... < t_n")
     kernel = GreenKernel(medium)
-    # cells[k, c] integrates over q in [c*dt, (c+1)*dt] on diagonal k, for c < n - k.
-    lag, cell = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
-    cells = np.zeros((n, n))
-    cells[:, 0] = _panel_covariance(kernel, dt * np.arange(1, n + 1), dt, x)
+    first = _panel_covariance(kernel, dt * np.arange(1, n + 1), dt, x)
+    out = np.zeros((n + 1, n + 1))
+    node_level = COV_CELL_NODES
+    for k0 in range(0, n, COV_DIAGONALS):
+        # cells[k - k0, c] integrates over q in [c*dt, (c+1)*dt] on diagonal k, for c < n - k.
+        diagonals = np.arange(k0, min(k0 + COV_DIAGONALS, n))
+        row, cell = np.nonzero(np.add.outer(diagonals, np.arange(n - k0)) < n)
+        lag, smooth = row + k0, cell > 0
+        cells = np.zeros((len(diagonals), n - k0))
+        cells[:, 0] = first[diagonals]
+        values, nodes = _smooth_cells(kernel, dt, x, n, lag[smooth], cell[smooth])
+        cells[row[smooth], cell[smooth]] = values
+        node_level = max(node_level, nodes)
+        entries = np.cumsum(cells, axis=1)[row, cell]
+        out[lag + cell + 1, cell + 1] = entries
+        out[cell + 1, lag + cell + 1] = entries
+    return out, node_level
+
+
+def _smooth_cells(kernel, dt, x, n, k, c) -> tuple[np.ndarray, int]:
+    """The integrals of the cells (k, c), c >= 1, by the node ladder, and the last level it ran."""
 
     def level(k, c, nodes):
         xg, wg = _leggauss(nodes)
@@ -526,7 +548,7 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> tupl
             acc += dt * w * kernel.cross_integral(k * dt + q, q, x)
         return acc
 
-    k, c = lag[cell > 0], cell[cell > 0]
+    values, left = np.empty(len(k)), np.arange(len(k))
     nodes = COV_CELL_NODES
     prev = level(k, c, nodes)
     while k.size:
@@ -538,13 +560,9 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> tupl
             )
         cur = level(k, c, nodes)
         done = np.abs(cur - prev) <= COV_CELL_TOL / n
-        cells[k[done], c[done]] = cur[done]
-        k, c, prev = k[~done], c[~done], cur[~done]
-    entries = np.cumsum(cells, axis=1)[lag, cell]
-    out = np.zeros((n + 1, n + 1))
-    out[lag + cell + 1, cell + 1] = entries
-    out[cell + 1, lag + cell + 1] = entries
-    return out, nodes
+        values[left[done]] = cur[done]
+        left, k, c, prev = left[~done], k[~done], c[~done], cur[~done]
+    return values, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +639,7 @@ class ExactLinearSampler:
             f"smallest eigenvalue estimate {smallest:.3e}"
         )
 
-    def paths_array(self, seed: int, replicates: int) -> np.ndarray:
+    def paths_array(self, seed: int, replicates: int, out: np.ndarray | None = None) -> np.ndarray:
         """Paths of replicates 0..replicates-1, shape (replicates, n+1); column 0 is zero.
 
         Replicate r at point x always takes the first n draws of the stream
@@ -632,10 +650,15 @@ class ExactLinearSampler:
         A row of the product does not depend on the other rows, and replicate
         r always sits in the same row of the same-shape product, so neither
         the replicate count nor the BLAS thread count changes its path.
+        If out is given (a (replicates, n+1) array or view, say one point's
+        column of an (R, P, n+1) array), the paths are written into it and it
+        is returned; no other array of the paths' size is made.
         """
         started = time.perf_counter()
         subkey = position_subkey(self.x)
-        out = np.zeros((replicates, self.n + 1))
+        if out is None:
+            out = np.empty((replicates, self.n + 1))
+        out[:, 0] = 0.0
         block = np.empty((PATH_BLOCK, self.n))
         product = np.empty((PATH_BLOCK, self.n))
         for base in range(0, replicates, PATH_BLOCK):

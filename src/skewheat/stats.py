@@ -20,7 +20,7 @@ import numpy as np
 
 from .medium import MediumParams, tau, A_of
 from .noise import GridSpec
-from .solver import SigmaSpec
+from .solver import PATH_BLOCK, SigmaSpec
 
 
 @dataclass(frozen=True)
@@ -42,24 +42,6 @@ class PointStats:
     m4_target: float
 
 
-def _variation(d: np.ndarray) -> np.ndarray:
-    sq = d * d  # products, not d**4: numpy's float pow is the slow generic routine
-    sq *= sq
-    return np.sum(sq, axis=-1)
-
-
-def _interior_moments(pooled: np.ndarray) -> tuple[float, float, float, float]:
-    """(E d^2, E d^4, ratio4, ratio6) of the pooled increments; the ratios are NaN when E d^2 = 0."""
-    p2 = pooled * pooled
-    p4 = p2 * p2
-    m2 = float(np.mean(p2))
-    m4 = float(np.mean(p4))
-    if m2 == 0.0:
-        return m2, m4, math.nan, math.nan
-    p4 *= p2
-    return m2, m4, m4 / m2**2, float(np.mean(p4)) / m2**3
-
-
 def point_statistics(paths: np.ndarray, x: float, T: float, sigma: SigmaSpec,
                      medium: MediumParams) -> PointStats:
     """All statistics of paths observed at x over [0, T]: (R, n+1) paths, or one (n+1,) path.
@@ -74,42 +56,61 @@ def point_statistics(paths: np.ndarray, x: float, T: float, sigma: SigmaSpec,
     values sqrt(2*tau*dt/(pi*A)) and 6*tau*dt/(pi*A), times the pooled mean
     of sigma^2(u) and of sigma^4(u) at those increments' left endpoints:
     c^2 and c^4 for a constant sigma = c.
+
+    The paths are read PATH_BLOCK rows at a time, so no temporary is larger
+    than one block.  Every pooled mean is the sum over rows of the row's sum
+    (np.sum along time) divided by the count, whatever the block width.
     """
     paths = np.asarray(paths, dtype=float)
-    if paths.shape[-1] < 2:
-        raise ValueError("path needs at least 2 points")
+    if paths.ndim not in (1, 2) or paths.shape[-1] < 2:
+        raise ValueError("paths must be one (n+1,) path or (R, n+1) paths with n >= 1")
+    rows = paths[None] if paths.ndim == 1 else paths
     n = paths.shape[-1] - 1
     delta = T / n
     start = max(1, math.ceil(n / 4)) - 1
-    d = np.diff(paths, axis=-1)
-    v = _variation(d)
-    m2, m4, ratio4, ratio6 = _interior_moments(d[..., start:])
+    # Per row: V_n, the sums of sigma^4 at left and right endpoints, and the
+    # pooled sums of d^2, d^4, d^6, sigma^2 and sigma^4.
+    v, s4_left, s4_right, p2, p4, p6, s2_pooled, s4_pooled = np.empty((8, len(rows)))
+    for lo in range(0, len(rows), PATH_BLOCK):
+        block = slice(lo, lo + PATH_BLOCK)
+        d = np.diff(rows[block], axis=-1)
+        d2 = d * d
+        d4 = d2 * d2  # products, not d**4: numpy's float pow is the slow generic routine
+        v[block] = np.sum(d4, axis=-1)
+        d2, d4 = d2[:, start:], d4[:, start:]
+        p2[block], p4[block] = np.sum(d2, axis=-1), np.sum(d4, axis=-1)
+        p6[block] = np.sum(d4 * d2, axis=-1)
+        s2 = sigma.evaluate(rows[block]) ** 2
+        s2_pooled[block] = np.sum(s2[:, start:-1], axis=-1)
+        s2 *= s2  # in place: sigma^2 is not needed past its pooled sum
+        s4_left[block], s4_right[block] = np.sum(s2[:, :-1], axis=-1), np.sum(s2[:, 1:], axis=-1)
+        s4_pooled[block] = np.sum(s2[:, start:-1], axis=-1)
+    count = len(rows) * (n - start)
+    m2, m4, m6, s2_mean, s4_mean = (float(np.sum(t)) / count
+                                    for t in (p2, p4, p6, s2_pooled, s4_pooled))
     tau_x = tau(x, medium)
     coef = 6.0 * tau_x / (math.pi * A_of(x, medium))
     leading_m2 = math.sqrt(delta) * math.sqrt(2.0 * tau_x / (math.pi * A_of(x, medium)))
     leading_m4 = 6.0 * delta * tau_x / (A_of(x, medium) * math.pi)
-    s2 = sigma.evaluate(paths) ** 2
-    s2_pooled = float(np.mean(s2[..., start:-1]))
-    s4 = s2
-    s4 *= s4  # in place: sigma^2 is not needed past its pooled mean
-    s4_left, s4_right = s4[..., :-1], s4[..., 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        a_hat = np.where(v > 0.0,
-                         6.0 * T * tau_x * np.sum(s4_right, axis=-1) / (n * math.pi * v), math.nan)
+        a_hat = np.where(v > 0.0, 6.0 * T * tau_x * s4_right / (n * math.pi * v), math.nan)
+    limit = coef * delta * s4_left
+    if paths.ndim == 1:
+        v, limit, a_hat = v[0], limit[0], a_hat[0]
     return PointStats(
         x=x,
         n=n,
         v=v,
-        limit=coef * delta * np.sum(s4_left, axis=-1),
+        limit=limit,
         a_hat=a_hat,
         degenerate=int(np.sum(~(v > 0.0))),
         m2=m2,
         m4=m4,
-        ratio4=ratio4,
-        ratio6=ratio6,
+        ratio4=math.nan if m2 == 0.0 else m4 / m2**2,
+        ratio6=math.nan if m2 == 0.0 else m6 / m2**3,
         closed_target=None if sigma.constant is None else coef * T * sigma.constant**4,
-        m2_target=leading_m2 * s2_pooled,
-        m4_target=leading_m4 * float(np.mean(s4[..., start:-1])),
+        m2_target=leading_m2 * s2_mean,
+        m4_target=leading_m4 * s4_mean,
     )
 
 

@@ -209,7 +209,7 @@ def test_round_trip_and_hash_property():
         workers=count,
         out_dir=out_dir,
         n_list=st.lists(count, max_size=4, unique=True).map(tuple),
-        m_list=st.lists(count, max_size=4).map(tuple),
+        m_list=st.lists(count, max_size=4, unique=True).map(tuple),
         check_tolerance=st.one_of(st.none(), positive),
     )
 

@@ -254,6 +254,8 @@ def test_convergence_without_x_exits_two_with_one_line(tmp_path, capsys):
     ("quartic", "demo_quartic", ("T = 1.0", "T = inf"), [], "[grid] T: must be finite, got 'inf'"),
     ("quartic", "demo_quartic", ("n = 512", "n = abc"), [], "[grid] n: expected an integer, got 'abc'"),
     ("quartic", None, None, [], "cannot read config "),
+    ("convergence", "demo_convergence", ("m_list = 1, 2, 4", "m_list = 2, 2"), [],
+     "[experiment] m_list entries must be >= 1 and distinct"),
 ])
 def test_documented_config_errors_exit_two_with_one_line(tmp_path, capsys, command, demo, edit,
                                                          flags, message):
@@ -300,6 +302,27 @@ def test_summary_exact_sampler_records_stage_seconds(tmp_path):
             assert isinstance(r[key], float) and math.isfinite(r[key]) and r[key] >= 0.0
     csv_text = (tmp_path / "out" / "quartic.csv").read_text()
     assert all(key not in csv_text for key in ("covariance_s", "cholesky_s", "paths_s"))
+
+
+def test_exact_quartic_repeated_point_samples_once_into_equal_columns(tmp_path):
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + GRID_SMALL
+        + f"[experiment]\nx = 0.5, 0.5\nreplicates = 70\nseed = 11\nbackend = exact-linear\nout = {tmp_path}/out\n",
+    )
+    resolved = load_config(cfg)
+    log: dict = {}
+    _, points, paths = harness._point_paths(resolved, log, harness._grid(resolved), resolved.x_points)
+    assert points == [0.5, 0.5] and paths.shape == (70, 2, 9)
+    assert np.array_equal(paths[:, 0], paths[:, 1])
+    alone = solver.ExactLinearSampler(resolved.medium, 0.5, 1.0, 8).paths_array(11, 70)
+    assert np.array_equal(paths[:, 0], alone)
+    assert [r["x"] for r in log["exact_sampler"]] == [0.5]
+    assert main(["quartic", "--config", cfg]) == 0
+    rows = _read_rows(tmp_path / "out" / "quartic.csv")
+    assert rows[:len(rows) // 2] == rows[len(rows) // 2:]
+    records = json.loads((tmp_path / "out" / "quartic_summary.json").read_text())["exact_sampler"]
+    assert len(records) == 1
 
 
 def test_exact_backend_requires_sigma_one(tmp_path):

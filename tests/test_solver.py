@@ -357,6 +357,20 @@ def test_covariance_matrix_two_node_start_matches_eight_node_ladder(medium, boun
         assert got_level == ref_level, x
 
 
+@pytest.mark.parametrize("n", [2, 64, 300])
+def test_covariance_matrix_diagonal_block_width_changes_no_bit(n, monkeypatch):
+    # A cell's integral depends on its own (k, c) only, so assembling one
+    # diagonal or all n diagonals per block gives the same matrix and level.
+    times = np.linspace(0.0, 1.0, n + 1)
+    for x in (0.5, 0.0, 1e-7):
+        ref, ref_level = covariance_matrix(times, x, M14)
+        for width in (1, n):
+            monkeypatch.setattr(solver, "COV_DIAGONALS", width)
+            got, got_level = covariance_matrix(times, x, M14)
+            assert np.array_equal(got, ref) and got_level == ref_level, (x, width)
+        monkeypatch.undo()
+
+
 # -- exact linear sampler ------------------------------------------------------
 
 
@@ -400,6 +414,32 @@ def test_exact_paths_match_per_replicate_matvec(n):
         ref = s._factor @ z
         assert path[0] == 0.0
         assert np.max(np.abs(path[1:] - ref)) <= 1e-14 * np.max(np.abs(ref)), k
+
+
+def test_exact_sampler_build_peaks_at_two_and_a_half_n_squared():
+    # The build holds the (n+1)**2 covariance, then it and the n**2 factor;
+    # the diagonal blocks' cells stay far below both at n = 512.
+    n = 512
+    ExactLinearSampler(M14, 0.5, 1.0, 8)  # numpy's lazy imports are not the build's
+    tracemalloc.start()
+    try:
+        ExactLinearSampler(M14, 0.5, 1.0, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("n", [16, 100])
+def test_exact_paths_into_out_are_the_returned_paths(n):
+    s = ExactLinearSampler(M14, 0.5, 1.0, n)
+    ref = s.paths_array(seed=37, replicates=100)
+    out = np.full((100, n + 1), np.nan)
+    assert s.paths_array(seed=37, replicates=100, out=out) is out
+    assert np.array_equal(out, ref)
+    both = np.full((100, 2, n + 1), np.nan)
+    s.paths_array(seed=37, replicates=100, out=both[:, 1])
+    assert np.array_equal(both[:, 1], ref) and np.all(np.isnan(both[:, 0]))
 
 
 def test_exact_sampler_records_stage_seconds():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from skewheat import stats
 from skewheat import (
     MediumParams,
     GridSpec,
@@ -153,10 +154,35 @@ def test_point_statistics_equals_per_path_views(label, x):
         assert (st.v[r], st.limit[r]) == (one.v, one.limit)
         assert st.a_hat[r] == one.a_hat or math.isnan(st.a_hat[r]) and math.isnan(one.a_hat)
     pooled = np.diff(paths)[:, 9:]  # 1-based increment index i >= 40/4
-    m2 = np.mean(pooled**2)
+    m2 = np.sum(np.sum(pooled**2, axis=-1)) / pooled.size  # the sum of the rows' sums
     assert st.m2 == m2
     assert st.ratio4 == pytest.approx(np.mean(pooled**4) / m2**2, rel=1e-13)
     assert st.ratio6 == pytest.approx(np.mean(pooled**6) / m2**3, rel=1e-13)
+
+
+@pytest.mark.parametrize("label", sorted(SIGMAS))
+def test_point_statistics_replicate_block_width_changes_no_bit(label, monkeypatch):
+    # Every pooled mean is the sum of per-row sums over the count, so the
+    # width of the replicate blocks the paths are read in moves no bit.  The
+    # rows have unequal scales, so a sum taken block by block would round
+    # differently.
+    rng = np.random.default_rng(51)
+    paths = np.cumsum(rng.normal(size=(150, 65)), axis=-1) * np.exp(rng.normal(size=(150, 1)))
+    paths[:, 0] = 0.0
+    ref = _stats(paths, SIGMAS[label])
+    for width in (1, 7, 64):
+        monkeypatch.setattr(stats, "PATH_BLOCK", width)
+        got = _stats(paths, SIGMAS[label])
+        for name in ("v", "limit", "a_hat"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), (name, width)
+        assert (got.m2, got.m4, got.ratio4, got.ratio6, got.m2_target, got.m4_target) == (
+            ref.m2, ref.m4, ref.ratio4, ref.ratio6, ref.m2_target, ref.m4_target), width
+
+
+@pytest.mark.parametrize("shape", [(1,), (3, 1), (2, 3, 9)])
+def test_point_statistics_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match="one \\(n\\+1,\\) path or \\(R, n\\+1\\) paths"):
+        point_statistics(np.zeros(shape), 0.5, 1.0, sigma_one(), M14)
 
 
 def test_point_statistics_zero_increments():
