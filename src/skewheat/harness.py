@@ -9,9 +9,11 @@ independent of the worker count: replicates are keyed individually by
 worker pool, and results are assembled by replicate index.  Wall-clock
 timings therefore live only in the JSON summary's `timings` block; the CSV
 `seconds` column is reserved and always zero.  Exact-linear runs also record,
-per sampler build, the Cholesky jitter, the covariance quadrature's node
-level and the wall seconds of both build stages and of its path sampling in
-the summary's `exact_sampler` block; convolution runs record, per replicate
+per sampler build, the covariance quadrature's node level and the wall
+seconds of both build stages (the covariance and its in-place Cholesky
+factor) and of its path sampling in the summary's `exact_sampler` block; a
+covariance that is not positive definite is a CovarianceError, with no
+regularization.  Convolution runs record, per replicate
 chunk, the rows solved per time step, the kernel path taken (the
 FFT-in-time product or the semigroup recursion), whether dx meets the
 resolution bound and, for the recursion, its one-step semigroup gap in its
@@ -207,9 +209,9 @@ def _point_paths(cfg: ExperimentConfig, log: dict, grid: GridSpec, points):
     snapped to cell centers, and a point outside [-L, L] is a ConfigError
     raised before any solve.  What the backend did is appended
     to log: one record per replicate chunk under "convolution", or one
-    record per exact sampler under "exact_sampler" (jitter, quadrature node
-    level, and the wall seconds of the covariance and the Cholesky stages
-    and of its paths_array call).  The exact backend builds one sampler per
+    record per exact sampler under "exact_sampler" (quadrature node level,
+    and the wall seconds of the covariance and the Cholesky stages and of
+    its paths_array call).  The exact backend builds one sampler per
     distinct point of the call, samples it straight into the point's column
     of paths (a repeated point copies its first column), takes a constant
     sigma = c only, and scales its sigma = 1 paths by c.
@@ -237,10 +239,10 @@ def _point_paths(cfg: ExperimentConfig, log: dict, grid: GridSpec, points):
         sampler = ExactLinearSampler(cfg.medium, xe, cfg.T, grid.n)
         sampler.paths_array(cfg.seed, cfg.replicates, out=paths[:, j])
         log.setdefault("exact_sampler", []).append(
-            {"x": xe, "n": grid.n, "cholesky_jitter": sampler.jitter,
-             "covariance_node_level": sampler.node_level, "covariance_s": sampler.covariance_s,
-             "cholesky_s": sampler.cholesky_s, "paths_s": sampler.paths_s})
-        del sampler  # its n x n factor is not held through the next point's build
+            {"x": xe, "n": grid.n, "covariance_node_level": sampler.node_level,
+             "covariance_s": sampler.covariance_s, "cholesky_s": sampler.cholesky_s,
+             "paths_s": sampler.paths_s})
+        del sampler  # its (n+1)**2 factor array is not held through the next point's build
     paths *= sigma.constant
     return sigma, points, paths
 

@@ -570,25 +570,27 @@ def _smooth_cells(kernel, dt, x, n, k, c) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 
 
-def _cholesky(c: np.ndarray, shift: float = 0.0) -> np.ndarray:
-    """Lower Cholesky factor of c + shift*I by a left-looking column loop.
+def _cholesky(c: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of c, written over c and returned.
 
-    Column j is (c[j+1:, j] - L[j+1:, :j] @ L[j, :j]) / L[j, j]: one
-    matrix-vector product per column, whose rounding does not depend on the
-    BLAS thread count, unlike threaded LAPACK potrf.  Raises LinAlgError
-    when a pivot is not positive.
+    A left-looking column loop: column j is
+    (c[j+1:, j] - L[j+1:, :j] @ L[j, :j]) / L[j, j], one matrix-vector
+    product per column, and row j's strict upper part is zeroed after it.
+    Its bits were measured equal at 1 and 2 BLAS threads up to n = 1024,
+    where threaded LAPACK potrf's were not; from n = 1536 OpenBLAS threads
+    these products too, and the bits differ.  Raises CovarianceError naming
+    the first pivot that is not positive; there is no diagonal shift.
     """
-    n = len(c)
-    factor = np.zeros((n, n))
-    for j in range(n):
-        row = factor[j, :j]
-        d = c[j, j] + shift - row @ row
+    for j in range(len(c)):
+        row = c[j, :j]
+        d = c[j, j] - row @ row
         if not d > 0.0:
-            raise np.linalg.LinAlgError(f"matrix is not positive definite at pivot {j}")
+            raise CovarianceError(f"covariance is not positive definite: pivot {j} is {d:.6g}")
         pivot = math.sqrt(d)
-        factor[j, j] = pivot
-        factor[j + 1:, j] = (c[j + 1:, j] - factor[j + 1:, :j] @ row) / pivot
-    return factor
+        c[j, j] = pivot
+        c[j + 1:, j] = (c[j + 1:, j] - c[j + 1:, :j] @ row) / pivot
+        c[j, j + 1:] = 0.0
+    return c
 
 
 class ExactLinearSampler:
@@ -596,16 +598,14 @@ class ExactLinearSampler:
 
     Builds the (n+1)x(n+1) time covariance once on the uniform grid
     t_i = i*T/n with covariance_matrix (lag-diagonal cumulative sums of
-    per-cell quadratures), factorizes it (with a diagonal jitter ladder if
-    the plain factorization fails), keeps only the factor, and maps per-replicate
+    per-cell quadratures), factors its block past t_0 in place, so the
+    factor is a view of the one (n+1)x(n+1) array, and maps per-replicate
     standard-normal streams through the factor, PATH_BLOCK replicates per
     gemm (see paths_array).  Identical (seed, replicate) always yields the
-    identical path.  `jitter` is the value added to every diagonal entry
-    before the factorization succeeded (0.0 when none), `node_level` the
-    largest node count the cells past each diagonal's first reached,
-    `covariance_s` and `cholesky_s` the wall seconds (perf_counter) the two
-    build stages took, and `paths_s` the wall seconds spent in paths_array
-    so far.
+    identical path.  `node_level` is the largest node count the cells past
+    each diagonal's first reached, `covariance_s` and `cholesky_s` the wall
+    seconds (perf_counter) the two build stages took, and `paths_s` the
+    wall seconds spent in paths_array so far.
     """
 
     def __init__(self, medium: MediumParams, x: float, T: float, n: int):
@@ -616,28 +616,10 @@ class ExactLinearSampler:
         started = time.perf_counter()
         cov, self.node_level = covariance_matrix(np.linspace(0.0, T, n + 1), x, medium)
         factoring = time.perf_counter()
-        self._factor, self.jitter = self._factorize(cov[1:, 1:])
+        self._factor = _cholesky(cov[1:, 1:])
         self.covariance_s = factoring - started
         self.cholesky_s = time.perf_counter() - factoring
         self.paths_s = 0.0
-
-    @staticmethod
-    def _factorize(c: np.ndarray) -> tuple[np.ndarray, float]:
-        """Cholesky factor of c and the diagonal jitter it needed.
-
-        c itself is factored first; each jitter shifts the pivots, and c is never copied.
-        """
-        scale = float(np.max(np.diag(c)))
-        for jitter in (0.0, 1e-12, 1e-10, 1e-8):
-            try:
-                return _cholesky(c, jitter * scale), jitter * scale
-            except np.linalg.LinAlgError:
-                continue
-        smallest = float(np.linalg.eigvalsh(c)[0])
-        raise CovarianceError(
-            f"covariance factorization failed after regularization; "
-            f"smallest eigenvalue estimate {smallest:.3e}"
-        )
 
     def paths_array(self, seed: int, replicates: int, out: np.ndarray | None = None) -> np.ndarray:
         """Paths of replicates 0..replicates-1, shape (replicates, n+1); column 0 is zero.

@@ -92,8 +92,13 @@ def point_statistics(paths: np.ndarray, x: float, T: float, sigma: SigmaSpec,
     coef = 6.0 * tau_x / (math.pi * A_of(x, medium))
     leading_m2 = math.sqrt(delta) * math.sqrt(2.0 * tau_x / (math.pi * A_of(x, medium)))
     leading_m4 = 6.0 * delta * tau_x / (A_of(x, medium) * math.pi)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # float64 powers and quotients give inf or NaN where Python's float ops
+    # would raise, and equal them bit for bit elsewhere.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_hat = np.where(v > 0.0, 6.0 * T * tau_x * s4_right / (n * math.pi * v), math.nan)
+        m2_64 = np.float64(m2)
+        ratio4, ratio6 = float(m4 / m2_64**2), float(m6 / m2_64**3)
+        closed = None if sigma.constant is None else float(coef * T * np.float64(sigma.constant)**4)
     limit = coef * delta * s4_left
     if paths.ndim == 1:
         v, limit, a_hat = v[0], limit[0], a_hat[0]
@@ -106,9 +111,9 @@ def point_statistics(paths: np.ndarray, x: float, T: float, sigma: SigmaSpec,
         degenerate=int(np.sum(~(v > 0.0))),
         m2=m2,
         m4=m4,
-        ratio4=math.nan if m2 == 0.0 else m4 / m2**2,
-        ratio6=math.nan if m2 == 0.0 else m6 / m2**3,
-        closed_target=None if sigma.constant is None else coef * T * sigma.constant**4,
+        ratio4=ratio4,
+        ratio6=ratio6,
+        closed_target=closed,
         m2_target=leading_m2 * s2_mean,
         m4_target=leading_m4 * s4_mean,
     )

@@ -381,7 +381,8 @@ def test_summary_json_records_exact_sampler_per_point(tmp_path):
     records = payload["exact_sampler"]
     assert [(r["x"], r["n"]) for r in records] == [(0.5, 8), (-0.5, 8)]
     for r in records:
-        assert r["cholesky_jitter"] == 0.0
+        assert set(r) == {"x", "n", "covariance_node_level", "covariance_s", "cholesky_s",
+                          "paths_s"}
         assert r["covariance_node_level"] >= 16
 
 
@@ -406,6 +407,26 @@ def test_covariance_nonconvergence_exits_one_with_one_line(tmp_path, monkeypatch
     assert main(["quartic", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("solver failure: covariance quadrature did not reach")
+    assert err.count("\n") == 1
+
+
+def test_indefinite_covariance_exits_one_naming_the_pivot(tmp_path, monkeypatch, capsys):
+    # No diagonal shift is tried: the first non-positive pivot is the failure.
+    exact = solver.covariance_matrix
+
+    def negated(*args):
+        cov, level = exact(*args)
+        return -cov, level
+
+    monkeypatch.setattr(solver, "covariance_matrix", negated)
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + GRID_SMALL
+        + f"[experiment]\nx = 0.5\nreplicates = 4\nseed = 11\nbackend = exact-linear\nout = {tmp_path}/out\n",
+    )
+    assert main(["quartic", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: covariance is not positive definite: pivot 0 is -")
     assert err.count("\n") == 1
 
 
@@ -1016,6 +1037,29 @@ def test_exact_quartic_csv_identical_at_one_and_two_blas_threads(tmp_path):
                         "--out", str(out)], env=env, capture_output=True, check=True)
         csvs.append((out / "quartic.csv").read_bytes())
     assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("backend, L, x, sigma", [
+    ("exact-linear", "8.0", "0.5", "affine:0,1e-100"),
+    ("exact-linear", "8.0", "0.5", "affine:0,1e100"),
+    ("exact-linear", "8.0", "0.5", "affine:0,1e300"),
+    ("convolution", "1e-300", "0.0", "one"),
+    ("convolution", "1e300", "0.0", "one"),
+])
+def test_quartic_at_unrepresentable_moments_exits_without_traceback(tmp_path, backend, L, x, sigma):
+    # Increment moments, their ratios and sigma**4 that underflow or overflow
+    # a double are inf or NaN rows, not a crash in point_statistics.
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + f"[grid]\nT = 1.0\nn = 4\nL = {L}\nm = 16\n"
+        + f"[experiment]\nsigma = {sigma}\nx = {x}\nreplicates = 4\nseed = 1\nbackend = {backend}\n",
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    done = subprocess.run([sys.executable, "-m", "skewheat", "quartic", "--config", cfg,
+                           "--out", str(tmp_path / "out")],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert done.returncode in (0, 1), done.stderr
+    assert "Traceback" not in done.stderr, done.stderr
 
 
 @pytest.mark.parametrize("sigma", ["sin1:0.5", "one"])

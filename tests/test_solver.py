@@ -417,8 +417,9 @@ def test_exact_paths_match_per_replicate_matvec(n):
 
 
 def test_exact_sampler_build_peaks_at_two_and_a_half_n_squared():
-    # The build holds the (n+1)**2 covariance, then it and the n**2 factor;
-    # the diagonal blocks' cells stay far below both at n = 512.
+    # The build holds the (n+1)**2 covariance, factored in place, and one
+    # block of lag diagonals' cells; at n = 512 the cells' transients are
+    # still a sizeable share of the peak.
     n = 512
     ExactLinearSampler(M14, 0.5, 1.0, 8)  # numpy's lazy imports are not the build's
     tracemalloc.start()
@@ -428,6 +429,19 @@ def test_exact_sampler_build_peaks_at_two_and_a_half_n_squared():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 8 * n * n
+
+
+def test_exact_sampler_build_at_n_1024_peaks_under_1_8_n_squared():
+    # One (n+1)**2 array, factored in place; a separate n**2 factor made it 2.0.
+    n = 1024
+    ExactLinearSampler(M14, 0.5, 1.0, 8)
+    tracemalloc.start()
+    try:
+        ExactLinearSampler(M14, 0.5, 1.0, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * 8 * n * n
 
 
 @pytest.mark.parametrize("n", [16, 100])
@@ -457,46 +471,53 @@ def test_exact_sampler_accumulates_paths_seconds():
     assert math.isfinite(once) and 0.0 < once < s.paths_s
 
 
-def test_exact_sampler_records_jitter_and_node_level():
+def test_exact_sampler_records_node_level():
     s = ExactLinearSampler(M14, 0.5, 1.0, 16)
-    assert s.jitter == 0.0
     assert s.node_level == covariance_matrix(np.linspace(0.0, 1.0, 17), 0.5, M14)[1] >= 16
 
 
-def test_factorize_shifts_the_pivots_by_the_jitter():
-    # A constant matrix is singular: the plain factorization fails, 1e-12 * max diag succeeds.
-    c = np.full((4, 4), 2.0)
-    factor, jitter = ExactLinearSampler._factorize(c)
-    assert jitter == 2e-12
-    assert np.array_equal(factor, solver._cholesky(c + jitter * np.eye(4)))
-    assert np.array_equal(c, np.full((4, 4), 2.0))
-    plain = np.array([[4.0, 2.0], [2.0, 3.0]])
-    factor, jitter = ExactLinearSampler._factorize(plain)
-    assert jitter == 0.0 and np.array_equal(factor, solver._cholesky(plain))
+def test_cholesky_writes_the_lower_factor_over_its_argument():
+    c = np.array([[4.0, 2.0, 2.0], [2.0, 3.0, 1.0], [2.0, 1.0, 3.0]])
+    spd = c.copy()
+    factor = solver._cholesky(c)
+    assert factor is c
+    assert np.array_equal(factor, np.tril(factor)) and np.all(np.diag(factor) > 0.0)
+    assert np.allclose(factor @ factor.T, spd, rtol=0.0, atol=1e-15)
 
 
-def test_factorize_jitter_ladder_copies_nothing():
-    # The identity with its last eigenvalue -1e-14 needs the 1e-12 rung; the
-    # ladder holds the returned factor and no shifted copy of c.
+def test_cholesky_in_place_allocates_no_matrix():
+    # Only the per-column vectors are temporaries: under 0.05 n**2 doubles.
     n = 512
-    c = np.eye(n)
-    c[-1, -1] = -1e-14
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((n, n))
+    c = a @ a.T / n + np.eye(n)
     tracemalloc.start()
     try:
-        tracemalloc.reset_peak()
-        factor, jitter = ExactLinearSampler._factorize(c)
+        factor = solver._cholesky(c)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert jitter == 1e-12
-    assert np.array_equal(factor, solver._cholesky(c + jitter * np.eye(n)))
-    assert peak <= 1.1 * 8 * n * n
+    assert peak < 0.05 * 8 * n * n
+    assert factor is c and np.array_equal(factor, np.tril(factor))
 
 
-def test_factorize_past_the_jitter_ladder_raises_covariance_error():
-    # The largest rung, 1e-8 * max diag, cannot lift an eigenvalue of -1.
-    with pytest.raises(CovarianceError, match=r"smallest eigenvalue estimate -1\.000e\+00$"):
-        ExactLinearSampler._factorize(np.diag([1.0, 1.0, 1.0, -1.0]))
+def test_cholesky_non_positive_pivot_raises_covariance_error():
+    with pytest.raises(CovarianceError, match=r"^covariance is not positive definite: pivot 3 is -1$"):
+        solver._cholesky(np.diag([1.0, 1.0, 1.0, -1.0]))
+
+
+@pytest.mark.parametrize("medium", [M14, MediumParams(100, 0.01, 1, 1),
+                                    MediumParams(0.25, 4, 2, 0.5)])
+def test_exact_covariance_pivots_keep_a_wide_margin(medium):
+    # Every pivot keeps at least 3% of its diagonal entry (0.069 measured at
+    # n = 128), about ten orders of magnitude above where a diagonal shift of
+    # 1e-12 of the largest entry could matter: the plain factor needs none.
+    n = 128
+    for x in (-0.5, 0.0, 1e-7, 0.5, 3.0):
+        c = covariance_matrix(np.linspace(0.0, 1.0, n + 1), x, medium)[0][1:, 1:]
+        diag = np.diag(c).copy()
+        factor = solver._cholesky(c)
+        assert np.min(np.diag(factor) ** 2 / diag) >= 0.03, x
 
 
 def test_exact_increment_kurtosis_gaussian():
