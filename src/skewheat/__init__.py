@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .medium import MediumParams, position_map, tau, A_of
 from .kernel import GreenKernel, BoundConstants
-from .noise import GridSpec, sample_noise
+from .noise import GridSpec, NoiseRows, sample_noise
 from .solver import (
     SigmaSpec,
     SolverError,
@@ -39,6 +39,7 @@ __all__ = [
     "GreenKernel",
     "BoundConstants",
     "GridSpec",
+    "NoiseRows",
     "sample_noise",
     "SigmaSpec",
     "SolverError",

@@ -6,7 +6,8 @@ errors, among them an out path that cannot be a writable directory and a
 convolution-backend observation point outside [-L, L], both found before
 any work runs.  A convolution run on a grid with dx above
 sqrt(min(a1, a2)*dt/4) prints one warning line on stderr and keeps its exit
-code.
+code, and so does a run with result values that are inf or NaN (moments
+past the range of a double): that line gives their count.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import argparse
 import sys
 
 from .config import load_config, with_overrides, ConfigError, BACKENDS, COMMANDS
-from .harness import run_command, resolution_warning
+from .harness import run_command, resolution_warning, nonfinite_warning
 from .solver import SolverError
 
 
@@ -65,9 +66,10 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
-    warning = resolution_warning(cfg, summary["convolution"])
-    if warning:
-        print(warning, file=sys.stderr)
+    for warning in (resolution_warning(cfg, summary["convolution"]),
+                    nonfinite_warning(cfg, summary["rows"])):
+        if warning:
+            print(warning, file=sys.stderr)
     if not summary["ok"]:
         print(f"{args.command}: checks failed (see {cfg.out_dir})", file=sys.stderr)
         return 1

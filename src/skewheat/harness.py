@@ -13,8 +13,9 @@ per sampler build, the covariance quadrature's node level and the wall
 seconds of both build stages (the covariance and its in-place Cholesky
 factor) and of its path sampling in the summary's `exact_sampler` block; a
 covariance that is not positive definite is a CovarianceError, with no
-regularization.  Convolution runs record, per replicate
-chunk, the rows solved per time step, the kernel path taken (the
+regularization.  Convolution runs record, per replicate chunk, the noise
+increments it held at once (a nonlinear sigma's are drawn as the recursion
+steps), the rows solved per time step, the kernel path taken (the
 FFT-in-time product or the semigroup recursion), whether dx meets the
 resolution bound and, for the recursion, its one-step semigroup gap in its
 `convolution` block.
@@ -34,7 +35,7 @@ import numpy as np
 from . import __version__
 from .medium import A_of, MediumParams
 from .kernel import GreenKernel
-from .noise import GridSpec, sample_noise, GAUSS_TRANSFORM_ID
+from .noise import GridSpec, NoiseRows, sample_noise, GAUSS_TRANSFORM_ID
 from .solver import (
     parse_sigma,
     solve_field_batch,
@@ -80,10 +81,18 @@ def _rel_error(value: float, target: float) -> float:
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error; inf or NaN where values overflow a double, without a warning."""
     values = np.asarray(values, dtype=float)
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else math.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(values))
+        se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else math.nan
     return mean, se
+
+
+def _abs_error(st: PointStats) -> np.ndarray:
+    """|V_n - limit| per replicate; NaN, without a warning, where both are inf."""
+    with np.errstate(invalid="ignore"):
+        return np.abs(st.v - st.limit)
 
 
 def make_row(cfg: ExperimentConfig, experiment, n, m, x, statistic, value,
@@ -150,6 +159,18 @@ def resolution_warning(cfg: ExperimentConfig, records: list[dict]) -> str | None
             f"are biased by the spatial resolution")
 
 
+def nonfinite_warning(cfg: ExperimentConfig, rows: list[dict]) -> str | None:
+    """One line counting the result rows whose value is inf or NaN (moments past a double).
+
+    None when every value is finite, and for sigma = 0, whose increment
+    ratios are 0/0 by definition.
+    """
+    bad = sum(not math.isfinite(row["value"]) for row in rows)
+    if not bad or parse_sigma(cfg.sigma).constant == 0.0:
+        return None
+    return f"warning: {bad} of {len(rows)} result rows have a value that is not finite"
+
+
 def _conv_chunk_worker(payload) -> tuple[int, np.ndarray, dict]:
     """Solve one fixed-size chunk of replicates; returns (first_replicate, paths, report).
 
@@ -159,14 +180,17 @@ def _conv_chunk_worker(payload) -> tuple[int, np.ndarray, dict]:
     sigma), so chunk scheduling cannot change results.
     """
     medium, grid, sigma, seed, first_rep, count, col_indices = payload
-    # Each replicate's field is one contiguous slab; the solver reads them
-    # through the zero-copy (n, m, count) view.
-    slabs = np.empty((count, grid.n, grid.m))
-    for k in range(count):
-        slabs[k] = sample_noise(grid, seed, first_rep + k)
+    if sigma.constant is None:
+        noise = NoiseRows(grid, seed, first_rep, count)
+    else:
+        # The FFT product reads every row at once: each replicate's field is
+        # one contiguous slab, read through the zero-copy (n, m, count) view.
+        slabs = np.empty((count, grid.n, grid.m))
+        for k in range(count):
+            slabs[k] = sample_noise(grid, seed, first_rep + k)
+        noise = slabs.transpose(1, 2, 0)
     report: dict = {}
-    u = solve_field_batch(medium, grid, sigma, slabs.transpose(1, 2, 0), columns=col_indices,
-                          report=report)
+    u = solve_field_batch(medium, grid, sigma, noise, columns=col_indices, report=report)
     return first_rep, np.ascontiguousarray(np.transpose(u, (2, 1, 0))), report
 
 
@@ -260,7 +284,7 @@ def _quartic_rows(cfg: ExperimentConfig, experiment: str, grid: GridSpec,
     rows = [
         row("v_quartic", *_mean_se(st.v), float(np.mean(st.limit)) if closed is None else closed),
         row("limit_functional", *_mean_se(st.limit), math.nan if closed is None else closed),
-        row("mean_abs_error", *_mean_se(np.abs(st.v - st.limit))),
+        row("mean_abs_error", *_mean_se(_abs_error(st))),
     ]
     valid = st.a_hat[np.isfinite(st.a_hat)]
     if len(valid):
@@ -322,7 +346,7 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]
         sigma, points, paths = _point_paths(cfg, log, grid, request)
         for st in _point_stats(cfg, sigma, points[:len(cfg.x_points)], paths):
             rows.extend(_quartic_rows(cfg, "convergence", grid, st))
-            trend.setdefault(st.x, []).append((n, float(np.mean(np.abs(st.v - st.limit)))))
+            trend.setdefault(st.x, []).append((n, float(np.mean(_abs_error(st)))))
         for num_points, xs in zip(cfg.m_list, averaged):
             v_nm, target = averaged_statistics(paths[:, [request.index(x) for x in xs], :], xs,
                                                cfg.T, sigma, cfg.medium)

@@ -164,8 +164,10 @@ class GreenKernel:
         left = y <= 0
         weight = np.where(left, 1.0 / math.sqrt(p.a1), 1.0 / math.sqrt(p.a2))
         sgn = np.where(left, -1.0, 1.0)
-        direct = np.exp(-((fx - fy) ** 2) / (2.0 * t))
-        reflected = np.exp(-((np.abs(fx) + np.abs(fy)) ** 2) / (2.0 * t))
+        # A square past the largest double is inf, and its Gaussian factor 0.
+        with np.errstate(over="ignore"):
+            direct = np.exp(-((fx - fy) ** 2) / (2.0 * t))
+            reflected = np.exp(-((np.abs(fx) + np.abs(fy)) ** 2) / (2.0 * t))
         out = weight / np.sqrt(2.0 * math.pi * t) * (direct + beta * sgn * reflected)
         return float(out) if out.ndim == 0 else out
 

@@ -4,7 +4,10 @@ Cell increments are i.i.d. N(0, dt*dx), drawn from counter-based streams:
 the increment of cell (k, l) is draw k*m + l of the stream keyed by (seed,
 replicate), a fixed function of (seed, replicate, k*m + l) and of nothing
 else, so the matrix is bit-identical however replicates are chunked,
-scheduled or parallelized.
+scheduled or parallelized.  A stream is read in order, so its draws carry the
+same bits whether they are taken in one call or in blocks of rows:
+NoiseRows reads a chunk's replicates NOISE_ROWS time rows at a time and
+matches sample_noise bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ GAUSS_TRANSFORM_ID = "philox4x64-ziggurat-v2"
 # per-stream subkey (zero for field noise, the position bits for exact paths).
 STREAM_FIELD_NOISE = 1
 STREAM_EXACT_PATHS = 2
+
+# Time rows per replicate that NoiseRows draws at once.
+NOISE_ROWS = 16
 
 
 def position_subkey(x: float) -> int:
@@ -83,6 +89,16 @@ def _check_stream_key(seed: int, replicate: int) -> None:
         raise ValueError(f"replicate must be a nonnegative integer, got {replicate!r}")
 
 
+def _stream(seed: int, replicate: int, kind: int, subkey: int = 0) -> Generator:
+    """The generator of the stream keyed by (seed, replicate, kind, subkey), at draw 0."""
+    _check_stream_key(seed, replicate)
+    bg = Philox(
+        key=np.array([seed, replicate], dtype=np.uint64),
+        counter=np.array([0, 0, kind, subkey], dtype=np.uint64),
+    )
+    return Generator(bg)
+
+
 def standard_normals(
     seed: int, replicate: int, count: int, kind: int, subkey: int = 0
 ) -> np.ndarray:
@@ -96,12 +112,7 @@ def standard_normals(
     j is reached only through the draws before it; its bits are those of
     numpy's `Generator.standard_normal`.
     """
-    _check_stream_key(seed, replicate)
-    bg = Philox(
-        key=np.array([seed, replicate], dtype=np.uint64),
-        counter=np.array([0, 0, kind, subkey], dtype=np.uint64),
-    )
-    return Generator(bg).standard_normal(count)
+    return _stream(seed, replicate, kind, subkey).standard_normal(count)
 
 
 def sample_noise(grid: GridSpec, seed: int, replicate: int) -> np.ndarray:
@@ -113,3 +124,35 @@ def sample_noise(grid: GridSpec, seed: int, replicate: int) -> np.ndarray:
     z = standard_normals(seed, replicate, grid.n * grid.m, kind=STREAM_FIELD_NOISE)
     z *= math.sqrt(grid.dt * grid.dx)
     return z.reshape(grid.n, grid.m)
+
+
+class NoiseRows:
+    """The (n, m, count) increments of replicates first..first+count-1, read one time row at a time.
+
+    Iterating yields the n rows k = 0..n-1 in order, each an (m, count)
+    array whose column j is sample_noise(grid, seed, first + j)[k], bit for
+    bit.  Each replicate's stream is drawn `rows` = min(NOISE_ROWS, n) time
+    rows at a time into one (count, rows, m) buffer, so the increments held
+    at once are `nbytes`, not 8*n*m*count bytes.  A row is a view of that
+    buffer and holds until the stream draws its next block: copy a row to
+    keep it.  Iterating again starts again from row 0.
+    """
+
+    def __init__(self, grid: GridSpec, seed: int, first: int, count: int):
+        self.grid, self.seed, self.first, self.count = grid, seed, first, count
+        self.shape = (grid.n, grid.m, count)
+        self.rows = min(NOISE_ROWS, grid.n)
+        self.nbytes = 8 * count * self.rows * grid.m
+
+    def __iter__(self):
+        n, scale = self.grid.n, math.sqrt(self.grid.dt * self.grid.dx)
+        streams = [_stream(self.seed, self.first + j, STREAM_FIELD_NOISE)
+                   for j in range(self.count)]
+        block = np.empty((self.count, self.rows, self.grid.m))
+        for k0 in range(0, n, self.rows):
+            rows = min(self.rows, n - k0)
+            for j, stream in enumerate(streams):
+                stream.standard_normal(out=block[j, :rows])
+            block[:, :rows] *= scale
+            for k in range(rows):
+                yield block[:, k].T

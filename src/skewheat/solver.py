@@ -28,7 +28,7 @@ import numpy as np
 
 from .medium import MediumParams, position_map
 from .kernel import GreenKernel
-from .noise import GridSpec, standard_normals, position_subkey, STREAM_EXACT_PATHS
+from .noise import GridSpec, NoiseRows, standard_normals, position_subkey, STREAM_EXACT_PATHS
 
 # Source cells per FFT block of the constant-sigma product.
 FFT_BLOCK = 32
@@ -271,18 +271,21 @@ def solve_field_batch(
     medium: MediumParams,
     grid: GridSpec,
     sigma: SigmaSpec,
-    increments: np.ndarray,
+    increments: np.ndarray | NoiseRows,
     columns: list[int] | np.ndarray | None = None,
     report: dict | None = None,
 ) -> np.ndarray:
     """Run the field scheme for a batch of noise replicates.
 
-    increments has shape (n, m) or (n, m, R); the result has shape
-    (n+1, p) or (n+1, p, R) with row 0 identically zero, where p is the
-    number of requested cell indices in columns (default: all m cells, in
-    grid order).  The scheme is u_i = sum over d of K_d @ v_{i-d} with
-    v_k = sigma(u_k) * dW_k and K_d the kernel at the lag of _cell_lags, so
-    row i depends on noise rows < i only.
+    increments is an (n, m) or (n, m, R) array, or, for a nonlinear sigma,
+    a noise.NoiseRows stream of the (n, m, R) increments, which the
+    semigroup recursion reads one time row per step without holding them
+    all.  The result has shape (n+1, p) or (n+1, p, R) with row 0
+    identically zero, where p is the number of requested cell indices in
+    columns (default: all m cells, in grid order).  The scheme is
+    u_i = sum over d of K_d @ v_{i-d} with v_k = sigma(u_k) * dW_k and K_d
+    the kernel at the lag of _cell_lags, so row i depends on noise rows < i
+    only.
 
     When sigma is constant (sigma.constant is set), v does not depend on u, so
     every requested cell is a fixed linear map of the noise, a causal
@@ -306,19 +309,26 @@ def solve_field_batch(
     O(n m w R) instead of the direct O(n**2 m**2 R).  Only the current row
     and the requested columns are kept.
 
-    If report is given it receives rows_per_step (the distinct requested
-    cells, at least two, or m), kernel_stack ("fft" or "semigroup"),
-    stack_mib (the kernel and transform arrays held at once: for the
-    semigroup path, the stored blocks) and, for the semigroup path,
+    If report is given it receives noise_mib (the increments held at once:
+    the whole array, or a stream's NoiseRows.nbytes), rows_per_step (the
+    distinct requested cells, at least two, or m), kernel_stack ("fft" or
+    "semigroup"), stack_mib (the kernel and transform arrays held at once:
+    for the semigroup path, the stored blocks) and, for the semigroup path,
     semigroup_gap and band_fraction (the entries the blocks store over the
     three operators' dense size).
     Raises NonFiniteFieldError naming the first offending (time row, grid
     cell) if the field overflows.
     """
-    dW = np.asarray(increments, dtype=float)
-    squeeze = dW.ndim == 2
-    if squeeze:
-        dW = dW[:, :, None]
+    if isinstance(increments, NoiseRows):
+        if sigma.constant is not None:
+            raise ValueError("the constant-sigma FFT product reads every noise row at once: "
+                             "pass the (n, m, R) array, not a NoiseRows stream")
+        dW, squeeze = increments, False
+    else:
+        dW = np.asarray(increments, dtype=float)
+        squeeze = dW.ndim == 2
+        if squeeze:
+            dW = dW[:, :, None]
     n, m = grid.n, grid.m
     if dW.shape[0] != n or dW.shape[1] != m:
         raise ValueError(
@@ -327,6 +337,8 @@ def solve_field_batch(
     cols = np.arange(m) if columns is None else np.asarray(columns, dtype=np.intp)
     if cols.ndim != 1 or np.any((cols < 0) | (cols >= m)):
         raise ValueError(f"columns must be cell indices in [0, {m}), got {columns!r}")
+    if report is not None:
+        report["noise_mib"] = dW.nbytes / 2**20
     kernel = GreenKernel(medium)
     if sigma.constant is None:
         out = _semigroup_field(kernel, grid, sigma, dW, cols, report)
@@ -338,8 +350,10 @@ def solve_field_batch(
 def _semigroup_field(kernel, grid, sigma, dW, cols, report):
     """Nonlinear sigma: the semigroup recursion over all m cells, columns cols kept.
 
-    Each step applies the three banded operators one gemm per row block,
-    into buffers allocated once.
+    dW is an (n, m, R) array or NoiseRows stream; step i reads its row i-1
+    only, in time order, so a stream is never held whole.  Each step applies
+    the three banded operators one gemm per row block, into buffers
+    allocated once.
     """
     n, m, r = dW.shape
     newest, history, step, gap = _semigroup_operators(kernel, grid)
@@ -353,8 +367,8 @@ def _semigroup_field(kernel, grid, sigma, dW, cols, report):
     u, v = np.zeros((m, r)), np.empty((m, r))
     hist, nxt = np.zeros((padded, r)), np.empty((padded, r))
     scratch = np.empty((BAND_BLOCK, r))
-    for i in range(1, n + 1):
-        np.multiply(sigma.evaluate(u), dW[i - 1], out=v)
+    for i, dw in enumerate(dW, 1):
+        np.multiply(sigma.evaluate(u), dw, out=v)
         _band_matmul(newest, v, u)
         u += hist[inner]
         _check_finite(u, i, cells)

@@ -71,35 +71,37 @@ def point_statistics(paths: np.ndarray, x: float, T: float, sigma: SigmaSpec,
     # Per row: V_n, the sums of sigma^4 at left and right endpoints, and the
     # pooled sums of d^2, d^4, d^6, sigma^2 and sigma^4.
     v, s4_left, s4_right, p2, p4, p6, s2_pooled, s4_pooled = np.empty((8, len(rows)))
-    for lo in range(0, len(rows), PATH_BLOCK):
-        block = slice(lo, lo + PATH_BLOCK)
-        d = np.diff(rows[block], axis=-1)
-        d2 = d * d
-        d4 = d2 * d2  # products, not d**4: numpy's float pow is the slow generic routine
-        v[block] = np.sum(d4, axis=-1)
-        d2, d4 = d2[:, start:], d4[:, start:]
-        p2[block], p4[block] = np.sum(d2, axis=-1), np.sum(d4, axis=-1)
-        p6[block] = np.sum(d4 * d2, axis=-1)
-        s2 = sigma.evaluate(rows[block]) ** 2
-        s2_pooled[block] = np.sum(s2[:, start:-1], axis=-1)
-        s2 *= s2  # in place: sigma^2 is not needed past its pooled sum
-        s4_left[block], s4_right[block] = np.sum(s2[:, :-1], axis=-1), np.sum(s2[:, 1:], axis=-1)
-        s4_pooled[block] = np.sum(s2[:, start:-1], axis=-1)
-    count = len(rows) * (n - start)
-    m2, m4, m6, s2_mean, s4_mean = (float(np.sum(t)) / count
-                                    for t in (p2, p4, p6, s2_pooled, s4_pooled))
     tau_x = tau(x, medium)
     coef = 6.0 * tau_x / (math.pi * A_of(x, medium))
     leading_m2 = math.sqrt(delta) * math.sqrt(2.0 * tau_x / (math.pi * A_of(x, medium)))
     leading_m4 = 6.0 * delta * tau_x / (A_of(x, medium) * math.pi)
-    # float64 powers and quotients give inf or NaN where Python's float ops
-    # would raise, and equal them bit for bit elsewhere.
+    # float64 products, sums, powers and quotients give inf or NaN where the
+    # moments overflow a double, and equal Python's float ops bit for bit
+    # elsewhere; those are the statistics' values, so numpy does not warn.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, len(rows), PATH_BLOCK):
+            block = slice(lo, lo + PATH_BLOCK)
+            d = np.diff(rows[block], axis=-1)
+            d2 = d * d
+            d4 = d2 * d2  # products, not d**4: numpy's float pow is the slow generic routine
+            v[block] = np.sum(d4, axis=-1)
+            d2, d4 = d2[:, start:], d4[:, start:]
+            p2[block], p4[block] = np.sum(d2, axis=-1), np.sum(d4, axis=-1)
+            p6[block] = np.sum(d4 * d2, axis=-1)
+            s2 = sigma.evaluate(rows[block]) ** 2
+            s2_pooled[block] = np.sum(s2[:, start:-1], axis=-1)
+            s2 *= s2  # in place: sigma^2 is not needed past its pooled sum
+            s4_left[block] = np.sum(s2[:, :-1], axis=-1)
+            s4_right[block] = np.sum(s2[:, 1:], axis=-1)
+            s4_pooled[block] = np.sum(s2[:, start:-1], axis=-1)
+        count = len(rows) * (n - start)
+        m2, m4, m6, s2_mean, s4_mean = (float(np.sum(t)) / count
+                                        for t in (p2, p4, p6, s2_pooled, s4_pooled))
         a_hat = np.where(v > 0.0, 6.0 * T * tau_x * s4_right / (n * math.pi * v), math.nan)
         m2_64 = np.float64(m2)
         ratio4, ratio6 = float(m4 / m2_64**2), float(m6 / m2_64**3)
         closed = None if sigma.constant is None else float(coef * T * np.float64(sigma.constant)**4)
-    limit = coef * delta * s4_left
+        limit = coef * delta * s4_left
     if paths.ndim == 1:
         v, limit, a_hat = v[0], limit[0], a_hat[0]
     return PointStats(

@@ -555,6 +555,35 @@ def test_chunk_worker_paths_equal_contiguous_stack_solve(sigma, count):
     assert report == expected_report
 
 
+@pytest.mark.parametrize("sigma, held_rows", [("one", 40), ("sin1:0.5", 16)])
+def test_convolution_records_the_noise_each_chunk_held(sigma, held_rows):
+    # The FFT product holds all n = 40 rows of a chunk's noise; the semigroup
+    # recursion, NOISE_ROWS = 16 of them.
+    cfg = parse_config(MEDIUM_14 + "[grid]\nT = 1.0\nn = 40\nL = 4.0\nm = 16\n"
+                       + f"[experiment]\nsigma = {sigma}\nx = 0.5\nreplicates = 3\nseed = 2\n")
+    log: dict = {}
+    harness._convolution_paths(cfg, harness._grid(cfg), [11], log)
+    [record] = log["convolution"]
+    assert record["noise_mib"] == held_rows * 16 * 3 * 8 / 2**20
+
+
+def test_semigroup_chunk_holds_one_block_of_noise_rows():
+    # field-quartic-sin's chunk: n = 128, m = 256, 64 replicates, 3 columns.
+    # The whole (64, 128, 256) noise would be 16 MiB; 16-row blocks are 2 MiB.
+    cfg = parse_config(MEDIUM_14 + "[grid]\nT = 1.0\nn = 128\nL = 4.0\nm = 256\n"
+                       + "[experiment]\nsigma = sin1:0.5\nx = 0.5\nseed = 1\n")
+    grid = harness._grid(cfg)
+    payload = (cfg.medium, grid, solver.parse_sigma(cfg.sigma), cfg.seed, 0, 64, [112, 128, 143])
+    harness._conv_chunk_worker(payload)  # warm-up: numpy's and the kernel's first-call caches
+    tracemalloc.start()
+    try:
+        harness._conv_chunk_worker(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 @pytest.mark.parametrize("sigma", ["one", "sin1:0.5"])
 def test_convolution_paths_in_a_full_chunk_do_not_depend_on_the_replicate_count(sigma):
     # demo_simulate.ini's grid at x = -0.5, 0.5: the first 64-replicate chunk
@@ -609,7 +638,7 @@ def test_summary_json_records_convolution_chunks(tmp_path, monkeypatch):
     # the accumulated (n+1) x 2 x R transform.
     assert payload["convolution"] == [
         {"n": 8, "m": 32, "dx_resolved": False, "first_replicate": first, "replicates": count,
-         "rows_per_step": 2, "kernel_stack": "fft",
+         "noise_mib": 8 * 32 * count * 8 / 2**20, "rows_per_step": 2, "kernel_stack": "fft",
          "stack_mib": 9 * (32 * (2 + count) + 2 * count) * 16 / 2**20}
         for first, count in ((0, 4), (4, 1))
     ]
@@ -624,6 +653,8 @@ def test_summary_json_records_convolution_chunks(tmp_path, monkeypatch):
     [record] = payload["convolution"]
     assert (record["rows_per_step"], record["kernel_stack"], record["dx_resolved"]) \
         == (256, "semigroup", True)
+    # n = 8 time rows fit in one NOISE_ROWS block: the stream holds them all.
+    assert record["noise_mib"] == 8 * 256 * 2 * 8 / 2**20
     resolved = load_config(big)
     ops = solver._semigroup_operators(kernel.GreenKernel(resolved.medium), harness._grid(resolved))
     stored = sum(a.size for op in ops[:3] for _, _, _, a in op)
@@ -1060,6 +1091,28 @@ def test_quartic_at_unrepresentable_moments_exits_without_traceback(tmp_path, ba
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert done.returncode in (0, 1), done.stderr
     assert "Traceback" not in done.stderr, done.stderr
+    # No numpy RuntimeWarning: one-line messages only, at most one of them
+    # counting the rows that are not finite.
+    assert "RuntimeWarning" not in done.stderr, done.stderr
+    lines = done.stderr.splitlines()
+    assert all(line.startswith("warning: ") for line in lines), done.stderr
+    assert sum("not finite" in line for line in lines) <= 1, done.stderr
+
+
+def test_overflowing_moments_print_one_line_counting_the_rows(tmp_path, capsys):
+    # In process, where a numpy RuntimeWarning fails the test.
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + "[grid]\nT = 1.0\nn = 4\nL = 8.0\nm = 16\n"
+        + "[experiment]\nsigma = affine:0,1e100\nx = 0.5\nreplicates = 4\nseed = 1\n"
+        + f"backend = exact-linear\nout = {tmp_path}/out\n",
+    )
+    assert main(["quartic", "--config", cfg]) == 0
+    rows = _read_rows(tmp_path / "out" / "quartic.csv")
+    bad = sum(not math.isfinite(float(r["value"])) for r in rows)
+    assert bad > 0
+    assert capsys.readouterr().err == (
+        f"warning: {bad} of {len(rows)} result rows have a value that is not finite\n")
 
 
 @pytest.mark.parametrize("sigma", ["sin1:0.5", "one"])

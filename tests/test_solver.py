@@ -9,6 +9,7 @@ import pytest
 from skewheat import (
     MediumParams,
     GridSpec,
+    NoiseRows,
     sample_noise,
     sigma_one,
     sigma_affine,
@@ -647,14 +648,38 @@ def test_column_solve_reports_kernel_path(sigma):
         # and the one-step P (2m x 2m).  At m = 16 each is one block whose
         # span is every column, so the band keeps every entry.
         assert 0.0 < report.pop("semigroup_gap") < 0.1
-        assert report == {"rows_per_step": 16, "kernel_stack": "semigroup",
+        assert report == {"noise_mib": 8 * 16 * 2 * 8 / 2**20, "rows_per_step": 16,
+                          "kernel_stack": "semigroup",
                           "stack_mib": (16 * 16 + 32 * 16 + 32 * 32) * 8 / 2**20,
                           "band_fraction": 1.0}
         return
     # One FFT block (all 16 cells) of the 2 rows' and the noise's transforms,
     # (n+1) x 16 x (2 + R) complex, and the accumulated (n+1) x 2 x R one.
-    assert report == {"rows_per_step": 2, "kernel_stack": "fft",
+    assert report == {"noise_mib": 8 * 16 * 2 * 8 / 2**20, "rows_per_step": 2,
+                      "kernel_stack": "fft",
                       "stack_mib": 9 * (16 * (2 + 2) + 2 * 2) * 16 / 2**20}
+
+
+@pytest.mark.parametrize("sigma", [sigma_sin(0.5), sigma_affine(0.5, 1.0)], ids=["sin", "affine"])
+def test_semigroup_field_from_noise_stream_equals_array_solve(sigma):
+    # n = 40 rows are read in 16-row blocks, the last one partial.
+    grid = GridSpec(1.0, 40, 4.0, 48)
+    cols = [30, 2, 30, 47]
+    stream = NoiseRows(grid, 43, 7, 5)
+    from_stream, from_array = {}, {}
+    streamed = solve_field_batch(M14, grid, sigma, stream, columns=cols, report=from_stream)
+    array = np.stack([sample_noise(grid, 43, 7 + j) for j in range(5)], axis=2)
+    whole = solve_field_batch(M14, grid, sigma, array, columns=cols, report=from_array)
+    assert np.array_equal(streamed.view(np.uint64), whole.view(np.uint64))
+    assert from_stream.pop("noise_mib") == 16 * 48 * 5 * 8 / 2**20
+    assert from_array.pop("noise_mib") == 40 * 48 * 5 * 8 / 2**20
+    assert from_stream == from_array
+
+
+def test_fft_path_refuses_a_noise_stream():
+    grid = GridSpec(1.0, 8, 4.0, 16)
+    with pytest.raises(ValueError, match="reads every noise row at once"):
+        solve_field_batch(M14, grid, sigma_one(), NoiseRows(grid, 1, 0, 2))
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
