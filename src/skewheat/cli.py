@@ -1,13 +1,13 @@
 """Command-line entry point.
 
-Exit codes: 0 on success, 1 when a check or experiment gate fails or a
-solver stage fails (one-line "solver failure" message), 2 on configuration
-errors, among them an out path that cannot be a writable directory and a
-convolution-backend observation point outside [-L, L], both found before
-any work runs.  A convolution run on a grid with dx above
-sqrt(min(a1, a2)*dt/4) prints one warning line on stderr and keeps its exit
-code, and so does a run with result values that are inf or NaN (moments
-past the range of a double): that line gives their count.
+Exit codes: 0 on success, 1 when a check or experiment gate fails, a
+solver stage fails or numpy refuses an allocation (one-line "solver
+failure" message), 2 on configuration errors, among them an out path that
+cannot be a writable directory and a convolution-backend observation point
+outside [-L, L], both found before any work runs.  A convolution run on a
+grid with dx above sqrt(min(a1, a2)*dt/4) prints one warning line on stderr
+and keeps its exit code, and so does a run with result values that are inf
+or NaN (moments past the range of a double): that line gives their count.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SolverError as exc:
+    except (SolverError, MemoryError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
     for warning in (resolution_warning(cfg, summary["convolution"]),

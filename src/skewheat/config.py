@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .medium import MediumParams
-from .solver import parse_sigma
+from .noise import GridSpec
+from .solver import SigmaSpec, format_sigma, parse_sigma
 
 FORMAT_VERSION = 1
 
@@ -31,12 +32,9 @@ class ExperimentConfig:
     """Fully resolved experiment configuration."""
 
     medium: MediumParams
-    T: float
-    n: int
-    L: float
-    m: int
+    grid: GridSpec
     kind: str | None
-    sigma: str
+    sigma: SigmaSpec
     x_points: tuple[float, ...]
     replicates: int
     seed: int
@@ -48,29 +46,31 @@ class ExperimentConfig:
     check_tolerance: float | None
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
+def _parse_float(raw: str) -> float:
     try:
         v = float(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
+        raise ValueError(f"expected a number, got {raw!r}") from None
     if not math.isfinite(v):
-        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
+        raise ValueError(f"must be finite, got {raw!r}")
     return v
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
+def _parse_int(raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
+        raise ValueError(f"expected an integer, got {raw!r}") from None
 
 
-# Value kinds: one item's (parser, formatter); a kind ending in "," is a
-# comma-separated tuple, one ending in "?" is None when left empty.
+# Value kinds: one item's (parser, formatter); a parser's ValueError becomes
+# a ConfigError naming the key.  A kind ending in "," is a comma-separated
+# tuple, one ending in "?" is None when left empty.
 _ITEMS = {
     "float": (_parse_float, repr),
     "int": (_parse_int, str),
-    "text": (lambda section, key, raw: raw, str),
+    "text": (str, str),
+    "sigma": (parse_sigma, format_sigma),
 }
 
 
@@ -83,34 +83,26 @@ def _one_of(choices: tuple[str, ...]):
     return lambda v: None if v is None or v in choices else f" must be one of {choices}, got {v!r}"
 
 
-def _sigma_rule(spec: str) -> str | None:
-    try:
-        parse_sigma(spec)
-    except ValueError as exc:
-        return f": {exc}"
-    return None
-
-
 _AT_LEAST_ONE = _rule(lambda v: v >= 1, " must be >= 1")
-_POSITIVE = _rule(lambda v: v > 0, " must be > 0")
 _DISTINCT_ENTRIES = _rule(lambda v: min(v, default=1) >= 1 and len(set(v)) == len(v),
                           " entries must be >= 1 and distinct")
 
 # Every config key, in file order: (section, key, field, kind, default, range
-# rule).  A default of None makes the key required.  The medium keys fill
-# MediumParams, which checks its own ranges.
+# rule).  A default of None makes the key required.  The medium and grid keys
+# fill MediumParams and GridSpec, which check their own ranges.
 _KEYS = (
     ("medium", "a1", "a1", "float", None, None),
     ("medium", "a2", "a2", "float", None, None),
     ("medium", "rho1", "rho1", "float", None, None),
     ("medium", "rho2", "rho2", "float", None, None),
-    ("grid", "T", "T", "float", None, _POSITIVE),
-    ("grid", "n", "n", "int", None, _AT_LEAST_ONE),
-    ("grid", "L", "L", "float", None, _POSITIVE),
-    ("grid", "m", "m", "int", None, _AT_LEAST_ONE),
+    ("grid", "T", "T", "float", None, None),
+    ("grid", "n", "n", "int", None, None),
+    ("grid", "L", "L", "float", None, None),
+    ("grid", "m", "m", "int", None, None),
     ("experiment", "kind", "kind", "text?", "", _one_of(COMMANDS)),
-    ("experiment", "sigma", "sigma", "text", "one", _sigma_rule),
-    ("experiment", "x", "x_points", "float,", "", None),
+    ("experiment", "sigma", "sigma", "sigma", "one", None),
+    ("experiment", "x", "x_points", "float,", "",
+     _rule(lambda v: len(set(v)) == len(v), " entries must be distinct")),
     ("experiment", "replicates", "replicates", "int", "1", _AT_LEAST_ONE),
     ("experiment", "seed", "seed", "int", "0",
      _rule(lambda v: 0 <= v < 2**64, " must be in [0, 2**64)")),
@@ -127,11 +119,12 @@ _KEYS = (
 def _parse_value(section: str, key: str, kind: str, raw: str):
     parse = _ITEMS[kind.rstrip(",?")][0]
     raw = raw.strip()
-    if kind.endswith(","):
-        return tuple(parse(section, key, part) for part in raw.split(",")) if raw else ()
-    if kind.endswith("?") and not raw:
-        return None
-    return parse(section, key, raw)
+    try:
+        if kind.endswith(","):
+            return tuple(parse(part) for part in raw.split(",")) if raw else ()
+        return None if kind.endswith("?") and not raw else parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
 
 
 def _format_value(kind: str, value) -> str:
@@ -175,15 +168,16 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"missing required key {key!r} in section [{section}]")
         values[field] = _parse_value(section, key, kind, raw)
 
-    try:
-        medium = MediumParams(**{f.name: values.pop(f.name) for f in fields(MediumParams)})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return _check_ranges(ExperimentConfig(medium=medium, **values))
+    for section, model in (("medium", MediumParams), ("grid", GridSpec)):
+        try:
+            values[section] = model(**{f.name: values.pop(f.name) for f in fields(model)})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    return _check_ranges(ExperimentConfig(**values))
 
 
 def _check_ranges(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Return cfg, or raise ConfigError naming the first grid or experiment field out of range."""
+    """Return cfg, or raise ConfigError naming the first experiment field out of range."""
     for section, key, field, _, _, rule in _KEYS:
         complaint = rule and rule(getattr(cfg, field))
         if complaint:
@@ -195,7 +189,7 @@ def to_ini_text(cfg: ExperimentConfig) -> str:
     """Serialize the resolved configuration; parse_config inverts this losslessly."""
     sections: dict[str, dict[str, str]] = {}
     for section, key, field, kind, _, _ in _KEYS:
-        owner = cfg.medium if section == "medium" else cfg
+        owner = cfg if section == "experiment" else getattr(cfg, section)
         sections.setdefault(section, {})[key] = _format_value(kind, getattr(owner, field))
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
@@ -209,7 +203,7 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     return parse_config(text)
 

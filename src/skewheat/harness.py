@@ -27,7 +27,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -37,7 +37,7 @@ from .medium import A_of, MediumParams
 from .kernel import GreenKernel
 from .noise import GridSpec, NoiseRows, sample_noise, GAUSS_TRANSFORM_ID
 from .solver import (
-    parse_sigma,
+    format_sigma,
     solve_field_batch,
     scheme_variance,
     covariance_linear,
@@ -131,10 +131,6 @@ def _write_csv(path: str, meta: dict, header, template: str, rows) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _grid(cfg: ExperimentConfig, n: int | None = None) -> GridSpec:
-    return GridSpec(T=cfg.T, n=int(n if n is not None else cfg.n), L=cfg.L, m=cfg.m)
-
-
 # Replicates per convolution chunk, fixed so that no worker count changes the chunks.
 REPLICATE_CHUNK = 64
 
@@ -151,9 +147,9 @@ def resolution_warning(cfg: ExperimentConfig, records: list[dict]) -> str | None
     resolved, and for sigma = 0, whose field is exactly zero on every grid.
     """
     coarse = [r["n"] for r in records if not r["dx_resolved"]]
-    if not coarse or parse_sigma(cfg.sigma).constant == 0.0:
+    if not coarse or cfg.sigma.constant == 0.0:
         return None
-    grid = _grid(cfg, max(coarse))
+    grid = replace(cfg.grid, n=max(coarse))
     return (f"warning: dx = {grid.dx:.6g} exceeds sqrt(min(a1, a2)*dt/{1 / NEWEST_LAG:g}) = "
             f"{dx_bound(cfg.medium, grid):.6g} at n = {grid.n}; the convolution statistics "
             f"are biased by the spatial resolution")
@@ -166,7 +162,7 @@ def nonfinite_warning(cfg: ExperimentConfig, rows: list[dict]) -> str | None:
     ratios are 0/0 by definition.
     """
     bad = sum(not math.isfinite(row["value"]) for row in rows)
-    if not bad or parse_sigma(cfg.sigma).constant == 0.0:
+    if not bad or cfg.sigma.constant == 0.0:
         return None
     return f"warning: {bad} of {len(rows)} result rows have a value that is not finite"
 
@@ -201,12 +197,11 @@ def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, cols: list[int],
     Appends one record per replicate chunk to log["convolution"]: the
     solver's report plus dx_resolved, whether dx <= dx_bound.
     """
-    sigma = parse_sigma(cfg.sigma)
     payloads = []
     first = 0
     while first < cfg.replicates:
         count = min(REPLICATE_CHUNK, cfg.replicates - first)
-        payloads.append((cfg.medium, grid, sigma, cfg.seed, first, count, cols))
+        payloads.append((cfg.medium, grid, cfg.sigma, cfg.seed, first, count, cols))
         first += count
     if cfg.workers <= 1 or len(payloads) <= 1:
         results = [_conv_chunk_worker(p) for p in payloads]
@@ -226,7 +221,7 @@ def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, cols: list[int],
 
 
 def _point_paths(cfg: ExperimentConfig, log: dict, grid: GridSpec, points):
-    """Paths at the given points on grid: (sigma, effective points, paths).
+    """Paths at the given distinct points on grid: (effective points, paths).
 
     paths has shape (R, len(points), n+1).  A config without observation
     points is a ConfigError.  On the convolution backend the points are
@@ -235,45 +230,39 @@ def _point_paths(cfg: ExperimentConfig, log: dict, grid: GridSpec, points):
     to log: one record per replicate chunk under "convolution", or one
     record per exact sampler under "exact_sampler" (quadrature node level,
     and the wall seconds of the covariance and the Cholesky stages and of
-    its paths_array call).  The exact backend builds one sampler per
-    distinct point of the call, samples it straight into the point's column
-    of paths (a repeated point copies its first column), takes a constant
+    its paths_array call).  The exact backend builds one sampler per point,
+    samples it straight into the point's column of paths, takes a constant
     sigma = c only, and scales its sigma = 1 paths by c.
     """
     if not cfg.x_points:
         raise ConfigError("this command needs at least one observation point in [experiment] x")
-    sigma = parse_sigma(cfg.sigma)
     if cfg.backend == "convolution":
         outside = [x for x in points if abs(x) > grid.L]
         if outside:
             raise ConfigError(f"observation point x = {outside[0]!r} lies outside [-L, L] = "
                               f"[{-grid.L!r}, {grid.L!r}] on the convolution backend")
         cols, points = zip(*(grid.snap(x) for x in points))
-        return sigma, list(points), _convolution_paths(cfg, grid, list(cols), log)
-    if sigma.constant is None:
-        raise ConfigError(f"the exact-linear backend needs a constant sigma, got {cfg.sigma}")
+        return list(points), _convolution_paths(cfg, grid, list(cols), log)
+    if cfg.sigma.constant is None:
+        raise ConfigError("the exact-linear backend needs a constant sigma, "
+                          f"got {format_sigma(cfg.sigma)}")
     points = [float(x) for x in points]
     paths = np.empty((cfg.replicates, len(points), grid.n + 1))
-    first: dict[float, int] = {}
     for j, xe in enumerate(points):
-        if xe in first:
-            paths[:, j] = paths[:, first[xe]]
-            continue
-        first[xe] = j
-        sampler = ExactLinearSampler(cfg.medium, xe, cfg.T, grid.n)
+        sampler = ExactLinearSampler(cfg.medium, xe, grid.T, grid.n)
         sampler.paths_array(cfg.seed, cfg.replicates, out=paths[:, j])
         log.setdefault("exact_sampler", []).append(
             {"x": xe, "n": grid.n, "covariance_node_level": sampler.node_level,
              "covariance_s": sampler.covariance_s, "cholesky_s": sampler.cholesky_s,
              "paths_s": sampler.paths_s})
         del sampler  # its (n+1)**2 factor array is not held through the next point's build
-    paths *= sigma.constant
-    return sigma, points, paths
+    paths *= cfg.sigma.constant
+    return points, paths
 
 
-def _point_stats(cfg: ExperimentConfig, sigma, points, paths) -> list[PointStats]:
+def _point_stats(cfg: ExperimentConfig, points, paths) -> list[PointStats]:
     """One PointStats per point, from the first len(points) columns of paths."""
-    return [point_statistics(paths[:, idx, :], xe, cfg.T, sigma, cfg.medium)
+    return [point_statistics(paths[:, idx, :], xe, cfg.grid.T, cfg.sigma, cfg.medium)
             for idx, xe in enumerate(points)]
 
 
@@ -305,18 +294,16 @@ def _quartic_rows(cfg: ExperimentConfig, experiment: str, grid: GridSpec,
 
 def run_quartic(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     log: dict = {}
-    grid = _grid(cfg)
-    stats = _point_stats(cfg, *_point_paths(cfg, log, grid, cfg.x_points))
-    return [row for st in stats for row in _quartic_rows(cfg, "quartic", grid, st)], True, log
+    stats = _point_stats(cfg, *_point_paths(cfg, log, cfg.grid, cfg.x_points))
+    return [row for st in stats for row in _quartic_rows(cfg, "quartic", cfg.grid, st)], True, log
 
 
 def run_estimate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     log: dict = {}
-    grid = _grid(cfg)
-    stats = _point_stats(cfg, *_point_paths(cfg, log, grid, cfg.x_points))
+    stats = _point_stats(cfg, *_point_paths(cfg, log, cfg.grid, cfg.x_points))
     rows = []
     for st in stats:
-        row = partial(make_row, cfg, "estimate", st.n, grid.m, st.x)
+        row = partial(make_row, cfg, "estimate", st.n, cfg.grid.m, st.x)
         valid = st.a_hat[np.isfinite(st.a_hat)]
         if len(valid):
             q75, q25 = np.percentile(valid, [75.0, 25.0])
@@ -335,7 +322,7 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]
     log: dict = {}
     trend: dict[float, list[tuple[int, float]]] = {}
     for n in cfg.n_list:
-        grid = _grid(cfg, n)
+        grid = replace(cfg.grid, n=n)
         try:
             averaged = [[grid.snap(x)[1] for x in averaged_points(grid, num_points)]
                         for num_points in cfg.m_list]
@@ -343,13 +330,13 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]
             raise ConfigError(str(exc)) from None
         request = list(cfg.x_points)
         request += [x for x in dict.fromkeys(sum(averaged, [])) if x not in request]
-        sigma, points, paths = _point_paths(cfg, log, grid, request)
-        for st in _point_stats(cfg, sigma, points[:len(cfg.x_points)], paths):
+        points, paths = _point_paths(cfg, log, grid, request)
+        for st in _point_stats(cfg, points[:len(cfg.x_points)], paths):
             rows.extend(_quartic_rows(cfg, "convergence", grid, st))
             trend.setdefault(st.x, []).append((n, float(np.mean(_abs_error(st)))))
         for num_points, xs in zip(cfg.m_list, averaged):
             v_nm, target = averaged_statistics(paths[:, [request.index(x) for x in xs], :], xs,
-                                               cfg.T, sigma, cfg.medium)
+                                               grid.T, cfg.sigma, cfg.medium)
             avg_rows.append(make_row(cfg, "convergence", n, num_points, math.nan,
                                      "v_avg", *_mean_se(v_nm), target))
     for xe, pairs in trend.items():
@@ -357,7 +344,7 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]
             ln = np.log([p[0] for p in pairs])
             le = np.log([max(p[1], 1e-300) for p in pairs])
             slope = float(np.polyfit(ln, le, 1)[0])
-            rows.append(make_row(cfg, "convergence", 0, cfg.m, xe, "loglog_slope", slope))
+            rows.append(make_row(cfg, "convergence", 0, cfg.grid.m, xe, "loglog_slope", slope))
     return rows + avg_rows, True, log
 
 
@@ -365,12 +352,12 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     if cfg.backend != "convolution":
         raise ConfigError("simulate runs the convolution scheme; set backend = convolution")
     log: dict = {}
-    grid = _grid(cfg)
-    sigma, points, paths = _point_paths(cfg, log, grid, cfg.x_points)
+    grid = cfg.grid
+    points, paths = _point_paths(cfg, log, grid, cfg.x_points)
     rows = []
     ok = True
     path_files = {}
-    c = sigma.constant
+    c = cfg.sigma.constant
     for idx, xe in enumerate(points):
         block = paths[:, idx, :]  # (R, n+1)
         mean_t = float(np.mean(block[:, -1]))
@@ -383,7 +370,7 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
         else:
             var_t, var_se = 0.0, math.nan
         target = (math.nan if c is None
-                  else c * c * covariance_linear(cfg.T, cfg.T, xe, cfg.medium))
+                  else c * c * covariance_linear(grid.T, grid.T, xe, cfg.medium))
         rows.append(make_row(cfg, "simulate", grid.n, grid.m, xe, "mean_u_T", mean_t,
                              target=0.0))
         row = make_row(cfg, "simulate", grid.n, grid.m, xe, "variance_u_T", var_t,
@@ -409,7 +396,7 @@ def run_kernel_selftest(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, d
     def check(statistic, value, target, passed, x=math.nan):
         nonlocal ok
         ok = ok and passed
-        rows.append(make_row(cfg, "kernel-selftest", cfg.n, cfg.m, x, statistic,
+        rows.append(make_row(cfg, "kernel-selftest", cfg.grid.n, cfg.grid.m, x, statistic,
                              value, target=target))
 
     t_grid = np.linspace(0.01, 1.0, 20)
@@ -439,13 +426,13 @@ def run_kernel_selftest(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, d
     check("pde_rel_residual_max", res, 1e-3, res <= 1e-3)
 
     # Recorded diagnostics: not pinned behavior, never gate the exit status.
-    rows.append(make_row(cfg, "kernel-selftest", cfg.n, cfg.m, math.nan,
+    rows.append(make_row(cfg, "kernel-selftest", cfg.grid.n, cfg.grid.m, math.nan,
                          "diag_chapman_kolmogorov_lebesgue",
                          checks.chapman_kolmogorov_gap(cfg.medium, 0.3, 0.5, 0.4, -0.6)))
-    rows.append(make_row(cfg, "kernel-selftest", cfg.n, cfg.m, math.nan,
+    rows.append(make_row(cfg, "kernel-selftest", cfg.grid.n, cfg.grid.m, math.nan,
                          "diag_flux_transmission_gap",
                          checks.flux_transmission_gap(cfg.medium, 0.5, 0.7)))
-    rows.append(make_row(cfg, "kernel-selftest", cfg.n, cfg.m, 0.0,
+    rows.append(make_row(cfg, "kernel-selftest", cfg.grid.n, cfg.grid.m, 0.0,
                          "diag_interface_continuity_gap",
                          checks.interface_continuity_gap(kernel, 0.5, 0.7)))
     return rows, ok, {}

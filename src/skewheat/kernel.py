@@ -211,7 +211,8 @@ class GreenKernel:
         s = np.abs(b)
         tsum = t1 + t2
         near = 0.5 * _erfc(s / np.sqrt(2.0 * t1 * t2 / tsum))
-        e = np.exp(-2.0 * (s * s) / tsum)
+        with np.errstate(over="ignore"):  # s * s past the largest double: e = exp(-inf) = 0
+            e = np.exp(-2.0 * (s * s) / tsum)
         r1, r2 = 1.0 / math.sqrt(p.a1), 1.0 / math.sqrt(p.a2)
         right = b > 0
         c0 = np.where(right, r2, r1)

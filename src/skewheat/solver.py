@@ -142,6 +142,13 @@ def parse_sigma(spec: str) -> SigmaSpec:
     raise ValueError(f"unknown sigma spec {spec!r}; expected 'one', 'affine:h1,h2' or 'sin1:amp'")
 
 
+def format_sigma(sigma: SigmaSpec) -> str:
+    """The preset string that parse_sigma reads back as sigma."""
+    if sigma.amp:
+        return f"sin1:{sigma.amp!r}"
+    return "one" if sigma == sigma_one() else f"affine:{sigma.h1!r},{sigma.h2!r}"
+
+
 # ---------------------------------------------------------------------------
 # field scheme
 # ---------------------------------------------------------------------------

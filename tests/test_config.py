@@ -16,6 +16,8 @@ from skewheat.config import (
     with_overrides,
 )
 from skewheat.medium import MediumParams
+from skewheat.noise import GridSpec
+from skewheat.solver import sigma_affine, sigma_one, sigma_sin
 
 BASE = """
 [medium]
@@ -48,9 +50,9 @@ check_tolerance = 0.05
 def test_parse_full_config():
     cfg = parse_config(BASE)
     assert cfg.medium == MediumParams(1.0, 4.0, 1.0, 1.0)
-    assert cfg.T == 1.0 and cfg.n == 64 and cfg.L == 8.0 and cfg.m == 128
+    assert cfg.grid == GridSpec(T=1.0, n=64, L=8.0, m=128)
     assert cfg.kind == "quartic"
-    assert cfg.sigma == "sin1:0.5"
+    assert cfg.sigma == sigma_sin(0.5)
     assert cfg.x_points == (0.5, -0.5, 0.0)
     assert cfg.replicates == 100
     assert cfg.seed == 20240601
@@ -68,7 +70,7 @@ def test_round_trip_is_lossless():
     cfg2 = with_overrides(cfg, out_dir="elsewhere")
     bumped = parse_config(to_ini_text(cfg2).replace("T = 1.0", f"T = {math.pi!r}"))
     assert parse_config(to_ini_text(bumped)) == bumped
-    assert bumped.T == math.pi
+    assert bumped.grid.T == math.pi
 
 
 def test_inline_comments_stripped():
@@ -84,7 +86,7 @@ def test_defaults_applied():
         "[medium]\na1=1\na2=1\nrho1=1\nrho2=1\n[grid]\nT=1\nn=4\nL=2\nm=4\n"
     )
     assert cfg.kind is None
-    assert cfg.sigma == "one"
+    assert cfg.sigma == sigma_one()
     assert cfg.x_points == ()
     assert cfg.replicates == 1
     assert cfg.backend == "convolution"
@@ -99,6 +101,8 @@ def test_defaults_applied():
     ("backend = convolution", "backend = warp"),
     ("seed = 20240601", "seed = -3"),
     ("kind = quartic", "kind = frobnicate"),
+    ("x = 0.5, -0.5, 0.0", "x = 0.5, -0.5, 0.5"),
+    ("x = 0.5, -0.5, 0.0", "x = 0.0, -0.0"),
 ])
 def test_invalid_values_rejected(mutation, fragment):
     with pytest.raises(ConfigError):
@@ -176,11 +180,42 @@ def test_config_hash_ignores_execution_fields():
 
 
 def test_demo_config_hash_is_pinned():
-    # Every output file's header carries this hash, so a serializer change
-    # that moves it has to show up here.
-    demo = pathlib.Path(__file__).resolve().parents[1] / "configs" / "demo_quartic.ini"
-    assert config_sha256(load_config(str(demo))) \
-        == "b5b8710a8e692a50a7c9ba2374af496d18c6580f3e85555f5667b5b4ffcb8152"
+    # Every output file's header carries these hashes, so a change to how the
+    # grid, sigma or any other key is serialized has to show up here.
+    configs = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    pinned = {
+        "demo_convergence.ini": "75a4a698bbfd867096d8f04d18f7a600d5c9dc2e634e2a595c2e32afa5891d0e",
+        "demo_quartic.ini": "b5b8710a8e692a50a7c9ba2374af496d18c6580f3e85555f5667b5b4ffcb8152",
+        "demo_selftest.ini": "213e68f3b5ba3ae0689dc1762c4e95a4e1513260298a10e7687ef2b7eabdffa5",
+        "demo_simulate.ini": "7002f57fff455aba77b1bd4bac8136ac7a846f03e1392f3f6ed103cc458834b9",
+        "demo_simulate_linear.ini":
+            "3715b08f37ea3f26b7f2925a916e3b9b0a4961dd864b3446b2421fb0947c854b",
+    }
+    assert sorted(p.name for p in configs.glob("*.ini")) == sorted(pinned)
+    for name, sha in pinned.items():
+        assert config_sha256(load_config(str(configs / name))) == sha, name
+
+
+def test_equal_sigma_specs_are_one_config():
+    # sigma is held as its coefficients, so two spellings of one spec parse,
+    # serialize and hash alike.
+    one = parse_config(BASE.replace("sigma = sin1:0.5", "sigma = one"))
+    for spelling in ("affine:0,1", "affine:0.0, 1.0", "sin1:0"):
+        cfg = parse_config(BASE.replace("sigma = sin1:0.5", f"sigma = {spelling}"))
+        assert cfg == one and to_ini_text(cfg) == to_ini_text(one)
+        assert config_sha256(cfg) == config_sha256(one)
+    assert "sigma = sin1:0.5\n" in to_ini_text(parse_config(BASE))
+
+
+def test_config_that_is_not_utf8_exits_two_with_one_line(tmp_path, capsys):
+    from skewheat.cli import main
+
+    path = tmp_path / "c.ini"
+    path.write_bytes(BASE.encode() + b"; \xff\n")
+    assert main(["quartic", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {str(path)!r}: ") and "0xff" in err
+    assert err.count("\n") == 1
 
 
 def test_round_trip_and_hash_property():
@@ -190,19 +225,16 @@ def test_round_trip_and_hash_property():
     finite = st.floats(-1e6, 1e6, allow_nan=False)
     positive = st.floats(1e-6, 1e6)
     count = st.integers(1, 10**6)
-    sigma = st.one_of(
-        st.just("one"),
-        st.builds(lambda h1, h2: f"affine:{h1!r},{h2!r}", finite, finite),
-        st.builds(lambda amp: f"sin1:{amp!r}", finite),
-    )
+    sigma = st.one_of(st.just(sigma_one()), st.builds(sigma_affine, finite, finite),
+                      st.builds(sigma_sin, finite))
     out_dir = st.from_regex(r"[A-Za-z0-9_./-]{0,24}", fullmatch=True)
     configs = st.builds(
         ExperimentConfig,
         medium=st.builds(MediumParams, positive, positive, positive, positive),
-        T=positive, n=count, L=positive, m=count,
+        grid=st.builds(GridSpec, T=positive, n=count, L=positive, m=count),
         kind=st.one_of(st.none(), st.sampled_from(COMMANDS)),
         sigma=sigma,
-        x_points=st.lists(finite, max_size=5).map(tuple),
+        x_points=st.lists(finite, max_size=5, unique=True).map(tuple),
         replicates=count,
         seed=st.integers(0, 2**64 - 1),
         backend=st.sampled_from(BACKENDS),

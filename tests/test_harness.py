@@ -7,7 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -176,7 +176,7 @@ def test_convergence_builds_each_exact_sampler_once(tmp_path, monkeypatch):
     cfg = _write(
         tmp_path, "c.ini",
         MEDIUM_14 + "[grid]\nT = 1.0\nn = 8\nL = 2.0\nm = 32\n"
-        + "[experiment]\nx = 0.5, 0.5\nreplicates = 6\nseed = 6\nbackend = exact-linear\n"
+        + "[experiment]\nx = 0.5\nreplicates = 6\nseed = 6\nbackend = exact-linear\n"
         + f"n_list = 8, 16\nm_list = 1, 2, 4, 8\nout = {tmp_path}/out\n",
     )
     built = []
@@ -189,7 +189,7 @@ def test_convergence_builds_each_exact_sampler_once(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "ExactLinearSampler", Counting)
     assert main(["convergence", "--config", cfg]) == 0
     records = json.loads((tmp_path / "out" / "convergence_summary.json").read_text())["exact_sampler"]
-    # Per n: x = 0.5 (asked twice) plus the 8 distinct snapped points of m_list = 1, 2, 4, 8.
+    # Per n: x = 0.5 plus the 8 distinct snapped points of m_list = 1, 2, 4, 8.
     assert len(built) == len(set(built)) == 18
     assert [(r["x"], r["n"]) for r in records] == built
 
@@ -219,17 +219,16 @@ def test_convergence_v_avg_matches_paths_requested_alone(tmp_path, backend, sigm
     assert main(["convergence", "--config", cfg]) == 0
     rows = [r for r in _read_rows(tmp_path / "out" / "convergence.csv") if r["statistic"] == "v_avg"]
     resolved = load_config(cfg)
-    parsed = solver.parse_sigma(sigma)
     expected = []
     for n in resolved.n_list:
-        grid = harness._grid(resolved, n)
+        grid = replace(resolved.grid, n=n)
         for num_points in resolved.m_list:
             cols, xs = zip(*(grid.snap(x) for x in averaged_points(grid, num_points)))
             if backend == "convolution":
                 paths = harness._convolution_paths(resolved, grid, list(cols), {})
             else:
-                paths = harness._point_paths(resolved, {}, grid, xs)[2]
-            v_nm, target = averaged_statistics(paths, xs, resolved.T, parsed, resolved.medium)
+                paths = harness._point_paths(resolved, {}, grid, xs)[1]
+            v_nm, target = averaged_statistics(paths, xs, grid.T, resolved.sigma, resolved.medium)
             expected.append([str(n), str(num_points),
                              *("%.17g" % v for v in (*harness._mean_se(v_nm), target))])
     assert [[r["n"], r["m"], r["value"], r["std_error"], r["target"]] for r in rows] == expected
@@ -256,6 +255,10 @@ def test_convergence_without_x_exits_two_with_one_line(tmp_path, capsys):
     ("quartic", None, None, [], "cannot read config "),
     ("convergence", "demo_convergence", ("m_list = 1, 2, 4", "m_list = 2, 2"), [],
      "[experiment] m_list entries must be >= 1 and distinct"),
+    ("quartic", "demo_quartic", ("x = 0.5", "x = 0.5, 0.5"), [],
+     "[experiment] x entries must be distinct"),
+    ("quartic", "demo_quartic", ("L = 8.0", "L = 0"), [],
+     "half-width L must be finite and > 0, got 0.0"),
 ])
 def test_documented_config_errors_exit_two_with_one_line(tmp_path, capsys, command, demo, edit,
                                                          flags, message):
@@ -292,7 +295,7 @@ def test_summary_exact_sampler_records_stage_seconds(tmp_path):
     cfg = _write(
         tmp_path, "c.ini",
         MEDIUM_14 + GRID_SMALL
-        + f"[experiment]\nx = 0.5, 0.5, -0.5\nreplicates = 4\nseed = 11\nbackend = exact-linear\nout = {tmp_path}/out\n",
+        + f"[experiment]\nx = 0.5, -0.5\nreplicates = 4\nseed = 11\nbackend = exact-linear\nout = {tmp_path}/out\n",
     )
     assert main(["quartic", "--config", cfg]) == 0
     records = json.loads((tmp_path / "out" / "quartic_summary.json").read_text())["exact_sampler"]
@@ -302,27 +305,6 @@ def test_summary_exact_sampler_records_stage_seconds(tmp_path):
             assert isinstance(r[key], float) and math.isfinite(r[key]) and r[key] >= 0.0
     csv_text = (tmp_path / "out" / "quartic.csv").read_text()
     assert all(key not in csv_text for key in ("covariance_s", "cholesky_s", "paths_s"))
-
-
-def test_exact_quartic_repeated_point_samples_once_into_equal_columns(tmp_path):
-    cfg = _write(
-        tmp_path, "c.ini",
-        MEDIUM_14 + GRID_SMALL
-        + f"[experiment]\nx = 0.5, 0.5\nreplicates = 70\nseed = 11\nbackend = exact-linear\nout = {tmp_path}/out\n",
-    )
-    resolved = load_config(cfg)
-    log: dict = {}
-    _, points, paths = harness._point_paths(resolved, log, harness._grid(resolved), resolved.x_points)
-    assert points == [0.5, 0.5] and paths.shape == (70, 2, 9)
-    assert np.array_equal(paths[:, 0], paths[:, 1])
-    alone = solver.ExactLinearSampler(resolved.medium, 0.5, 1.0, 8).paths_array(11, 70)
-    assert np.array_equal(paths[:, 0], alone)
-    assert [r["x"] for r in log["exact_sampler"]] == [0.5]
-    assert main(["quartic", "--config", cfg]) == 0
-    rows = _read_rows(tmp_path / "out" / "quartic.csv")
-    assert rows[:len(rows) // 2] == rows[len(rows) // 2:]
-    records = json.loads((tmp_path / "out" / "quartic_summary.json").read_text())["exact_sampler"]
-    assert len(records) == 1
 
 
 def test_exact_backend_requires_sigma_one(tmp_path):
@@ -515,15 +497,15 @@ def test_convolution_paths_equal_full_field_columns(sigma, monkeypatch):
     monkeypatch.setattr(harness, "REPLICATE_CHUNK", 3)
     cfg = parse_config(
         MEDIUM_14 + "[grid]\nT = 1.0\nn = 10\nL = 4.0\nm = 24\n"
-        + f"[experiment]\nsigma = {sigma}\nx = 0.5, -0.5, 0.5\nreplicates = 7\nseed = 8\n"
+        + f"[experiment]\nsigma = {sigma}\nx = 0.5, -0.5\nreplicates = 7\nseed = 8\n"
     )
-    grid = harness._grid(cfg)
-    cols = [grid.snap(x)[0] for x in cfg.x_points]
+    grid = cfg.grid
+    cols = [grid.snap(x)[0] for x in (0.5, -0.5, 0.5)]  # a cell asked for twice
     log = {}
     paths = harness._convolution_paths(cfg, grid, cols, log)
     # Full-field reference, solved in the same fixed chunks of 3 replicates.
     full = np.concatenate([
-        solver.solve_field_batch(cfg.medium, grid, solver.parse_sigma(sigma), np.stack(
+        solver.solve_field_batch(cfg.medium, grid, cfg.sigma, np.stack(
             [sample_noise(grid, cfg.seed, r) for r in range(first, min(first + 3, 7))],
             axis=2))
         for first in (0, 3, 6)
@@ -541,7 +523,7 @@ def test_chunk_worker_paths_equal_contiguous_stack_solve(sigma, count):
     # the bits of a solve on the contiguous (n, m, R) stack.
     cfg = parse_config(MEDIUM_14 + "[grid]\nT = 1.0\nn = 8\nL = 4.0\nm = 16\n"
                        + f"[experiment]\nsigma = {sigma}\nx = 0.5\nseed = 21\n")
-    grid, first, cols = harness._grid(cfg), 3, [11, 4, 11]
+    grid, first, cols = cfg.grid, 3, [11, 4, 11]
     sig = solver.parse_sigma(sigma)
     first_rep, paths, report = harness._conv_chunk_worker(
         (cfg.medium, grid, sig, cfg.seed, first, count, cols))
@@ -562,7 +544,7 @@ def test_convolution_records_the_noise_each_chunk_held(sigma, held_rows):
     cfg = parse_config(MEDIUM_14 + "[grid]\nT = 1.0\nn = 40\nL = 4.0\nm = 16\n"
                        + f"[experiment]\nsigma = {sigma}\nx = 0.5\nreplicates = 3\nseed = 2\n")
     log: dict = {}
-    harness._convolution_paths(cfg, harness._grid(cfg), [11], log)
+    harness._convolution_paths(cfg, cfg.grid, [11], log)
     [record] = log["convolution"]
     assert record["noise_mib"] == held_rows * 16 * 3 * 8 / 2**20
 
@@ -572,8 +554,8 @@ def test_semigroup_chunk_holds_one_block_of_noise_rows():
     # The whole (64, 128, 256) noise would be 16 MiB; 16-row blocks are 2 MiB.
     cfg = parse_config(MEDIUM_14 + "[grid]\nT = 1.0\nn = 128\nL = 4.0\nm = 256\n"
                        + "[experiment]\nsigma = sin1:0.5\nx = 0.5\nseed = 1\n")
-    grid = harness._grid(cfg)
-    payload = (cfg.medium, grid, solver.parse_sigma(cfg.sigma), cfg.seed, 0, 64, [112, 128, 143])
+    grid = cfg.grid
+    payload = (cfg.medium, grid, cfg.sigma, cfg.seed, 0, 64, [112, 128, 143])
     harness._conv_chunk_worker(payload)  # warm-up: numpy's and the kernel's first-call caches
     tracemalloc.start()
     try:
@@ -594,7 +576,7 @@ def test_convolution_paths_in_a_full_chunk_do_not_depend_on_the_replicate_count(
     paths = {}
     for r in (100, 128):
         cfg = parse_config(text + f"replicates = {r}\n")
-        grid = harness._grid(cfg)
+        grid = cfg.grid
         paths[r] = harness._convolution_paths(cfg, grid, [grid.snap(x)[0] for x in cfg.x_points], {})
     chunk = harness.REPLICATE_CHUNK
     assert np.array_equal(paths[100][:chunk], paths[128][:chunk])
@@ -656,7 +638,7 @@ def test_summary_json_records_convolution_chunks(tmp_path, monkeypatch):
     # n = 8 time rows fit in one NOISE_ROWS block: the stream holds them all.
     assert record["noise_mib"] == 8 * 256 * 2 * 8 / 2**20
     resolved = load_config(big)
-    ops = solver._semigroup_operators(kernel.GreenKernel(resolved.medium), harness._grid(resolved))
+    ops = solver._semigroup_operators(kernel.GreenKernel(resolved.medium), resolved.grid)
     stored = sum(a.size for op in ops[:3] for _, _, _, a in op)
     assert record["stack_mib"] == stored * 8 / 2**20
     assert record["band_fraction"] == stored / (256 * 256 + 512 * 256 + 512 * 512) < 0.5
@@ -673,7 +655,7 @@ def test_simulate_disc_variance_row_uses_scheme_variance(tmp_path):
     rows = _read_rows(tmp_path / "out" / "simulate.csv")
     assert [r["statistic"] for r in rows] == ["mean_u_T", "variance_u_T", "disc_variance_u_T"] * 2
     resolved = load_config(cfg)
-    grid = harness._grid(resolved)
+    grid = resolved.grid
     for var_row, disc_row in ((rows[1], rows[2]), (rows[4], rows[5])):
         x = float(disc_row["x"])
         assert float(disc_row["value"]) == solver.scheme_variance(resolved.medium, grid, x)
@@ -724,7 +706,7 @@ def test_simulate_targets_scale_with_constant_sigma(tmp_path):
 
     rows, resolved = rows_for("affine:0,0.7", "aff")
     assert [r["statistic"] for r in rows] == ["mean_u_T", "variance_u_T", "disc_variance_u_T"] * 2
-    grid, medium = harness._grid(resolved), resolved.medium
+    grid, medium = resolved.grid, resolved.medium
     for var_row, disc_row in ((rows[1], rows[2]), (rows[4], rows[5])):
         x = float(var_row["x"])
         target = 0.7 * 0.7 * solver.covariance_linear(1.0, 1.0, x, medium)
@@ -1020,7 +1002,7 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     cfg = parse_config(MEDIUM_14 + GRID_SMALL
                        + "[experiment]\nx = 0.5\nreplicates = 4\nseed = 3\nworkers = 8\n")
     log = {}
-    paths = harness._convolution_paths(cfg, harness._grid(cfg), [16], log)
+    paths = harness._convolution_paths(cfg, cfg.grid, [16], log)
     assert seen == [2]
     assert paths.shape == (4, 1, 9) and len(log["convolution"]) == 2
 
@@ -1076,17 +1058,30 @@ def test_exact_quartic_csv_identical_at_one_and_two_blas_threads(tmp_path):
     ("exact-linear", "8.0", "0.5", "affine:0,1e300"),
     ("convolution", "1e-300", "0.0", "one"),
     ("convolution", "1e300", "0.0", "one"),
+    # |f(x)| past sqrt of the largest double: the kernel's cross integral
+    # takes exp(-inf) = 0 for its reflected term.
+    ("exact-linear", "8.0", "1e200, -1e200", "one"),
 ])
 def test_quartic_at_unrepresentable_moments_exits_without_traceback(tmp_path, backend, L, x, sigma):
     # Increment moments, their ratios and sigma**4 that underflow or overflow
     # a double are inf or NaN rows, not a crash in point_statistics.
-    cfg = _write(
-        tmp_path, "c.ini",
+    _assert_cli_prints_one_line_messages(tmp_path, "quartic", (
         MEDIUM_14 + f"[grid]\nT = 1.0\nn = 4\nL = {L}\nm = 16\n"
-        + f"[experiment]\nsigma = {sigma}\nx = {x}\nreplicates = 4\nseed = 1\nbackend = {backend}\n",
-    )
+        + f"[experiment]\nsigma = {sigma}\nx = {x}\nreplicates = 4\nseed = 1\nbackend = {backend}\n"))
+
+
+def test_simulate_at_the_largest_half_width_exits_without_runtime_warnings(tmp_path):
+    # L = 1e300 snaps x = 0 to a cell center near -6e298, where the variance
+    # target's cross integral squares |f(x)| past the largest double.
+    _assert_cli_prints_one_line_messages(tmp_path, "simulate", (
+        MEDIUM_14 + "[grid]\nT = 1.0\nn = 4\nL = 1e300\nm = 16\n"
+        + "[experiment]\nx = 0.0\nreplicates = 4\nseed = 1\n"))
+
+
+def _assert_cli_prints_one_line_messages(tmp_path, command, text):
+    cfg = _write(tmp_path, "c.ini", text)
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
-    done = subprocess.run([sys.executable, "-m", "skewheat", "quartic", "--config", cfg,
+    done = subprocess.run([sys.executable, "-m", "skewheat", command, "--config", cfg,
                            "--out", str(tmp_path / "out")],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert done.returncode in (0, 1), done.stderr
@@ -1097,6 +1092,21 @@ def test_quartic_at_unrepresentable_moments_exits_without_traceback(tmp_path, ba
     lines = done.stderr.splitlines()
     assert all(line.startswith("warning: ") for line in lines), done.stderr
     assert sum("not finite" in line for line in lines) <= 1, done.stderr
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_allocation_numpy_refuses_exits_one_with_one_line(tmp_path, capsys, workers):
+    # n = 1e9 steps on m = 1e6 cells: a 64-replicate chunk's noise would be
+    # 5e17 bytes, past any address space, so numpy refuses it before any
+    # page is touched.  128 replicates are two chunks, one per worker.
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + "[grid]\nT = 1.0\nn = 1000000000\nL = 8.0\nm = 1000000\n"
+        + f"[experiment]\nx = 0.5\nreplicates = 128\nseed = 1\nout = {tmp_path}/out\n",
+    )
+    assert main(["quartic", "--config", cfg, "--workers", workers]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: Unable to allocate ") and err.count("\n") == 1
 
 
 def test_overflowing_moments_print_one_line_counting_the_rows(tmp_path, capsys):

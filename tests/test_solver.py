@@ -55,6 +55,15 @@ def test_parse_sigma_round_trip_and_errors():
             parse_sigma(bad)
 
 
+def test_format_sigma_is_the_inverse_of_parse_sigma():
+    cases = {"one": "one", "affine:0,1": "one", "sin1:0": "one", "sin1:0.5": "sin1:0.5",
+             "affine:0.5,1": "affine:0.5,1.0", "affine:0,0.7": "affine:0.0,0.7",
+             "sin1:1e-300": "sin1:1e-300", "affine:-2,0.1": "affine:-2.0,0.1"}
+    for text, canonical in cases.items():
+        assert solver.format_sigma(parse_sigma(text)) == canonical, text
+        assert parse_sigma(canonical) == parse_sigma(text), text
+
+
 def test_sigma_constant_values():
     cases = {"one": 1.0, "affine:0,0.7": 0.7, "affine:-0.0,2": 2.0, "affine:0,0": 0.0,
              "sin1:0": 1.0, "affine:0.5,1": None, "sin1:0.5": None}
