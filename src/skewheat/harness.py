@@ -307,7 +307,9 @@ def run_estimate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
         valid = st.a_hat[np.isfinite(st.a_hat)]
         if len(valid):
             q75, q25 = np.percentile(valid, [75.0, 25.0])
-            se_med = 1.2533 * float(np.std(valid, ddof=1)) / math.sqrt(len(valid)) if len(valid) > 1 else math.nan
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing spread is inf
+                sd = float(np.std(valid, ddof=1)) if len(valid) > 1 else math.nan
+            se_med = 1.2533 * sd / math.sqrt(len(valid))
             rows.append(row("A_hat_median", float(np.median(valid)), se_med, A_of(st.x, cfg.medium)))
             rows.append(row("A_hat_iqr", float(q75 - q25)))
         rows.append(row("degenerate_count", float(st.degenerate), target=0.0))
@@ -363,7 +365,8 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
         mean_t = float(np.mean(block[:, -1]))
         disc = None if c is None else c * c * scheme_variance(cfg.medium, grid, xe)
         if cfg.replicates > 1:
-            var_t = float(np.var(block[:, -1], ddof=1))
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing spread is inf
+                var_t = float(np.var(block[:, -1], ddof=1))
             # From the scheme's exact variance when known, so that a low draw
             # cannot narrow its own band.
             var_se = (var_t if disc is None else disc) * math.sqrt(2.0 / (cfg.replicates - 1))

@@ -115,6 +115,16 @@ def _erfc(x):
     return out.reshape(shape)
 
 
+def _erfc_width(t1, t2, tsum):
+    """sqrt(2 t1 t2 / tsum), factored where 2 t1 t2 is no normal double (lags < ~1e-154 or > ~1e154)."""
+    with np.errstate(over="ignore"):
+        prod, tiny = 2.0 * t1 * t2, np.finfo(float).tiny
+        if prod.size == 0 or (prod.min() >= tiny and prod.max() < np.inf):
+            return np.sqrt(prod / tsum)
+        return np.where((prod >= tiny) & (prod < np.inf), np.sqrt(prod / tsum),
+                        np.sqrt(2.0 * np.maximum(t1, t2) / tsum) * np.sqrt(np.minimum(t1, t2)))
+
+
 @dataclass(frozen=True)
 class BoundConstants:
     """Constants of the pointwise, L1 and L2 kernel bounds, exact in the params.
@@ -210,7 +220,7 @@ class GreenKernel:
         b = np.asarray(position_map(x, self.params), dtype=float)
         s = np.abs(b)
         tsum = t1 + t2
-        near = 0.5 * _erfc(s / np.sqrt(2.0 * t1 * t2 / tsum))
+        near = 0.5 * _erfc(s / _erfc_width(t1, t2, tsum))
         with np.errstate(over="ignore"):  # s * s past the largest double: e = exp(-inf) = 0
             e = np.exp(-2.0 * (s * s) / tsum)
         r1, r2 = 1.0 / math.sqrt(p.a1), 1.0 / math.sqrt(p.a2)

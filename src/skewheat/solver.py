@@ -46,8 +46,7 @@ BAND_MAX_BYTES = 2**30
 # Replicates per exact-path gemm block; block b holds replicates 64*b .. 64*b + 63.
 PATH_BLOCK = 64
 
-# covariance_matrix's smooth cells: the per-entry tolerance, the node count each cell
-# starts at, and the node count past which a cell is a CovarianceError.
+# covariance_matrix's smooth cells: tolerance at T = min(a1, a2), nodes per cell at start and at most.
 COV_CELL_TOL = 1e-9
 COV_CELL_NODES = 2
 COV_CELL_MAX_NODES = 1024
@@ -55,12 +54,10 @@ COV_CELL_MAX_NODES = 1024
 # covariance_matrix's lag diagonals per assembly block.
 COV_DIAGONALS = 32
 
-# covariance_linear's rule: dyadic panels in v at most, nodes per panel at start and at
-# most, and times per vectorized block.
+# covariance_linear's rule: dyadic panels in v at most, and nodes per panel at start and at most.
 COV_PANELS = 30
 COV_NODES = 16
 COV_MAX_NODES = 256
-COV_BLOCK = 32
 
 
 class SolverError(RuntimeError):
@@ -470,7 +467,7 @@ def covariance_linear(t: float, s: float, x: float, medium: MediumParams) -> flo
     cross product's erfc onset sits at v ~ |f(x)|/sqrt(w) and the integrand
     is smooth below it, so the smallest edge 2**-P lies within 2**-3 to
     2**-2 of that scale, with P at most COV_PANELS (which x = 0 uses).  The
-    nodes per panel start at COV_NODES and double until two levels agree to
+    nodes per panel climb _ladder from COV_NODES until two levels agree to
     1e-12 relative; raises CovarianceError past COV_MAX_NODES.
     checks.quad_covariance is the adaptive-quadrature oracle for this function.
     """
@@ -481,25 +478,31 @@ def covariance_linear(t: float, s: float, x: float, medium: MediumParams) -> flo
     return float(_panel_covariance(GreenKernel(medium), np.array([max(t, s)]), min(t, s), x)[0])
 
 
+def _ladder(level, args: tuple, nodes: int, cap: int, agree, rule: str, x) -> tuple[np.ndarray, int]:
+    """Values of the entries of the arrays args, and the last node count run, doubling from `nodes`.
+
+    level(*args, nodes) evaluates the open entries; each retires once agree(new, old) holds for
+    its last two levels, and one still open past `cap` nodes raises CovarianceError.
+    """
+    values, left = np.empty(len(args[0])), np.arange(len(args[0]))
+    prev = level(*args, nodes)
+    while left.size:
+        nodes *= 2
+        if nodes > cap:
+            raise CovarianceError(f"covariance {rule} rule did not converge with {cap} nodes "
+                                  f"per {rule} at x = {float(x)!r}")
+        cur = level(*args, nodes)
+        done = agree(cur, prev)
+        values[left[done]] = cur[done]
+        left, prev, args = left[~done], cur[~done], [a[~done] for a in args]
+    return values, nodes
+
+
 def _panel_covariance(kernel: GreenKernel, t: np.ndarray, s: float, x: float) -> np.ndarray:
-    """covariance_linear(t_i, s, x) for each t_i >= s > 0; each block of COV_BLOCK doubles together."""
-    out = np.empty(len(t))
-    for lo in range(0, len(t), COV_BLOCK):
-        block, nodes = t[lo:lo + COV_BLOCK], COV_NODES
-        prev = _covariance_rule(kernel, block, s, x, nodes)
-        while nodes < COV_MAX_NODES:
-            nodes *= 2
-            cur = _covariance_rule(kernel, block, s, x, nodes)
-            if np.all(np.abs(cur - prev) <= 1e-12 * np.abs(cur)):
-                break
-            prev = cur
-        else:
-            raise CovarianceError(
-                f"covariance_linear({float(block[0])!r}, {s!r}, {x!r}) did not converge with "
-                f"{COV_MAX_NODES} nodes per panel"
-            )
-        out[lo:lo + COV_BLOCK] = cur
-    return out
+    """covariance_linear(t_i, s, x) for each t_i >= s > 0."""
+    return _ladder(lambda t, nodes: _covariance_rule(kernel, t, s, x, nodes), (t,), COV_NODES,
+                   COV_MAX_NODES, lambda new, old: np.abs(new - old) <= 1e-12 * np.abs(new),
+                   "panel", x)[0]
 
 
 def _covariance_rule(kernel: GreenKernel, t, s: float, x: float, nodes: int):
@@ -521,17 +524,16 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> tupl
     times must be a uniform grid starting at 0 (t_i = i*dt).  For s <= t,
     C(t, s) = integral over q in [0, s] of cross_integral(t - s + q, q), so
     along each lag diagonal t - s = k*dt the entries are cumulative sums of
-    the cell integrals over q in [c*dt, (c+1)*dt].  The first cell, singular
-    at k = 0 and holding the erfc onset at k >= 1, is exactly
-    C((k+1)*dt, dt), so covariance_linear's panel rule gives all n of them.
-    The smooth cells c >= 1 are integrated by Gauss-Legendre from
-    COV_CELL_NODES = 2 nodes, each doubling until two levels agree within
-    COV_CELL_TOL/n (most stop at 4), so every entry is within about
-    COV_CELL_TOL; raises CovarianceError if a cell needs more than
-    COV_CELL_MAX_NODES.  The diagonals are assembled COV_DIAGONALS at a
-    time, straight into C: a cell's value depends on its own (k, c) only,
-    so the width changes no bit, and the build holds C and one block's
-    cells.  node_level is the largest level a cell c >= 1 reached.
+    the cell integrals over q in [c*dt, (c+1)*dt].  The diagonals are
+    assembled COV_DIAGONALS at a time, straight into C, each block from its
+    own cells: the first, singular at k = 0 and holding the erfc onset at
+    k >= 1, is exactly C((k+1)*dt, dt) by covariance_linear's panel rule,
+    and the smooth ones c >= 1 climb _ladder from COV_CELL_NODES = 2
+    Gauss-Legendre nodes (most stop at 4) until two levels agree within
+    COV_CELL_TOL/n * sqrt(T/min(a1, a2)), the scale of C; past
+    COV_CELL_MAX_NODES they raise CovarianceError.  A cell depends on its
+    own (k, c) only, so the block width changes no bit; the build holds C
+    and one block's cells.  node_level is the top level of a cell c >= 1.
     """
     times = np.asarray(times, dtype=float)
     n = len(times) - 1 if times.ndim == 1 else 0
@@ -539,7 +541,7 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> tupl
     if not dt > 0.0 or times[0] != 0.0 or np.any(np.abs(np.diff(times) - dt) > 1e-9 * dt):
         raise ValueError("times must be a uniform 1-D grid 0 = t_0 < t_1 < ... < t_n")
     kernel = GreenKernel(medium)
-    first = _panel_covariance(kernel, dt * np.arange(1, n + 1), dt, x)
+    tol = COV_CELL_TOL / n * math.sqrt(times[-1] / min(medium.a1, medium.a2))
     out = np.zeros((n + 1, n + 1))
     node_level = COV_CELL_NODES
     for k0 in range(0, n, COV_DIAGONALS):
@@ -548,8 +550,10 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> tupl
         row, cell = np.nonzero(np.add.outer(diagonals, np.arange(n - k0)) < n)
         lag, smooth = row + k0, cell > 0
         cells = np.zeros((len(diagonals), n - k0))
-        cells[:, 0] = first[diagonals]
-        values, nodes = _smooth_cells(kernel, dt, x, n, lag[smooth], cell[smooth])
+        cells[:, 0] = _panel_covariance(kernel, dt * (diagonals + 1), dt, x)
+        values, nodes = _ladder(lambda k, c, nodes: _cell_rule(kernel, dt, x, k, c, nodes),
+                                (lag[smooth], cell[smooth]), COV_CELL_NODES, COV_CELL_MAX_NODES,
+                                lambda new, old: np.abs(new - old) <= tol, "cell", x)
         cells[row[smooth], cell[smooth]] = values
         node_level = max(node_level, nodes)
         entries = np.cumsum(cells, axis=1)[row, cell]
@@ -558,32 +562,14 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> tupl
     return out, node_level
 
 
-def _smooth_cells(kernel, dt, x, n, k, c) -> tuple[np.ndarray, int]:
-    """The integrals of the cells (k, c), c >= 1, by the node ladder, and the last level it ran."""
-
-    def level(k, c, nodes):
-        xg, wg = _leggauss(nodes)
-        acc = np.zeros(len(k))
-        for v, w in zip(0.5 * (xg + 1.0), 0.5 * wg):
-            q = dt * (c + v)
-            acc += dt * w * kernel.cross_integral(k * dt + q, q, x)
-        return acc
-
-    values, left = np.empty(len(k)), np.arange(len(k))
-    nodes = COV_CELL_NODES
-    prev = level(k, c, nodes)
-    while k.size:
-        nodes *= 2
-        if nodes > COV_CELL_MAX_NODES:
-            raise CovarianceError(
-                f"covariance quadrature did not reach tol={COV_CELL_TOL} with "
-                f"{COV_CELL_MAX_NODES} nodes per cell"
-            )
-        cur = level(k, c, nodes)
-        done = np.abs(cur - prev) <= COV_CELL_TOL / n
-        values[left[done]] = cur[done]
-        left, k, c, prev = left[~done], k[~done], c[~done], cur[~done]
-    return values, nodes
+def _cell_rule(kernel: GreenKernel, dt: float, x: float, k, c, nodes: int) -> np.ndarray:
+    """The integrals of the cells (k, c), c >= 1, by Gauss-Legendre at the given nodes."""
+    xg, wg = _leggauss(nodes)
+    acc = np.zeros(len(k))
+    for v, w in zip(0.5 * (xg + 1.0), 0.5 * wg):
+        q = dt * (c + v)
+        acc += dt * w * kernel.cross_integral(k * dt + q, q, x)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -388,7 +388,7 @@ def test_covariance_nonconvergence_exits_one_with_one_line(tmp_path, monkeypatch
     )
     assert main(["quartic", "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("solver failure: covariance quadrature did not reach")
+    assert err.startswith("solver failure: covariance cell rule did not converge with 4 nodes per cell at x = ")
     assert err.count("\n") == 1
 
 
@@ -1076,6 +1076,27 @@ def test_simulate_at_the_largest_half_width_exits_without_runtime_warnings(tmp_p
     _assert_cli_prints_one_line_messages(tmp_path, "simulate", (
         MEDIUM_14 + "[grid]\nT = 1.0\nn = 4\nL = 1e300\nm = 16\n"
         + "[experiment]\nx = 0.0\nreplicates = 4\nseed = 1\n"))
+
+
+@pytest.mark.parametrize("command, medium, sigma", [
+    # The spread of the replicates' A-hat or u(T) squares past the largest double.
+    ("estimate", "[medium]\na1 = 1.0\na2 = 1e300\nrho1 = 1.0\nrho2 = 1.0\n", "one"),
+    ("simulate", MEDIUM_14, "sin1:1e300"),
+], ids=["estimate", "simulate"])
+def test_spread_past_the_largest_double_exits_without_runtime_warnings(tmp_path, command, medium, sigma):
+    backend = "exact-linear" if command == "estimate" else "convolution"
+    _assert_cli_prints_one_line_messages(tmp_path, command, (
+        medium + "[grid]\nT = 1.0\nn = 8\nL = 2.0\nm = 16\n"
+        + f"[experiment]\nsigma = {sigma}\nx = -0.5, 0.5\nreplicates = 16\nseed = 1\nbackend = {backend}\n"))
+
+
+def test_exact_quartic_at_a_lag_below_1e_162_exits_without_runtime_warnings(tmp_path):
+    # At x = 0 the kernel's 2*t1*t2 underflows to 0 in the first cells.
+    _assert_cli_prints_one_line_messages(tmp_path, "quartic", (
+        MEDIUM_14 + "[grid]\nT = 1e-140\nn = 16\nL = 8.0\nm = 16\n"
+        + "[experiment]\nx = 0.0\nreplicates = 16\nseed = 1\nbackend = exact-linear\n"))
+    rows = _read_rows(tmp_path / "out" / "quartic.csv")
+    assert all(math.isfinite(float(r["value"])) for r in rows if r["statistic"] == "A_hat_mean")
 
 
 def _assert_cli_prints_one_line_messages(tmp_path, command, text):

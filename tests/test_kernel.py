@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,18 @@ def test_cross_integral_symmetry_and_diagonal():
         assert K14.cross_integral(t1, t1, x) == pytest.approx(
             K14.l2_norm_sq(t1, x), rel=1e-13
         )
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160, 1e300])
+def test_cross_integral_scales_at_extreme_lags(scale):
+    # G_{c t}(sqrt(c) x, sqrt(c) y) = G_t(x, y) / sqrt(c).  At these lags
+    # 2*t1*t2 underflows or overflows a double, where the plain erfc argument
+    # s / sqrt(2 t1 t2 / (t1 + t2)) warns, and is 0/0 at x = 0 on underflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (0.0, 0.5, -0.3):
+            got = K14.cross_integral(scale, 3.0 * scale, math.sqrt(scale) * x) * math.sqrt(scale)
+            assert got == pytest.approx(K14.cross_integral(1.0, 3.0, x), rel=1e-14), x
 
 
 def test_closed_forms_match_quadrature_randomized():

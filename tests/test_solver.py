@@ -289,7 +289,8 @@ def test_covariance_matrix_fine_grid_near_interface(x):
 
 def test_covariance_linear_nonconvergence_raises(monkeypatch):
     monkeypatch.setattr(solver, "COV_MAX_NODES", solver.COV_NODES)
-    with pytest.raises(CovarianceError, match="did not converge"):
+    with pytest.raises(CovarianceError,
+                       match=r"^covariance panel rule did not converge with 16 nodes per panel at x = 0\.5$"):
         covariance_linear(1.0, 1.0, 0.5, M14)
 
 
@@ -342,8 +343,23 @@ def test_covariance_matrix_requires_uniform_grid_from_zero(times):
 
 def test_covariance_matrix_nonconvergence_raises(monkeypatch):
     monkeypatch.setattr(solver, "COV_CELL_MAX_NODES", 4)
-    with pytest.raises(CovarianceError, match="did not reach"):
+    with pytest.raises(CovarianceError,
+                       match=r"^covariance cell rule did not converge with 4 nodes per cell at x = 0\.5$"):
         covariance_matrix(np.linspace(0.0, 1.0, 5), 0.5, M14)
+
+
+@pytest.mark.parametrize("medium", [MediumParams(1, 4, 1, 1), MediumParams(100, 0.01, 1, 1)],
+                         ids=["a1<a2", "a1/a2=1e4"])
+@pytest.mark.parametrize("lam2", [1e-16, 1e14])
+def test_covariance_matrix_is_scale_invariant(medium, lam2):
+    # t -> lam2*t, x -> lam*x scales C by lam, and the cell tolerance scales
+    # with it; a fixed tolerance would be loose at lam2 = 1e-16 and out of
+    # reach at lam2 = 1e14.
+    times, lam = np.linspace(0.0, 1.0, 65), math.sqrt(lam2)
+    for x in (0.5, -0.3, 0.0):
+        ref, _ = covariance_matrix(times, x, medium)
+        got, _ = covariance_matrix(lam2 * times, lam * x, medium)
+        assert np.max(np.abs(got / lam - ref)) <= 1e-12 * np.max(np.abs(ref)), x
 
 
 @pytest.mark.parametrize(
