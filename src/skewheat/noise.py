@@ -7,7 +7,8 @@ else, so the matrix is bit-identical however replicates are chunked,
 scheduled or parallelized.  A stream is read in order, so its draws carry the
 same bits whether they are taken in one call or in blocks of rows:
 NoiseRows reads a chunk's replicates NOISE_ROWS time rows at a time and
-matches sample_noise bit for bit.
+matches sample_noise bit for bit; NoiseReplicates draws them one whole
+replicate at a time.
 """
 
 from __future__ import annotations
@@ -124,6 +125,26 @@ def sample_noise(grid: GridSpec, seed: int, replicate: int) -> np.ndarray:
     z = standard_normals(seed, replicate, grid.n * grid.m, kind=STREAM_FIELD_NOISE)
     z *= math.sqrt(grid.dt * grid.dx)
     return z.reshape(grid.n, grid.m)
+
+
+class NoiseReplicates:
+    """The (n, m, count) increments of replicates first..first+count-1, read one replicate at a time.
+
+    Iterating yields draw(grid, seed, first + j) for j = 0..count-1, each an
+    (n, m) array drawn only when it is asked for, so the increments held at
+    once are one replicate's, `nbytes` = 8*n*m.  draw defaults to
+    sample_noise; the harness passes its own name for it, which perfbench's
+    tracer wraps to time the draws.
+    """
+
+    def __init__(self, grid: GridSpec, seed: int, first: int, count: int, draw=sample_noise):
+        self.grid, self.seed, self.first, self.count, self.draw = grid, seed, first, count, draw
+        self.shape = (grid.n, grid.m, count)
+        self.nbytes = 8 * grid.n * grid.m
+
+    def __iter__(self):
+        for j in range(self.count):
+            yield self.draw(self.grid, self.seed, self.first + j)
 
 
 class NoiseRows:

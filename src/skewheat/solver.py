@@ -6,7 +6,8 @@ at the cell's left endpoint times the white-noise increment, summed over all
 past cells.  When sigma is constant the noise term does not depend on u, so
 the field at an observation cell is a fixed linear map of the noise: a
 causal convolution in time of the requested cells' kernel rows with the
-noise, formed by FFT in fixed-width blocks of source cells.  A nonlinear
+noise, formed by FFT, the kernel rows' transforms built once and the
+replicates taken one at a time.  A nonlinear
 sigma needs every cell of the previous row; there the lag sum is carried
 forward one step at a time by the heat semigroup, with a cell-integrated
 one-step kernel on a padded grid, every operator held only within the
@@ -28,7 +29,8 @@ import numpy as np
 
 from .medium import MediumParams, position_map
 from .kernel import GreenKernel
-from .noise import GridSpec, NoiseRows, standard_normals, position_subkey, STREAM_EXACT_PATHS
+from .noise import (GridSpec, NoiseReplicates, NoiseRows, standard_normals, position_subkey,
+                    STREAM_EXACT_PATHS)
 
 # Source cells per FFT block of the constant-sigma product.
 FFT_BLOCK = 32
@@ -275,29 +277,31 @@ def solve_field_batch(
     medium: MediumParams,
     grid: GridSpec,
     sigma: SigmaSpec,
-    increments: np.ndarray | NoiseRows,
+    increments: np.ndarray | NoiseRows | NoiseReplicates,
     columns: list[int] | np.ndarray | None = None,
     report: dict | None = None,
 ) -> np.ndarray:
     """Run the field scheme for a batch of noise replicates.
 
-    increments is an (n, m) or (n, m, R) array, or, for a nonlinear sigma,
+    increments is an (n, m) or (n, m, R) array; or, for a nonlinear sigma,
     a noise.NoiseRows stream of the (n, m, R) increments, which the
     semigroup recursion reads one time row per step without holding them
-    all.  The result has shape (n+1, p) or (n+1, p, R) with row 0
-    identically zero, where p is the number of requested cell indices in
-    columns (default: all m cells, in grid order).  The scheme is
-    u_i = sum over d of K_d @ v_{i-d} with v_k = sigma(u_k) * dW_k and K_d
-    the kernel at the lag of _cell_lags, so row i depends on noise rows < i
-    only.
+    all; or, for a constant sigma, a noise.NoiseReplicates, which the FFT
+    product reads one replicate at a time.  The result has shape (n+1, p)
+    or (n+1, p, R) with row 0 identically zero, where p is the number of
+    requested cell indices in columns (default: all m cells, in grid order).
+    The scheme is u_i = sum over d of K_d @ v_{i-d} with
+    v_k = sigma(u_k) * dW_k and K_d the kernel at the lag of _cell_lags, so
+    row i depends on noise rows < i only.
 
     When sigma is constant (sigma.constant is set), v does not depend on u, so
     every requested cell is a fixed linear map of the noise, a causal
     convolution in time: only the kernel rows K_d[columns, :] are built, and
-    the sum over d is formed by FFT (see _fft_rows_field).  The result is the
-    direct lag sum up to rounding, at about p/m of the full field's work.
-    There causality holds to rounding: later noise rows move row i by a few
-    ulps of max|u|, never more.
+    the sum over d is formed by FFT (see _fft_rows_field), one replicate at
+    a time, so a replicate's path does not depend on the replicate count.
+    The result is the direct lag sum up to rounding, at about p/m of the
+    full field's work.  There causality holds to rounding: later noise rows
+    move row i by a few ulps of max|u|, never more.
 
     Otherwise sigma needs the whole previous row, and the lag sum is carried
     by the heat semigroup: the history S_i = sum over d >= 2 of K_d v_{i-d}
@@ -314,10 +318,12 @@ def solve_field_batch(
     and the requested columns are kept.
 
     If report is given it receives noise_mib (the increments held at once:
-    the whole array, or a stream's NoiseRows.nbytes), rows_per_step (the
-    distinct requested cells, at least two, or m), kernel_stack ("fft" or
-    "semigroup"), stack_mib (the kernel and transform arrays held at once:
-    for the semigroup path, the stored blocks) and, for the semigroup path,
+    the whole array, or a stream's nbytes, NoiseRows' row blocks or
+    NoiseReplicates' one replicate), rows_per_step (the distinct requested
+    cells, at least two, or m), kernel_stack ("fft" or "semigroup"),
+    stack_mib (the kernel and transform arrays held at once: for the FFT
+    product, khat and one replicate's transform; for the semigroup path, the
+    stored blocks) and, for the semigroup path,
     semigroup_gap and band_fraction (the entries the blocks store over the
     three operators' dense size).
     Raises NonFiniteFieldError naming the first offending (time row, grid
@@ -326,7 +332,12 @@ def solve_field_batch(
     if isinstance(increments, NoiseRows):
         if sigma.constant is not None:
             raise ValueError("the constant-sigma FFT product reads every noise row at once: "
-                             "pass the (n, m, R) array, not a NoiseRows stream")
+                             "pass the (n, m, R) array or a NoiseReplicates, not a NoiseRows")
+        dW, squeeze = increments, False
+    elif isinstance(increments, NoiseReplicates):
+        if sigma.constant is None:
+            raise ValueError("the semigroup recursion reads every replicate at each step: "
+                             "pass the (n, m, R) array or a NoiseRows, not a NoiseReplicates")
         dW, squeeze = increments, False
     else:
         dW = np.asarray(increments, dtype=float)
@@ -390,42 +401,51 @@ def _fft_rows_field(kernel, grid, c, dW, cols, report):
     With a_k = K_{k+1}[rows, :] the sum is u_{i+1} = (a * v)_i, a linear
     convolution over k, i = 0..n-1.  Both sequences are zero-padded to 2n
     before rfft, so the circular product leaves no wrap-around in the first
-    n outputs.  Source cells are taken FFT_BLOCK at a time: one evaluate call
-    gives the block's kernel rows at every lag, and the block adds
-    rfft(a) @ rfft(v) per frequency to the accumulated transform, with v
-    formed block by block.  The noise is scaled by max|dW| before the
-    transforms and the result back after, so a field that overflows does so
-    in the rows that overflow in the direct sum and not in the padded
-    transforms.
+    n outputs.  The kernel rows' transforms at every lag, khat, (n+1) x p x m
+    complex, are built once, source cells FFT_BLOCK at a time (one evaluate
+    call per block).  Then the replicates are taken one at a time, from the
+    (n, m, R) array or as a NoiseReplicates draws them: each is scaled by
+    its own max|dW|, transformed, multiplied by khat per frequency,
+    transformed back, scaled back and checked, so a replicate's path does
+    not depend on the others, and a field that overflows does so in the rows
+    that overflow in the direct sum and not in the padded transforms.  khat
+    is allocated before any array of length n, so a grid past memory is
+    refused before any page is touched.
     """
     n, m, r = dW.shape
     rows, pick = np.unique(cols, return_inverse=True)
     if len(rows) == 1:
-        # A lone cell is solved twice over: numpy runs a one-row matmul
-        # through gemv, whose sums round unlike gemm's, so its path would
+        # A lone cell is solved twice over: numpy runs a one-row product
+        # through dot, whose sums round unlike gemv's, so its path would
         # depend on the other cells of the request.
         rows = np.repeat(rows, 2)
     p, nfft = len(rows), 2 * n
-    scale = float(max(dW.max(), -dW.min())) or 1.0
+    khat = np.empty((n + 1, p, m), dtype=complex)
     y = grid.cell_centers
-    lags = _cell_lags(grid.dt, grid.n)
-    acc = np.zeros((n + 1, p, r), dtype=complex)
+    lags = _cell_lags(grid.dt, n)
     for lo in range(0, m, FFT_BLOCK):
         block = slice(lo, min(lo + FFT_BLOCK, m))
         k_rows = kernel.evaluate(lags[:, None, None], y[None, rows, None], y[None, None, block])
-        v = dW[:, block] / scale * c
-        acc += np.fft.rfft(k_rows, nfft, axis=0) @ np.fft.rfft(v, nfft, axis=0)
-    u = np.fft.irfft(acc, nfft, axis=0)[:n] * scale
+        khat[:, :, block] = np.fft.rfft(k_rows, nfft, axis=0)
     if report is not None:
-        width = min(FFT_BLOCK, m)
-        held = (n + 1) * width * (p + r) * 16 + acc.nbytes
+        held = khat.nbytes + (n + 1) * m * 16
         report.update(rows_per_step=p, kernel_stack="fft", stack_mib=held / 2**20)
-    bad = ~np.isfinite(u).reshape(n, -1).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        _check_finite(u[i], i + 1, rows)
     out = np.zeros((n + 1, len(cols), r))
-    out[1:] = u[:, pick]
+    # Each replicate's noise is transformed as the rows of an (m, n) copy:
+    # pocketfft runs that faster than axis 0 of (n, m), with the same bits.
+    v = np.empty((m, n))
+    replicates = np.moveaxis(dW, 2, 0) if isinstance(dW, np.ndarray) else dW
+    for k, dw in enumerate(replicates):
+        scale = float(max(dw.max(), -dw.min())) or 1.0
+        np.divide(dw.T, scale, out=v)
+        v *= c
+        vhat = np.fft.rfft(v, nfft).T
+        u = np.fft.irfft(khat @ vhat[:, :, None], nfft, axis=0)[:n, :, 0] * scale
+        bad = ~np.isfinite(u).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            _check_finite(u[i], i + 1, rows)
+        out[1:, :, k] = u[:, pick]
     return out
 
 
@@ -468,14 +488,19 @@ def covariance_linear(t: float, s: float, x: float, medium: MediumParams) -> flo
     is smooth below it, so the smallest edge 2**-P lies within 2**-3 to
     2**-2 of that scale, with P at most COV_PANELS (which x = 0 uses).  The
     nodes per panel climb _ladder from COV_NODES until two levels agree to
-    1e-12 relative; raises CovarianceError past COV_MAX_NODES.
+    1e-12 relative; raises CovarianceError past COV_MAX_NODES.  The rule
+    runs at unit max(t, s), by C(l**2 t, l**2 s; l x) = l C(t, s; x), so no
+    lag it forms underflows however small t and s are.
     checks.quad_covariance is the adaptive-quadrature oracle for this function.
     """
     if t < 0 or s < 0:
         raise ValueError("times must be nonnegative")
     if min(t, s) == 0.0:
         return 0.0
-    return float(_panel_covariance(GreenKernel(medium), np.array([max(t, s)]), min(t, s), x)[0])
+    top = max(t, s)
+    root = math.sqrt(top)
+    unit = _panel_covariance(GreenKernel(medium), np.array([1.0]), min(t, s) / top, x / root, x)
+    return root * float(unit[0])
 
 
 def _ladder(level, args: tuple, nodes: int, cap: int, agree, rule: str, x) -> tuple[np.ndarray, int]:
@@ -498,11 +523,11 @@ def _ladder(level, args: tuple, nodes: int, cap: int, agree, rule: str, x) -> tu
     return values, nodes
 
 
-def _panel_covariance(kernel: GreenKernel, t: np.ndarray, s: float, x: float) -> np.ndarray:
-    """covariance_linear(t_i, s, x) for each t_i >= s > 0."""
+def _panel_covariance(kernel: GreenKernel, t: np.ndarray, s: float, x: float, at: float) -> np.ndarray:
+    """covariance_linear(t_i, s, x) for each t_i >= s > 0; a CovarianceError names the point at."""
     return _ladder(lambda t, nodes: _covariance_rule(kernel, t, s, x, nodes), (t,), COV_NODES,
                    COV_MAX_NODES, lambda new, old: np.abs(new - old) <= 1e-12 * np.abs(new),
-                   "panel", x)[0]
+                   "panel", at)[0]
 
 
 def _covariance_rule(kernel: GreenKernel, t, s: float, x: float, nodes: int):
@@ -527,21 +552,26 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> tupl
     the cell integrals over q in [c*dt, (c+1)*dt].  The diagonals are
     assembled COV_DIAGONALS at a time, straight into C, each block from its
     own cells: the first, singular at k = 0 and holding the erfc onset at
-    k >= 1, is exactly C((k+1)*dt, dt) by covariance_linear's panel rule,
+    k >= 1, is C((k+1)*dt, dt) by covariance_linear's panel rule,
     and the smooth ones c >= 1 climb _ladder from COV_CELL_NODES = 2
     Gauss-Legendre nodes (most stop at 4) until two levels agree within
     COV_CELL_TOL/n * sqrt(T/min(a1, a2)), the scale of C; past
     COV_CELL_MAX_NODES they raise CovarianceError.  A cell depends on its
     own (k, c) only, so the block width changes no bit; the build holds C
     and one block's cells.  node_level is the top level of a cell c >= 1.
+    The build runs at the unit horizon: by C(l**2 t, l**2 s; l x) =
+    l C(t, s; x) it is sqrt(T) times the matrix at times/T and x/sqrt(T), so
+    no lag it forms underflows however small T is.
     """
     times = np.asarray(times, dtype=float)
     n = len(times) - 1 if times.ndim == 1 else 0
     dt = times[-1] / n if n >= 1 else 0.0
     if not dt > 0.0 or times[0] != 0.0 or np.any(np.abs(np.diff(times) - dt) > 1e-9 * dt):
         raise ValueError("times must be a uniform 1-D grid 0 = t_0 < t_1 < ... < t_n")
+    root = math.sqrt(times[-1])
+    dt, unit_x = 1.0 / n, x / root
     kernel = GreenKernel(medium)
-    tol = COV_CELL_TOL / n * math.sqrt(times[-1] / min(medium.a1, medium.a2))
+    tol = COV_CELL_TOL / n * math.sqrt(1.0 / min(medium.a1, medium.a2))
     out = np.zeros((n + 1, n + 1))
     node_level = COV_CELL_NODES
     for k0 in range(0, n, COV_DIAGONALS):
@@ -550,8 +580,8 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> tupl
         row, cell = np.nonzero(np.add.outer(diagonals, np.arange(n - k0)) < n)
         lag, smooth = row + k0, cell > 0
         cells = np.zeros((len(diagonals), n - k0))
-        cells[:, 0] = _panel_covariance(kernel, dt * (diagonals + 1), dt, x)
-        values, nodes = _ladder(lambda k, c, nodes: _cell_rule(kernel, dt, x, k, c, nodes),
+        cells[:, 0] = _panel_covariance(kernel, dt * (diagonals + 1), dt, unit_x, x)
+        values, nodes = _ladder(lambda k, c, nodes: _cell_rule(kernel, dt, unit_x, k, c, nodes),
                                 (lag[smooth], cell[smooth]), COV_CELL_NODES, COV_CELL_MAX_NODES,
                                 lambda new, old: np.abs(new - old) <= tol, "cell", x)
         cells[row[smooth], cell[smooth]] = values
@@ -559,6 +589,7 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> tupl
         entries = np.cumsum(cells, axis=1)[row, cell]
         out[lag + cell + 1, cell + 1] = entries
         out[cell + 1, lag + cell + 1] = entries
+    out *= root
     return out, node_level
 
 

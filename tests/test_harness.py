@@ -392,6 +392,22 @@ def test_covariance_nonconvergence_exits_one_with_one_line(tmp_path, monkeypatch
     assert err.count("\n") == 1
 
 
+def test_exact_backend_at_x0_and_horizon_1e_minus_300_exits_zero(tmp_path, capsys):
+    # The covariance is built at the unit horizon and scaled by sqrt(T), so
+    # no quadrature lag underflows to 0.  The sixth increment moment does
+    # underflow, and its one row is named by the non-finite warning.
+    text = (CONFIGS / "demo_quartic.ini").read_text()
+    text = text.replace("x = 0.5", "x = 0.0").replace("T = 1.0", "T = 1e-300")
+    assert "x = 0.0" in text and "T = 1e-300" in text
+    cfg = _write(tmp_path, "c.ini", text)
+    assert main(["quartic", "--config", cfg, "--replicates", "64",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == "warning: 1 of 9 result rows have a value that is not finite\n"
+    rows = {r["statistic"]: r for r in _read_rows(tmp_path / "out" / "quartic.csv")}
+    assert float(rows["A_hat_mean"]["value"]) == pytest.approx(1.0, abs=0.05)
+    assert rows["incr_ratio6"]["value"] == "nan"
+
+
 def test_indefinite_covariance_exits_one_naming_the_pivot(tmp_path, monkeypatch, capsys):
     # No diagonal shift is tried: the first non-positive pivot is the failure.
     exact = solver.covariance_matrix
@@ -519,8 +535,9 @@ def test_convolution_paths_equal_full_field_columns(sigma, monkeypatch):
 @pytest.mark.parametrize("count", [1, 5, 64])
 @pytest.mark.parametrize("sigma", ["one", "sin1:0.5"])
 def test_chunk_worker_paths_equal_contiguous_stack_solve(sigma, count):
-    # The worker's per-replicate slabs, read through the transposed view, give
-    # the bits of a solve on the contiguous (n, m, R) stack.
+    # The worker's noise, drawn one replicate at a time for the FFT product
+    # or as a time-row stream for the semigroup recursion, gives the bits of
+    # a solve on the contiguous (n, m, R) stack.
     cfg = parse_config(MEDIUM_14 + "[grid]\nT = 1.0\nn = 8\nL = 4.0\nm = 16\n"
                        + f"[experiment]\nsigma = {sigma}\nx = 0.5\nseed = 21\n")
     grid, first, cols = cfg.grid, 3, [11, 4, 11]
@@ -534,19 +551,24 @@ def test_chunk_worker_paths_equal_contiguous_stack_solve(sigma, count):
     assert first_rep == first
     assert paths.flags.c_contiguous
     assert np.array_equal(paths, np.transpose(full, (2, 1, 0)))
+    # The stack holds every replicate's n = 8 rows; the worker, one
+    # replicate's (sigma = 1), or all n = 8 rows in its one NOISE_ROWS block.
+    assert expected_report.pop("noise_mib") == 8 * 16 * count * 8 / 2**20
+    assert report.pop("noise_mib") == 8 * 16 * (1 if sigma == "one" else count) * 8 / 2**20
     assert report == expected_report
 
 
 @pytest.mark.parametrize("sigma, held_rows", [("one", 40), ("sin1:0.5", 16)])
 def test_convolution_records_the_noise_each_chunk_held(sigma, held_rows):
-    # The FFT product holds all n = 40 rows of a chunk's noise; the semigroup
-    # recursion, NOISE_ROWS = 16 of them.
+    # The FFT product holds all n = 40 rows of one replicate's noise; the
+    # semigroup recursion, NOISE_ROWS = 16 rows of all 3 replicates.
     cfg = parse_config(MEDIUM_14 + "[grid]\nT = 1.0\nn = 40\nL = 4.0\nm = 16\n"
                        + f"[experiment]\nsigma = {sigma}\nx = 0.5\nreplicates = 3\nseed = 2\n")
     log: dict = {}
     harness._convolution_paths(cfg, cfg.grid, [11], log)
     [record] = log["convolution"]
-    assert record["noise_mib"] == held_rows * 16 * 3 * 8 / 2**20
+    held_replicates = 1 if sigma == "one" else 3
+    assert record["noise_mib"] == held_rows * 16 * held_replicates * 8 / 2**20
 
 
 def test_semigroup_chunk_holds_one_block_of_noise_rows():
@@ -554,23 +576,38 @@ def test_semigroup_chunk_holds_one_block_of_noise_rows():
     # The whole (64, 128, 256) noise would be 16 MiB; 16-row blocks are 2 MiB.
     cfg = parse_config(MEDIUM_14 + "[grid]\nT = 1.0\nn = 128\nL = 4.0\nm = 256\n"
                        + "[experiment]\nsigma = sin1:0.5\nx = 0.5\nseed = 1\n")
-    grid = cfg.grid
-    payload = (cfg.medium, grid, cfg.sigma, cfg.seed, 0, 64, [112, 128, 143])
+    assert _chunk_worker_peak(cfg, 64) < 6 * 2**20
+
+
+def test_fft_chunk_holds_one_replicate_of_noise():
+    # field-simulate-linear's chunk: n = 192, m = 256, 32 replicates, 3
+    # columns.  The whole (32, 192, 256) noise would be 12 MiB; the product
+    # holds one replicate's 0.375 MiB, next to its 2.3 MiB of kernel
+    # transforms.
+    cfg = parse_config(MEDIUM_14 + "[grid]\nT = 1.0\nn = 192\nL = 4.0\nm = 256\n"
+                       + "[experiment]\nsigma = one\nx = 0.5\nseed = 1\n")
+    assert _chunk_worker_peak(cfg, 32) < 6 * 2**20
+
+
+def _chunk_worker_peak(cfg, count):
+    """tracemalloc peak of one chunk of count replicates at the cells 112, 128 and 143."""
+    payload = (cfg.medium, cfg.grid, cfg.sigma, cfg.seed, 0, count, [112, 128, 143])
     harness._conv_chunk_worker(payload)  # warm-up: numpy's and the kernel's first-call caches
     tracemalloc.start()
     try:
         harness._conv_chunk_worker(payload)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2**20
 
 
 @pytest.mark.parametrize("sigma", ["one", "sin1:0.5"])
 def test_convolution_paths_in_a_full_chunk_do_not_depend_on_the_replicate_count(sigma):
     # demo_simulate.ini's grid at x = -0.5, 0.5: the first 64-replicate chunk
-    # is the same solve at R = 100 and R = 128.  Replicates 64..99 are solved
-    # with 36 columns against 64, and those products round differently.
+    # is the same solve at R = 100 and R = 128.  The semigroup recursion
+    # solves replicates 64..99 with 36 columns against 64, and those products
+    # round differently; the FFT product solves every replicate alone, so all
+    # 100 are the same at both counts.
     text = (MEDIUM_14 + "[grid]\nT = 1.0\nn = 32\nL = 2.0\nm = 64\n"
             + f"[experiment]\nsigma = {sigma}\nx = -0.5, 0.5\nseed = 20250601\n")
     paths = {}
@@ -578,8 +615,8 @@ def test_convolution_paths_in_a_full_chunk_do_not_depend_on_the_replicate_count(
         cfg = parse_config(text + f"replicates = {r}\n")
         grid = cfg.grid
         paths[r] = harness._convolution_paths(cfg, grid, [grid.snap(x)[0] for x in cfg.x_points], {})
-    chunk = harness.REPLICATE_CHUNK
-    assert np.array_equal(paths[100][:chunk], paths[128][:chunk])
+    same = 100 if sigma == "one" else harness.REPLICATE_CHUNK
+    assert np.array_equal(paths[100][:same], paths[128][:same])
     assert np.allclose(paths[100], paths[128][:100], rtol=0.0, atol=1e-14)
 
 
@@ -615,13 +652,13 @@ def test_summary_json_records_convolution_chunks(tmp_path, monkeypatch):
     assert main(["simulate", "--config", cfg]) == 0
     payload = json.loads((tmp_path / "out" / "simulate_summary.json").read_text())
     assert payload["exact_sampler"] == []
-    # Constant sigma: one FFT block of 32 source cells holds the kernel rows'
-    # and the noise's transforms, (n+1) x 32 x (2 rows + R) complex, next to
-    # the accumulated (n+1) x 2 x R transform.
+    # Constant sigma: the 2 rows' kernel transforms at every source cell,
+    # (n+1) x 2 x m complex, next to one replicate's (n+1) x m transform of
+    # its n x m noise.
     assert payload["convolution"] == [
         {"n": 8, "m": 32, "dx_resolved": False, "first_replicate": first, "replicates": count,
-         "noise_mib": 8 * 32 * count * 8 / 2**20, "rows_per_step": 2, "kernel_stack": "fft",
-         "stack_mib": 9 * (32 * (2 + count) + 2 * count) * 16 / 2**20}
+         "noise_mib": 8 * 32 * 8 / 2**20, "rows_per_step": 2, "kernel_stack": "fft",
+         "stack_mib": 9 * 32 * (2 + 1) * 16 / 2**20}
         for first, count in ((0, 4), (4, 1))
     ]
     big = _write(tmp_path, "big.ini", MEDIUM_14 + "[grid]\nT = 1.0\nn = 8\nL = 8.0\nm = 256\n"

@@ -9,6 +9,7 @@ import pytest
 from skewheat import (
     MediumParams,
     GridSpec,
+    NoiseReplicates,
     NoiseRows,
     sample_noise,
     sigma_one,
@@ -362,6 +363,26 @@ def test_covariance_matrix_is_scale_invariant(medium, lam2):
         assert np.max(np.abs(got / lam - ref)) <= 1e-12 * np.max(np.abs(ref)), x
 
 
+@pytest.mark.parametrize("lam2", [1e-300, 1e-200, 1e300])
+def test_covariance_at_an_extreme_horizon_is_the_unit_horizon_scaled(lam2):
+    # Both rules run at the unit horizon and scale by lam, so nothing
+    # underflows: at x = 0 and T = 1e-300 the deepest panel's smallest lag
+    # s*v**2 used to round to 0 and raise.  At most the ulp of rescaling x.
+    times, lam = np.linspace(0.0, 1.0, 65), math.sqrt(lam2)
+    for x in (0.5, 0.0, -0.3):
+        ref, ref_level = covariance_matrix(times, x, M14)
+        got, got_level = covariance_matrix(lam2 * times, lam * x, M14)
+        assert got_level == ref_level, x
+        assert np.max(np.abs(got / lam - ref)) <= 4e-16 * np.max(np.abs(ref)), x
+        assert covariance_linear(lam2, 0.5 * lam2, lam * x, M14) / lam == pytest.approx(
+            covariance_linear(1.0, 0.5, x, M14), rel=4e-16, abs=0.0), x
+
+
+def test_covariance_linear_at_x0_and_horizon_1e_minus_300():
+    assert covariance_linear(1e-300, 1e-300, 0.0, M14) == pytest.approx(
+        1e-150 * covariance_linear(1.0, 1.0, 0.0, M14), rel=4e-16, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "medium, bound",
     [(MediumParams(1, 4, 1, 1), 1e-14), (MediumParams(0.01, 100, 3, 0.2), 1e-11)],
@@ -629,12 +650,9 @@ def test_constant_sigma_columns_match_full_field(sigma, n, m, reps):
     part = solve_field_batch(M14, grid, sigma, dw, columns=cols)
     assert part.shape == (n + 1, len(cols), reps)
     assert np.array_equal(part, full[:, cols, :])
-    # One replicate alone makes every product matrix-vector (gemv), which
-    # rounds unlike the batch's gemm: the deviation is measured against the
-    # field's scale.
+    # Every replicate is solved alone, so one replicate gives its bits.
     single = solve_field_batch(M14, grid, sigma, dw[:, :, 0], columns=cols)
-    np.testing.assert_allclose(single, full[:, cols, 0], rtol=1e-13,
-                               atol=1e-14 * np.abs(full).max())
+    assert np.array_equal(single, full[:, cols, 0])
 
 
 @pytest.mark.parametrize("sigma", [sigma_one(), sigma_affine(0.0, 0.7)], ids=["one", "affine0"])
@@ -678,11 +696,11 @@ def test_column_solve_reports_kernel_path(sigma):
                           "stack_mib": (16 * 16 + 32 * 16 + 32 * 32) * 8 / 2**20,
                           "band_fraction": 1.0}
         return
-    # One FFT block (all 16 cells) of the 2 rows' and the noise's transforms,
-    # (n+1) x 16 x (2 + R) complex, and the accumulated (n+1) x 2 x R one.
+    # The 2 rows' kernel transforms at every source cell, (n+1) x 2 x m
+    # complex, and one replicate's (n+1) x m transform.
     assert report == {"noise_mib": 8 * 16 * 2 * 8 / 2**20, "rows_per_step": 2,
                       "kernel_stack": "fft",
-                      "stack_mib": 9 * (16 * (2 + 2) + 2 * 2) * 16 / 2**20}
+                      "stack_mib": 9 * 16 * (2 + 1) * 16 / 2**20}
 
 
 @pytest.mark.parametrize("sigma", [sigma_sin(0.5), sigma_affine(0.5, 1.0)], ids=["sin", "affine"])
@@ -701,10 +719,41 @@ def test_semigroup_field_from_noise_stream_equals_array_solve(sigma):
     assert from_stream == from_array
 
 
+@pytest.mark.parametrize("sigma", [sigma_one(), sigma_affine(0.0, 0.7)], ids=["one", "affine0"])
+def test_fft_product_from_noise_replicates_equals_array_solve(sigma):
+    # Each replicate is drawn only when the product reaches it, and gives the
+    # bits of the (n, m, R) array's solve.
+    grid = GridSpec(1.0, 40, 4.0, 48)
+    cols = [30, 2, 30, 47]
+    drawn = []
+
+    def draw(grid, seed, replicate):
+        drawn.append(replicate)
+        return sample_noise(grid, seed, replicate)
+
+    lazy = NoiseReplicates(grid, 43, 7, 5, draw=draw)
+    assert drawn == []
+    from_lazy, from_array = {}, {}
+    solved = solve_field_batch(M14, grid, sigma, lazy, columns=cols, report=from_lazy)
+    assert drawn == [7, 8, 9, 10, 11]
+    array = np.stack([sample_noise(grid, 43, 7 + j) for j in range(5)], axis=2)
+    whole = solve_field_batch(M14, grid, sigma, array, columns=cols, report=from_array)
+    assert np.array_equal(solved.view(np.uint64), whole.view(np.uint64))
+    assert from_lazy.pop("noise_mib") == 40 * 48 * 8 / 2**20
+    assert from_array.pop("noise_mib") == 40 * 48 * 5 * 8 / 2**20
+    assert from_lazy == from_array
+
+
 def test_fft_path_refuses_a_noise_stream():
     grid = GridSpec(1.0, 8, 4.0, 16)
     with pytest.raises(ValueError, match="reads every noise row at once"):
         solve_field_batch(M14, grid, sigma_one(), NoiseRows(grid, 1, 0, 2))
+
+
+def test_semigroup_path_refuses_noise_replicates():
+    grid = GridSpec(1.0, 8, 4.0, 16)
+    with pytest.raises(ValueError, match="reads every replicate at each step"):
+        solve_field_batch(M14, grid, sigma_sin(0.5), NoiseReplicates(grid, 1, 0, 2))
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
