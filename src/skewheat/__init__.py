@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .medium import MediumParams, position_map, tau, A_of
 from .kernel import GreenKernel, BoundConstants
-from .noise import GridSpec, NoiseReplicates, NoiseRows, sample_noise
+from .noise import GridSpec, NoiseChunk, sample_noise
 from .solver import (
     SigmaSpec,
     SolverError,
@@ -39,8 +39,7 @@ __all__ = [
     "GreenKernel",
     "BoundConstants",
     "GridSpec",
-    "NoiseReplicates",
-    "NoiseRows",
+    "NoiseChunk",
     "sample_noise",
     "SigmaSpec",
     "SolverError",

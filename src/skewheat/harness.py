@@ -14,9 +14,9 @@ seconds of both build stages (the covariance and its in-place Cholesky
 factor) and of its path sampling in the summary's `exact_sampler` block; a
 covariance that is not positive definite is a CovarianceError, with no
 regularization.  Convolution runs record, per replicate chunk, the noise
-increments it held at once (a nonlinear sigma's are drawn as the recursion
-steps, a constant sigma's one replicate at a time as the FFT product takes
-them), the rows solved per time step, the kernel path taken (the
+increments its NoiseChunk held at once (a nonlinear sigma's are drawn as
+the recursion steps, a constant sigma's one replicate at a time as the FFT
+product takes them), the rows solved per time step, the kernel path taken (the
 FFT-in-time product or the semigroup recursion), whether dx meets the
 resolution bound and, for the recursion, its one-step semigroup gap in its
 `convolution` block.
@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .medium import A_of, MediumParams
 from .kernel import GreenKernel
-from .noise import GridSpec, NoiseReplicates, NoiseRows, sample_noise, GAUSS_TRANSFORM_ID
+from .noise import GridSpec, NoiseChunk, sample_noise, GAUSS_TRANSFORM_ID
 from .solver import (
     format_sigma,
     solve_field_batch,
@@ -172,18 +172,16 @@ def _conv_chunk_worker(payload) -> tuple[int, np.ndarray, dict]:
     """Solve one fixed-size chunk of replicates; returns (first_replicate, paths, report).
 
     paths has shape (count, n_points, n+1); report is what solve_field_batch
-    says about the rows it solved and its kernel stack.  The noise is never
-    held whole: the semigroup recursion reads it as a NoiseRows stream, and
-    the constant-sigma FFT product as a NoiseReplicates, each replicate
-    drawn by this module's sample_noise as the product reaches it.
-    Everything a chunk computes is a pure function of (seed, replicate
-    index, grid, medium, sigma), so chunk scheduling cannot change results.
+    says about the rows it solved and its kernel stack.  The noise is a
+    NoiseChunk, never held whole: the semigroup recursion reads its rows,
+    REPLICATE_CHUNK columns wide in every chunk, and the constant-sigma FFT
+    product its replicates, each drawn by this module's sample_noise as the
+    product reaches it.  Everything a chunk computes is a pure function of
+    (seed, replicate index, grid, medium, sigma), so neither chunk
+    scheduling nor the replicate count can change a replicate's path.
     """
     medium, grid, sigma, seed, first_rep, count, col_indices = payload
-    if sigma.constant is None:
-        noise = NoiseRows(grid, seed, first_rep, count)
-    else:
-        noise = NoiseReplicates(grid, seed, first_rep, count, draw=sample_noise)
+    noise = NoiseChunk(grid, seed, first_rep, count, width=REPLICATE_CHUNK, draw=sample_noise)
     report: dict = {}
     u = solve_field_batch(medium, grid, sigma, noise, columns=col_indices, report=report)
     return first_rep, np.ascontiguousarray(np.transpose(u, (2, 1, 0))), report

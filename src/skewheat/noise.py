@@ -5,10 +5,9 @@ the increment of cell (k, l) is draw k*m + l of the stream keyed by (seed,
 replicate), a fixed function of (seed, replicate, k*m + l) and of nothing
 else, so the matrix is bit-identical however replicates are chunked,
 scheduled or parallelized.  A stream is read in order, so its draws carry the
-same bits whether they are taken in one call or in blocks of rows:
-NoiseRows reads a chunk's replicates NOISE_ROWS time rows at a time and
-matches sample_noise bit for bit; NoiseReplicates draws them one whole
-replicate at a time.
+same bits whether they are taken in one call or in blocks of rows: a
+NoiseChunk reads its replicates either NOISE_ROWS time rows at a time,
+matching sample_noise bit for bit, or one whole replicate at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ GAUSS_TRANSFORM_ID = "philox4x64-ziggurat-v2"
 STREAM_FIELD_NOISE = 1
 STREAM_EXACT_PATHS = 2
 
-# Time rows per replicate that NoiseRows draws at once.
+# Time rows per replicate that NoiseChunk.rows draws at once.
 NOISE_ROWS = 16
 
 
@@ -127,53 +126,46 @@ def sample_noise(grid: GridSpec, seed: int, replicate: int) -> np.ndarray:
     return z.reshape(grid.n, grid.m)
 
 
-class NoiseReplicates:
-    """The (n, m, count) increments of replicates first..first+count-1, read one replicate at a time.
+class NoiseChunk:
+    """The (n, m, count) increments of replicates first..first+count-1, drawn as a scheme reads them.
 
-    Iterating yields draw(grid, seed, first + j) for j = 0..count-1, each an
-    (n, m) array drawn only when it is asked for, so the increments held at
-    once are one replicate's, `nbytes` = 8*n*m.  draw defaults to
-    sample_noise; the harness passes its own name for it, which perfbench's
-    tracer wraps to time the draws.
+    Neither iteration holds them whole, and each call starts again from row 0
+    or replicate first.
+
+    - rows() yields the n rows k = 0..n-1 in order, each an (m, width) view
+      whose column j < count is sample_noise(grid, seed, first + j)[k], bit
+      for bit, and whose columns past count are 0.0.  width is at least
+      count, and count by default.  Each replicate's stream is drawn `block` = min(NOISE_ROWS, n)
+      time rows at a time into one (width, block, m) buffer of
+      `rows_nbytes`; a row holds until its stream draws the next block over
+      it: copy a row to keep it.
+    - replicates() yields draw(grid, seed, first + j) for j = 0..count-1,
+      each an (n, m) array drawn only when it is asked for.  draw defaults
+      to sample_noise; the harness passes its own name for it, which
+      perfbench's tracer wraps to time the draws.
     """
 
-    def __init__(self, grid: GridSpec, seed: int, first: int, count: int, draw=sample_noise):
+    def __init__(self, grid: GridSpec, seed: int, first: int, count: int,
+                 width: int | None = None, draw=sample_noise):
         self.grid, self.seed, self.first, self.count, self.draw = grid, seed, first, count, draw
+        self.width = count if width is None else width
         self.shape = (grid.n, grid.m, count)
-        self.nbytes = 8 * grid.n * grid.m
+        self.block = min(NOISE_ROWS, grid.n)
+        self.rows_nbytes = 8 * self.width * self.block * grid.m
 
-    def __iter__(self):
-        for j in range(self.count):
-            yield self.draw(self.grid, self.seed, self.first + j)
-
-
-class NoiseRows:
-    """The (n, m, count) increments of replicates first..first+count-1, read one time row at a time.
-
-    Iterating yields the n rows k = 0..n-1 in order, each an (m, count)
-    array whose column j is sample_noise(grid, seed, first + j)[k], bit for
-    bit.  Each replicate's stream is drawn `rows` = min(NOISE_ROWS, n) time
-    rows at a time into one (count, rows, m) buffer, so the increments held
-    at once are `nbytes`, not 8*n*m*count bytes.  A row is a view of that
-    buffer and holds until the stream draws its next block: copy a row to
-    keep it.  Iterating again starts again from row 0.
-    """
-
-    def __init__(self, grid: GridSpec, seed: int, first: int, count: int):
-        self.grid, self.seed, self.first, self.count = grid, seed, first, count
-        self.shape = (grid.n, grid.m, count)
-        self.rows = min(NOISE_ROWS, grid.n)
-        self.nbytes = 8 * count * self.rows * grid.m
-
-    def __iter__(self):
+    def rows(self):
         n, scale = self.grid.n, math.sqrt(self.grid.dt * self.grid.dx)
         streams = [_stream(self.seed, self.first + j, STREAM_FIELD_NOISE)
                    for j in range(self.count)]
-        block = np.empty((self.count, self.rows, self.grid.m))
-        for k0 in range(0, n, self.rows):
-            rows = min(self.rows, n - k0)
+        block = np.zeros((self.width, self.block, self.grid.m))
+        for k0 in range(0, n, self.block):
+            rows = min(self.block, n - k0)
             for j, stream in enumerate(streams):
                 stream.standard_normal(out=block[j, :rows])
-            block[:, :rows] *= scale
+            block[:self.count, :rows] *= scale
             for k in range(rows):
                 yield block[:, k].T
+
+    def replicates(self):
+        for j in range(self.count):
+            yield self.draw(self.grid, self.seed, self.first + j)

@@ -29,8 +29,7 @@ import numpy as np
 
 from .medium import MediumParams, position_map
 from .kernel import GreenKernel
-from .noise import (GridSpec, NoiseReplicates, NoiseRows, standard_normals, position_subkey,
-                    STREAM_EXACT_PATHS)
+from .noise import GridSpec, NoiseChunk, standard_normals, position_subkey, STREAM_EXACT_PATHS
 
 # Source cells per FFT block of the constant-sigma product.
 FFT_BLOCK = 32
@@ -277,19 +276,19 @@ def solve_field_batch(
     medium: MediumParams,
     grid: GridSpec,
     sigma: SigmaSpec,
-    increments: np.ndarray | NoiseRows | NoiseReplicates,
+    increments: np.ndarray | NoiseChunk,
     columns: list[int] | np.ndarray | None = None,
     report: dict | None = None,
 ) -> np.ndarray:
     """Run the field scheme for a batch of noise replicates.
 
-    increments is an (n, m) or (n, m, R) array; or, for a nonlinear sigma,
-    a noise.NoiseRows stream of the (n, m, R) increments, which the
-    semigroup recursion reads one time row per step without holding them
-    all; or, for a constant sigma, a noise.NoiseReplicates, which the FFT
-    product reads one replicate at a time.  The result has shape (n+1, p)
-    or (n+1, p, R) with row 0 identically zero, where p is the number of
-    requested cell indices in columns (default: all m cells, in grid order).
+    increments is an (n, m) or (n, m, R) array, or a noise.NoiseChunk of
+    the (n, m, R) increments, which the semigroup recursion reads through
+    rows(), one time row per step, and the FFT product through
+    replicates(), one replicate at a time, neither holding them all.  The
+    result has shape (n+1, p) or (n+1, p, R) with row 0 identically zero,
+    where p is the number of requested cell indices in columns (default:
+    all m cells, in grid order).
     The scheme is u_i = sum over d of K_d @ v_{i-d} with
     v_k = sigma(u_k) * dW_k and K_d the kernel at the lag of _cell_lags, so
     row i depends on noise rows < i only.
@@ -318,9 +317,9 @@ def solve_field_batch(
     and the requested columns are kept.
 
     If report is given it receives noise_mib (the increments held at once:
-    the whole array, or a stream's nbytes, NoiseRows' row blocks or
-    NoiseReplicates' one replicate), rows_per_step (the distinct requested
-    cells, at least two, or m), kernel_stack ("fft" or "semigroup"),
+    the whole array, or a NoiseChunk's row blocks or one replicate),
+    rows_per_step (the distinct requested cells, at least two, or m),
+    kernel_stack ("fft" or "semigroup"),
     stack_mib (the kernel and transform arrays held at once: for the FFT
     product, khat and one replicate's transform; for the semigroup path, the
     stored blocks) and, for the semigroup path,
@@ -329,15 +328,7 @@ def solve_field_batch(
     Raises NonFiniteFieldError naming the first offending (time row, grid
     cell) if the field overflows.
     """
-    if isinstance(increments, NoiseRows):
-        if sigma.constant is not None:
-            raise ValueError("the constant-sigma FFT product reads every noise row at once: "
-                             "pass the (n, m, R) array or a NoiseReplicates, not a NoiseRows")
-        dW, squeeze = increments, False
-    elif isinstance(increments, NoiseReplicates):
-        if sigma.constant is None:
-            raise ValueError("the semigroup recursion reads every replicate at each step: "
-                             "pass the (n, m, R) array or a NoiseRows, not a NoiseReplicates")
+    if isinstance(increments, NoiseChunk):
         dW, squeeze = increments, False
     else:
         dW = np.asarray(increments, dtype=float)
@@ -352,8 +343,6 @@ def solve_field_batch(
     cols = np.arange(m) if columns is None else np.asarray(columns, dtype=np.intp)
     if cols.ndim != 1 or np.any((cols < 0) | (cols >= m)):
         raise ValueError(f"columns must be cell indices in [0, {m}), got {columns!r}")
-    if report is not None:
-        report["noise_mib"] = dW.nbytes / 2**20
     kernel = GreenKernel(medium)
     if sigma.constant is None:
         out = _semigroup_field(kernel, grid, sigma, dW, cols, report)
@@ -365,29 +354,37 @@ def solve_field_batch(
 def _semigroup_field(kernel, grid, sigma, dW, cols, report):
     """Nonlinear sigma: the semigroup recursion over all m cells, columns cols kept.
 
-    dW is an (n, m, R) array or NoiseRows stream; step i reads its row i-1
-    only, in time order, so a stream is never held whole.  Each step applies
-    the three banded operators one gemm per row block, into buffers
-    allocated once.
+    dW is an (n, m, R) array or a NoiseChunk; step i reads its row i-1
+    only, in time order, so a chunk's rows are never held whole.  A chunk's
+    rows are its width wide, the columns past its R replicates zero noise,
+    so that a replicate is solved in gemms of the same width in every chunk
+    and its path does not depend on the replicate count; those columns stay
+    exactly zero and are not returned.  Each step applies the three banded
+    operators one gemm per row block, into buffers allocated once.
     """
-    n, m, r = dW.shape
+    n, m, count = dW.shape
+    if isinstance(dW, np.ndarray):
+        rows, r, noise_bytes = dW, count, dW.nbytes
+    else:
+        rows, r, noise_bytes = dW.rows(), dW.width, dW.rows_nbytes
     newest, history, step, gap = _semigroup_operators(kernel, grid)
     padded = m + 2 * (m // 2)
     if report is not None:
         stored = sum(a.size for op in (newest, history, step) for _, _, _, a in op)
-        report.update(rows_per_step=m, kernel_stack="semigroup", stack_mib=8 * stored / 2**20,
-                      semigroup_gap=gap, band_fraction=stored / (m * m + padded * m + padded**2))
+        report.update(noise_mib=noise_bytes / 2**20, rows_per_step=m, kernel_stack="semigroup",
+                      stack_mib=8 * stored / 2**20, semigroup_gap=gap,
+                      band_fraction=stored / (m * m + padded * m + padded**2))
     inner, cells = slice(m // 2, m // 2 + m), np.arange(m)
-    out = np.zeros((n + 1, len(cols), r))
+    out = np.zeros((n + 1, len(cols), count))
     u, v = np.zeros((m, r)), np.empty((m, r))
     hist, nxt = np.zeros((padded, r)), np.empty((padded, r))
     scratch = np.empty((BAND_BLOCK, r))
-    for i, dw in enumerate(dW, 1):
+    for i, dw in enumerate(rows, 1):
         np.multiply(sigma.evaluate(u), dw, out=v)
         _band_matmul(newest, v, u)
         u += hist[inner]
         _check_finite(u, i, cells)
-        out[i] = u[cols]
+        out[i] = u[cols, :count]
         if i < n:
             _band_matmul(step, hist, nxt)
             _band_matmul(history, v, nxt, scratch)
@@ -404,11 +401,12 @@ def _fft_rows_field(kernel, grid, c, dW, cols, report):
     n outputs.  The kernel rows' transforms at every lag, khat, (n+1) x p x m
     complex, are built once, source cells FFT_BLOCK at a time (one evaluate
     call per block).  Then the replicates are taken one at a time, from the
-    (n, m, R) array or as a NoiseReplicates draws them: each is scaled by
-    its own max|dW|, transformed, multiplied by khat per frequency,
-    transformed back, scaled back and checked, so a replicate's path does
-    not depend on the others, and a field that overflows does so in the rows
-    that overflow in the direct sum and not in the padded transforms.  khat
+    (n, m, R) array or as a NoiseChunk's replicates() draws them: each is
+    scaled by its own max|dW|, transformed, multiplied by khat per
+    frequency, transformed back, scaled back and checked, so a replicate's
+    path does not depend on the others, and a field that overflows does so
+    in the rows that overflow in the direct sum and not in the padded
+    transforms.  khat
     is allocated before any array of length n, so a grid past memory is
     refused before any page is touched.
     """
@@ -427,14 +425,18 @@ def _fft_rows_field(kernel, grid, c, dW, cols, report):
         block = slice(lo, min(lo + FFT_BLOCK, m))
         k_rows = kernel.evaluate(lags[:, None, None], y[None, rows, None], y[None, None, block])
         khat[:, :, block] = np.fft.rfft(k_rows, nfft, axis=0)
+    if isinstance(dW, np.ndarray):
+        replicates, noise_bytes = np.moveaxis(dW, 2, 0), dW.nbytes
+    else:
+        replicates, noise_bytes = dW.replicates(), 8 * n * m
     if report is not None:
         held = khat.nbytes + (n + 1) * m * 16
-        report.update(rows_per_step=p, kernel_stack="fft", stack_mib=held / 2**20)
+        report.update(noise_mib=noise_bytes / 2**20, rows_per_step=p, kernel_stack="fft",
+                      stack_mib=held / 2**20)
     out = np.zeros((n + 1, len(cols), r))
     # Each replicate's noise is transformed as the rows of an (m, n) copy:
     # pocketfft runs that faster than axis 0 of (n, m), with the same bits.
     v = np.empty((m, n))
-    replicates = np.moveaxis(dW, 2, 0) if isinstance(dW, np.ndarray) else dW
     for k, dw in enumerate(replicates):
         scale = float(max(dw.max(), -dw.min())) or 1.0
         np.divide(dw.T, scale, out=v)

@@ -519,13 +519,15 @@ def test_convolution_paths_equal_full_field_columns(sigma, monkeypatch):
     cols = [grid.snap(x)[0] for x in (0.5, -0.5, 0.5)]  # a cell asked for twice
     log = {}
     paths = harness._convolution_paths(cfg, grid, cols, log)
-    # Full-field reference, solved in the same fixed chunks of 3 replicates.
-    full = np.concatenate([
-        solver.solve_field_batch(cfg.medium, grid, cfg.sigma, np.stack(
-            [sample_noise(grid, cfg.seed, r) for r in range(first, min(first + 3, 7))],
-            axis=2))
-        for first in (0, 3, 6)
-    ], axis=2)
+    # Full-field reference, solved in the same fixed chunks of 3 replicates,
+    # the last one's 1 replicate padded with 2 of zero noise.
+    def chunk(first):
+        noise = np.zeros((grid.n, grid.m, 3))
+        for k, r in enumerate(range(first, min(first + 3, 7))):
+            noise[:, :, k] = sample_noise(grid, cfg.seed, r)
+        return solver.solve_field_batch(cfg.medium, grid, cfg.sigma, noise)
+
+    full = np.concatenate([chunk(first) for first in (0, 3, 6)], axis=2)[:, :, :7]
     assert np.array_equal(paths, np.transpose(full[:, cols, :], (2, 1, 0)))
     rows = 2 if sigma == "one" else 24
     assert [(r["first_replicate"], r["replicates"], r["rows_per_step"]) for r in log["convolution"]] \
@@ -536,39 +538,45 @@ def test_convolution_paths_equal_full_field_columns(sigma, monkeypatch):
 @pytest.mark.parametrize("sigma", ["one", "sin1:0.5"])
 def test_chunk_worker_paths_equal_contiguous_stack_solve(sigma, count):
     # The worker's noise, drawn one replicate at a time for the FFT product
-    # or as a time-row stream for the semigroup recursion, gives the bits of
-    # a solve on the contiguous (n, m, R) stack.
+    # or as REPLICATE_CHUNK-wide time rows for the semigroup recursion, gives
+    # the bits of a solve on the contiguous (n, m, REPLICATE_CHUNK) stack,
+    # its columns past count zero noise.
     cfg = parse_config(MEDIUM_14 + "[grid]\nT = 1.0\nn = 8\nL = 4.0\nm = 16\n"
                        + f"[experiment]\nsigma = {sigma}\nx = 0.5\nseed = 21\n")
     grid, first, cols = cfg.grid, 3, [11, 4, 11]
     sig = solver.parse_sigma(sigma)
     first_rep, paths, report = harness._conv_chunk_worker(
         (cfg.medium, grid, sig, cfg.seed, first, count, cols))
-    stack = np.stack([sample_noise(grid, cfg.seed, first + k) for k in range(count)], axis=2)
+    width = harness.REPLICATE_CHUNK
+    stack = np.zeros((grid.n, grid.m, width))
+    stack[:, :, :count] = np.stack([sample_noise(grid, cfg.seed, first + k)
+                                    for k in range(count)], axis=2)
     expected_report: dict = {}
     full = solver.solve_field_batch(cfg.medium, grid, sig, stack, columns=cols,
                                     report=expected_report)
     assert first_rep == first
     assert paths.flags.c_contiguous
-    assert np.array_equal(paths, np.transpose(full, (2, 1, 0)))
-    # The stack holds every replicate's n = 8 rows; the worker, one
+    assert np.array_equal(paths, np.transpose(full[:, :, :count], (2, 1, 0)))
+    # The stack holds every column's n = 8 rows; the worker, one
     # replicate's (sigma = 1), or all n = 8 rows in its one NOISE_ROWS block.
-    assert expected_report.pop("noise_mib") == 8 * 16 * count * 8 / 2**20
-    assert report.pop("noise_mib") == 8 * 16 * (1 if sigma == "one" else count) * 8 / 2**20
+    assert expected_report.pop("noise_mib") == 8 * 16 * width * 8 / 2**20
+    assert report.pop("noise_mib") == 8 * 16 * (1 if sigma == "one" else width) * 8 / 2**20
     assert report == expected_report
 
 
 @pytest.mark.parametrize("sigma, held_rows", [("one", 40), ("sin1:0.5", 16)])
 def test_convolution_records_the_noise_each_chunk_held(sigma, held_rows):
     # The FFT product holds all n = 40 rows of one replicate's noise; the
-    # semigroup recursion, NOISE_ROWS = 16 rows of all 3 replicates.
+    # semigroup recursion, NOISE_ROWS = 16 rows of the chunk's 64 columns,
+    # 3 replicates and 61 of zero noise.
     cfg = parse_config(MEDIUM_14 + "[grid]\nT = 1.0\nn = 40\nL = 4.0\nm = 16\n"
                        + f"[experiment]\nsigma = {sigma}\nx = 0.5\nreplicates = 3\nseed = 2\n")
     log: dict = {}
     harness._convolution_paths(cfg, cfg.grid, [11], log)
     [record] = log["convolution"]
-    held_replicates = 1 if sigma == "one" else 3
-    assert record["noise_mib"] == held_rows * 16 * held_replicates * 8 / 2**20
+    held_columns = 1 if sigma == "one" else harness.REPLICATE_CHUNK
+    assert record["replicates"] == 3
+    assert record["noise_mib"] == held_rows * 16 * held_columns * 8 / 2**20
 
 
 def test_semigroup_chunk_holds_one_block_of_noise_rows():
@@ -602,12 +610,11 @@ def _chunk_worker_peak(cfg, count):
 
 
 @pytest.mark.parametrize("sigma", ["one", "sin1:0.5"])
-def test_convolution_paths_in_a_full_chunk_do_not_depend_on_the_replicate_count(sigma):
-    # demo_simulate.ini's grid at x = -0.5, 0.5: the first 64-replicate chunk
-    # is the same solve at R = 100 and R = 128.  The semigroup recursion
-    # solves replicates 64..99 with 36 columns against 64, and those products
-    # round differently; the FFT product solves every replicate alone, so all
-    # 100 are the same at both counts.
+def test_convolution_paths_do_not_depend_on_the_replicate_count(sigma):
+    # demo_simulate.ini's grid at x = -0.5, 0.5: all 100 replicates' paths
+    # are the same at R = 100 and R = 128.  The FFT product solves every
+    # replicate alone; the semigroup recursion solves replicates 64..99 in
+    # a 64-column chunk at both counts, at R = 100 with 28 of zero noise.
     text = (MEDIUM_14 + "[grid]\nT = 1.0\nn = 32\nL = 2.0\nm = 64\n"
             + f"[experiment]\nsigma = {sigma}\nx = -0.5, 0.5\nseed = 20250601\n")
     paths = {}
@@ -615,9 +622,7 @@ def test_convolution_paths_in_a_full_chunk_do_not_depend_on_the_replicate_count(
         cfg = parse_config(text + f"replicates = {r}\n")
         grid = cfg.grid
         paths[r] = harness._convolution_paths(cfg, grid, [grid.snap(x)[0] for x in cfg.x_points], {})
-    same = 100 if sigma == "one" else harness.REPLICATE_CHUNK
-    assert np.array_equal(paths[100][:same], paths[128][:same])
-    assert np.allclose(paths[100], paths[128][:100], rtol=0.0, atol=1e-14)
+    assert np.array_equal(paths[100].view(np.uint64), paths[128][:100].view(np.uint64))
 
 
 def test_csv_rows_are_one_template_per_file(tmp_path):
@@ -672,8 +677,10 @@ def test_summary_json_records_convolution_chunks(tmp_path, monkeypatch):
     [record] = payload["convolution"]
     assert (record["rows_per_step"], record["kernel_stack"], record["dx_resolved"]) \
         == (256, "semigroup", True)
-    # n = 8 time rows fit in one NOISE_ROWS block: the stream holds them all.
-    assert record["noise_mib"] == 8 * 256 * 2 * 8 / 2**20
+    # n = 8 time rows fit in one NOISE_ROWS block: the chunk holds them all,
+    # for its 2 replicates and 2 columns of zero noise (REPLICATE_CHUNK = 4).
+    assert record["replicates"] == 2
+    assert record["noise_mib"] == 8 * 256 * 4 * 8 / 2**20
     resolved = load_config(big)
     ops = solver._semigroup_operators(kernel.GreenKernel(resolved.medium), resolved.grid)
     stored = sum(a.size for op in ops[:3] for _, _, _, a in op)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from skewheat import GridSpec, NoiseRows, noise, sample_noise
+from skewheat import GridSpec, NoiseChunk, noise, sample_noise
 from skewheat.kernel import _erfc
 from skewheat.noise import (
     GAUSS_TRANSFORM_ID,
@@ -212,22 +212,38 @@ def test_standard_normals_prefix_is_chunk_invariant_property():
 @pytest.mark.parametrize("block", [1, 7, "n"])
 def test_noise_rows_equal_sample_noise_bit_for_bit(monkeypatch, block, first):
     # 20 rows in blocks of 1, of 7 (the last one partial) and of all n, for
-    # replicates at both ends of the 64-bit key range.
+    # replicates at both ends of the 64-bit key range, in rows 5 columns
+    # wide: the 3 replicates' and 2 of zero noise, whose streams are never
+    # keyed (at the top of the range their keys would pass 2**64).
     grid = GridSpec(T=1.0, n=20, L=2.0, m=6)
     monkeypatch.setattr(noise, "NOISE_ROWS", grid.n if block == "n" else block)
-    stream = NoiseRows(grid, 9, first, 3)
-    rows = [row.copy() for row in stream]
+    chunk = NoiseChunk(grid, 9, first, 3, width=5)
+    rows = np.stack([row.copy() for row in chunk.rows()])
     whole = np.stack([sample_noise(grid, 9, first + j) for j in range(3)], axis=2)
-    assert stream.shape == whole.shape
-    assert np.array_equal(np.stack(rows).view(np.uint64), whole.view(np.uint64))
-    assert stream.nbytes == 8 * 3 * stream.rows * 6 == 8 * 3 * min(noise.NOISE_ROWS, 20) * 6
-    # Iterating again starts again from row 0.
-    assert np.array_equal(next(iter(stream)), whole[0])
+    assert chunk.shape == whole.shape and rows.shape == (20, 6, 5)
+    assert np.array_equal(rows[:, :, :3].view(np.uint64), whole.view(np.uint64))
+    assert not rows[:, :, 3:].view(np.uint64).any()  # exactly 0.0, not -0.0
+    assert chunk.rows_nbytes == 8 * 5 * chunk.block * 6 == 8 * 5 * min(noise.NOISE_ROWS, 20) * 6
+    # Each call starts again from row 0.
+    assert np.array_equal(next(chunk.rows())[:, :3], whole[0])
+
+
+@pytest.mark.parametrize("first", [0, 2**64 - 3])
+def test_noise_chunk_replicates_equal_sample_noise_bit_for_bit(first):
+    grid = GridSpec(T=1.0, n=20, L=2.0, m=6)
+    chunk = NoiseChunk(grid, 9, first, 3, width=5)
+    whole = [sample_noise(grid, 9, first + j) for j in range(3)]
+    replicates = list(chunk.replicates())
+    assert len(replicates) == 3
+    assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+               for a, b in zip(replicates, whole))
+    # Each call starts again from replicate first.
+    assert np.array_equal(next(chunk.replicates()), whole[0])
 
 
 def test_noise_rows_reuse_one_block_buffer(monkeypatch):
     # Row 4 opens the second 4-row block, drawn over the first one.
     monkeypatch.setattr(noise, "NOISE_ROWS", 4)
-    rows = list(NoiseRows(GridSpec(T=1.0, n=10, L=2.0, m=5), 1, 0, 2))
+    rows = list(NoiseChunk(GridSpec(T=1.0, n=10, L=2.0, m=5), 1, 0, 2, width=3).rows())
     assert np.shares_memory(rows[0], rows[4]) and np.shares_memory(rows[0], rows[8])
     assert not np.shares_memory(rows[0], rows[1])

@@ -9,8 +9,7 @@ import pytest
 from skewheat import (
     MediumParams,
     GridSpec,
-    NoiseReplicates,
-    NoiseRows,
+    NoiseChunk,
     sample_noise,
     sigma_one,
     sigma_affine,
@@ -705,24 +704,30 @@ def test_column_solve_reports_kernel_path(sigma):
 
 @pytest.mark.parametrize("sigma", [sigma_sin(0.5), sigma_affine(0.5, 1.0)], ids=["sin", "affine"])
 def test_semigroup_field_from_noise_stream_equals_array_solve(sigma):
-    # n = 40 rows are read in 16-row blocks, the last one partial.
+    # n = 40 rows are read in 16-row blocks, the last one partial, 8 columns
+    # wide: 5 replicates and 3 of zero noise.  The 5 paths are the bits of
+    # the solve of the zero-padded (n, m, 8) array, and the padding's are
+    # not returned.
     grid = GridSpec(1.0, 40, 4.0, 48)
     cols = [30, 2, 30, 47]
-    stream = NoiseRows(grid, 43, 7, 5)
+    chunk = NoiseChunk(grid, 43, 7, 5, width=8)
     from_stream, from_array = {}, {}
-    streamed = solve_field_batch(M14, grid, sigma, stream, columns=cols, report=from_stream)
-    array = np.stack([sample_noise(grid, 43, 7 + j) for j in range(5)], axis=2)
+    streamed = solve_field_batch(M14, grid, sigma, chunk, columns=cols, report=from_stream)
+    array = np.zeros((40, 48, 8))
+    array[:, :, :5] = np.stack([sample_noise(grid, 43, 7 + j) for j in range(5)], axis=2)
     whole = solve_field_batch(M14, grid, sigma, array, columns=cols, report=from_array)
-    assert np.array_equal(streamed.view(np.uint64), whole.view(np.uint64))
-    assert from_stream.pop("noise_mib") == 16 * 48 * 5 * 8 / 2**20
-    assert from_array.pop("noise_mib") == 40 * 48 * 5 * 8 / 2**20
+    assert streamed.shape == (41, 4, 5) and not whole[:, :, 5:].any()
+    assert np.array_equal(streamed.view(np.uint64), whole[:, :, :5].view(np.uint64))
+    assert from_stream.pop("noise_mib") == 16 * 48 * 8 * 8 / 2**20
+    assert from_array.pop("noise_mib") == 40 * 48 * 8 * 8 / 2**20
     assert from_stream == from_array
 
 
 @pytest.mark.parametrize("sigma", [sigma_one(), sigma_affine(0.0, 0.7)], ids=["one", "affine0"])
 def test_fft_product_from_noise_replicates_equals_array_solve(sigma):
     # Each replicate is drawn only when the product reaches it, and gives the
-    # bits of the (n, m, R) array's solve.
+    # bits of the (n, m, R) array's solve.  The rows' width plays no part:
+    # only the chunk's 5 replicates are drawn and solved.
     grid = GridSpec(1.0, 40, 4.0, 48)
     cols = [30, 2, 30, 47]
     drawn = []
@@ -731,7 +736,7 @@ def test_fft_product_from_noise_replicates_equals_array_solve(sigma):
         drawn.append(replicate)
         return sample_noise(grid, seed, replicate)
 
-    lazy = NoiseReplicates(grid, 43, 7, 5, draw=draw)
+    lazy = NoiseChunk(grid, 43, 7, 5, width=8, draw=draw)
     assert drawn == []
     from_lazy, from_array = {}, {}
     solved = solve_field_batch(M14, grid, sigma, lazy, columns=cols, report=from_lazy)
@@ -742,18 +747,6 @@ def test_fft_product_from_noise_replicates_equals_array_solve(sigma):
     assert from_lazy.pop("noise_mib") == 40 * 48 * 8 / 2**20
     assert from_array.pop("noise_mib") == 40 * 48 * 5 * 8 / 2**20
     assert from_lazy == from_array
-
-
-def test_fft_path_refuses_a_noise_stream():
-    grid = GridSpec(1.0, 8, 4.0, 16)
-    with pytest.raises(ValueError, match="reads every noise row at once"):
-        solve_field_batch(M14, grid, sigma_one(), NoiseRows(grid, 1, 0, 2))
-
-
-def test_semigroup_path_refuses_noise_replicates():
-    grid = GridSpec(1.0, 8, 4.0, 16)
-    with pytest.raises(ValueError, match="reads every replicate at each step"):
-        solve_field_batch(M14, grid, sigma_sin(0.5), NoiseReplicates(grid, 1, 0, 2))
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
