@@ -45,7 +45,8 @@ from .solver import (
     ExactLinearSampler,
     NEWEST_LAG,
 )
-from .stats import PointStats, point_statistics, averaged_points, averaged_statistics
+from .stats import PointAccumulator, PointStats, averaged_points, averaged_statistics
+from .stats import point_statistics  # noqa: F401  (the traced benchmark run hooks it by name)
 from .config import ExperimentConfig, ConfigError, config_sha256, FORMAT_VERSION
 from . import checks
 
@@ -187,12 +188,12 @@ def _conv_chunk_worker(payload) -> tuple[int, np.ndarray, dict]:
     return first_rep, np.ascontiguousarray(np.transpose(u, (2, 1, 0))), report
 
 
-def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, cols: list[int],
-                       log: dict) -> np.ndarray:
-    """Paths at the cells with indices cols, shape (R, len(cols), n+1).
+def _convolution_blocks(cfg: ExperimentConfig, grid: GridSpec, cols: list[int], log: dict):
+    """Yield (j, first, rows): the (count, n+1) paths of replicates first.. at the cell cols[j].
 
-    Appends one record per replicate chunk to log["convolution"]: the
-    solver's report plus dx_resolved, whether dx <= dx_bound.
+    Chunks are solved one at a time at one worker, else taken as pool.map
+    returns them.  Appends one record per chunk to log["convolution"] as it
+    comes: the solver's report plus dx_resolved, whether dx <= dx_bound.
     """
     payloads = []
     first = 0
@@ -200,36 +201,40 @@ def _convolution_paths(cfg: ExperimentConfig, grid: GridSpec, cols: list[int],
         count = min(REPLICATE_CHUNK, cfg.replicates - first)
         payloads.append((cfg.medium, grid, cfg.sigma, cfg.seed, first, count, cols))
         first += count
-    if cfg.workers <= 1 or len(payloads) <= 1:
-        results = [_conv_chunk_worker(p) for p in payloads]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # deferred: slow to import, unused by one worker
-
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(payloads))) as pool:
-            results = list(pool.map(_conv_chunk_worker, payloads))
-    out = np.empty((cfg.replicates, len(cols), grid.n + 1))
     records = log.setdefault("convolution", [])
     resolved = grid.dx <= dx_bound(cfg.medium, grid)
-    for first_rep, block, report in results:
-        out[first_rep : first_rep + block.shape[0]] = block
-        records.append({"n": grid.n, "m": grid.m, "dx_resolved": resolved,
-                        "first_replicate": first_rep, "replicates": block.shape[0], **report})
-    return out
+
+    def blocks(results):
+        for first_rep, chunk, report in results:
+            records.append({"n": grid.n, "m": grid.m, "dx_resolved": resolved,
+                            "first_replicate": first_rep, "replicates": chunk.shape[0], **report})
+            for j in range(len(cols)):
+                yield j, first_rep, chunk[:, j]
+
+    if cfg.workers <= 1 or len(payloads) <= 1:
+        yield from blocks(map(_conv_chunk_worker, payloads))
+        return
+    from concurrent.futures import ProcessPoolExecutor  # deferred: slow to import, unused by one worker
+
+    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(payloads))) as pool:
+        yield from blocks(pool.map(_conv_chunk_worker, payloads))
 
 
 def _point_paths(cfg: ExperimentConfig, log: dict, grid: GridSpec, points):
-    """Paths at the given distinct points on grid: (effective points, paths).
+    """Paths at the given distinct points on grid: (effective points, blocks).
 
-    paths has shape (R, len(points), n+1).  A config without observation
-    points is a ConfigError.  On the convolution backend the points are
-    snapped to cell centers, and a point outside [-L, L] is a ConfigError
-    raised before any solve.  What the backend did is appended
-    to log: one record per replicate chunk under "convolution", or one
-    record per exact sampler under "exact_sampler" (quadrature node level,
-    and the wall seconds of the covariance and the Cholesky stages and of
-    its paths_array call).  The exact backend builds one sampler per point,
-    samples it straight into the point's column of paths, takes a constant
-    sigma = c only, and scales its sigma = 1 paths by c.
+    blocks yields (j, first, rows), the (count, n+1) paths of replicates
+    first.. at point j, valid until the next block is taken; no array of
+    every path is made.  A config without observation points is a
+    ConfigError.  On the convolution backend the points are snapped to cell
+    centers, and a point outside [-L, L] is a ConfigError raised before any
+    solve.  The exact backend takes a constant sigma = c only; it samples
+    each point independently of the others, one sampler at a time, in
+    blocks of PATH_BLOCK replicates scaled by c.  What the backend did is
+    appended to log as the blocks are taken: one record per replicate chunk
+    under "convolution", or one record per exact sampler under
+    "exact_sampler" (quadrature node level, and the wall seconds of the
+    covariance and the Cholesky stages and of its path sampling).
     """
     if not cfg.x_points:
         raise ConfigError("this command needs at least one observation point in [experiment] x")
@@ -239,28 +244,33 @@ def _point_paths(cfg: ExperimentConfig, log: dict, grid: GridSpec, points):
             raise ConfigError(f"observation point x = {outside[0]!r} lies outside [-L, L] = "
                               f"[{-grid.L!r}, {grid.L!r}] on the convolution backend")
         cols, points = zip(*(grid.snap(x) for x in points))
-        return list(points), _convolution_paths(cfg, grid, list(cols), log)
+        return list(points), _convolution_blocks(cfg, grid, list(cols), log)
     if cfg.sigma.constant is None:
         raise ConfigError("the exact-linear backend needs a constant sigma, "
                           f"got {format_sigma(cfg.sigma)}")
     points = [float(x) for x in points]
-    paths = np.empty((cfg.replicates, len(points), grid.n + 1))
-    for j, xe in enumerate(points):
-        sampler = ExactLinearSampler(cfg.medium, xe, grid.T, grid.n)
-        sampler.paths_array(cfg.seed, cfg.replicates, out=paths[:, j])
-        log.setdefault("exact_sampler", []).append(
-            {"x": xe, "n": grid.n, "covariance_node_level": sampler.node_level,
-             "covariance_s": sampler.covariance_s, "cholesky_s": sampler.cholesky_s,
-             "paths_s": sampler.paths_s})
-        del sampler  # its (n+1)**2 factor array is not held through the next point's build
-    paths *= cfg.sigma.constant
-    return points, paths
+
+    def exact_blocks():
+        for j, xe in enumerate(points):
+            sampler = ExactLinearSampler(cfg.medium, xe, grid.T, grid.n)
+            for first, rows in sampler.path_blocks(cfg.seed, cfg.replicates):
+                rows *= cfg.sigma.constant
+                yield j, first, rows
+            log.setdefault("exact_sampler", []).append(
+                {"x": xe, "n": grid.n, "covariance_node_level": sampler.node_level,
+                 "covariance_s": sampler.covariance_s, "cholesky_s": sampler.cholesky_s,
+                 "paths_s": sampler.paths_s})
+            del sampler  # its (n+1)**2 factor array is not held through the next point's build
+
+    return points, exact_blocks()
 
 
-def _point_stats(cfg: ExperimentConfig, points, paths) -> list[PointStats]:
-    """One PointStats per point, from the first len(points) columns of paths."""
-    return [point_statistics(paths[:, idx, :], xe, cfg.grid.T, cfg.sigma, cfg.medium)
-            for idx, xe in enumerate(points)]
+def _point_stats(cfg: ExperimentConfig, grid: GridSpec, points, blocks) -> list[PointStats]:
+    """One PointStats per point, each block of paths added to its point's sums as it comes."""
+    sums = [PointAccumulator(cfg.replicates, grid.n, x, grid.T, cfg.sigma, cfg.medium) for x in points]
+    for j, first, rows in blocks:
+        sums[j].add(first, rows)
+    return [acc.result() for acc in sums]
 
 
 def _quartic_rows(cfg: ExperimentConfig, experiment: str, grid: GridSpec,
@@ -291,13 +301,13 @@ def _quartic_rows(cfg: ExperimentConfig, experiment: str, grid: GridSpec,
 
 def run_quartic(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     log: dict = {}
-    stats = _point_stats(cfg, *_point_paths(cfg, log, cfg.grid, cfg.x_points))
+    stats = _point_stats(cfg, cfg.grid, *_point_paths(cfg, log, cfg.grid, cfg.x_points))
     return [row for st in stats for row in _quartic_rows(cfg, "quartic", cfg.grid, st)], True, log
 
 
 def run_estimate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     log: dict = {}
-    stats = _point_stats(cfg, *_point_paths(cfg, log, cfg.grid, cfg.x_points))
+    stats = _point_stats(cfg, cfg.grid, *_point_paths(cfg, log, cfg.grid, cfg.x_points))
     rows = []
     for st in stats:
         row = partial(make_row, cfg, "estimate", st.n, cfg.grid.m, st.x)
@@ -329,13 +339,12 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]
             raise ConfigError(str(exc)) from None
         request = list(cfg.x_points)
         request += [x for x in dict.fromkeys(sum(averaged, [])) if x not in request]
-        points, paths = _point_paths(cfg, log, grid, request)
-        for st in _point_stats(cfg, points[:len(cfg.x_points)], paths):
+        stats = _point_stats(cfg, grid, *_point_paths(cfg, log, grid, request))
+        for st in stats[:len(cfg.x_points)]:
             rows.extend(_quartic_rows(cfg, "convergence", grid, st))
             trend.setdefault(st.x, []).append((n, float(np.mean(_abs_error(st)))))
         for num_points, xs in zip(cfg.m_list, averaged):
-            v_nm, target = averaged_statistics(paths[:, [request.index(x) for x in xs], :], xs,
-                                               grid.T, cfg.sigma, cfg.medium)
+            v_nm, target = averaged_statistics([stats[request.index(x)] for x in xs])
             avg_rows.append(make_row(cfg, "convergence", n, num_points, math.nan,
                                      "v_avg", *_mean_se(v_nm), target))
     for xe, pairs in trend.items():
@@ -352,7 +361,11 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
         raise ConfigError("simulate runs the convolution scheme; set backend = convolution")
     log: dict = {}
     grid = cfg.grid
-    points, paths = _point_paths(cfg, log, grid, cfg.x_points)
+    points, blocks = _point_paths(cfg, log, grid, cfg.x_points)
+    blocks = list(blocks)  # every path goes to a CSV: all chunks are solved, then gathered
+    paths = np.empty((cfg.replicates, len(points), grid.n + 1))
+    for j, first, part in blocks:
+        paths[first : first + len(part), j] = part
     rows = []
     ok = True
     path_files = {}

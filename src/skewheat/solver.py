@@ -641,11 +641,12 @@ class ExactLinearSampler:
     per-cell quadratures), factors its block past t_0 in place, so the
     factor is a view of the one (n+1)x(n+1) array, and maps per-replicate
     standard-normal streams through the factor, PATH_BLOCK replicates per
-    gemm (see paths_array).  Identical (seed, replicate) always yields the
+    gemm (see path_blocks).  Identical (seed, replicate) always yields the
     identical path.  `node_level` is the largest node count the cells past
     each diagonal's first reached, `covariance_s` and `cholesky_s` the wall
     seconds (perf_counter) the two build stages took, and `paths_s` the
-    wall seconds spent in paths_array so far.
+    wall seconds spent drawing and mapping path blocks so far, not counting
+    what a consumer of path_blocks does between blocks.
     """
 
     def __init__(self, medium: MediumParams, x: float, T: float, n: int):
@@ -661,36 +662,39 @@ class ExactLinearSampler:
         self.cholesky_s = time.perf_counter() - factoring
         self.paths_s = 0.0
 
-    def paths_array(self, seed: int, replicates: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Paths of replicates 0..replicates-1, shape (replicates, n+1); column 0 is zero.
+    def path_blocks(self, seed: int, replicates: int):
+        """Yield (first, rows): the paths of replicates first..first+len(rows)-1, PATH_BLOCK at a time.
 
-        Replicate r at point x always takes the first n draws of the stream
-        keyed by (seed, r, exact-path kind, bits of x), one standard_normals
-        call per replicate.  They fill row r mod PATH_BLOCK of a
-        (PATH_BLOCK, n) buffer for block r // PATH_BLOCK, rows past the last
-        replicate are zero, and one gemm maps the block through the factor.
-        A row of the product does not depend on the other rows, and replicate
-        r always sits in the same row of the same-shape product, so neither
-        the replicate count nor the BLAS thread count changes its path.
-        If out is given (a (replicates, n+1) array or view, say one point's
-        column of an (R, P, n+1) array), the paths are written into it and it
-        is returned; no other array of the paths' size is made.
+        rows is a (count, n+1) view of one buffer that every block reuses, so
+        a consumer reads (or scales in place) each block before asking for
+        the next; column 0 is zero.  Replicate r at point x always takes the
+        first n draws of the stream keyed by (seed, r, exact-path kind, bits
+        of x), one standard_normals call per replicate.  They fill row
+        r mod PATH_BLOCK of a (PATH_BLOCK, n) buffer for block r // PATH_BLOCK,
+        rows past the last replicate are zero, and one gemm maps the block
+        through the factor.  A row of the product does not depend on the
+        other rows, and replicate r always sits in the same row of the
+        same-shape product, so neither the replicate count nor the BLAS
+        thread count changes its path.
         """
-        started = time.perf_counter()
         subkey = position_subkey(self.x)
-        if out is None:
-            out = np.empty((replicates, self.n + 1))
-        out[:, 0] = 0.0
-        block = np.empty((PATH_BLOCK, self.n))
-        product = np.empty((PATH_BLOCK, self.n))
-        for base in range(0, replicates, PATH_BLOCK):
-            hi = min(replicates, base + PATH_BLOCK)
-            block[hi - base :] = 0.0
-            for r in range(base, hi):
-                block[r - base] = standard_normals(
-                    seed, r, self.n, kind=STREAM_EXACT_PATHS, subkey=subkey
-                )
-            np.matmul(block, self._factor.T, out=product)
-            out[base:hi, 1:] = product[: hi - base]
-        self.paths_s += time.perf_counter() - started
+        draws = np.empty((PATH_BLOCK, self.n))
+        rows = np.empty((PATH_BLOCK, self.n + 1))
+        for first in range(0, replicates, PATH_BLOCK):
+            started = time.perf_counter()
+            count = min(PATH_BLOCK, replicates - first)
+            draws[count:] = 0.0
+            for k in range(count):
+                draws[k] = standard_normals(seed, first + k, self.n, kind=STREAM_EXACT_PATHS,
+                                            subkey=subkey)
+            rows[:, 0] = 0.0
+            np.matmul(draws, self._factor.T, out=rows[:, 1:])
+            self.paths_s += time.perf_counter() - started
+            yield first, rows[:count]
+
+    def paths_array(self, seed: int, replicates: int) -> np.ndarray:
+        """Paths of replicates 0..replicates-1, shape (replicates, n+1): path_blocks gathered."""
+        out = np.empty((replicates, self.n + 1))
+        for first, rows in self.path_blocks(seed, replicates):
+            out[first : first + len(rows)] = rows
         return out

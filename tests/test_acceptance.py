@@ -258,9 +258,9 @@ def test_criterion_10_averaged_statistic():
     cols, xs_small = zip(*(grid_small.snap(x) for x in averaged_points(grid_small, 16)))
 
     def identity(paths, xs):
-        v_nm, _ = averaged_statistics(paths[None], xs, 1.0, sigma_one(), M14)
-        per_point = [point_statistics(p, x, 1.0, sigma_one(), M14).v for p, x in zip(paths, xs)]
-        return v_nm[0] == float(np.mean(per_point))
+        per_point = [point_statistics(p[None], x, 1.0, sigma_one(), M14) for p, x in zip(paths, xs)]
+        v_nm, _ = averaged_statistics(per_point)
+        return v_nm[0] == float(np.mean([st.v[0] for st in per_point]))
 
     identity_field = identity(u[:, list(cols)].T, xs_small)
 

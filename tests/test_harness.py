@@ -7,7 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ import pytest
 from skewheat import harness, kernel, solver
 from skewheat.config import ConfigError, load_config, parse_config
 from skewheat.noise import sample_noise
-from skewheat.stats import averaged_points, averaged_statistics
+from skewheat.stats import PointAccumulator, averaged_points, averaged_statistics, point_statistics
 from skewheat.cli import main
 from skewheat.harness import CSV_COLUMNS
 
@@ -40,6 +40,14 @@ def _read_rows(csv_path):
     for line in lines[1:]:
         rows.append(dict(zip(header, line.split(","))))
     return rows
+
+
+def _convolution_paths(cfg, grid, cols, log):
+    """The (R, len(cols), n+1) paths that harness._convolution_blocks yields, gathered."""
+    paths = np.full((cfg.replicates, len(cols), grid.n + 1), np.nan)
+    for j, first, rows in harness._convolution_blocks(cfg, grid, cols, log):
+        paths[first : first + len(rows), j] = rows
+    return paths
 
 
 def test_kernel_selftest_homogeneous_passes(tmp_path):
@@ -212,7 +220,52 @@ def test_convolution_convergence_solves_each_n_once(tmp_path):
     assert [(r["n"], r["first_replicate"]) for r in records] == [(16, 0), (16, 64), (32, 0), (32, 64)]
 
 
-@pytest.mark.parametrize("backend, sigma", [("convolution", "sin1:0.5"), ("exact-linear", "one")])
+@pytest.mark.parametrize("replicates", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("backend, sigma", [
+    ("convolution", "one"), ("convolution", "affine:0,2"), ("convolution", "affine:0.5,1"),
+    ("convolution", "sin1:0.5"), ("exact-linear", "one"), ("exact-linear", "affine:0,2"),
+])
+def test_streamed_point_stats_equal_whole_array_stats(backend, sigma, replicates):
+    # Each block goes into its point's sums as it comes; the statistics are
+    # those of point_statistics on the point's whole (R, n+1) array, bit for bit.
+    cfg = parse_config(MEDIUM_14 + "[grid]\nT = 1.0\nn = 16\nL = 2.0\nm = 32\n"
+                       + f"[experiment]\nsigma = {sigma}\nx = 0.5, -0.5, 0.0\n"
+                       + f"replicates = {replicates}\nseed = 5\nbackend = {backend}\n")
+    grid = cfg.grid
+    points, blocks = harness._point_paths(cfg, {}, grid, cfg.x_points)
+    streamed = harness._point_stats(cfg, grid, points, blocks)
+    if backend == "convolution":
+        paths = _convolution_paths(cfg, grid, [grid.snap(x)[0] for x in points], {})
+    else:
+        paths = cfg.sigma.constant * np.stack(
+            [solver.ExactLinearSampler(cfg.medium, x, grid.T, grid.n).paths_array(cfg.seed, replicates)
+             for x in points], axis=1)
+    for j, st in enumerate(streamed):
+        whole = point_statistics(paths[:, j], points[j], grid.T, cfg.sigma, cfg.medium)
+        for field in fields(whole):
+            got, want = getattr(st, field.name), getattr(whole, field.name)
+            assert (got is None and want is None) or np.array_equal(got, want), (j, field.name)
+
+
+def test_exact_quartic_holds_no_array_of_every_path(tmp_path):
+    # R = 2000 paths at n = 256 take R (n+1) 8 bytes = 4.1 MB; streamed in
+    # blocks of 64 replicates, the run peaks at the sampler build.
+    n, replicates = 256, 2000
+    cfg = parse_config(MEDIUM_14 + f"[grid]\nT = 1.0\nn = {n}\nL = 4.0\nm = 32\n"
+                       + f"[experiment]\nx = 0.5\nreplicates = {replicates}\nseed = 3\n"
+                       + f"backend = exact-linear\nout = {tmp_path}/out\n")
+    harness.run_command("quartic", replace(cfg, replicates=2))  # first-call caches are not the run's
+    tracemalloc.start()
+    try:
+        harness.run_command("quartic", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < replicates * (n + 1) * 8 / 2
+
+
+@pytest.mark.parametrize("backend, sigma", [("convolution", "sin1:0.5"), ("exact-linear", "one"),
+                                            ("exact-linear", "affine:0,2")])
 def test_convergence_v_avg_matches_paths_requested_alone(tmp_path, backend, sigma):
     cfg = _write(tmp_path, "c.ini", CONVERGENCE_SMALL
                  + f"backend = {backend}\nsigma = {sigma}\nout = {tmp_path}/out\n")
@@ -223,12 +276,18 @@ def test_convergence_v_avg_matches_paths_requested_alone(tmp_path, backend, sigm
     for n in resolved.n_list:
         grid = replace(resolved.grid, n=n)
         for num_points in resolved.m_list:
+            # The whole (R, P, n+1) array of these points' paths, each point's
+            # statistics taken from its column.
             cols, xs = zip(*(grid.snap(x) for x in averaged_points(grid, num_points)))
             if backend == "convolution":
-                paths = harness._convolution_paths(resolved, grid, list(cols), {})
+                paths = _convolution_paths(resolved, grid, list(cols), {})
             else:
-                paths = harness._point_paths(resolved, {}, grid, xs)[1]
-            v_nm, target = averaged_statistics(paths, xs, grid.T, resolved.sigma, resolved.medium)
+                paths = resolved.sigma.constant * np.stack(
+                    [solver.ExactLinearSampler(resolved.medium, x, grid.T, n)
+                     .paths_array(resolved.seed, resolved.replicates) for x in xs], axis=1)
+            v_nm, target = averaged_statistics([
+                point_statistics(paths[:, j], x, grid.T, resolved.sigma, resolved.medium)
+                for j, x in enumerate(xs)])
             expected.append([str(n), str(num_points),
                              *("%.17g" % v for v in (*harness._mean_se(v_nm), target))])
     assert [[r["n"], r["m"], r["value"], r["std_error"], r["target"]] for r in rows] == expected
@@ -518,7 +577,7 @@ def test_convolution_paths_equal_full_field_columns(sigma, monkeypatch):
     grid = cfg.grid
     cols = [grid.snap(x)[0] for x in (0.5, -0.5, 0.5)]  # a cell asked for twice
     log = {}
-    paths = harness._convolution_paths(cfg, grid, cols, log)
+    paths = _convolution_paths(cfg, grid, cols, log)
     # Full-field reference, solved in the same fixed chunks of 3 replicates,
     # the last one's 1 replicate padded with 2 of zero noise.
     def chunk(first):
@@ -572,7 +631,7 @@ def test_convolution_records_the_noise_each_chunk_held(sigma, held_rows):
     cfg = parse_config(MEDIUM_14 + "[grid]\nT = 1.0\nn = 40\nL = 4.0\nm = 16\n"
                        + f"[experiment]\nsigma = {sigma}\nx = 0.5\nreplicates = 3\nseed = 2\n")
     log: dict = {}
-    harness._convolution_paths(cfg, cfg.grid, [11], log)
+    _convolution_paths(cfg, cfg.grid, [11], log)
     [record] = log["convolution"]
     held_columns = 1 if sigma == "one" else harness.REPLICATE_CHUNK
     assert record["replicates"] == 3
@@ -621,7 +680,7 @@ def test_convolution_paths_do_not_depend_on_the_replicate_count(sigma):
     for r in (100, 128):
         cfg = parse_config(text + f"replicates = {r}\n")
         grid = cfg.grid
-        paths[r] = harness._convolution_paths(cfg, grid, [grid.snap(x)[0] for x in cfg.x_points], {})
+        paths[r] = _convolution_paths(cfg, grid, [grid.snap(x)[0] for x in cfg.x_points], {})
     assert np.array_equal(paths[100].view(np.uint64), paths[128][:100].view(np.uint64))
 
 
@@ -858,23 +917,24 @@ def test_perfbench_layer_hooks_resolve(monkeypatch):
     assert next(iter(inspect.signature(harness.point_statistics).parameters)) == "paths"
 
 
-def test_point_statistics_is_called_through_harness(tmp_path, monkeypatch):
+def test_point_accumulators_are_fed_through_harness(tmp_path, monkeypatch):
+    # One chunk of 2 replicates gives one (2, n+1) block per point.
     calls = []
 
-    original = harness.point_statistics
+    original = PointAccumulator.add
 
-    def counting(paths, *args):
-        calls.append(np.shape(paths))
-        return original(paths, *args)
+    def counting(self, first, rows):
+        calls.append((first, np.shape(rows)))
+        return original(self, first, rows)
 
-    monkeypatch.setattr(harness, "point_statistics", counting)
+    monkeypatch.setattr(PointAccumulator, "add", counting)
     cfg = _write(
         tmp_path, "c.ini",
         MEDIUM_14 + GRID_SMALL
         + f"[experiment]\nx = 0.5, -0.5\nreplicates = 2\nseed = 3\nout = {tmp_path}/out\n",
     )
     assert main(["quartic", "--config", cfg]) == 0
-    assert calls == [(2, 9), (2, 9)]
+    assert calls == [(0, (2, 9)), (0, (2, 9))]
 
 
 def test_removed_zero_noise_key_exits_two_with_one_line(tmp_path, capsys):
@@ -1046,7 +1106,7 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     cfg = parse_config(MEDIUM_14 + GRID_SMALL
                        + "[experiment]\nx = 0.5\nreplicates = 4\nseed = 3\nworkers = 8\n")
     log = {}
-    paths = harness._convolution_paths(cfg, cfg.grid, [16], log)
+    paths = _convolution_paths(cfg, cfg.grid, [16], log)
     assert seen == [2]
     assert paths.shape == (4, 1, 9) and len(log["convolution"]) == 2
 

@@ -1,5 +1,6 @@
 import math
 import pickle
+import time
 import tracemalloc
 import warnings
 
@@ -490,18 +491,6 @@ def test_exact_sampler_build_at_n_1024_peaks_under_1_8_n_squared():
     assert peak <= 1.8 * 8 * n * n
 
 
-@pytest.mark.parametrize("n", [16, 100])
-def test_exact_paths_into_out_are_the_returned_paths(n):
-    s = ExactLinearSampler(M14, 0.5, 1.0, n)
-    ref = s.paths_array(seed=37, replicates=100)
-    out = np.full((100, n + 1), np.nan)
-    assert s.paths_array(seed=37, replicates=100, out=out) is out
-    assert np.array_equal(out, ref)
-    both = np.full((100, 2, n + 1), np.nan)
-    s.paths_array(seed=37, replicates=100, out=both[:, 1])
-    assert np.array_equal(both[:, 1], ref) and np.all(np.isnan(both[:, 0]))
-
-
 def test_exact_sampler_records_stage_seconds():
     s = ExactLinearSampler(M14, 0.5, 1.0, 16)
     for value in (s.covariance_s, s.cholesky_s):
@@ -515,6 +504,32 @@ def test_exact_sampler_accumulates_paths_seconds():
     once = s.paths_s
     s.paths_array(seed=36, replicates=3)
     assert math.isfinite(once) and 0.0 < once < s.paths_s
+
+
+def test_exact_paths_seconds_leave_out_the_consumer():
+    # path_blocks yields to its consumer between blocks: paths_s sums the
+    # draws and the gemm of the 3 blocks, not the 0.1 s the consumer sleeps
+    # after each of them.
+    s = ExactLinearSampler(M14, 0.5, 1.0, 16)
+    consumer_s = 0.0
+    for _ in s.path_blocks(seed=36, replicates=130):
+        started = time.perf_counter()
+        time.sleep(0.1)
+        consumer_s += time.perf_counter() - started
+    assert consumer_s >= 0.3 and 0.0 < s.paths_s < 0.1
+
+
+def test_exact_path_blocks_reuse_one_buffer_and_gather_into_paths_array():
+    s = ExactLinearSampler(M14, 0.5, 1.0, 16)
+    ref = s.paths_array(seed=38, replicates=130)
+    blocks = []
+    for first, rows in s.path_blocks(seed=38, replicates=130):
+        assert np.array_equal(rows, ref[first : first + len(rows)])
+        rows *= -2.0  # a consumer may scale a block in place
+        blocks.append((first, rows))
+    assert [(first, len(rows)) for first, rows in blocks] == [(0, 64), (64, 64), (128, 2)]
+    assert all(np.shares_memory(rows, blocks[0][1]) for _, rows in blocks)
+    assert np.array_equal(s.paths_array(seed=38, replicates=130), ref)
 
 
 def test_exact_sampler_records_node_level():

@@ -28,6 +28,11 @@ def _stats(values, sigma=None, x=0.5):
     return point_statistics(np.asarray(values, dtype=float), x, 1.0, sigma or sigma_one(), M14)
 
 
+def _averaged(paths, xs, sigma=None):
+    """averaged_statistics of (R, P, n+1) paths at the P points xs, from each point's _stats."""
+    return averaged_statistics([_stats(paths[:, j], sigma, x) for j, x in enumerate(xs)])
+
+
 # -- quartic variation ---------------------------------------------------------
 
 
@@ -204,8 +209,7 @@ def test_constant_sigma_closed_targets_scale_by_c4():
     assert st.closed_target == pytest.approx(float(st.limit[0]), rel=1e-14)
     paths = np.zeros((2, 3, 9))
     xs = [0.0, 0.5, -0.5]
-    assert averaged_statistics(paths, xs, 1.0, sigma_affine(0.0, 2.0), M14)[1] \
-        == 16 * averaged_statistics(paths, xs, 1.0, sigma_one(), M14)[1]
+    assert _averaged(paths, xs, sigma_affine(0.0, 2.0))[1] == 16 * _averaged(paths, xs)[1]
 
 
 def test_increment_targets_read_sigma():
@@ -225,12 +229,12 @@ def test_averaged_statistics_equals_per_replicate_view():
     rng = np.random.default_rng(51)
     paths = rng.normal(size=(4, 3, 17))
     xs = [0.0, 1.0 / 3.0, 2.0 / 3.0]
-    v_nm, target = averaged_statistics(paths, xs, 1.0, sigma_one(), M14)
+    v_nm, target = _averaged(paths, xs)
     for r in range(4):
         assert v_nm[r] == np.mean([_stats(p, x=x).v for p, x in zip(paths[r], xs)])
     assert target == pytest.approx(np.mean([_stats(np.zeros(17), x=x).limit for x in xs]),
                                    rel=1e-14)
-    assert math.isnan(averaged_statistics(paths, xs, 1.0, sigma_sin(0.5), M14)[1])
+    assert math.isnan(_averaged(paths, xs, sigma_sin(0.5))[1])
 
 
 # -- averaged statistic -----------------------------------------------------------
@@ -246,19 +250,19 @@ def _field_points(num_points, seed=48):
 
 def test_averaged_single_point_reduces_to_pointwise():
     xs, paths = _field_points(1)
-    v_nm, _ = averaged_statistics(paths, xs, 1.0, sigma_one(), M14)
+    v_nm, _ = _averaged(paths, xs)
     assert v_nm[0] == _stats(paths[0, 0], x=xs[0]).v
 
 
 def test_averaged_mean_identity_is_bitwise():
     xs, paths = _field_points(8)
-    v_nm, _ = averaged_statistics(paths, xs, 1.0, sigma_one(), M14)
+    v_nm, _ = _averaged(paths, xs)
     assert v_nm[0] == float(np.mean([_stats(p, x=x).v for p, x in zip(paths[0], xs)]))
 
 
 def test_averaged_constant_field_zero():
     xs, paths = _field_points(4)
-    assert averaged_statistics(np.zeros_like(paths), xs, 1.0, sigma_one(), M14)[0][0] == 0.0
+    assert _averaged(np.zeros_like(paths), xs)[0][0] == 0.0
 
 
 def test_averaged_grid_coverage_error():
@@ -271,7 +275,7 @@ def test_averaged_from_paths_metadata():
     grid = GridSpec(1.0, 4, 2.0, 32)
     xs = averaged_points(grid, 4)
     assert xs == [0.0, 0.25, 0.5, 0.75]
-    v_nm, _ = averaged_statistics(np.zeros((3, 4, 5)), xs, 1.0, sigma_one(), M14)
+    v_nm, _ = _averaged(np.zeros((3, 4, 5)), xs)
     assert v_nm.shape == (3,) and np.all(v_nm == 0.0)
     with pytest.raises(ValueError):
         averaged_points(grid, 0)
