@@ -233,8 +233,9 @@ def _point_paths(cfg: ExperimentConfig, log: dict, grid: GridSpec, points):
     blocks of PATH_BLOCK replicates scaled by c.  What the backend did is
     appended to log as the blocks are taken: one record per replicate chunk
     under "convolution", or one record per exact sampler under
-    "exact_sampler" (quadrature node level, and the wall seconds of the
-    covariance and the Cholesky stages and of its path sampling).
+    "exact_sampler" (quadrature node level, the wall seconds of the
+    covariance and the Cholesky stages and of its path sampling, and
+    "sampled_independently": True).
     """
     if not cfg.x_points:
         raise ConfigError("this command needs at least one observation point in [experiment] x")
@@ -259,7 +260,7 @@ def _point_paths(cfg: ExperimentConfig, log: dict, grid: GridSpec, points):
             log.setdefault("exact_sampler", []).append(
                 {"x": xe, "n": grid.n, "covariance_node_level": sampler.node_level,
                  "covariance_s": sampler.covariance_s, "cholesky_s": sampler.cholesky_s,
-                 "paths_s": sampler.paths_s})
+                 "paths_s": sampler.paths_s, "sampled_independently": True})
             del sampler  # its (n+1)**2 factor array is not held through the next point's build
 
     return points, exact_blocks()

@@ -4,10 +4,11 @@ Cell increments are i.i.d. N(0, dt*dx), drawn from counter-based streams:
 the increment of cell (k, l) is draw k*m + l of the stream keyed by (seed,
 replicate), a fixed function of (seed, replicate, k*m + l) and of nothing
 else, so the matrix is bit-identical however replicates are chunked,
-scheduled or parallelized.  A stream is read in order, so its draws carry the
-same bits whether they are taken in one call or in blocks of rows: a
-NoiseChunk reads its replicates either NOISE_ROWS time rows at a time,
-matching sample_noise bit for bit, or one whole replicate at a time.
+scheduled or parallelized.  rekey says how a stream is keyed.  A stream is
+read in order, so its draws carry the same bits whether they are taken in
+one call or in blocks of rows: a NoiseChunk reads its replicates either
+NOISE_ROWS time rows at a time, matching sample_noise bit for bit, or one
+whole replicate at a time.
 """
 
 from __future__ import annotations
@@ -89,14 +90,26 @@ def _check_stream_key(seed: int, replicate: int) -> None:
         raise ValueError(f"replicate must be a nonnegative integer, got {replicate!r}")
 
 
-def _stream(seed: int, replicate: int, kind: int, subkey: int = 0) -> Generator:
-    """The generator of the stream keyed by (seed, replicate, kind, subkey), at draw 0."""
+def rekey(generator: Generator, seed: int, replicate: int, kind: int,
+          subkey: int = 0) -> Generator:
+    """Set generator's Philox to draw 0 of the stream keyed by (seed, replicate, kind, subkey).
+
+    A stream is numpy's ziggurat (`Generator.standard_normal`, Marsaglia &
+    Tsang 2000) over Philox4x64 with key (seed, replicate) and counter
+    (0, 0, kind, subkey).  The whole state is set, buffer emptied, so a
+    re-keyed generator draws the bits of a new one: a caller reading many
+    streams in turn re-keys one it owns.  Returns the generator.
+    """
     _check_stream_key(seed, replicate)
-    bg = Philox(
-        key=np.array([seed, replicate], dtype=np.uint64),
-        counter=np.array([0, 0, kind, subkey], dtype=np.uint64),
-    )
-    return Generator(bg)
+    state = {"counter": (0, 0, kind, subkey), "key": (seed, replicate)}
+    generator.bit_generator.state = {"bit_generator": "Philox", "state": state, "buffer": (0,) * 4,
+                                     "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return generator
+
+
+def new_generator() -> Generator:
+    """A Philox Generator for rekey to key; its own seed (0) is never drawn from."""
+    return Generator(Philox(0))
 
 
 def standard_normals(
@@ -104,15 +117,13 @@ def standard_normals(
 ) -> np.ndarray:
     """`count` i.i.d. N(0,1) draws from the stream keyed by (seed, replicate, kind, subkey).
 
-    The stream is numpy's ziggurat (`Generator.standard_normal`, Marsaglia &
-    Tsang 2000) over the Philox4x64 generator with key (seed, replicate) and
-    counter (0, 0, kind, subkey).  Draw j is a function of (seed, replicate,
+    rekey on a new generator.  Draw j is a function of (seed, replicate,
     kind, subkey, j) only: a shorter request returns a prefix of a longer
     one.  The ziggurat consumes a variable number of words per draw, so draw
     j is reached only through the draws before it; its bits are those of
     numpy's `Generator.standard_normal`.
     """
-    return _stream(seed, replicate, kind, subkey).standard_normal(count)
+    return rekey(new_generator(), seed, replicate, kind, subkey).standard_normal(count)
 
 
 def sample_noise(grid: GridSpec, seed: int, replicate: int) -> np.ndarray:
@@ -155,7 +166,7 @@ class NoiseChunk:
 
     def rows(self):
         n, scale = self.grid.n, math.sqrt(self.grid.dt * self.grid.dx)
-        streams = [_stream(self.seed, self.first + j, STREAM_FIELD_NOISE)
+        streams = [rekey(new_generator(), self.seed, self.first + j, STREAM_FIELD_NOISE)
                    for j in range(self.count)]
         block = np.zeros((self.width, self.block, self.grid.m))
         for k0 in range(0, n, self.block):

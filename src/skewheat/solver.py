@@ -29,7 +29,7 @@ import numpy as np
 
 from .medium import MediumParams, position_map
 from .kernel import GreenKernel
-from .noise import GridSpec, NoiseChunk, standard_normals, position_subkey, STREAM_EXACT_PATHS
+from .noise import GridSpec, NoiseChunk, new_generator, rekey, position_subkey, STREAM_EXACT_PATHS
 
 # Source cells per FFT block of the constant-sigma product.
 FFT_BLOCK = 32
@@ -669,15 +669,16 @@ class ExactLinearSampler:
         a consumer reads (or scales in place) each block before asking for
         the next; column 0 is zero.  Replicate r at point x always takes the
         first n draws of the stream keyed by (seed, r, exact-path kind, bits
-        of x), one standard_normals call per replicate.  They fill row
-        r mod PATH_BLOCK of a (PATH_BLOCK, n) buffer for block r // PATH_BLOCK,
-        rows past the last replicate are zero, and one gemm maps the block
-        through the factor.  A row of the product does not depend on the
-        other rows, and replicate r always sits in the same row of the
-        same-shape product, so neither the replicate count nor the BLAS
-        thread count changes its path.
+        of x), drawn by re-keying one generator that this call owns.  They
+        fill row r mod PATH_BLOCK of a (PATH_BLOCK, n) buffer for block
+        r // PATH_BLOCK, rows past the last replicate are zero, and one gemm
+        maps the block through the factor.  A row of the product does not
+        depend on the other rows, and replicate r always sits in the same row
+        of the same-shape product, so neither the replicate count nor the
+        BLAS thread count changes its path.
         """
         subkey = position_subkey(self.x)
+        generator = new_generator()
         draws = np.empty((PATH_BLOCK, self.n))
         rows = np.empty((PATH_BLOCK, self.n + 1))
         for first in range(0, replicates, PATH_BLOCK):
@@ -685,8 +686,8 @@ class ExactLinearSampler:
             count = min(PATH_BLOCK, replicates - first)
             draws[count:] = 0.0
             for k in range(count):
-                draws[k] = standard_normals(seed, first + k, self.n, kind=STREAM_EXACT_PATHS,
-                                            subkey=subkey)
+                rekey(generator, seed, first + k, STREAM_EXACT_PATHS, subkey).standard_normal(
+                    out=draws[k])
             rows[:, 0] = 0.0
             np.matmul(draws, self._factor.T, out=rows[:, 1:])
             self.paths_s += time.perf_counter() - started

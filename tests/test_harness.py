@@ -1,3 +1,4 @@
+import gc
 import importlib
 import inspect
 import json
@@ -423,8 +424,26 @@ def test_summary_json_records_exact_sampler_per_point(tmp_path):
     assert [(r["x"], r["n"]) for r in records] == [(0.5, 8), (-0.5, 8)]
     for r in records:
         assert set(r) == {"x", "n", "covariance_node_level", "covariance_s", "cholesky_s",
-                          "paths_s"}
+                          "paths_s", "sampled_independently"}
         assert r["covariance_node_level"] >= 16
+
+
+@pytest.mark.parametrize("command", ["quartic", "convergence"])
+def test_exact_sampler_records_say_each_point_was_sampled_independently(tmp_path, command):
+    # The exact backend samples every point from its own streams, so no
+    # record may claim the joint law; the CSVs do not carry the flag.
+    extra = "n_list = 8, 16\nm_list = 2\n" if command == "convergence" else ""
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + GRID_SMALL
+        + f"[experiment]\nkind = {command}\nx = 0.5, -0.5\nreplicates = 4\nseed = 11\n"
+        + f"backend = exact-linear\n{extra}out = {tmp_path}/out\n",
+    )
+    assert main([command, "--config", cfg]) == 0
+    records = json.loads((tmp_path / "out" / f"{command}_summary.json").read_text())["exact_sampler"]
+    assert len(records) >= 2
+    assert all(r["sampled_independently"] is True for r in records)
+    assert "sampled_independently" not in (tmp_path / "out" / f"{command}.csv").read_text()
 
 
 def test_exact_quartic_near_interface_exits_zero(tmp_path):
@@ -1203,20 +1222,77 @@ def test_exact_quartic_at_a_lag_below_1e_162_exits_without_runtime_warnings(tmp_
     assert all(math.isfinite(float(r["value"])) for r in rows if r["statistic"] == "A_hat_mean")
 
 
-def _assert_cli_prints_one_line_messages(tmp_path, command, text):
+def _assert_cli_prints_one_line_messages(tmp_path, command, text, codes=(0, 1),
+                                         prefix="warning: "):
     cfg = _write(tmp_path, "c.ini", text)
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
     done = subprocess.run([sys.executable, "-m", "skewheat", command, "--config", cfg,
                            "--out", str(tmp_path / "out")],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
-    assert done.returncode in (0, 1), done.stderr
+    assert done.returncode in codes, done.stderr
     assert "Traceback" not in done.stderr, done.stderr
     # No numpy RuntimeWarning: one-line messages only, at most one of them
     # counting the rows that are not finite.
     assert "RuntimeWarning" not in done.stderr, done.stderr
     lines = done.stderr.splitlines()
-    assert all(line.startswith("warning: ") for line in lines), done.stderr
+    assert all(line.startswith(prefix) for line in lines), done.stderr
     assert sum("not finite" in line for line in lines) <= 1, done.stderr
+    return lines
+
+
+@pytest.mark.parametrize("code, prefix, experiment", [
+    (0, "", "x = 0.5\nreplicates = 4\nbackend = exact-linear\n"),
+    # A 64-replicate noise chunk of 5e17 bytes, refused before any page is touched.
+    (1, "solver failure: Unable to allocate ", "x = 0.5\nreplicates = 4\n"),
+    (2, "config error: ", "x = 0.5\nreplicates = 4\nsigma = nope\n"),
+], ids=["exit0", "exit1", "exit2"])
+def test_cli_process_keeps_its_exit_codes_and_one_line_messages(tmp_path, code, prefix, experiment):
+    grid = ("[grid]\nT = 1.0\nn = 1000000000\nL = 8.0\nm = 1000000\n" if code == 1
+            else GRID_SMALL)
+    lines = _assert_cli_prints_one_line_messages(
+        tmp_path, "quartic", MEDIUM_14 + grid + "[experiment]\nseed = 1\n" + experiment,
+        codes=(code,), prefix=prefix)
+    assert len(lines) == (code != 0)
+
+
+def test_python_m_skewheat_goes_through_the_entry_function(tmp_path):
+    # The entry function runs main and then freezes the collector, so the
+    # interpreter's finalization does not walk the run's objects.
+    cfg = _write(tmp_path, "c.ini", MEDIUM_14 + GRID_SMALL
+                 + "[experiment]\nx = 0.5\nreplicates = 4\nseed = 1\nbackend = exact-linear\n")
+    argv = ["skewheat", "quartic", "--config", cfg, "--out", str(tmp_path / "out")]
+    probe = ("import gc, json, runpy, sys, skewheat.cli as cli\n"
+             "calls, entry = [], cli.entry\n"
+             "cli.entry = lambda: calls.append(gc.get_freeze_count()) or entry()\n"
+             f"sys.argv = {argv!r}\n"
+             "try:\n    runpy.run_module('skewheat', run_name='__main__')\n"
+             "except SystemExit as done:\n"
+             "    print(json.dumps([done.code, calls, gc.get_freeze_count()]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    code, calls, frozen = json.loads(done.stdout)
+    assert code == 0 and calls == [0] and frozen > 0
+
+
+def test_console_script_is_the_entry_function():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"skewheat": "skewheat.cli:entry"}
+    module, name = scripts["skewheat"].split(":")
+    from skewheat import cli
+    assert getattr(importlib.import_module(module), name) is cli.entry
+
+
+def test_main_in_process_does_not_freeze_the_collector(tmp_path):
+    cfg = _write(tmp_path, "c.ini", MEDIUM_14 + GRID_SMALL
+                 + "[experiment]\nx = 0.5\nreplicates = 4\nseed = 1\nbackend = exact-linear\n"
+                 + f"out = {tmp_path}/out\n")
+    frozen = gc.get_freeze_count()
+    assert main(["quartic", "--config", cfg]) == 0
+    assert main(["quartic", "--config", cfg, "--seed", "-1"]) == 2
+    assert gc.get_freeze_count() == frozen
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -10,7 +10,9 @@ from skewheat.noise import (
     GAUSS_TRANSFORM_ID,
     STREAM_EXACT_PATHS,
     STREAM_FIELD_NOISE,
+    new_generator,
     position_subkey,
+    rekey,
     standard_normals,
 )
 
@@ -78,6 +80,47 @@ def test_stream_is_numpy_ziggurat_on_keyed_philox():
     bg = Philox(key=np.array([5, 6], dtype=np.uint64),
                 counter=np.array([0, 0, STREAM_EXACT_PATHS, 7], dtype=np.uint64))
     assert np.array_equal(z, Generator(bg).standard_normal(100))
+
+
+def _fresh(seed, replicate, kind, subkey):
+    return Generator(Philox(key=np.array([seed, replicate], dtype=np.uint64),
+                            counter=np.array([0, 0, kind, subkey], dtype=np.uint64)))
+
+
+STREAM_KEYS = [
+    (0, 0, STREAM_FIELD_NOISE, 0),
+    (5, 6, STREAM_EXACT_PATHS, 7),
+    (20240601, 7, STREAM_EXACT_PATHS, position_subkey(0.5)),
+    (2**64 - 1, 2**64 - 1, STREAM_EXACT_PATHS, 2**64 - 1),
+    (123, 2**63, STREAM_FIELD_NOISE, 0),
+]
+
+
+@pytest.mark.parametrize("key", STREAM_KEYS)
+def test_rekeyed_generator_draws_a_fresh_generators_bits(key):
+    generator = new_generator()
+    assert rekey(generator, *key) is generator
+    assert np.array_equal(generator.standard_normal(1001), _fresh(*key).standard_normal(1001))
+
+
+@pytest.mark.parametrize("leftover", [
+    # Odd counts leave Philox's four-word buffer part read, and odd 32-bit
+    # draws leave a stored half word.
+    lambda g: g.standard_normal(3),
+    lambda g: g.standard_normal(1),
+    lambda g: g.integers(0, 2**32, size=5, dtype=np.uint32),
+    lambda g: g.random(7),
+], ids=["normals3", "normals1", "uint32x5", "doubles7"])
+def test_rekey_after_an_odd_count_drops_what_the_generator_held(leftover):
+    generator = new_generator()
+    for key in STREAM_KEYS:
+        leftover(rekey(generator, *key))
+        reference = _fresh(*key)
+        assert np.array_equal(rekey(generator, *key).standard_normal(517),
+                              reference.standard_normal(517)), key
+        # Mixed draws after the re-key follow the fresh generator too.
+        assert np.array_equal(generator.integers(0, 2**32, size=3, dtype=np.uint32),
+                              reference.integers(0, 2**32, size=3, dtype=np.uint32))
 
 
 # The first draws of one field stream and one exact-path stream, pinned bit

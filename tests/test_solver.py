@@ -1,11 +1,13 @@
 import math
 import pickle
+import threading
 import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from skewheat import (
     MediumParams,
@@ -461,6 +463,56 @@ def test_exact_paths_match_per_replicate_matvec(n):
         ref = s._factor @ z
         assert path[0] == 0.0
         assert np.max(np.abs(path[1:] - ref)) <= 1e-14 * np.max(np.abs(ref)), k
+
+
+def _fresh_generator_paths(sampler, seed, replicates):
+    # A Generator built for each replicate's own stream key, and the same
+    # PATH_BLOCK-row products with the factor.
+    block = solver.PATH_BLOCK
+    counter = np.array([0, 0, STREAM_EXACT_PATHS, position_subkey(sampler.x)], dtype=np.uint64)
+    z = np.zeros((-(-replicates // block) * block, sampler.n))
+    for r in range(replicates):
+        key = np.array([seed, r], dtype=np.uint64)
+        z[r] = Generator(Philox(key=key, counter=counter)).standard_normal(sampler.n)
+    paths = np.zeros((len(z), sampler.n + 1))
+    for first in range(0, len(z), block):
+        paths[first : first + block, 1:] = z[first : first + block] @ sampler._factor.T
+    return paths[:replicates]
+
+
+def test_interleaved_exact_samplers_draw_their_own_streams():
+    # Two samplers' path_blocks taken in turn, each re-keying the generator
+    # its call owns: every block is the one each sampler gives alone, bit
+    # for bit, and the one a fresh Generator per replicate gives.
+    a, b = ExactLinearSampler(M14, 0.5, 1.0, 16), ExactLinearSampler(M14, -0.25, 1.0, 16)
+    alone = {s: s.paths_array(seed=41, replicates=130) for s in (a, b)}
+    taken = {a: [], b: []}
+    for (fa, ra), (fb, rb) in zip(a.path_blocks(41, 130), b.path_blocks(41, 130)):
+        taken[a].append(ra.copy())
+        taken[b].append(rb.copy())
+    for s in (a, b):
+        assert np.array_equal(np.concatenate(taken[s]), alone[s])
+        assert np.array_equal(alone[s], _fresh_generator_paths(s, 41, 130))
+
+
+def test_exact_samplers_in_two_threads_at_once_draw_their_own_streams():
+    samplers = [ExactLinearSampler(M14, x, 1.0, 64) for x in (0.5, -0.25)]
+    alone = [s.paths_array(seed=42, replicates=640) for s in samplers]
+    barrier = threading.Barrier(2)
+    results = [None, None]
+
+    def sample(j):
+        barrier.wait()
+        results[j] = samplers[j].paths_array(seed=42, replicates=640)
+
+    threads = [threading.Thread(target=sample, args=(j,)) for j in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for s, got, ref in zip(samplers, results, alone):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(got, _fresh_generator_paths(s, 42, 640))
 
 
 def test_exact_sampler_build_peaks_at_two_and_a_half_n_squared():
