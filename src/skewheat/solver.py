@@ -213,28 +213,16 @@ def _band_matmul(blocks, x, out, scratch=None):
             out[r0:r0 + len(a)] += part
 
 
-def _band_rows(blocks, r0, r1):
-    """(c0, c1, A[r0:r1, c0:c1]) with [c0, c1) the column hull of the blocks holding rows r0..r1-1."""
-    held = [(b0, c0, c1, a) for b0, c0, c1, a in blocks if b0 < r1 and b0 + len(a) > r0]
-    lo, hi = min(b[1] for b in held), max(b[2] for b in held)
-    out = np.zeros((r1 - r0, hi - lo))
-    for b0, c0, c1, a in held:
-        top, bottom = max(r0, b0), min(r1, b0 + len(a))
-        out[top - r0:bottom - r0, c0 - lo:c1 - lo] = a[top - b0:bottom - b0]
-    return lo, hi, out
-
-
 def _semigroup_operators(kernel: GreenKernel, grid: GridSpec):
-    """The three banded operators of the semigroup recursion and its one-step gap.
+    """The three banded operators of the semigroup recursion.
 
     The history lives on the padded grid z: the m cells plus m//2 cells of
     the same width on each side, about [-2L, 2L], with z[pad:pad+m] the cell
     centers.  With K_d the kernel at _cell_lags' lag for distance d,
-    returns (newest, history, step, gap): newest = K_1 on the m cells,
+    returns (newest, history, step): newest = K_1 on the m cells,
     history = K_2 from the m cells to the padded cells, step[j, l] = the
     integral of G_dt(z_j, y) over padded cell l, each held as _band's row
-    blocks and built on the blocks' column spans only, and gap = the largest
-    |step @ K_2 - K_3| over padded rows in [-L/2, L/2], relative to max K_3.
+    blocks and built on the blocks' column spans only.
     Raises SolverError, before any entry is evaluated, when the blocks would
     hold more than BAND_MAX_BYTES.
     """
@@ -243,7 +231,7 @@ def _semigroup_operators(kernel: GreenKernel, grid: GridSpec):
     z = np.concatenate([y[0] - dx * np.arange(pad, 0, -1), y, y[-1] + dx * np.arange(1, pad + 1)])
     edges = z[0] - 0.5 * dx + dx * np.arange(len(z) + 1)
     fy, fz, fe = (position_map(a, kernel.params) for a in (y, z, edges))
-    t1, t2, t3 = _cell_lags(dt, 3)
+    t1, t2 = _cell_lags(dt, 2)
     spans = (_band_spans(t1, fy, fy, fy), _band_spans(t2, fz, fy, fy),
              _band_spans(dt, fz, fe[:-1], fe[1:]))
     need = 8 * sum((r1 - r0) * (c1 - c0) for op in spans for r0, r1, c0, c1 in op)
@@ -257,13 +245,7 @@ def _semigroup_operators(kernel: GreenKernel, grid: GridSpec):
         t2, z[r0:r1, None], y[None, c0:c1]))
     step = _band(spans[2], lambda r0, r1, c0, c1: kernel.cell_mass(
         dt, z[r0:r1, None], edges[None, c0:c1], edges[None, c0 + 1:c1 + 1]))
-    # Outside the band both step @ history and K_3 are below rounding.
-    h0, h1 = np.flatnonzero(np.abs(z) <= 0.5 * grid.L)[[0, -1]] + [0, 1]
-    p0, p1, p_rows = _band_rows(step, h0, h1)
-    k0, k1, h_rows = _band_rows(history, p0, p1)
-    later = kernel.evaluate(t3, z[h0:h1, None], y[None, k0:k1])
-    gap = float(np.max(np.abs(p_rows @ h_rows - later)) / np.max(later))
-    return newest, history, step, gap
+    return newest, history, step
 
 
 def _check_finite(u: np.ndarray, i: int, rows: np.ndarray) -> None:
@@ -308,9 +290,9 @@ def solve_field_batch(
     each step is u_i = K_1 v_{i-1} + S_i[inner] followed by
     S_{i+1} = P S_i + K_2 v_{i-1}, with P the cell-integrated one-step
     kernel.  P is nonnegative with row sums at most one, so the recursion is
-    stable on every grid; its deviation from the direct sum is the
-    semigroup gap.  The three are banded operators: each is held as blocks of
-    BAND_BLOCK rows with the one column span the rows' heat kernel reaches
+    stable on every grid; it is a different scheme from the direct lag sum,
+    not a rounding of it.  The three are banded operators: each is held as
+    blocks of BAND_BLOCK rows with the one column span the rows' heat kernel reaches
     (every left-out entry is below BAND_FLOOR times the Gaussian's peak), so
     a step costs O(m w R) for a block span w, and the whole pass
     O(n m w R) instead of the direct O(n**2 m**2 R).  Only the current row
@@ -322,9 +304,8 @@ def solve_field_batch(
     kernel_stack ("fft" or "semigroup"),
     stack_mib (the kernel and transform arrays held at once: for the FFT
     product, khat and one replicate's transform; for the semigroup path, the
-    stored blocks) and, for the semigroup path,
-    semigroup_gap and band_fraction (the entries the blocks store over the
-    three operators' dense size).
+    stored blocks) and, for the semigroup path, band_fraction (the entries
+    the blocks store over the three operators' dense size).
     Raises NonFiniteFieldError naming the first offending (time row, grid
     cell) if the field overflows.
     """
@@ -367,12 +348,12 @@ def _semigroup_field(kernel, grid, sigma, dW, cols, report):
         rows, r, noise_bytes = dW, count, dW.nbytes
     else:
         rows, r, noise_bytes = dW.rows(), dW.width, dW.rows_nbytes
-    newest, history, step, gap = _semigroup_operators(kernel, grid)
+    newest, history, step = _semigroup_operators(kernel, grid)
     padded = m + 2 * (m // 2)
     if report is not None:
         stored = sum(a.size for op in (newest, history, step) for _, _, _, a in op)
         report.update(noise_mib=noise_bytes / 2**20, rows_per_step=m, kernel_stack="semigroup",
-                      stack_mib=8 * stored / 2**20, semigroup_gap=gap,
+                      stack_mib=8 * stored / 2**20,
                       band_fraction=stored / (m * m + padded * m + padded**2))
     inner, cells = slice(m // 2, m // 2 + m), np.arange(m)
     out = np.zeros((n + 1, len(cols), count))
