@@ -18,8 +18,8 @@ increments its NoiseChunk held at once (a nonlinear sigma's are drawn as
 the recursion steps, a constant sigma's one replicate at a time as the FFT
 product takes them), the rows solved per time step, the kernel path taken (the
 FFT-in-time product or the semigroup recursion), whether dx meets the
-resolution bound and, for the recursion, the share of its operators' dense
-entries that the bands store, in its `convolution` block.
+resolution bound and the scheme's exact Var u(T) (FFT) or the bands'
+share of the operators' dense entries (recursion), in its `convolution` block.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .noise import GridSpec, NoiseChunk, sample_noise, GAUSS_TRANSFORM_ID
 from .solver import (
     format_sigma,
     solve_field_batch,
-    scheme_variance,
     covariance_linear,
     ExactLinearSampler,
     NEWEST_LAG,
@@ -226,14 +225,15 @@ def _point_paths(cfg: ExperimentConfig, log: dict, grid: GridSpec, points):
     first.. at point j, valid until the next block is taken; no array of
     every path is made.  A config without observation points is a
     ConfigError.  On the convolution backend the points are snapped to cell
-    centers, and a point outside [-L, L] is a ConfigError raised before any
-    solve.  The exact backend takes a constant sigma = c only; it samples
-    each point independently of the others, one sampler at a time, in
-    blocks of PATH_BLOCK replicates scaled by c.  What the backend did is
-    appended to log as the blocks are taken: one record per replicate chunk
-    under "convolution", or one record per exact sampler under
-    "exact_sampler" (quadrature node level, the wall seconds of the
-    covariance and the Cholesky stages and of its path sampling, and
+    centers, and a point outside [-L, L] or two of cfg.x_points (not other
+    points) in one cell is a ConfigError raised before any solve.  The exact
+    backend takes a constant sigma = c only; it samples each point
+    independently of the others, one sampler at a time, in blocks of
+    PATH_BLOCK replicates scaled by c.  What the backend did is appended to
+    log as the blocks are taken: one record per replicate chunk under
+    "convolution", or one record per exact sampler under "exact_sampler"
+    (quadrature node level, the wall seconds of the covariance and the
+    Cholesky stages and of its path sampling, and
     "sampled_independently": True).
     """
     if not cfg.x_points:
@@ -243,6 +243,12 @@ def _point_paths(cfg: ExperimentConfig, log: dict, grid: GridSpec, points):
         if outside:
             raise ConfigError(f"observation point x = {outside[0]!r} lies outside [-L, L] = "
                               f"[{-grid.L!r}, {grid.L!r}] on the convolution backend")
+        cells: dict[int, float] = {}
+        for x in cfg.x_points:
+            col, center = grid.snap(x)
+            if cells.setdefault(col, x) != x:
+                raise ConfigError(f"observation points x = {cells[col]!r} and x = {x!r} snap to the "
+                                  f"same convolution cell {col} (center {center!r})")
         cols, points = zip(*(grid.snap(x) for x in points))
         return list(points), _convolution_blocks(cfg, grid, list(cols), log)
     if cfg.sigma.constant is None:
@@ -372,7 +378,7 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
     for idx, xe in enumerate(points):
         block = paths[:, idx, :]  # (R, n+1)
         mean_t = float(np.mean(block[:, -1]))
-        disc = None if c is None else c * c * scheme_variance(cfg.medium, grid, xe)
+        disc = None if c is None else log["convolution"][0]["disc_variance_u_T"][idx]
         if cfg.replicates > 1:
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowing spread is inf
                 var_t = float(np.var(block[:, -1], ddof=1))
@@ -396,7 +402,7 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
                 and not (row.rel_error <= cfg.check_tolerance)):
             ok = False
         path_files[f"paths_x{idx:03d}.csv"] = (xe, block)
-    log.update(path_files=path_files, times=grid.time_nodes)
+    log["path_files"] = path_files
     return rows, ok, log
 
 
@@ -488,12 +494,11 @@ def run_command(command: str, cfg: ExperimentConfig) -> dict:
     files = {"results_csv": f"{command}.csv"}
     _write_csv(os.path.join(cfg.out_dir, files["results_csv"]), meta, CSV_COLUMNS,
                ROW_TEMPLATE, map(astuple, rows))
-    times = extras.get("times")
     for name, (xe, block) in extras.get("path_files", {}).items():
         _write_csv(os.path.join(cfg.out_dir, name), {**meta, "x": "%.17g" % xe},
                    ["t"] + [f"rep_{r:06d}" for r in range(block.shape[0])],
                    ",".join(["%.17g"] * (block.shape[0] + 1)),
-                   map(tuple, np.column_stack((times, block.T)).tolist()))
+                   map(tuple, np.column_stack((cfg.grid.time_nodes, block.T)).tolist()))
         files[name] = name
 
     payload = {

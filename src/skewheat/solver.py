@@ -301,10 +301,11 @@ def solve_field_batch(
     If report is given it receives noise_mib (the increments held at once:
     the whole array, or a NoiseChunk's row blocks or one replicate),
     rows_per_step (the distinct requested cells, at least two, or m),
-    kernel_stack ("fft" or "semigroup"),
-    stack_mib (the kernel and transform arrays held at once: for the FFT
-    product, khat and one replicate's transform; for the semigroup path, the
-    stored blocks) and, for the semigroup path, band_fraction (the entries
+    kernel_stack ("fft" or "semigroup"), stack_mib (the kernel and transform
+    arrays held at once: for the FFT product, khat and one replicate's
+    transform; for the semigroup path, the stored blocks) and, for the FFT
+    product, disc_variance_u_T (the exact Var u_n at each requested cell, in
+    columns order) or, for the semigroup path, band_fraction (the entries
     the blocks store over the three operators' dense size).
     Raises NonFiniteFieldError naming the first offending (time row, grid
     cell) if the field overflows.
@@ -381,15 +382,17 @@ def _fft_rows_field(kernel, grid, c, dW, cols, report):
     before rfft, so the circular product leaves no wrap-around in the first
     n outputs.  The kernel rows' transforms at every lag, khat, (n+1) x p x m
     complex, are built once, source cells FFT_BLOCK at a time (one evaluate
-    call per block).  Then the replicates are taken one at a time, from the
-    (n, m, R) array or as a NoiseChunk's replicates() draws them: each is
-    scaled by its own max|dW|, transformed, multiplied by khat per
-    frequency, transformed back, scaled back and checked, so a replicate's
-    path does not depend on the others, and a field that overflows does so
-    in the rows that overflow in the direct sum and not in the padded
-    transforms.  khat
-    is allocated before any array of length n, so a grid past memory is
-    refused before any page is touched.
+    call per block); the same rows, squared, sum to the scheme's exact
+    Var u_n = c**2 dt dx sum over d, l of K_d(x, y_l)**2, as u_n sums them
+    times independent N(0, dt dx) increments.  Then the replicates are taken
+    one at a time, from the (n, m, R) array or as a NoiseChunk's
+    replicates() draws them: each is scaled by its own max|dW|, transformed,
+    multiplied by khat per frequency, transformed back, scaled back and
+    checked, so a replicate's path does not depend on the others, and a
+    field that overflows does so in the rows that overflow in the direct
+    sum and not in the padded transforms.  khat is allocated before any
+    array of length n, so a grid past memory is refused before any page is
+    touched.
     """
     n, m, r = dW.shape
     rows, pick = np.unique(cols, return_inverse=True)
@@ -402,10 +405,12 @@ def _fft_rows_field(kernel, grid, c, dW, cols, report):
     khat = np.empty((n + 1, p, m), dtype=complex)
     y = grid.cell_centers
     lags = _cell_lags(grid.dt, n)
+    squares = np.zeros(p)
     for lo in range(0, m, FFT_BLOCK):
         block = slice(lo, min(lo + FFT_BLOCK, m))
         k_rows = kernel.evaluate(lags[:, None, None], y[None, rows, None], y[None, None, block])
         khat[:, :, block] = np.fft.rfft(k_rows, nfft, axis=0)
+        squares += np.square(k_rows, out=k_rows).sum(axis=(0, 2))
     if isinstance(dW, np.ndarray):
         replicates, noise_bytes = np.moveaxis(dW, 2, 0), dW.nbytes
     else:
@@ -413,7 +418,8 @@ def _fft_rows_field(kernel, grid, c, dW, cols, report):
     if report is not None:
         held = khat.nbytes + (n + 1) * m * 16
         report.update(noise_mib=noise_bytes / 2**20, rows_per_step=p, kernel_stack="fft",
-                      stack_mib=held / 2**20)
+                      stack_mib=held / 2**20,
+                      disc_variance_u_T=(c * c * (squares[pick] * grid.dt * grid.dx)).tolist())
     out = np.zeros((n + 1, len(cols), r))
     # Each replicate's noise is transformed as the rows of an (m, n) copy:
     # pocketfft runs that faster than axis 0 of (n, m), with the same bits.
@@ -430,20 +436,6 @@ def _fft_rows_field(kernel, grid, c, dW, cols, report):
             _check_finite(u[i], i + 1, rows)
         out[1:, :, k] = u[:, pick]
     return out
-
-
-def scheme_variance(medium: MediumParams, grid: GridSpec, x: float) -> float:
-    """Exact variance of the field scheme's u(T, x) for sigma = 1 at a cell center x.
-
-    With sigma = 1, u(T, x) = sum over lags d and cells l of
-    K_d(x, y_l) * dW_l, a sum of independent N(0, dt*dx) terms, so its
-    variance is the sum of K_d(x, y_l)**2 * dt * dx over the kernel rows the
-    scheme multiplies.  Set against covariance_linear it gives the scheme's
-    discretization bias, free of Monte Carlo error.
-    """
-    y = grid.cell_centers
-    rows = GreenKernel(medium).evaluate(_cell_lags(grid.dt, grid.n)[:, None], x, y[None, :])
-    return float(np.sum(rows**2) * grid.dt * grid.dx)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,8 @@ def exact_paths_512():
 
 # R = 8000 gives the 5% variance band a pass probability of 0.998 per noise
 # stream: the sample variance is scaled chi-square about the scheme's exact
-# variance (solver.scheme_variance, 0.9981x the oracle at the snapped point).
+# variance (the disc_variance_u_T of the FFT product's report, 0.9981x the
+# oracle at the snapped point x = 0.4375).
 # At R = 500 that probability was 0.57.
 CONV_REPLICATES = 8000
 

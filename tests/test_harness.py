@@ -737,11 +737,14 @@ def test_summary_json_records_convolution_chunks(tmp_path, monkeypatch):
     assert payload["exact_sampler"] == []
     # Constant sigma: the 2 rows' kernel transforms at every source cell,
     # (n+1) x 2 x m complex, next to one replicate's (n+1) x m transform of
-    # its n x m noise.
+    # its n x m noise; every chunk gives the scheme's exact variance at both
+    # cells, the simulate rows' disc_variance_u_T.
+    disc = [float(r["value"]) for r in _read_rows(tmp_path / "out" / "simulate.csv")
+            if r["statistic"] == "disc_variance_u_T"]
     assert payload["convolution"] == [
         {"n": 8, "m": 32, "dx_resolved": False, "first_replicate": first, "replicates": count,
          "noise_mib": 8 * 32 * 8 / 2**20, "rows_per_step": 2, "kernel_stack": "fft",
-         "stack_mib": 9 * 32 * (2 + 1) * 16 / 2**20}
+         "stack_mib": 9 * 32 * (2 + 1) * 16 / 2**20, "disc_variance_u_T": disc}
         for first, count in ((0, 4), (4, 1))
     ]
     big = _write(tmp_path, "big.ini", MEDIUM_14 + "[grid]\nT = 1.0\nn = 8\nL = 8.0\nm = 256\n"
@@ -766,20 +769,21 @@ def test_summary_json_records_convolution_chunks(tmp_path, monkeypatch):
     assert record["band_fraction"] == stored / (256 * 256 + 512 * 256 + 512 * 512) < 0.5
 
 
-def test_simulate_disc_variance_row_uses_scheme_variance(tmp_path):
+def test_simulate_disc_variance_rows_come_from_the_first_convolution_record(tmp_path):
+    # R = 96 is two chunks, solved in two pool workers.
     cfg = _write(
         tmp_path, "c.ini",
         MEDIUM_14 + GRID_SMALL
-        + f"[experiment]\nx = 0.5, -0.5\nreplicates = 3\nseed = 11\nout = {tmp_path}/out\n",
+        + f"[experiment]\nx = 0.5, -0.5\nreplicates = 96\nseed = 11\nout = {tmp_path}/out\n",
     )
-    assert main(["simulate", "--config", cfg]) == 0
+    assert main(["simulate", "--config", cfg, "--workers", "2"]) == 0
     rows = _read_rows(tmp_path / "out" / "simulate.csv")
     assert [r["statistic"] for r in rows] == ["mean_u_T", "variance_u_T", "disc_variance_u_T"] * 2
-    resolved = load_config(cfg)
-    grid = resolved.grid
+    records = json.loads((tmp_path / "out" / "simulate_summary.json").read_text())["convolution"]
+    assert [r["replicates"] for r in records] == [64, 32]
+    assert records[0]["disc_variance_u_T"] == records[1]["disc_variance_u_T"]
+    assert [float(r["value"]) for r in (rows[2], rows[5])] == records[0]["disc_variance_u_T"]
     for var_row, disc_row in ((rows[1], rows[2]), (rows[4], rows[5])):
-        x = float(disc_row["x"])
-        assert float(disc_row["value"]) == solver.scheme_variance(resolved.medium, grid, x)
         assert disc_row["target"] == var_row["target"]
         assert disc_row["std_error"] == "nan"
     cfg_sin = _write(
@@ -789,6 +793,28 @@ def test_simulate_disc_variance_row_uses_scheme_variance(tmp_path):
     )
     assert main(["simulate", "--config", cfg_sin]) == 0
     assert "disc_variance_u_T" not in {r["statistic"] for r in _read_rows(tmp_path / "sin" / "simulate.csv")}
+    # The semigroup recursion has no exact variance to record.
+    [record] = json.loads((tmp_path / "sin" / "simulate_summary.json").read_text())["convolution"]
+    assert record["kernel_stack"] == "semigroup" and "disc_variance_u_T" not in record
+
+
+def test_sigma_one_simulate_evaluates_the_observed_cells_kernel_rows_once_per_chunk(
+        tmp_path, monkeypatch):
+    counted = [0]
+    evaluate = kernel.GreenKernel.evaluate
+
+    def counting(self, t, x, y):
+        counted[0] += np.broadcast(t, x, y).size
+        return evaluate(self, t, x, y)
+
+    monkeypatch.setattr(kernel.GreenKernel, "evaluate", counting)
+    config = str(CONFIGS / "demo_simulate_linear.ini")
+    assert main(["simulate", "--config", config, "--workers", "1", "--out", str(tmp_path)]) == 0
+    cfg = load_config(config)
+    # Two chunks of 64 and 32 replicates, each evaluating the n x m kernel
+    # rows of the 2 observed cells once; the exact variance reuses them.
+    assert (cfg.replicates, len(cfg.x_points), cfg.sigma.constant) == (96, 2, 1.0)
+    assert counted[0] == 2 * cfg.grid.n * 2 * cfg.grid.m
 
 
 def test_simulate_variance_band_comes_from_the_scheme_for_constant_sigma(tmp_path):
@@ -827,12 +853,14 @@ def test_simulate_targets_scale_with_constant_sigma(tmp_path):
 
     rows, resolved = rows_for("affine:0,0.7", "aff")
     assert [r["statistic"] for r in rows] == ["mean_u_T", "variance_u_T", "disc_variance_u_T"] * 2
-    grid, medium = resolved.grid, resolved.medium
+    medium = resolved.medium
     for var_row, disc_row in ((rows[1], rows[2]), (rows[4], rows[5])):
         x = float(var_row["x"])
         target = 0.7 * 0.7 * solver.covariance_linear(1.0, 1.0, x, medium)
         assert float(var_row["target"]) == float(disc_row["target"]) == target
-        assert float(disc_row["value"]) == 0.7 * 0.7 * solver.scheme_variance(medium, grid, x)
+    one_rows, _ = rows_for("one", "one")
+    assert [float(rows[k]["value"]) for k in (2, 5)] == [
+        0.7 * 0.7 * float(one_rows[k]["value"]) for k in (2, 5)]
     rows, _ = rows_for("sin1:0.5", "sin")
     assert [r["target"] for r in rows if r["statistic"] == "variance_u_T"] == ["nan", "nan"]
 
@@ -1154,6 +1182,30 @@ def test_convolution_point_outside_domain_exits_two_with_one_line(tmp_path, caps
     assert main(["quartic", "--config", edges]) == 0
     rows = _read_rows(tmp_path / "edges" / "quartic.csv")
     assert sorted({float(r["x"]) for r in rows}) == [-1.875, 1.875]
+
+
+def test_two_observation_points_in_one_cell_exit_two_with_one_line(tmp_path, capsys):
+    # On m = 64, L = 2 both 0.52 and 0.53 snap to cell 40, centered at 0.53125.
+    demo = (CONFIGS / "demo_simulate_linear.ini").read_text()
+    assert "\nx = -0.5, 0.5\n" in demo
+    for command, text in (("simulate", demo),
+                          ("convergence", demo.replace("kind = simulate", "kind = convergence")
+                           + "n_list = 8\nm_list = 2\n")):
+        cfg = _write(tmp_path, f"{command}.ini", text.replace("\nx = -0.5, 0.5\n", "\nx = 0.52, 0.53\n"))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: observation points x = 0.52 and x = 0.53 snap to the same "
+            "convolution cell 40 (center 0.53125)\n")
+        assert not (tmp_path / command / f"{command}.csv").exists()
+    # Convergence's averaged point 0.5 snaps to cell 39 (center 0.46875), as
+    # does the observation point 0.47: only the observation points must lie
+    # in distinct cells.
+    cfg = _write(tmp_path, "shared.ini", demo.replace("kind = simulate", "kind = convergence")
+                 .replace("\nx = -0.5, 0.5\n", "\nx = 0.47\n") + "n_list = 8\nm_list = 2\n")
+    assert main(["convergence", "--config", cfg, "--replicates", "4", "--out", str(tmp_path / "shared")]) == 0
+    rows = _read_rows(tmp_path / "shared" / "convergence.csv")
+    assert {float(r["x"]) for r in rows if r["statistic"] == "v_quartic"} == {0.46875}
+    assert [r["statistic"] for r in rows if r["statistic"] == "v_avg"] == ["v_avg"]
 
 
 def test_exact_quartic_csv_identical_at_one_and_two_blas_threads(tmp_path):

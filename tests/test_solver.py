@@ -27,7 +27,6 @@ from skewheat import (
 )
 from skewheat import GreenKernel
 from skewheat import solver
-from skewheat.solver import scheme_variance
 from skewheat.checks import brute_covariance, quad_covariance
 from skewheat.noise import STREAM_EXACT_PATHS, position_subkey, standard_normals
 
@@ -762,7 +761,12 @@ def test_column_solve_reports_kernel_path(sigma):
                           "band_fraction": 1.0}
         return
     # The 2 rows' kernel transforms at every source cell, (n+1) x 2 x m
-    # complex, and one replicate's (n+1) x m transform.
+    # complex, and one replicate's (n+1) x m transform; the exact variance
+    # of u_n at cells 11 and 2.
+    disc = report.pop("disc_variance_u_T")
+    y = grid.cell_centers
+    assert disc == pytest.approx([_direct_scheme_variance(M14, grid, y[j]) for j in (11, 2)],
+                                 rel=1e-14)
     assert report == {"noise_mib": 8 * 16 * 2 * 8 / 2**20, "rows_per_step": 2,
                       "kernel_stack": "fft",
                       "stack_mib": 9 * 16 * (2 + 1) * 16 / 2**20}
@@ -873,7 +877,33 @@ def test_fft_product_is_causal_to_rounding():
         assert np.min(np.max(np.abs(pert[k + 1:] - base[k + 1:]), axis=(1, 2))) > 1e-6 * scale
 
 
-def test_scheme_variance_is_direct_kernel_sum():
+def _direct_scheme_variance(medium, grid, x):
+    """Reference: sum over lags d and cells l of K_d(x, y_l)**2 dt dx, each lag's row evaluated whole."""
+    y = grid.cell_centers
+    rows = GreenKernel(medium).evaluate(solver._cell_lags(grid.dt, grid.n)[:, None], x, y[None, :])
+    return float(np.sum(rows**2) * grid.dt * grid.dx)
+
+
+@pytest.mark.parametrize("sigma", [sigma_one(), sigma_affine(0.0, 0.7)], ids=["one", "affine0"])
+@pytest.mark.parametrize("m, blocks", [(8, 1), (48, 2), (70, 3)])
+def test_fft_report_variance_is_direct_kernel_sum(sigma, m, blocks):
+    # The FFT product sums the squared kernel rows FFT_BLOCK source cells at
+    # a time; the report gives c**2 times the whole rows' sum, in columns order.
+    assert math.ceil(m / solver.FFT_BLOCK) == blocks
+    grid = GridSpec(1.0, 12, 4.0, m)
+    y = grid.cell_centers
+    dw = _noise_batch(grid, 45, 1)
+    j = grid.snap(0.5)[0]
+    for cols in ([j], [j, j], [m - 1, 0, m - 1, grid.snap(-0.5)[0]]):
+        report = {}
+        solve_field_batch(M14, grid, sigma, dw, columns=cols, report=report)
+        assert len(report["disc_variance_u_T"]) == len(cols)
+        for got, col in zip(report["disc_variance_u_T"], cols):
+            want = sigma.constant**2 * _direct_scheme_variance(M14, grid, y[col])
+            assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_fft_report_variance_is_the_schemes_exact_variance():
     grid = GridSpec(1.0, 12, 4.0, 40)
     j, xs = grid.snap(0.5)
     kernel = GreenKernel(M14)
@@ -881,13 +911,15 @@ def test_scheme_variance_is_direct_kernel_sum():
     direct = sum(
         float(kernel.evaluate(lag, xs, y)) ** 2 for lag in lags for y in grid.cell_centers
     ) * grid.dt * grid.dx
-    assert scheme_variance(M14, grid, xs) == pytest.approx(direct, rel=1e-13)
+    assert _direct_scheme_variance(M14, grid, xs) == pytest.approx(direct, rel=1e-13)
     # It is the exact variance of the scheme's u(T, x): compare with the
     # linear map from the noise, one unit increment per cell at a time.
     reps = grid.n * grid.m
     basis = np.eye(reps).reshape(grid.n, grid.m, reps) * math.sqrt(grid.dt * grid.dx)
-    u_T = solve_field_batch(M14, grid, sigma_one(), basis, columns=[j])[-1, 0]
+    report = {}
+    u_T = solve_field_batch(M14, grid, sigma_one(), basis, columns=[j], report=report)[-1, 0]
     assert np.sum(u_T**2) == pytest.approx(direct, rel=1e-12)
+    assert report["disc_variance_u_T"][0] == pytest.approx(direct, rel=1e-13)
 
 
 # -- semigroup recursion for nonlinear sigma ---------------------------------
