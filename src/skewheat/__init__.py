@@ -12,7 +12,7 @@ the plug-in estimator of the local diffusivity.
 __version__ = "0.1.0"
 
 from .medium import MediumParams, position_map, tau, A_of
-from .kernel import GreenKernel, BoundConstants
+from .kernel import GreenKernel
 from .noise import GridSpec, NoiseChunk, sample_noise
 from .solver import (
     SigmaSpec,
@@ -37,7 +37,6 @@ __all__ = [
     "tau",
     "A_of",
     "GreenKernel",
-    "BoundConstants",
     "GridSpec",
     "NoiseChunk",
     "sample_noise",

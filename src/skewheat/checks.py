@@ -1,10 +1,12 @@
 """Numerical cross-checks of the kernel closed forms and the linear covariance.
 
-Adaptive quadrature comparators and sweep suites used by the kernel-selftest
-command and by the test suite.  Production solver paths never call into this
-module: the closed forms and solver.covariance_linear's fixed rule stay the
-only runtime routes to the integrals, and scipy.integrate is imported only
-when a comparator runs.
+The kernel's certificates (the constants of the paper's pointwise, L1 and
+L2 bounds and the finite-difference PDE residual), adaptive quadrature
+comparators and the sweep suites of the kernel-selftest command and of the
+test suite.  Production solver paths never call into this module: the
+closed forms and solver.covariance_linear's fixed rule stay the only
+runtime routes to the integrals, and scipy.integrate is imported only when
+a comparator runs.
 """
 
 from __future__ import annotations
@@ -13,8 +15,46 @@ import math
 
 import numpy as np
 
-from .medium import MediumParams, position_map
+from .medium import MediumParams, position_map, A_of
 from .kernel import GreenKernel
+
+
+def bound_constants(medium: MediumParams) -> tuple[float, float, float]:
+    """(c_pointwise, c_l1, c_l2): the constants of the kernel bounds, exact in the params.
+
+    c_pointwise bounds |G_t(x,y)| by c * t**-0.5 * exp(-(f(x)-f(y))**2/(2t)),
+    c_l1 bounds the y-integral of |G|, and c_l2 enters the squared-integral
+    bound c_l2**2 / (2 sqrt(pi) sqrt(t)).  c_l2 is the constant produced by
+    chaining the pointwise bound with the Plancherel identity for the
+    standard heat kernel: (a1 v a2)**0.25 * (1+|beta|) * (1/sqrt(a1) + 1/sqrt(a2)).
+    """
+    ab = abs(medium.beta)
+    inv_sum = 1.0 / math.sqrt(medium.a1) + 1.0 / math.sqrt(medium.a2)
+    c_pointwise = (1.0 + ab) / math.sqrt(2.0 * math.pi) * inv_sum
+    c_l1 = inv_sum * (1.0 + ab) * max(math.sqrt(medium.a1), math.sqrt(medium.a2))
+    c_l2 = max(medium.a1, medium.a2) ** 0.25 * (1.0 + ab) * inv_sum
+    return c_pointwise, c_l1, c_l2
+
+
+def time_derivative_fd(kernel: GreenKernel, t, x, y, h) -> float:
+    """Centered finite-difference estimate of d/dt G, for normalizing residuals."""
+    g = kernel.evaluate
+    return (g(t + h, x, y) - g(t - h, x, y)) / (2.0 * h)
+
+
+def pde_residual(kernel: GreenKernel, t, x, y, h) -> float:
+    """Absolute residual |d/dt G - (A(x)/2) d2/dx2 G| by centered differences.
+
+    Valid only off the interface: requires t > 2h and |x| > 2h so the
+    five-point stencil never crosses x = 0 or t = 0.
+    """
+    if not (t > 2.0 * h):
+        raise ValueError("need t > 2h to difference in time")
+    if not (abs(x) > 2.0 * h):
+        raise ValueError("need |x| > 2h to stay off the interface")
+    g = kernel.evaluate
+    dxx = (g(t, x + h, y) - 2.0 * g(t, x, y) + g(t, x - h, y)) / (h * h)
+    return abs(time_derivative_fd(kernel, t, x, y, h) - 0.5 * A_of(x, kernel.params) * dxx)
 
 
 def _support(kernel: GreenKernel, t: float, x: float) -> tuple[float, float]:
@@ -138,8 +178,8 @@ def closed_form_vs_quadrature(seed: int, count: int) -> dict[str, float]:
     worst = {"l1": 0.0, "l2": 0.0, "cross": 0.0}
     for medium, t, t2, x in random_cases(seed, count):
         kernel = GreenKernel(medium)
-        worst["l1"] = max(worst["l1"], abs(kernel.l1_norm(t, x) - quad_l1(kernel, t, x)))
-        worst["l2"] = max(worst["l2"], abs(kernel.l2_norm_sq(t, x) - quad_cross(kernel, t, t, x)))
+        worst["l1"] = max(worst["l1"], abs(1.0 - quad_l1(kernel, t, x)))
+        worst["l2"] = max(worst["l2"], abs(kernel.cross_integral(t, t, x) - quad_cross(kernel, t, t, x)))
         worst["cross"] = max(
             worst["cross"], abs(kernel.cross_integral(t, t2, x) - quad_cross(kernel, t, t2, x))
         )
@@ -149,17 +189,17 @@ def closed_form_vs_quadrature(seed: int, count: int) -> dict[str, float]:
 def integral_bound_margins(seed: int, count: int) -> dict[str, float]:
     """Smallest margins (bound minus value) of the mass and squared-mass bounds.
 
-    Both margins must come out positive; the size of the margin is recorded
-    as a numerical safety indicator.
+    The mass is exactly one and the squared mass is cross_integral at equal
+    lags.  Both margins must come out positive; the size of the margin is
+    recorded as a numerical safety indicator.
     """
     margin_l1 = math.inf
     margin_l2 = math.inf
     for medium, t, _, x in random_cases(seed, count):
-        kernel = GreenKernel(medium)
-        c = kernel.bound_constants()
-        margin_l1 = min(margin_l1, c.c_l1 - kernel.l1_norm(t, x))
-        bound = c.c_l2**2 / (2.0 * math.sqrt(math.pi)) / math.sqrt(t)
-        margin_l2 = min(margin_l2, bound - kernel.l2_norm_sq(t, x))
+        _, c_l1, c_l2 = bound_constants(medium)
+        margin_l1 = min(margin_l1, c_l1 - 1.0)
+        bound = c_l2**2 / (2.0 * math.sqrt(math.pi)) / math.sqrt(t)
+        margin_l2 = min(margin_l2, bound - GreenKernel(medium).cross_integral(t, t, x))
     return {"l1": margin_l1, "l2": margin_l2}
 
 
@@ -174,13 +214,13 @@ def bound_points(seed: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def pointwise_bound_violations(kernel: GreenKernel, t, x, y) -> int:
-    """Number of points (t, x, y) violating the pointwise bound of BoundConstants.
+    """Number of points (t, x, y) violating the pointwise bound of bound_constants.
 
     The bound is |G_t(x,y)| <= c_pointwise * t**-0.5 * exp(-(f(x)-f(y))**2/(2t)).
     Broadcasts over array arguments; raises ValueError on nonpositive lag.
     """
     g = np.abs(kernel.evaluate(t, x, y))
-    c = kernel.bound_constants().c_pointwise
+    c = bound_constants(kernel.params)[0]
     fx = position_map(x, kernel.params)
     fy = position_map(y, kernel.params)
     bound = c / np.sqrt(t) * np.exp(-((fx - fy) ** 2) / (2.0 * t))
@@ -197,8 +237,8 @@ def pde_residual_sweep(kernel: GreenKernel, t_grid, x_grid, y: float, h: float) 
     worst = 0.0
     for t in t_grid:
         for x in x_grid:
-            res = kernel.pde_residual(t, x, y, h)
-            dt = abs(kernel.time_derivative_fd(t, x, y, h))
+            res = pde_residual(kernel, t, x, y, h)
+            dt = abs(time_derivative_fd(kernel, t, x, y, h))
             scale = max(dt, kernel.evaluate(t, x, y) / t)
             worst = max(worst, res / scale)
     return worst

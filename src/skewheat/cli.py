@@ -5,7 +5,8 @@ solver stage fails or numpy refuses an allocation (one-line "solver
 failure" message), 2 on configuration errors, among them an out path that
 cannot be a writable directory and, on the convolution backend, an
 observation point outside [-L, L] or two in one cell, all found before any
-work runs.  A convolution run on a
+work runs, and an output file that cannot be written ("cannot write", found
+after the run; the outputs written before it stay).  A convolution run on a
 grid with dx above sqrt(min(a1, a2)*dt/4) prints one warning line on stderr
 and keeps its exit code, and so does a run with result values that are inf
 or NaN (moments past the range of a double): that line gives their count.

@@ -117,13 +117,21 @@ def make_row(cfg: ExperimentConfig, experiment, n, m, x, statistic, value,
 # ---------------------------------------------------------------------------
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write text to path; an OSError (a directory in the way, a full disk) is a ConfigError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
 def _write_csv(path: str, meta: dict, header, template: str, rows) -> None:
     """Write "# key=value" provenance lines, the header and template % row per row (a tuple)."""
     out = [f"# {k}={v}" for k, v in meta.items()]
     out.append(",".join(header))
     out.extend(template % row for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+    _write_text(path, "\n".join(out) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +486,11 @@ def _make_out_dir(path: str) -> None:
 
 
 def run_command(command: str, cfg: ExperimentConfig) -> dict:
-    """Run one command and write its outputs; returns the summary it wrote (pass flag "ok")."""
+    """Run one command and write its outputs; returns the summary it wrote (pass flag "ok").
+
+    An output that cannot be written is a ConfigError naming its path, raised
+    after the run; the outputs written before it stay.
+    """
     if command not in _RUNNERS:
         raise ConfigError(f"unknown command {command!r}")
     if cfg.kind is not None and cfg.kind != command:
@@ -518,8 +530,6 @@ def run_command(command: str, cfg: ExperimentConfig) -> dict:
         "exact_sampler": extras.get("exact_sampler", []),
         "convolution": extras.get("convolution", []),
     }
-    with open(os.path.join(cfg.out_dir, f"{command}_summary.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=True)
-        fh.write("\n")
+    _write_text(os.path.join(cfg.out_dir, f"{command}_summary.json"),
+                json.dumps(payload, indent=2, allow_nan=True) + "\n")
     return payload

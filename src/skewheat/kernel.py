@@ -5,10 +5,12 @@ piecewise-constant A and rho.  It is a Gaussian in the rescaled coordinates
 f(x), f(y) plus a reflected Gaussian weighted by beta*sign(y); it is not
 translation invariant, so it is evaluated as a two-point function G(t, x, y).
 
-All integral functionals (mass, squared mass, cross products at two time
-lags) reduce to error-function closed forms because squares and products of
-Gaussians are Gaussians; those closed forms are exercised against adaptive
-quadrature in the check suite.
+GreenKernel holds only what the field schemes and the exact covariance
+evaluate: the point value, the y-integral of G_t1(x, y) G_t2(x, y) and the
+masses of cells in y, both in error-function closed form (products of
+Gaussians are Gaussians).  The total mass is exactly one.  The paper's
+pointwise, L1 and L2 bounds, the PDE residual and the quadrature
+comparisons are in checks.py.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .medium import MediumParams, position_map, A_of
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+from .medium import MediumParams, position_map
 
 # Rational Chebyshev coefficients of W. J. Cody, "Rational Chebyshev
 # approximations for the error function", Math. Comp. 23 (1969), in the order
@@ -126,20 +126,6 @@ def _erfc_width(t1, t2, tsum):
 
 
 @dataclass(frozen=True)
-class BoundConstants:
-    """Constants of the pointwise, L1 and L2 kernel bounds, exact in the params.
-
-    c_pointwise bounds |G_t(x,y)| by c * t**-0.5 * exp(-(f(x)-f(y))**2/(2t)).
-    c_l1 bounds the y-integral of |G|.
-    c_l2 enters the squared-integral bound c_l2**2 / (2 sqrt(pi) sqrt(t)).
-    """
-
-    c_pointwise: float
-    c_l1: float
-    c_l2: float
-
-
-@dataclass(frozen=True)
 class GreenKernel:
     """Evaluator for the fundamental solution and its closed-form integrals.
 
@@ -183,26 +169,10 @@ class GreenKernel:
 
     # -- closed-form integrals in y ------------------------------------------
 
-    def l1_norm(self, t, x):
-        """Exact integral of |G_t(x, y)| over the real line.
-
-        Since |beta| < 1 keeps the kernel positive, this equals the plain
-        mass integral; the four error-function pieces (direct and reflected,
-        each half-line) cancel to total mass one for every t and x, so the
-        value is exactly 1.0 in the broadcast shape of (t, x).
-        """
-        t = self._check_lag(t)
-        out = np.ones(np.broadcast(t, np.asarray(x, dtype=float)).shape)
-        return float(out) if out.ndim == 0 else out
-
-    def l2_norm_sq(self, t, x):
-        """Exact integral of G_t(x, y)**2 over y: cross_integral at equal lags."""
-        return self.cross_integral(t, t, x)
-
     def cross_integral(self, t1, t2, x):
         """Exact integral of G_t1(x, y) G_t2(x, y) over y.
 
-        Symmetric in (t1, t2) and equal to l2_norm_sq when t1 == t2.  The four
+        Symmetric in (t1, t2); at t1 == t2 it is the squared mass.  The four
         product terms are Gaussians in y whose half-line masses are error
         functions.  With b = f(x) and s = |b|, every mass on the side of x is
         centered at s, and the two cross-reflected masses on the other side
@@ -244,7 +214,7 @@ class GreenKernel:
         cells that reach its side (lo < 0 for the left, hi > 0 for the
         right): on the others its image interval is empty and its mass
         exactly 0.0.  Entries are >= 0, and the masses of adjacent cells add
-        up to the mass of their union (at most l1_norm, which is one).
+        up to the mass of their union (at most the total mass, one).
         Broadcasts over array arguments.
         """
         t = self._check_lag(t)
@@ -267,39 +237,3 @@ class GreenKernel:
         u0, u1, r = np.maximum(lo[right], 0.0) / math.sqrt(p.a2), hi[right] / math.sqrt(p.a2), rt[right]
         out[right] += mass(b[right], u0, u1, r) + beta * mass(-s[right], u0, u1, r)
         return float(out) if out.ndim == 0 else out
-
-    # -- bounds and diagnostics ----------------------------------------------
-
-    def bound_constants(self) -> BoundConstants:
-        """Exact constants of the pointwise/L1/L2 kernel bounds.
-
-        The L2 constant is the one produced by chaining the pointwise bound
-        with the Plancherel identity for the standard heat kernel:
-        c_l2 = (a1 v a2)**0.25 * (1+|beta|) * (1/sqrt(a1) + 1/sqrt(a2)).
-        """
-        p = self.params
-        ab = abs(p.beta)
-        inv_sum = 1.0 / math.sqrt(p.a1) + 1.0 / math.sqrt(p.a2)
-        c_pointwise = (1.0 + ab) / _SQRT_2PI * inv_sum
-        c_l1 = inv_sum * (1.0 + ab) * max(math.sqrt(p.a1), math.sqrt(p.a2))
-        c_l2 = max(p.a1, p.a2) ** 0.25 * (1.0 + ab) * inv_sum
-        return BoundConstants(c_pointwise=c_pointwise, c_l1=c_l1, c_l2=c_l2)
-
-    def pde_residual(self, t, x, y, h) -> float:
-        """Absolute residual |d/dt G - (A(x)/2) d2/dx2 G| by centered differences.
-
-        Valid only off the interface: requires t > 2h and |x| > 2h so the
-        five-point stencil never crosses x = 0 or t = 0.
-        """
-        if not (t > 2.0 * h):
-            raise ValueError("need t > 2h to difference in time")
-        if not (abs(x) > 2.0 * h):
-            raise ValueError("need |x| > 2h to stay off the interface")
-        g = self.evaluate
-        dxx = (g(t, x + h, y) - 2.0 * g(t, x, y) + g(t, x - h, y)) / (h * h)
-        return abs(self.time_derivative_fd(t, x, y, h) - 0.5 * A_of(x, self.params) * dxx)
-
-    def time_derivative_fd(self, t, x, y, h) -> float:
-        """Centered finite-difference estimate of d/dt G, for normalizing residuals."""
-        g = self.evaluate
-        return (g(t + h, x, y) - g(t - h, x, y)) / (2.0 * h)

@@ -519,9 +519,11 @@ def _covariance_rule(kernel: GreenKernel, t, s: float, x: float, nodes: int):
 
 
 def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> tuple[np.ndarray, int]:
-    """(C, node_level): C[i, j] = covariance_linear(times[i], times[j], x) and its node level.
+    """(C, node_level): C[i, j] = covariance_linear(t_i, t_j, x) on t_i = i*T/n, and its node level.
 
-    times must be a uniform grid starting at 0 (t_i = i*dt).  For s <= t,
+    times is that grid, np.linspace(0, T, n + 1); only its length n + 1 and
+    its last entry T are read, so a horizon whose grid points are subnormal
+    (or round to 0) builds as well as any other.  For s <= t,
     C(t, s) = integral over q in [0, s] of cross_integral(t - s + q, q), so
     along each lag diagonal t - s = k*dt the entries are cumulative sums of
     the cell integrals over q in [c*dt, (c+1)*dt].  The diagonals are
@@ -538,11 +540,7 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> tupl
     l C(t, s; x) it is sqrt(T) times the matrix at times/T and x/sqrt(T), so
     no lag it forms underflows however small T is.
     """
-    times = np.asarray(times, dtype=float)
-    n = len(times) - 1 if times.ndim == 1 else 0
-    dt = times[-1] / n if n >= 1 else 0.0
-    if not dt > 0.0 or times[0] != 0.0 or np.any(np.abs(np.diff(times) - dt) > 1e-9 * dt):
-        raise ValueError("times must be a uniform 1-D grid 0 = t_0 < t_1 < ... < t_n")
+    n = len(times) - 1
     root = math.sqrt(times[-1])
     dt, unit_x = 1.0 / n, x / root
     kernel = GreenKernel(medium)

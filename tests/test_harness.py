@@ -486,6 +486,18 @@ def test_exact_backend_at_x0_and_horizon_1e_minus_300_exits_zero(tmp_path, capsy
     assert rows["incr_ratio6"]["value"] == "nan"
 
 
+@pytest.mark.parametrize("T", ["1e-310", "5e-324"])
+def test_exact_quartic_at_a_subnormal_horizon_exits_zero(tmp_path, T):
+    # np.linspace(0, T, 513) is not uniform to 1e-9 of its step once the
+    # step is subnormal (at 5e-324 every inner point is 0); the covariance
+    # reads only the grid's length and last entry.
+    text = (CONFIGS / "demo_quartic.ini").read_text().replace("T = 1.0", f"T = {T}")
+    assert f"T = {T}" in text and "n = 512" in text
+    lines = _assert_cli_prints_one_line_messages(
+        tmp_path, "quartic", text.replace("replicates = 1000", "replicates = 64"), codes=(0,))
+    assert len(lines) == 1 and lines[0].endswith("result rows have a value that is not finite")
+
+
 def test_indefinite_covariance_exits_one_naming_the_pivot(tmp_path, monkeypatch, capsys):
     # No diagonal shift is tried: the first non-positive pivot is the failure.
     exact = solver.covariance_matrix
@@ -944,6 +956,21 @@ def test_out_path_that_is_a_file_exits_two_before_running(tmp_path, capsys, monk
     assert err.startswith("config error: cannot create out directory ")
     assert err.count("\n") == 1
     assert ran == []
+
+
+@pytest.mark.parametrize("command, blocked, written", [
+    ("quartic", "quartic.csv", []),
+    ("simulate", "paths_x000.csv", ["simulate.csv"]),
+    ("quartic", "quartic_summary.json", ["quartic.csv"]),
+], ids=["results-csv", "path-csv", "summary-json"])
+def test_blocked_output_file_exits_two_with_one_line(tmp_path, command, blocked, written):
+    # Found only when the run writes: the outputs written before it stay.
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    lines = _assert_cli_prints_one_line_messages(
+        tmp_path, command, MEDIUM_14 + GRID_SMALL + "[experiment]\nx = 0.5\nreplicates = 2\n",
+        codes=(2,), prefix="config error: cannot write ")
+    assert lines == [f"config error: cannot write {str(tmp_path / 'out' / blocked)!r}: Is a directory"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(written + [blocked])
 
 
 def test_perfbench_layer_hooks_resolve(monkeypatch):

@@ -8,12 +8,15 @@ from skewheat import MediumParams, GreenKernel
 from skewheat.kernel import _erfc
 from skewheat.medium import position_map
 from skewheat.checks import (
+    bound_constants,
+    pde_residual,
     pointwise_bound_violations,
     quad_l1,
     quad_cross,
     random_cases,
     reduction_max_rel_error,
     pde_residual_sweep,
+    time_derivative_fd,
 )
 
 HOMOG = GreenKernel(MediumParams(1, 1, 1, 1))
@@ -48,8 +51,6 @@ def test_nonpositive_lag_rejected():
     for fn in (
         lambda: K14.evaluate(0.0, 0.1, 0.2),
         lambda: K14.evaluate(-1.0, 0.1, 0.2),
-        lambda: K14.l1_norm(0.0, 0.1),
-        lambda: K14.l2_norm_sq(-0.5, 0.1),
         lambda: K14.cross_integral(0.5, 0.0, 0.1),
     ):
         with pytest.raises(ValueError):
@@ -58,8 +59,7 @@ def test_nonpositive_lag_rejected():
 
 def test_homogeneous_integral_identities():
     t, x = 0.7, 1.3
-    assert HOMOG.l1_norm(t, x) == pytest.approx(1.0, abs=1e-14)
-    assert HOMOG.l2_norm_sq(t, x) == pytest.approx(1.0 / (2 * math.sqrt(math.pi * t)), rel=1e-14)
+    assert HOMOG.cross_integral(t, t, x) == pytest.approx(1.0 / (2 * math.sqrt(math.pi * t)), rel=1e-14)
     assert HOMOG.cross_integral(0.3, 0.9, 0.4) == pytest.approx(
         1.0 / math.sqrt(2 * math.pi * 1.2), rel=1e-14
     )
@@ -74,7 +74,7 @@ def test_cross_integral_symmetry_and_diagonal():
             K14.cross_integral(t2, t1, x), rel=1e-13
         )
         assert K14.cross_integral(t1, t1, x) == pytest.approx(
-            K14.l2_norm_sq(t1, x), rel=1e-13
+            quad_cross(K14, t1, t1, x), rel=1e-10
         )
 
 
@@ -93,29 +93,29 @@ def test_cross_integral_scales_at_extreme_lags(scale):
 def test_closed_forms_match_quadrature_randomized():
     for medium, t, t2, x in random_cases(seed=11, count=20):
         kernel = GreenKernel(medium)
-        assert kernel.l1_norm(t, x) == pytest.approx(quad_l1(kernel, t, x), abs=1e-10)
-        assert kernel.l2_norm_sq(t, x) == pytest.approx(quad_cross(kernel, t, t, x), abs=1e-10)
+        assert quad_l1(kernel, t, x) == pytest.approx(1.0, abs=1e-10)
+        assert kernel.cross_integral(t, t, x) == pytest.approx(quad_cross(kernel, t, t, x), abs=1e-10)
         assert kernel.cross_integral(t, t2, x) == pytest.approx(
             quad_cross(kernel, t, t2, x), abs=1e-10
         )
 
 
 def test_l1_bound_holds_on_sampled_cases():
-    c = K14.bound_constants()
+    c_l1 = bound_constants(K14.params)[1]
     rng = np.random.default_rng(6)
     for _ in range(100):
         t = rng.uniform(0.01, 3.0)
         x = rng.uniform(-4, 4)
-        assert K14.l1_norm(t, x) <= c.c_l1
+        assert quad_l1(K14, t, x) <= c_l1
 
 
 def test_l2_bound_holds_on_sampled_cases():
-    c = K14.bound_constants()
+    c_l2 = bound_constants(K14.params)[2]
     rng = np.random.default_rng(7)
     for _ in range(100):
         t = rng.uniform(0.01, 3.0)
         x = rng.uniform(-4, 4)
-        assert K14.l2_norm_sq(t, x) <= c.c_l2**2 / (2 * math.sqrt(math.pi)) / math.sqrt(t)
+        assert K14.cross_integral(t, t, x) <= c_l2**2 / (2 * math.sqrt(math.pi)) / math.sqrt(t)
 
 
 def test_pointwise_bound_randomized():
@@ -168,8 +168,8 @@ def test_continuity_across_interface_in_x():
 
 
 def test_pde_residual_homogeneous_point():
-    res = HOMOG.pde_residual(0.5, 1.0, 0.0, 1e-3)
-    dt = abs(HOMOG.time_derivative_fd(0.5, 1.0, 0.0, 1e-3))
+    res = pde_residual(HOMOG, 0.5, 1.0, 0.0, 1e-3)
+    dt = abs(time_derivative_fd(HOMOG, 0.5, 1.0, 0.0, 1e-3))
     assert res / dt < 1e-4
 
 
@@ -186,25 +186,25 @@ def test_pde_residual_grid_normalized():
 
 def test_pde_residual_interface_trend_recorded(capsys):
     # Diagnostic only: the off-interface assumption degrades as x -> 0.
-    values = [(x, K14.pde_residual(0.5, x, 0.0, 1e-3)) for x in (1.0, 0.5, 0.25, 0.1, 0.05)]
+    values = [(x, pde_residual(K14, 0.5, x, 0.0, 1e-3)) for x in (1.0, 0.5, 0.25, 0.1, 0.05)]
     print("pde residual toward interface:", values)
 
 
 def test_pde_residual_preconditions():
     with pytest.raises(ValueError):
-        K14.pde_residual(1e-4, 1.0, 0.0, 1e-3)
+        pde_residual(K14, 1e-4, 1.0, 0.0, 1e-3)
     with pytest.raises(ValueError):
-        K14.pde_residual(0.5, 1e-4, 0.0, 1e-3)
+        pde_residual(K14, 0.5, 1e-4, 0.0, 1e-3)
 
 
 def test_bound_constants_formulas():
-    c = K14.bound_constants()
+    c_pointwise, c_l1, c_l2 = bound_constants(K14.params)
     beta = 1.0 / 3.0
     inv = 1.0 + 0.5
-    assert c.c_pointwise == pytest.approx((1 + beta) / math.sqrt(2 * math.pi) * inv, rel=1e-14)
-    assert c.c_l1 == pytest.approx(inv * (1 + beta) * 2.0, rel=1e-14)
-    assert c.c_l2 == pytest.approx(4 ** 0.25 * (1 + beta) * inv, rel=1e-14)
-    assert c.c_pointwise > 0 and c.c_l1 > 0 and c.c_l2 > 0
+    assert c_pointwise == pytest.approx((1 + beta) / math.sqrt(2 * math.pi) * inv, rel=1e-14)
+    assert c_l1 == pytest.approx(inv * (1 + beta) * 2.0, rel=1e-14)
+    assert c_l2 == pytest.approx(4 ** 0.25 * (1 + beta) * inv, rel=1e-14)
+    assert c_pointwise > 0 and c_l1 > 0 and c_l2 > 0
 
 
 # -- cross_integral's one-erfc closed form -----------------------------------------
@@ -268,21 +268,10 @@ def test_cross_integral_exactly_symmetric_and_scalar():
     for params in ORACLE_MEDIA:
         kernel = GreenKernel(MediumParams(*params))
         assert np.array_equal(kernel.cross_integral(t1, t2, x), kernel.cross_integral(t2, t1, x))
-        assert np.array_equal(kernel.l2_norm_sq(t1, x), kernel.cross_integral(t1, t1, x))
         for xs in (0.5, -0.5, *TINY_X):
             assert type(kernel.cross_integral(0.3, 0.7, xs)) is float
-            assert type(kernel.l2_norm_sq(0.3, xs)) is float
-            assert type(kernel.l1_norm(0.3, xs)) is float
     # Broadcasting over a column of lags and a row of points.
     assert K14.cross_integral(t1[:5, None], 0.4, x[None, :7]).shape == (5, 7)
-
-
-def test_l1_norm_is_exactly_one_in_broadcast_shape():
-    assert K14.l1_norm(0.5, -0.2) == 1.0
-    out = K14.l1_norm(np.array([[0.1], [0.2], [0.3]]), np.linspace(-2.0, 2.0, 4))
-    assert out.shape == (3, 4) and np.all(out == 1.0)
-    with pytest.raises(ValueError):
-        K14.l1_norm(np.array([0.1, -0.1]), 0.0)
 
 
 def test_covariance_matrix_matches_eight_erfc_reference(monkeypatch):

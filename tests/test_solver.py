@@ -329,20 +329,6 @@ def test_covariance_matrix_coarse_grid_every_entry(n, x):
             )
 
 
-@pytest.mark.parametrize(
-    "times",
-    [
-        np.array([0.0, 0.1, 0.3, 0.4]),
-        np.linspace(0.1, 1.0, 5),
-        np.array([0.0]),
-        np.linspace(0.0, 1.0, 6)[::-1],
-    ],
-)
-def test_covariance_matrix_requires_uniform_grid_from_zero(times):
-    with pytest.raises(ValueError, match="uniform"):
-        covariance_matrix(times, 0.5, M14)
-
-
 def test_covariance_matrix_nonconvergence_raises(monkeypatch):
     monkeypatch.setattr(solver, "COV_CELL_MAX_NODES", 4)
     with pytest.raises(CovarianceError,
@@ -377,6 +363,18 @@ def test_covariance_at_an_extreme_horizon_is_the_unit_horizon_scaled(lam2):
         assert np.max(np.abs(got / lam - ref)) <= 4e-16 * np.max(np.abs(ref)), x
         assert covariance_linear(lam2, 0.5 * lam2, lam * x, M14) / lam == pytest.approx(
             covariance_linear(1.0, 0.5, x, M14), rel=4e-16, abs=0.0), x
+
+
+@pytest.mark.parametrize("T", [1e-310, 1e-320, 5e-324])
+def test_covariance_matrix_at_a_subnormal_horizon_is_the_unit_horizon_scaled(T):
+    # The grid's points are subnormal (at 5e-324 all inner ones are 0); only
+    # its length and last entry are read, as at any horizon.
+    lam = math.sqrt(T)
+    for x in (0.5, 0.0, -0.3):
+        ref, ref_level = covariance_matrix(np.linspace(0.0, 1.0, 513), x, M14)
+        got, got_level = covariance_matrix(np.linspace(0.0, T, 513), lam * x, M14)
+        assert got_level == ref_level, x
+        assert np.max(np.abs(got / lam - ref)) <= 4e-16 * np.max(np.abs(ref)), x
 
 
 def test_covariance_linear_at_x0_and_horizon_1e_minus_300():
@@ -1107,4 +1105,4 @@ def test_cell_mass_matches_quadrature_and_conserves_mass(medium):
     for t in (0.01, 0.2):
         cells = kernel.cell_mass(t, xs, edges[None, :-1], edges[None, 1:])
         assert np.all(cells >= 0.0)
-        np.testing.assert_allclose(cells.sum(axis=1), kernel.l1_norm(t, xs[:, 0]), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(cells.sum(axis=1), 1.0, rtol=0, atol=1e-14)
