@@ -6,9 +6,11 @@ f(x), f(y) plus a reflected Gaussian weighted by beta*sign(y); it is not
 translation invariant, so it is evaluated as a two-point function G(t, x, y).
 
 GreenKernel holds only what the field schemes and the exact covariance
-evaluate: the point value, the y-integral of G_t1(x, y) G_t2(x, y) and the
-masses of cells in y, both in error-function closed form (products of
-Gaussians are Gaussians).  The total mass is exactly one.  The paper's
+evaluate: the point value, the y-integral of G_t1(x, y) G_t2(x, y) (the
+diagonal G_{t1+t2}(x, x) plus an interface term that vanishes when
+rho1 == rho2), the time integral of the diagonal and the masses of cells
+in y, all in error-function closed form (products of Gaussians are
+Gaussians).  The total mass is exactly one.  The paper's
 pointwise, L1 and L2 bounds, the PDE residual and the quadrature
 comparisons are in checks.py.
 """
@@ -179,28 +181,73 @@ class GreenKernel:
         sum to one, so the integral collapses to one erfc and one exp:
         (c0 + c1*near + c2*e) / sqrt(2 pi (t1 + t2)), where
         near = erfc(s / sqrt(2 t1 t2 / (t1 + t2))) / 2 and
-        e = exp(-2 s**2 / (t1 + t2)).  For b > 0, c0 = r2,
-        c1 = (1-beta)**2 r1 - (1-beta**2) r2 and c2 = beta r2; for b <= 0 the
-        mirror c0 = r1, c1 = (1+beta)**2 r2 - (1-beta**2) r1 and
-        c2 = -beta r1, with r_i = a_i**-1/2.
+        e = exp(-2 s**2 / (t1 + t2)).  For b > 0, c0 = r2 and c2 = beta r2;
+        for b <= 0 the mirror c0 = r1 and c2 = -beta r1, with r_i = a_i**-1/2.
+        So the c0 and c2 terms are the diagonal G_{t1+t2}(x, x), and the c1
+        term is interface_cross.
         """
         t1 = self._check_lag(t1)
         t2 = self._check_lag(t2)
-        p, beta = self.params, self.params.beta
-        b = np.asarray(position_map(x, self.params), dtype=float)
-        s = np.abs(b)
-        tsum = t1 + t2
-        near = 0.5 * _erfc(s / _erfc_width(t1, t2, tsum))
-        with np.errstate(over="ignore"):  # s * s past the largest double: e = exp(-inf) = 0
-            e = np.exp(-2.0 * (s * s) / tsum)
-        r1, r2 = 1.0 / math.sqrt(p.a1), 1.0 / math.sqrt(p.a2)
-        right = b > 0
-        c0 = np.where(right, r2, r1)
-        c1 = np.where(right, (1.0 - beta) ** 2 * r1 - (1.0 - beta * beta) * r2,
-                      (1.0 + beta) ** 2 * r2 - (1.0 - beta * beta) * r1)
-        c2 = np.where(right, beta * r2, -beta * r1)
-        out = (c0 + c1 * near + c2 * e) / np.sqrt(2.0 * math.pi * tsum)
+        out = self.evaluate(t1 + t2, x, x) + self.interface_cross(t1, t2, x)
         return float(out) if np.ndim(out) == 0 else out
+
+    def interface_cross(self, t1, t2, x):
+        """The c1 term of cross_integral: c1*near / sqrt(2 pi (t1 + t2)).
+
+        near = erfc(|f(x)| / sqrt(2 t1 t2 / (t1 + t2))) / 2.  For x <= 0,
+        c1 = (1+beta)**2 r2 - (1-beta**2) r1, and for x > 0 the mirror
+        c1 = (1-beta)**2 r1 - (1-beta**2) r2, with r_i = a_i**-1/2.  With
+        k = rho1/rho2, g = sqrt(a1/a2) and beta = (1 - kg)/(1 + kg) these are
+        c1 = 4 g (1 - k) / (sqrt(a1) (1 + kg)**2) and -kg times that, the
+        form computed here: it is exactly 0 when rho1 == rho2, where the
+        operator is symmetric in dx, G_t(x, y) = G_t(y, x), and
+        Chapman-Kolmogorov leaves cross_integral the diagonal alone.
+        """
+        t1 = self._check_lag(t1)
+        t2 = self._check_lag(t2)
+        p = self.params
+        b = np.asarray(position_map(x, p), dtype=float)
+        tsum = t1 + t2
+        near = 0.5 * _erfc(np.abs(b) / _erfc_width(t1, t2, tsum))
+        g = math.sqrt(p.a1 / p.a2)
+        kg = p.rho1 / p.rho2 * g
+        jump = 4.0 * g * (1.0 - p.rho1 / p.rho2) / (math.sqrt(p.a1) * (1.0 + kg) ** 2)
+        # x's own branch, as in evaluate: f(x) may round to 0 on either side.
+        c1 = np.where(np.asarray(x) > 0, -kg * jump, jump)
+        out = c1 * near / np.sqrt(2.0 * math.pi * tsum)
+        return float(out) if np.ndim(out) == 0 else out
+
+    def diagonal_integral(self, u, x):
+        """Exact integral of the diagonal G_r(x, x) over r in [0, u], for u >= 0.
+
+        With r_x = A(x)**-1/2, s_x = -1 for x <= 0 and +1 otherwise, and
+        z = sqrt(2/r) |f(x)|, the diagonal is
+        r_x / sqrt(2 pi r) * (1 + beta s_x exp(-z**2)), and its integral is
+        r_x sqrt(2u/pi) * (1 + beta s_x g(z)) at z = sqrt(2/u) |f(x)|, where
+        g(z) = exp(-z**2) - sqrt(pi) z erfc(z) falls from 1 at z = 0 to 0.
+        That is (2 pi A(x))**-1/2 [2 sqrt(u) + beta s_x (2 sqrt(u) exp(-b/u)
+        - 2 sqrt(pi b) erfc(sqrt(b/u)))] with b = 2 f(x)**2, written so that
+        no inf * 0 is formed: from z = 27 on, g is below 1e-319 and taken as
+        0, so u = 0 gives 0 and a point whose f(x)**2 overflows keeps only
+        the direct term.  Broadcasts over array arguments; raises ValueError
+        on a negative u.
+        """
+        p, beta = self.params, self.params.beta
+        u = np.asarray(u, dtype=float)
+        if not np.all(u >= 0):
+            raise ValueError("integration horizon must be nonnegative")
+        fx = np.asarray(position_map(x, p), dtype=float)
+        root = np.sqrt(u)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            z = math.sqrt(2.0) * np.abs(fx) / root  # inf (or nan at x = 0) where u = 0
+        z, left = np.broadcast_arrays(z, np.asarray(x) <= 0)  # x's own branch, as in evaluate
+        g = np.zeros(z.shape)
+        live = z < _ERFC_ZERO_AT
+        zl = z[live]
+        g[live] = np.exp(-(zl * zl)) - math.sqrt(math.pi) * zl * _erfc(zl)
+        scale = np.where(left, 1.0 / math.sqrt(p.a1), 1.0 / math.sqrt(p.a2)) * math.sqrt(2.0 / math.pi)
+        out = scale * root * (1.0 + np.where(left, -beta, beta) * g)
+        return float(out) if out.ndim == 0 else out
 
     def cell_mass(self, t, x, lo, hi):
         """Exact integral of G_t(x, y) over the cell lo <= y <= hi.

@@ -21,6 +21,8 @@ from skewheat.cli import main
 from skewheat.harness import CSV_COLUMNS
 
 MEDIUM_14 = "[medium]\na1 = 1.0\na2 = 4.0\nrho1 = 1.0\nrho2 = 1.0\n"
+# The density jumps at the interface, so the exact covariance integrates its interface term.
+MEDIUM_14_JUMP = MEDIUM_14.replace("rho2 = 1.0", "rho2 = 2.0")
 MEDIUM_HOMOG = "[medium]\na1 = 1.0\na2 = 1.0\nrho1 = 1.0\nrho2 = 1.0\n"
 GRID_SMALL = "[grid]\nT = 1.0\nn = 8\nL = 8.0\nm = 32\n"
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -413,19 +415,25 @@ def test_summary_json_embeds_config_and_versions(tmp_path):
 
 
 def test_summary_json_records_exact_sampler_per_point(tmp_path):
-    cfg = _write(
-        tmp_path, "c.ini",
-        MEDIUM_14 + GRID_SMALL
-        + f"[experiment]\nx = 0.5, -0.5\nreplicates = 4\nseed = 11\nbackend = exact-linear\nout = {tmp_path}/out\n",
-    )
-    assert main(["quartic", "--config", cfg]) == 0
-    payload = json.loads((tmp_path / "out" / "quartic_summary.json").read_text())
-    records = payload["exact_sampler"]
-    assert [(r["x"], r["n"]) for r in records] == [(0.5, 8), (-0.5, 8)]
-    for r in records:
-        assert set(r) == {"x", "n", "covariance_node_level", "covariance_s", "cholesky_s",
-                          "paths_s", "sampled_independently"}
-        assert r["covariance_node_level"] >= 16
+    # With equal densities the covariance is closed and its node level 0.
+    for medium, name in ((MEDIUM_14, "equal"), (MEDIUM_14_JUMP, "jump")):
+        cfg = _write(
+            tmp_path, f"{name}.ini",
+            medium + GRID_SMALL
+            + f"[experiment]\nx = 0.5, -0.5\nreplicates = 4\nseed = 11\nbackend = exact-linear\n"
+            + f"out = {tmp_path}/{name}\n",
+        )
+        assert main(["quartic", "--config", cfg]) == 0
+        payload = json.loads((tmp_path / name / "quartic_summary.json").read_text())
+        records = payload["exact_sampler"]
+        assert [(r["x"], r["n"]) for r in records] == [(0.5, 8), (-0.5, 8)]
+        for r in records:
+            assert set(r) == {"x", "n", "covariance_node_level", "covariance_s", "cholesky_s",
+                              "paths_s", "sampled_independently"}
+            if name == "equal":
+                assert r["covariance_node_level"] == 0
+            else:
+                assert r["covariance_node_level"] >= 16
 
 
 @pytest.mark.parametrize("command", ["quartic", "convergence"])
@@ -461,7 +469,7 @@ def test_covariance_nonconvergence_exits_one_with_one_line(tmp_path, monkeypatch
     monkeypatch.setattr(solver, "COV_CELL_MAX_NODES", 4)
     cfg = _write(
         tmp_path, "c.ini",
-        MEDIUM_14 + GRID_SMALL
+        MEDIUM_14_JUMP + GRID_SMALL
         + f"[experiment]\nx = 0.5\nreplicates = 4\nseed = 11\nbackend = exact-linear\nout = {tmp_path}/out\n",
     )
     assert main(["quartic", "--config", cfg]) == 1

@@ -275,15 +275,71 @@ def test_cross_integral_exactly_symmetric_and_scalar():
 
 
 def test_covariance_matrix_matches_eight_erfc_reference(monkeypatch):
+    # The quadrature integrates the interface term only, and only where the
+    # density jumps: there the reference's term is its excess over the diagonal.
     from skewheat import covariance_matrix
 
+    def reference_interface(kernel, t1, t2, x):
+        return _reference_cross_integral(kernel, t1, t2, x) - kernel.evaluate(t1 + t2, x, x)
+
     times = np.linspace(0.0, 1.0, 513)
-    medium = MediumParams(1, 4, 1, 1)
+    medium = MediumParams(1, 4, 1, 2)
     got, got_level = covariance_matrix(times, 0.5, medium)
-    monkeypatch.setattr(GreenKernel, "cross_integral", _reference_cross_integral)
+    monkeypatch.setattr(GreenKernel, "interface_cross", reference_interface)
     ref, ref_level = covariance_matrix(times, 0.5, medium)
     assert got_level == ref_level
     assert np.max(np.abs(got - ref)) <= 1e-15
+
+
+def test_cross_integral_is_the_diagonal_plus_the_interface_term():
+    rng = np.random.default_rng(43)
+    t1 = 10.0 ** rng.uniform(-6.0, 1.0, 2000)
+    t2 = 10.0 ** rng.uniform(-6.0, 1.0, 2000)
+    x = np.concatenate([rng.uniform(-8.0, 8.0, 1000),
+                        rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-12, 0, 1000)])
+    x[: len(TINY_X)] = TINY_X
+    # Equal densities: G is symmetric, and Chapman-Kolmogorov leaves G_{t1+t2}(x, x).
+    for params in ((1, 4, 1, 1), (100, 0.01, 1, 1), (2, 0.5, 3, 3), (1, 1, 1, 1)):
+        kernel = GreenKernel(MediumParams(*params))
+        diagonal = kernel.evaluate(t1 + t2, x, x)
+        assert np.max(np.abs(kernel.cross_integral(t1, t2, x) - diagonal) / diagonal) <= 1e-15
+        assert np.all(kernel.interface_cross(t1, t2, x) == 0.0)
+    for params in ((1, 4, 1, 2), (0.01, 100, 3, 0.2)):
+        kernel = GreenKernel(MediumParams(*params))
+        term = kernel.interface_cross(t1, t2, x)
+        assert np.array_equal(kernel.cross_integral(t1, t2, x), kernel.evaluate(t1 + t2, x, x) + term)
+        assert np.max(np.abs(term)) > 0.1
+
+
+@pytest.mark.parametrize("params", ORACLE_MEDIA, ids=str)
+def test_diagonal_integral_matches_quadrature(params):
+    from scipy.integrate import quad
+
+    kernel = GreenKernel(MediumParams(*params))
+    for x in (-0.5, -1e-7, 0.0, 1e-7, 0.5, 7.9):
+        for u in (1e-4, 2.0):
+            # The integrand is r**-1/2 near 0: integrate in v = sqrt(r), on dyadic
+            # panels that resolve the reflected term's onset at v ~ |f(x)|.
+            edges = [0.0] + [math.sqrt(u) * 2.0**k for k in range(-30, 1)]
+            ref = math.fsum(quad(lambda v: 2.0 * v * kernel.evaluate(v * v, x, x), lo, hi,
+                                 epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                            for lo, hi in zip(edges[:-1], edges[1:]))
+            assert kernel.diagonal_integral(u, x) == pytest.approx(ref, rel=1e-12), (x, u)
+
+
+def test_diagonal_integral_edges():
+    # u = 0 and points whose f(x)**2 overflows form no inf * 0 and no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (0.0, 0.5, -1e200, 1e200, -math.inf, math.inf):
+            assert K14.diagonal_integral(0.0, x) == 0.0
+        u = np.array([0.25, 1.0])
+        assert np.array_equal(K14.diagonal_integral(u, 1e200), np.sqrt(2.0 * u / math.pi) / 2.0)
+        assert np.array_equal(K14.diagonal_integral(u, -1e200), np.sqrt(2.0 * u / math.pi))
+        assert K14.diagonal_integral(u[:, None], np.array([-1.0, 0.0, 1.0])).shape == (2, 3)
+    assert type(K14.diagonal_integral(0.5, 0.5)) is float
+    with pytest.raises(ValueError):
+        K14.diagonal_integral(-1e-300, 0.5)
 
 
 def test_cross_integral_matches_reference_property():
