@@ -12,10 +12,11 @@ sigma needs every cell of the previous row; there the lag sum is carried
 forward one step at a time by the heat semigroup, with a cell-integrated
 one-step kernel on a padded grid, every operator held only within the
 heat kernel's reach.  For sigma identically one
-the solution is Gaussian and its time covariance at a fixed point is the
-closed-form integral of the kernel's diagonal plus, where the density jumps
-at the interface, a dyadic-panel Gauss-Legendre quadrature
-(covariance_linear); the exact-linear backend samples such paths from a
+the solution is Gaussian and its time covariance at a fixed point
+(covariance_linear) is the closed-form integral of the kernel's diagonal
+when the density is the same on both sides of the interface, and a
+dyadic-panel Gauss-Legendre quadrature where it jumps; the exact-linear
+backend samples such paths from a
 factorized covariance matrix.
 """
 
@@ -455,22 +456,22 @@ def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def covariance_linear(t: float, s: float, x: float, medium: MediumParams) -> float:
     """Time covariance E[u(t,x)u(s,x)] of the linear (sigma = 1) solution.
 
-    Equals the time integral of the two-lag kernel cross products, whose
-    diagonal part G_{t+s-2r}(x, x) integrates in closed form:
-    C(t, s) = (D(t + s) - D(|t - s|)) / 2 + J(t, s), with D the kernel's
-    diagonal_integral and J the integral of its interface_cross term, which
-    is zero when rho1 == rho2 and is not computed then.  J substitutes
-    r = w(1 - v^2), w = min(t, s), which removes the endpoint square-root
-    singularity; the lags are then t - w + w*v**2 and s - w + w*v**2,
-    positive for every v > 0.  The v-integral is Gauss-Legendre on the
-    dyadic panels [0, 2**-P], ..., [1/2, 1].  The term's erfc onset sits at
-    v ~ |f(x)|/sqrt(w) and the integrand is smooth below it, so the smallest
-    edge 2**-P lies within 2**-3 to 2**-2 of that scale, with P at most
-    COV_PANELS (which x = 0 uses).  The nodes per panel climb _ladder from
-    COV_NODES until two levels agree to 1e-12 of C; raises CovarianceError
-    past COV_MAX_NODES.  Both parts run at unit max(t, s), by
-    C(l**2 t, l**2 s; l x) = l C(t, s; x), so no lag underflows however
-    small t and s are.
+    Equals the time integral over r in [0, min(t, s)] of the two-lag kernel
+    cross products cross_integral(t - r, s - r, x).  When rho1 == rho2 these
+    are the diagonal G_{t+s-2r}(x, x), whose integral is closed:
+    C(t, s) = (D(t + s) - D(|t - s|)) / 2 with D the kernel's
+    diagonal_integral.  Otherwise the interface term does not vanish and C
+    is integrated: the substitution r = w(1 - v^2), w = min(t, s), removes
+    the endpoint square-root singularity; the lags are then t - w + w*v**2
+    and s - w + w*v**2, positive for every v > 0.  The v-integral is
+    Gauss-Legendre on the dyadic panels [0, 2**-P], ..., [1/2, 1].  The
+    cross product's erfc onset sits at v ~ |f(x)|/sqrt(w) and the integrand
+    is smooth below it, so the smallest edge 2**-P lies within 2**-3 to
+    2**-2 of that scale, with P at most COV_PANELS (which x = 0 uses).  The
+    nodes per panel climb _ladder from COV_NODES until two levels agree to
+    1e-12 relative; raises CovarianceError past COV_MAX_NODES.  Both forms
+    run at unit max(t, s), by C(l**2 t, l**2 s; l x) = l C(t, s; x), so no
+    lag underflows however small t and s are.
     checks.quad_covariance is the adaptive-quadrature oracle for this function.
     """
     if t < 0 or s < 0:
@@ -481,18 +482,17 @@ def covariance_linear(t: float, s: float, x: float, medium: MediumParams) -> flo
     root = math.sqrt(top)
     low, unit_x = min(t, s) / top, x / root
     kernel = GreenKernel(medium)
-    d = kernel.diagonal_integral(np.array([1.0 + low, 1.0 - low]), unit_x)
-    unit = 0.5 * (d[:1] - d[1:])
     if medium.rho1 != medium.rho2:
-        unit += _panel_covariance(kernel, np.array([1.0]), low, unit_x, x, unit)
-    return root * float(unit[0])
+        return root * float(_panel_covariance(kernel, np.array([1.0]), low, unit_x, x)[0])
+    d = kernel.diagonal_integral(np.array([1.0 + low, 1.0 - low]), unit_x)
+    return root * float(0.5 * (d[0] - d[1]))
 
 
 def _ladder(level, args: tuple, nodes: int, cap: int, agree, rule: str, x) -> tuple[np.ndarray, int]:
     """Values of the entries of the arrays args, and the last node count run, doubling from `nodes`.
 
-    level(*args, nodes) evaluates the open entries; each retires once agree(new, old, *args) holds
-    for its last two levels, and one still open past `cap` nodes raises CovarianceError.
+    level(*args, nodes) evaluates the open entries; each retires once agree(new, old) holds for
+    its last two levels, and one still open past `cap` nodes raises CovarianceError.
     """
     values, left = np.empty(len(args[0])), np.arange(len(args[0]))
     prev = level(*args, nodes)
@@ -502,26 +502,21 @@ def _ladder(level, args: tuple, nodes: int, cap: int, agree, rule: str, x) -> tu
             raise CovarianceError(f"covariance {rule} rule did not converge with {cap} nodes "
                                   f"per {rule} at x = {float(x)!r}")
         cur = level(*args, nodes)
-        done = agree(cur, prev, *args)
+        done = agree(cur, prev)
         values[left[done]] = cur[done]
         left, prev, args = left[~done], cur[~done], [a[~done] for a in args]
     return values, nodes
 
 
-def _panel_covariance(kernel: GreenKernel, t: np.ndarray, s: float, x: float, at: float,
-                      closed: np.ndarray) -> np.ndarray:
-    """J(t_i, s) at x for each t_i >= s > 0, to 1e-12 of C = closed_i + J.
-
-    A CovarianceError names the point at.
-    """
-    return _ladder(lambda t, closed, nodes: _covariance_rule(kernel, t, s, x, nodes), (t, closed),
-                   COV_NODES, COV_MAX_NODES,
-                   lambda new, old, t, closed: np.abs(new - old) <= 1e-12 * np.abs(closed + new),
+def _panel_covariance(kernel: GreenKernel, t: np.ndarray, s: float, x: float, at: float) -> np.ndarray:
+    """covariance_linear(t_i, s, x) for each t_i >= s > 0; a CovarianceError names the point at."""
+    return _ladder(lambda t, nodes: _covariance_rule(kernel, t, s, x, nodes), (t,), COV_NODES,
+                   COV_MAX_NODES, lambda new, old: np.abs(new - old) <= 1e-12 * np.abs(new),
                    "panel", at)[0]
 
 
 def _covariance_rule(kernel: GreenKernel, t, s: float, x: float, nodes: int):
-    """covariance_linear's panel rule for J(t, s), t >= s (t may be an array), at `nodes` per panel."""
+    """covariance_linear's panel rule for t >= s (t may be an array) at the given nodes per panel."""
     fx = abs(position_map(x, kernel.params))
     depth = COV_PANELS if fx == 0.0 else math.ceil(0.5 * math.log2(s) - math.log2(fx)) + 3
     edges = np.concatenate([[0.0], 2.0 ** np.arange(1 - min(max(depth, 1), COV_PANELS), 1)])
@@ -529,7 +524,7 @@ def _covariance_rule(kernel: GreenKernel, t, s: float, x: float, nodes: int):
     half = 0.5 * np.diff(edges)[:, None]
     v = (edges[:-1, None] + half * (g + 1.0)).ravel()
     q = s * v * v
-    f = 2.0 * s * v * kernel.interface_cross((np.asarray(t, dtype=float)[..., None] - s) + q, q, x)
+    f = 2.0 * s * v * kernel.cross_integral((np.asarray(t, dtype=float)[..., None] - s) + q, q, x)
     return np.sum(f * (half * gw).ravel(), axis=-1)
 
 
@@ -542,23 +537,22 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> tupl
     builds as well as any other.  The build runs at the unit horizon: by
     C(l**2 t, l**2 s; l x) = l C(t, s; x) it is sqrt(T) times the matrix at
     times/T and x/sqrt(T), so no lag it forms underflows however small T
-    is.  There C[i, j] = (D((i + j)/n) - D(|i - j|/n)) / 2 + J, a Hankel
-    minus a Toeplitz matrix of the 2n + 1 values of the kernel's
-    diagonal_integral D, written into C through two strided views of them.
-    J is the integral of interface_cross, zero when rho1 == rho2; then
+    is.  When rho1 == rho2, C[i, j] = (D((i + j)/n) - D(|i - j|/n)) / 2, a
+    Hankel minus a Toeplitz matrix of the 2n + 1 values of the kernel's
+    diagonal_integral D, written into C through two strided views of them;
     nothing is integrated and node_level is 0.  Otherwise, for s <= t,
-    J(t, s) = integral over q in [0, s] of interface_cross(t - s + q, q), so
-    along each lag diagonal t - s = k*dt its entries are cumulative sums of
+    C(t, s) = integral over q in [0, s] of cross_integral(t - s + q, q), so
+    along each lag diagonal t - s = k*dt the entries are cumulative sums of
     the cell integrals over q in [c*dt, (c+1)*dt].  The diagonals are
     assembled COV_DIAGONALS at a time, straight into C, each block from its
     own cells: the first, singular at k = 0 and holding the erfc onset at
-    k >= 1, is J((k+1)*dt, dt) by covariance_linear's panel rule, and the
-    smooth ones c >= 1 climb _ladder from COV_CELL_NODES = 2 Gauss-Legendre
-    nodes until two levels agree within COV_CELL_TOL/n * sqrt(T/min(a1, a2)),
-    the scale of C; past COV_CELL_MAX_NODES they raise CovarianceError.  A
-    cell depends on its own (k, c) only, so the block width changes no bit;
-    the build holds C and one block's cells.  node_level is then the top
-    level of a cell c >= 1.
+    k >= 1, is C((k+1)*dt, dt) by covariance_linear's panel rule,
+    and the smooth ones c >= 1 climb _ladder from COV_CELL_NODES = 2
+    Gauss-Legendre nodes (most stop at 4) until two levels agree within
+    COV_CELL_TOL/n * sqrt(T/min(a1, a2)), the scale of C; past
+    COV_CELL_MAX_NODES they raise CovarianceError.  A cell depends on its
+    own (k, c) only, so the block width changes no bit; the build holds C
+    and one block's cells.  node_level is then the top level of a cell c >= 1.
     """
     times = np.asarray(times, dtype=float)
     n, horizon = len(times) - 1, float(times[-1])
@@ -568,32 +562,16 @@ def covariance_matrix(times: np.ndarray, x: float, medium: MediumParams) -> tupl
         raise ValueError(f"times must be np.linspace(0, T, n + 1): times[{i}] = {times[i]!r} "
                          f"is {off[i]:.3g} off it at T = {horizon!r}")
     root = math.sqrt(horizon)
-    unit_x = x / root
+    dt, unit_x = 1.0 / n, x / root
     kernel = GreenKernel(medium)
-    diagonal = kernel.diagonal_integral(np.arange(2 * n + 1) / n, unit_x)
-    # d[k] = D(k/n) sqrt(T)/2; hankel[i, j] = d[i + j] and toeplitz[i, j] = d[|i - j|].
-    d = (0.5 * root) * diagonal
-    hankel = np.lib.stride_tricks.sliding_window_view(d, n + 1)
-    toeplitz = np.lib.stride_tricks.sliding_window_view(np.concatenate([d[n:0:-1], d[:n + 1]]), n + 1)[::-1]
     if medium.rho1 == medium.rho2:
+        # d[k] = D(k/n) sqrt(T)/2; hankel[i, j] = d[i + j] and toeplitz[i, j] = d[|i - j|].
+        d = (0.5 * root) * kernel.diagonal_integral(np.arange(2 * n + 1) / n, unit_x)
+        hankel = np.lib.stride_tricks.sliding_window_view(d, n + 1)
+        toeplitz = np.lib.stride_tricks.sliding_window_view(np.concatenate([d[n:0:-1], d[:n + 1]]), n + 1)[::-1]
         return np.subtract(hankel, toeplitz, out=np.empty((n + 1, n + 1))), 0
+    tol = COV_CELL_TOL / n * math.sqrt(1.0 / min(medium.a1, medium.a2))
     out = np.zeros((n + 1, n + 1))
-    node_level = _interface_covariance(kernel, diagonal, unit_x, x, out)
-    out *= root
-    out += hankel
-    out -= toeplitz
-    return out, node_level
-
-
-def _interface_covariance(kernel: GreenKernel, diagonal: np.ndarray, x: float, at: float,
-                          out: np.ndarray) -> int:
-    """Write J(i/n, j/n) at x into out, by lag diagonals of cell integrals; return the node level.
-
-    diagonal[k] is D(k/n), from which the first cells' panel rule takes the scale of C.
-    """
-    n = len(out) - 1
-    dt, p = 1.0 / n, kernel.params
-    tol = COV_CELL_TOL / n * math.sqrt(1.0 / min(p.a1, p.a2))
     node_level = COV_CELL_NODES
     for k0 in range(0, n, COV_DIAGONALS):
         # cells[k - k0, c] integrates over q in [c*dt, (c+1)*dt] on diagonal k, for c < n - k.
@@ -601,26 +579,26 @@ def _interface_covariance(kernel: GreenKernel, diagonal: np.ndarray, x: float, a
         row, cell = np.nonzero(np.add.outer(diagonals, np.arange(n - k0)) < n)
         lag, smooth = row + k0, cell > 0
         cells = np.zeros((len(diagonals), n - k0))
-        closed = 0.5 * (diagonal[diagonals + 2] - diagonal[diagonals])
-        cells[:, 0] = _panel_covariance(kernel, dt * (diagonals + 1), dt, x, at, closed)
-        values, nodes = _ladder(lambda k, c, nodes: _cell_rule(kernel, dt, x, k, c, nodes),
+        cells[:, 0] = _panel_covariance(kernel, dt * (diagonals + 1), dt, unit_x, x)
+        values, nodes = _ladder(lambda k, c, nodes: _cell_rule(kernel, dt, unit_x, k, c, nodes),
                                 (lag[smooth], cell[smooth]), COV_CELL_NODES, COV_CELL_MAX_NODES,
-                                lambda new, old, k, c: np.abs(new - old) <= tol, "cell", at)
+                                lambda new, old: np.abs(new - old) <= tol, "cell", x)
         cells[row[smooth], cell[smooth]] = values
         node_level = max(node_level, nodes)
         entries = np.cumsum(cells, axis=1)[row, cell]
         out[lag + cell + 1, cell + 1] = entries
         out[cell + 1, lag + cell + 1] = entries
-    return node_level
+    out *= root
+    return out, node_level
 
 
 def _cell_rule(kernel: GreenKernel, dt: float, x: float, k, c, nodes: int) -> np.ndarray:
-    """The integrals of J's cells (k, c), c >= 1, by Gauss-Legendre at the given nodes."""
+    """The integrals of the cells (k, c), c >= 1, by Gauss-Legendre at the given nodes."""
     xg, wg = _leggauss(nodes)
     acc = np.zeros(len(k))
     for v, w in zip(0.5 * (xg + 1.0), 0.5 * wg):
         q = dt * (c + v)
-        acc += dt * w * kernel.interface_cross(k * dt + q, q, x)
+        acc += dt * w * kernel.cross_integral(k * dt + q, q, x)
     return acc
 
 
@@ -656,8 +634,8 @@ class ExactLinearSampler:
     """Exact Gaussian path sampler at one spatial point for sigma = 1.
 
     Builds the (n+1)x(n+1) time covariance once on the uniform grid
-    t_i = i*T/n with covariance_matrix (closed form, plus lag-diagonal
-    cumulative sums of per-cell quadratures where rho1 != rho2), factors
+    t_i = i*T/n with covariance_matrix (closed form where rho1 == rho2, else
+    lag-diagonal cumulative sums of per-cell quadratures), factors
     its block past t_0 in place, so the
     factor is a view of the one (n+1)x(n+1) array, and maps per-replicate
     standard-normal streams through the factor, PATH_BLOCK replicates per
