@@ -30,6 +30,7 @@ import os
 import time
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -117,21 +118,32 @@ def make_row(cfg: ExperimentConfig, experiment, n, m, x, statistic, value,
 # ---------------------------------------------------------------------------
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write text to path; an OSError (a directory in the way, a full disk) is a ConfigError."""
+def _write_text(path: str, lines) -> None:
+    """Write the strings of lines, each ending in its newline, to path, holding one at a time.
+
+    An OSError (a directory in the way, a full disk) is a ConfigError.
+    """
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def _write_csv(path: str, meta: dict, header, template: str, rows) -> None:
-    """Write "# key=value" provenance lines, the header and template % row per row (a tuple)."""
-    out = [f"# {k}={v}" for k, v in meta.items()]
-    out.append(",".join(header))
-    out.extend(template % row for row in rows)
-    _write_text(path, "\n".join(out) + "\n")
+    """Write "# key=value" provenance lines, the header and template % row per row (a tuple).
+
+    rows may be any iterable; each line is formatted as it is written.
+    """
+    line = template + "\n"
+    _write_text(path, chain((f"# {k}={v}\n" for k, v in meta.items()), [",".join(header) + "\n"],
+                            (line % row for row in rows)))
+
+
+def _time_rows(times: np.ndarray, block: np.ndarray):
+    """(t_i, block[0, i], ..., block[R-1, i]) for each time node t_i of an (R, n+1) path block."""
+    for i, t in enumerate(times.tolist()):
+        yield (t, *block[:, i].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +520,8 @@ def run_command(command: str, cfg: ExperimentConfig) -> dict:
                ROW_TEMPLATE, map(astuple, rows))
     for name, (xe, block) in extras.get("path_files", {}).items():
         _write_csv(os.path.join(cfg.out_dir, name), {**meta, "x": "%.17g" % xe},
-                   ["t"] + [f"rep_{r:06d}" for r in range(block.shape[0])],
-                   ",".join(["%.17g"] * (block.shape[0] + 1)),
-                   map(tuple, np.column_stack((cfg.grid.time_nodes, block.T)).tolist()))
+                   chain(["t"], (f"rep_{r:06d}" for r in range(block.shape[0]))),
+                   ",".join(["%.17g"] * (block.shape[0] + 1)), _time_rows(cfg.grid.time_nodes, block))
         files[name] = name
 
     payload = {
@@ -531,5 +542,5 @@ def run_command(command: str, cfg: ExperimentConfig) -> dict:
         "convolution": extras.get("convolution", []),
     }
     _write_text(os.path.join(cfg.out_dir, f"{command}_summary.json"),
-                json.dumps(payload, indent=2, allow_nan=True) + "\n")
+                [json.dumps(payload, indent=2, allow_nan=True) + "\n"])
     return payload

@@ -98,13 +98,21 @@ class SigmaSpec:
     def constant(self) -> float | None:
         return None if self.h1 or self.amp else self.h2
 
-    def evaluate(self, u) -> np.ndarray:
+    def evaluate(self, u, out: np.ndarray | None = None) -> np.ndarray:
+        """sigma(u), into out (u's shape, not u) when given; formed in place, with the same bits."""
         u = np.asarray(u, dtype=float)
+        if out is None:
+            out = np.empty_like(u)
         if self.amp:
-            return 1.0 + self.amp * np.sin(u)
-        if self.h1:
-            return self.h1 * u + self.h2
-        return np.full_like(u, self.h2)
+            np.sin(u, out=out)
+            out *= self.amp
+            out += 1.0
+        elif self.h1:
+            np.multiply(u, self.h1, out=out)
+            out += self.h2
+        else:
+            out.fill(self.h2)
+        return out
 
 
 def sigma_one() -> SigmaSpec:
@@ -364,7 +372,8 @@ def _semigroup_field(kernel, grid, sigma, dW, cols, report):
     hist, nxt = np.zeros((padded, r)), np.empty((padded, r))
     scratch = np.empty((BAND_BLOCK, r))
     for i, dw in enumerate(rows, 1):
-        np.multiply(sigma.evaluate(u), dw, out=v)
+        sigma.evaluate(u, out=v)
+        v *= dw
         _band_matmul(newest, v, u)
         u += hist[inner]
         _check_finite(u, i, cells)
@@ -414,7 +423,7 @@ def _fft_rows_field(kernel, grid, c, dW, cols, report):
         khat[:, :, block] = np.fft.rfft(k_rows, nfft, axis=0)
         squares += np.square(k_rows, out=k_rows).sum(axis=(0, 2))
     if isinstance(dW, np.ndarray):
-        replicates, noise_bytes = np.moveaxis(dW, 2, 0), dW.nbytes
+        replicates, noise_bytes = iter(np.moveaxis(dW, 2, 0)), dW.nbytes
     else:
         replicates, noise_bytes = dW.replicates(), 8 * n * m
     if report is not None:
@@ -425,13 +434,18 @@ def _fft_rows_field(kernel, grid, c, dW, cols, report):
     out = np.zeros((n + 1, len(cols), r))
     # Each replicate's noise is transformed as the rows of an (m, n) copy:
     # pocketfft runs that faster than axis 0 of (n, m), with the same bits.
+    # One transform buffer serves every replicate, and each one's noise is let
+    # go before the next is drawn (enumerate's result tuple would hold it).
     v = np.empty((m, n))
-    for k, dw in enumerate(replicates):
+    vhat = np.empty((m, n + 1), dtype=complex)
+    for k in range(r):
+        dw = next(replicates)
         scale = float(max(dw.max(), -dw.min())) or 1.0
         np.divide(dw.T, scale, out=v)
+        del dw
         v *= c
-        vhat = np.fft.rfft(v, nfft).T
-        u = np.fft.irfft(khat @ vhat[:, :, None], nfft, axis=0)[:n, :, 0] * scale
+        np.fft.rfft(v, nfft, out=vhat)
+        u = np.fft.irfft(khat @ vhat.T[:, :, None], nfft, axis=0)[:n, :, 0] * scale
         bad = ~np.isfinite(u).all(axis=1)
         if bad.any():
             i = int(np.argmax(bad))

@@ -90,6 +90,7 @@ class PointAccumulator:
             p2[:], p4[:] = np.sum(d2, axis=-1), np.sum(d4, axis=-1)
             d2 *= d4  # d^6 in place: d^2 is not needed past its pooled sum
             p6[:] = np.sum(d2, axis=-1)
+            del d2, d4  # released before sigma's array is allocated
             s2 = self.sigma.evaluate(rows)
             s2 *= s2
             s2_pooled[:] = np.sum(s2[:, start:-1], axis=-1)

@@ -736,12 +736,42 @@ def test_csv_rows_are_one_template_per_file(tmp_path):
         "4.9406564584124654e-324,-inf,0")
     block = np.array([[0.0, -0.0, 5e-324, 1e300],
                       [-1.2345678901234567e-5, -5e-324, -1e300, 1.0 / 3.0]])
-    harness._write_csv(str(tmp_path / "a.csv"), {"seed": 1}, ["c0", "c1", "c2", "c3"],
-                       "%.17g,%.17g,%.17g,%.17g", map(tuple, block.tolist()))
-    assert (tmp_path / "a.csv").read_text() == (
+    expected = (
         "# seed=1\nc0,c1,c2,c3\n0,-0,4.9406564584124654e-324,1.0000000000000001e+300\n"
         "-1.2345678901234568e-05,-4.9406564584124654e-324,-1.0000000000000001e+300,"
         "0.33333333333333331\n")
+    harness._write_csv(str(tmp_path / "a.csv"), {"seed": 1}, ["c0", "c1", "c2", "c3"],
+                       "%.17g,%.17g,%.17g,%.17g", map(tuple, block.tolist()))
+    assert (tmp_path / "a.csv").read_text() == expected
+    # Rows and header given as generators, each taken once as the file is written.
+    harness._write_csv(str(tmp_path / "g.csv"), {"seed": 1}, (f"c{k}" for k in range(4)),
+                       "%.17g,%.17g,%.17g,%.17g", (tuple(row) for row in block.tolist()))
+    assert (tmp_path / "g.csv").read_text() == expected
+    # A path file's time rows, formed one at a time from its (R, n+1) block.
+    harness._write_csv(str(tmp_path / "t.csv"), {"seed": 1}, ["c0", "c1", "c2"], "%.17g,%.17g,%.17g",
+                       harness._time_rows(block[0], block[1:].repeat(2, axis=0)))
+    assert (tmp_path / "t.csv").read_text().splitlines()[2:] == [
+        "%.17g,%.17g,%.17g" % (t, v, v) for t, v in zip(block[0].tolist(), block[1].tolist())]
+
+
+def test_simulate_holds_its_paths_and_one_csv_line(tmp_path):
+    # demo_simulate_linear.ini's grid (n = 32, two points) at R = 5000: the
+    # (R, 2, n+1) paths take 2.6 MB.  Each path file is written a time row
+    # at a time, so the run peaks below twice the paths; every path file
+    # formed as float lists and joined text at once would take about three
+    # times them.
+    replicates = 5000
+    cfg = replace(load_config(str(CONFIGS / "demo_simulate_linear.ini")), replicates=replicates,
+                  out_dir=str(tmp_path / "out"))
+    harness.run_command("simulate", replace(cfg, replicates=2))  # first-call caches are not the run's
+    tracemalloc.start()
+    try:
+        summary = harness.run_command("simulate", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["ok"] and len(summary["files"]) == 3
+    assert peak < 2 * replicates * len(cfg.x_points) * (cfg.grid.n + 1) * 8
 
 
 def test_summary_json_records_convolution_chunks(tmp_path, monkeypatch):

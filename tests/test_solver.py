@@ -51,6 +51,25 @@ def test_sigma_presets():
     assert sin.evaluate(np.array([0.0]))[0] == 1.0
 
 
+def test_sigma_evaluate_into_out_is_the_expression_bit_for_bit():
+    # In place or not, sigma is the parent's expression: 1 + amp*sin(u),
+    # h1*u + h2, or h2 everywhere, on values that round at every step.
+    u = np.random.default_rng(5).standard_normal((7, 9)) * 10.0 ** np.arange(-4, 5)
+    u[0, :4] = [0.0, -0.0, 1e300, -5e-324]
+    expected = {"one": np.full_like(u, 1.0), "affine:0.3,1": 0.3 * u + 1.0,
+                "sin1:0.5": 1.0 + 0.5 * np.sin(u)}
+    for spec, want in expected.items():
+        sigma = parse_sigma(spec)
+        buf = np.full_like(u, np.nan)
+        assert sigma.evaluate(u, out=buf) is buf, spec
+        assert np.array_equal(buf.view(np.uint64), want.view(np.uint64)), spec
+        assert np.array_equal(sigma.evaluate(u).view(np.uint64), want.view(np.uint64)), spec
+        # A strided destination, as the recursion's rows are not contiguous in general.
+        wide = np.full((7, 18), np.nan)
+        sigma.evaluate(u, out=wide[:, ::2])
+        assert np.array_equal(wide[:, ::2].view(np.uint64), want.view(np.uint64)), spec
+
+
 def test_parse_sigma_round_trip_and_errors():
     assert parse_sigma("one") == sigma_one()
     assert parse_sigma("affine:2.0,-1.0") == sigma_affine(2.0, -1.0)
@@ -907,6 +926,26 @@ def test_fft_product_from_noise_replicates_equals_array_solve(sigma):
     assert from_lazy.pop("noise_mib") == 40 * 48 * 8 / 2**20
     assert from_array.pop("noise_mib") == 40 * 48 * 5 * 8 / 2**20
     assert from_lazy == from_array
+
+
+def test_fft_product_holds_one_transform_and_one_replicate_of_noise():
+    # n = m = 256, 3 cells, 8 replicates drawn one at a time: the product
+    # holds khat, one (n+1) x m complex transform, and n*m doubles each of
+    # the replicate's noise and of its scaled copy.  Holding the previous
+    # replicate's transform or noise through the next draw adds 1 or 0.5 MiB.
+    grid = GridSpec(1.0, 256, 4.0, 256)
+    cols = [112, 128, 143]
+    chunk = NoiseChunk(grid, 1, 0, 8)
+    solve_field_batch(M14, grid, sigma_one(), NoiseChunk(grid, 1, 0, 1), columns=cols)  # first-call caches
+    tracemalloc.start()
+    try:
+        solve_field_batch(M14, grid, sigma_one(), chunk, columns=cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, m = grid.n, grid.m
+    khat, transform = (n + 1) * len(cols) * m * 16, (n + 1) * m * 16
+    assert peak <= khat + transform + 2 * n * m * 8 + 2**19
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
