@@ -41,7 +41,7 @@ NEWEST_LAG = 0.25
 
 # Rows per block of the semigroup operators, the direct Gaussian factor
 # exp(-(f(x) - f(y))**2 / 2t) below which a column lies outside a row's band,
-# and the most bytes the three operators' blocks may hold together.
+# and the most bytes the semigroup operators' blocks may hold together.
 BAND_BLOCK = 64
 BAND_FLOOR = 1e-17
 BAND_MAX_BYTES = 2**30
@@ -212,27 +212,23 @@ def _band(spans, entries):
     return blocks
 
 
-def _band_matmul(blocks, x, out, scratch=None):
-    """out = A @ x for A held as _band's blocks, or out += A @ x through scratch (64 x R)."""
+def _band_matmul(blocks, x, out):
+    """out = A @ x for A held as _band's blocks."""
     for r0, c0, c1, a in blocks:
-        if scratch is None:
-            np.matmul(a, x[c0:c1], out=out[r0:r0 + len(a)])
-        else:
-            part = scratch[: len(a)]
-            np.matmul(a, x[c0:c1], out=part)
-            out[r0:r0 + len(a)] += part
+        np.matmul(a, x[c0:c1], out=out[r0:r0 + len(a)])
 
 
 def _semigroup_operators(kernel: GreenKernel, grid: GridSpec):
-    """The three banded operators of the semigroup recursion.
+    """The two banded operators of the semigroup recursion.
 
     The history lives on the padded grid z: the m cells plus m//2 cells of
     the same width on each side, about [-2L, 2L], with z[pad:pad+m] the cell
     centers.  With K_d the kernel at _cell_lags' lag for distance d,
-    returns (newest, history, step): newest = K_1 on the m cells,
-    history = K_2 from the m cells to the padded cells, step[j, l] = the
-    integral of G_dt(z_j, y) over padded cell l, each held as _band's row
-    blocks and built on the blocks' column spans only.
+    returns (fresh, step): fresh = [K_1; K_2], the rows of K_1 on the m
+    cells over those of K_2 from the m cells to the padded cells, so that
+    one product maps the fresh noise to both; step[j, l] = the integral of
+    G_dt(z_j, y) over padded cell l.  Each is held as _band's row blocks,
+    K_2's shifted down by m, and built on the blocks' column spans only.
     Raises SolverError, before any entry is evaluated, when the blocks would
     hold more than BAND_MAX_BYTES.
     """
@@ -255,13 +251,14 @@ def _semigroup_operators(kernel: GreenKernel, grid: GridSpec):
         t2, z[r0:r1, None], y[None, c0:c1]))
     step = _band(spans[2], lambda r0, r1, c0, c1: kernel.cell_mass(
         dt, z[r0:r1, None], edges[None, c0:c1], edges[None, c0 + 1:c1 + 1]))
-    return newest, history, step
+    return newest + [(r0 + grid.m, c0, c1, a) for r0, c0, c1, a in history], step
 
 
-def _check_finite(u: np.ndarray, i: int, rows: np.ndarray) -> None:
+def _check_finite(u: np.ndarray, i: int, cells: np.ndarray) -> None:
+    """Raise NonFiniteFieldError at u's first non-finite entry; u[k, l] is time row i + k at cells[l]."""
     if not np.isfinite(u).all():
-        j = int(rows[np.argwhere(~np.isfinite(u))[0][0]])
-        raise NonFiniteFieldError(f"non-finite field value at time row i={i}, cell j={j}")
+        k, l = np.argwhere(~np.isfinite(u))[0][:2]
+        raise NonFiniteFieldError(f"non-finite field value at time row i={i + k}, cell j={cells[l]}")
 
 
 def solve_field_batch(
@@ -301,8 +298,9 @@ def solve_field_batch(
     S_{i+1} = P S_i + K_2 v_{i-1}, with P the cell-integrated one-step
     kernel.  P is nonnegative with row sums at most one, so the recursion is
     stable on every grid; it is a different scheme from the direct lag sum,
-    not a rounding of it.  The three are banded operators: each is held as
-    blocks of BAND_BLOCK rows with the one column span the rows' heat kernel reaches
+    not a rounding of it.  A step is two products, [K_1; K_2] with the fresh
+    noise v_{i-1} and P with S_i, of banded operators held as blocks of
+    BAND_BLOCK rows with the one column span the rows' heat kernel reaches
     (every left-out entry is below BAND_FLOOR times the Gaussian's peak), so
     a step costs O(m w R) for a block span w, and the whole pass
     O(n m w R) instead of the direct O(n**2 m**2 R).  Only the current row
@@ -316,9 +314,9 @@ def solve_field_batch(
     transform; for the semigroup path, the stored blocks) and, for the FFT
     product, disc_variance_u_T (the exact Var u_n at each requested cell, in
     columns order) or, for the semigroup path, band_fraction (the entries
-    the blocks store over the three operators' dense size).
+    the blocks store over the dense size of K_1, K_2 and P).
     Raises NonFiniteFieldError naming the first offending (time row, grid
-    cell) if the field overflows.
+    cell) if the field overflows, on either path with no numpy warning.
     """
     if isinstance(increments, NoiseChunk):
         dW, squeeze = increments, False
@@ -351,37 +349,40 @@ def _semigroup_field(kernel, grid, sigma, dW, cols, report):
     rows are its width wide, the columns past its R replicates zero noise,
     so that a replicate is solved in gemms of the same width in every chunk
     and its path does not depend on the replicate count; those columns stay
-    exactly zero and are not returned.  Each step applies the three banded
-    operators one gemm per row block, into buffers allocated once.
+    exactly zero and are not returned.  A step is two products, a gemm per
+    row block into buffers allocated once: w = [K_1; K_2] v (u is w's first
+    m rows, the history's new term the rest) and P S_i, under np.errstate,
+    so an overflow stops at _check_finite and not at numpy's warnings.
     """
     n, m, count = dW.shape
     if isinstance(dW, np.ndarray):
         rows, r, noise_bytes = dW, count, dW.nbytes
     else:
         rows, r, noise_bytes = dW.rows(), dW.width, dW.rows_nbytes
-    newest, history, step = _semigroup_operators(kernel, grid)
+    fresh, step = _semigroup_operators(kernel, grid)
     padded = m + 2 * (m // 2)
     if report is not None:
-        stored = sum(a.size for op in (newest, history, step) for _, _, _, a in op)
+        stored = sum(a.size for op in (fresh, step) for _, _, _, a in op)
         report.update(noise_mib=noise_bytes / 2**20, rows_per_step=m, kernel_stack="semigroup",
                       stack_mib=8 * stored / 2**20,
                       band_fraction=stored / (m * m + padded * m + padded**2))
     inner, cells = slice(m // 2, m // 2 + m), np.arange(m)
     out = np.zeros((n + 1, len(cols), count))
-    u, v = np.zeros((m, r)), np.empty((m, r))
+    w, v = np.zeros((m + padded, r)), np.empty((m, r))
+    u = w[:m]
     hist, nxt = np.zeros((padded, r)), np.empty((padded, r))
-    scratch = np.empty((BAND_BLOCK, r))
-    for i, dw in enumerate(rows, 1):
-        sigma.evaluate(u, out=v)
-        v *= dw
-        _band_matmul(newest, v, u)
-        u += hist[inner]
-        _check_finite(u, i, cells)
-        out[i] = u[cols, :count]
-        if i < n:
-            _band_matmul(step, hist, nxt)
-            _band_matmul(history, v, nxt, scratch)
-            hist, nxt = nxt, hist
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, dw in enumerate(rows, 1):
+            sigma.evaluate(u, out=v)
+            v *= dw
+            _band_matmul(fresh, v, w)
+            u += hist[inner]
+            _check_finite(u[None], i, cells)
+            out[i] = u[cols, :count]
+            if i < n:
+                _band_matmul(step, hist, nxt)
+                nxt += w[m:]
+                hist, nxt = nxt, hist
     return out
 
 
@@ -398,12 +399,13 @@ def _fft_rows_field(kernel, grid, c, dW, cols, report):
     times independent N(0, dt dx) increments.  Then the replicates are taken
     one at a time, from the (n, m, R) array or as a NoiseChunk's
     replicates() draws them: each is scaled by its own max|dW|, transformed,
-    multiplied by khat per frequency, transformed back, scaled back and
-    checked, so a replicate's path does not depend on the others, and a
-    field that overflows does so in the rows that overflow in the direct
-    sum and not in the padded transforms.  khat is allocated before any
-    array of length n, so a grid past memory is refused before any page is
-    touched.
+    multiplied by khat per frequency, transformed back, scaled back, times c
+    (plus 0.0: c = 0 gives +0.0) and checked, under np.errstate.  So a
+    replicate's path does not depend on the others, the solve is exactly c
+    times sigma = 1's, and a field that overflows stops at _check_finite, with
+    no numpy warning, in the rows that overflow in the direct sum and not in
+    the padded transforms.  khat is allocated before any array of length n,
+    so a grid past memory is refused before any page is touched.
     """
     n, m, r = dW.shape
     rows, pick = np.unique(cols, return_inverse=True)
@@ -438,19 +440,16 @@ def _fft_rows_field(kernel, grid, c, dW, cols, report):
     # go before the next is drawn (enumerate's result tuple would hold it).
     v = np.empty((m, n))
     vhat = np.empty((m, n + 1), dtype=complex)
-    for k in range(r):
-        dw = next(replicates)
-        scale = float(max(dw.max(), -dw.min())) or 1.0
-        np.divide(dw.T, scale, out=v)
-        del dw
-        v *= c
-        np.fft.rfft(v, nfft, out=vhat)
-        u = np.fft.irfft(khat @ vhat.T[:, :, None], nfft, axis=0)[:n, :, 0] * scale
-        bad = ~np.isfinite(u).all(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            _check_finite(u[i], i + 1, rows)
-        out[1:, :, k] = u[:, pick]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(r):
+            dw = next(replicates)
+            scale = float(max(dw.max(), -dw.min())) or 1.0
+            np.divide(dw.T, scale, out=v)
+            del dw
+            np.fft.rfft(v, nfft, out=vhat)
+            u = np.fft.irfft(khat @ vhat.T[:, :, None], nfft, axis=0)[:n, :, 0] * scale * c + 0.0
+            _check_finite(u, 1, rows)
+            out[1:, :, k] = u[:, pick]
     return out
 
 

@@ -802,8 +802,8 @@ def test_summary_json_records_convolution_chunks(tmp_path, monkeypatch):
                  + f"out = {tmp_path}/sin\n")
     assert main(["quartic", "--config", big]) == 0
     payload = json.loads((tmp_path / "sin" / "quartic_summary.json").read_text())
-    # The semigroup recursion holds three banded operators, K_{dt/4} (m x m),
-    # K_{3dt/2} (2m x m) and P (2m x 2m), as 64-row blocks over their column
+    # The semigroup recursion holds two banded operators, [K_{dt/4}; K_{3dt/2}]
+    # ((m + 2m) x m) and P (2m x 2m), as 64-row blocks over their column
     # spans; at m = 256 the band leaves most of the dense entries out.
     [record] = payload["convolution"]
     assert (record["rows_per_step"], record["kernel_stack"], record["dx_resolved"]) \
@@ -1131,7 +1131,7 @@ def test_simulate_next_to_the_interface_exits_zero_with_finite_rows(tmp_path, ca
 def test_semigroup_operators_over_the_memory_limit_exit_one_with_one_line(tmp_path, capsys,
                                                                           monkeypatch):
     # The same grid with a nonlinear sigma: at dt = 0.25 every row's band
-    # spans the whole grid, so the three operators need 7*m**2 doubles (5.2 GiB).
+    # spans the whole grid, so K_1, K_2 and P need 7*m**2 doubles (5.2 GiB).
     def unexpected(*args, **kwargs):
         raise AssertionError("an operator entry was evaluated")
 
@@ -1345,9 +1345,11 @@ def _assert_cli_prints_one_line_messages(tmp_path, command, text, codes=(0, 1),
                                          prefix="warning: "):
     cfg = _write(tmp_path, "c.ini", text)
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    # Under PYTHONWARNINGS=error a warning would end the run in a traceback.
     done = subprocess.run([sys.executable, "-m", "skewheat", command, "--config", cfg,
                            "--out", str(tmp_path / "out")],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+                          env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error"),
+                          capture_output=True, text=True)
     assert done.returncode in codes, done.stderr
     assert "Traceback" not in done.stderr, done.stderr
     # No numpy RuntimeWarning: one-line messages only, at most one of them
@@ -1359,17 +1361,26 @@ def _assert_cli_prints_one_line_messages(tmp_path, command, text, codes=(0, 1),
     return lines
 
 
-@pytest.mark.parametrize("code, prefix, experiment", [
-    (0, "", "x = 0.5\nreplicates = 4\nbackend = exact-linear\n"),
+GRID_HUGE = "[grid]\nT = 1.0\nn = 1000000000\nL = 8.0\nm = 1000000\n"
+GRID_OVERFLOW = "[grid]\nT = 1.0\nn = 8\nL = 2.0\nm = 16\n"
+
+
+@pytest.mark.parametrize("code, prefix, grid, experiment", [
+    (0, "", GRID_SMALL, "x = 0.5\nreplicates = 4\nseed = 1\nbackend = exact-linear\n"),
     # A 64-replicate noise chunk of 5e17 bytes, refused before any page is touched.
-    (1, "solver failure: Unable to allocate ", "x = 0.5\nreplicates = 4\n"),
-    (2, "config error: ", "x = 0.5\nreplicates = 4\nsigma = nope\n"),
-], ids=["exit0", "exit1", "exit2"])
-def test_cli_process_keeps_its_exit_codes_and_one_line_messages(tmp_path, code, prefix, experiment):
-    grid = ("[grid]\nT = 1.0\nn = 1000000000\nL = 8.0\nm = 1000000\n" if code == 1
-            else GRID_SMALL)
+    (1, "solver failure: Unable to allocate ", GRID_HUGE, "x = 0.5\nreplicates = 4\nseed = 1\n"),
+    (2, "config error: ", GRID_SMALL, "x = 0.5\nreplicates = 4\nseed = 1\nsigma = nope\n"),
+    # Fields that overflow, on the semigroup path and on the FFT path: sigma's
+    # constant comes after the inverse transform, so the FFT path stops at the
+    # row where the direct lag sum overflows (in replicate 2), not at i=1.
+    (1, "solver failure: non-finite field value at time row i=3, cell j=0", GRID_OVERFLOW,
+     "sigma = affine:1e200,1\nx = 0.5\nreplicates = 4\nseed = 0\n"),
+    (1, "solver failure: non-finite field value at time row i=7, cell j=9", GRID_OVERFLOW,
+     "sigma = affine:0,1.7e308\nx = 0.5\nreplicates = 4\nseed = 0\n"),
+], ids=["exit0", "exit1", "exit2", "overflow-semigroup", "overflow-fft"])
+def test_cli_process_keeps_its_exit_codes_and_one_line_messages(tmp_path, code, prefix, grid, experiment):
     lines = _assert_cli_prints_one_line_messages(
-        tmp_path, "quartic", MEDIUM_14 + grid + "[experiment]\nseed = 1\n" + experiment,
+        tmp_path, "quartic", MEDIUM_14 + grid + "[experiment]\n" + experiment,
         codes=(code,), prefix=prefix)
     assert len(lines) == (code != 0)
 

@@ -143,7 +143,6 @@ def test_incompatible_noise_shape_rejected():
         solve_field_batch(M14, grid, sigma_one(), np.zeros((4, 16)))
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_non_finite_field_abort_names_indices():
     grid = GridSpec(1.0, 4, 4.0, 8)
     inc = np.zeros((4, 8))
@@ -948,13 +947,40 @@ def test_fft_product_holds_one_transform_and_one_replicate_of_noise():
     assert peak <= khat + transform + 2 * n * m * 8 + 2**19
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_column_solve_overflow_names_grid_cell():
     grid = GridSpec(1.0, 4, 4.0, 16)
     inc = np.zeros((4, 16))
     inc[1, :] = 1e308
     with pytest.raises(NonFiniteFieldError, match=r"i=2, cell j=5$"):
         solve_field_batch(M14, grid, sigma_one(), inc, columns=[12, 5])
+
+
+@pytest.mark.parametrize("c", [0.7, -0.3, 0.0, 1e300])
+def test_constant_sigma_solve_is_exactly_c_times_the_sigma_one_solve(c):
+    grid = GridSpec(1.0, 20, 4.0, 48)
+    cols = [grid.snap(x)[0] for x in (0.5, -0.5)]
+    dw = _noise_batch(grid, 44, 3)
+    one = solve_field_batch(M14, grid, sigma_one(), dw, columns=cols)
+    got = solve_field_batch(M14, grid, sigma_affine(0.0, c), dw, columns=cols)
+    assert np.array_equal(got, c * one)
+    assert not np.signbit(got[got == 0.0]).any()
+
+
+def test_constant_sigma_overflow_names_the_row_of_the_direct_lag_sum():
+    # sigma = 1.7e308 is applied after the inverse transform: the padded
+    # transforms do not overflow where the direct lag sum stays finite.
+    grid = GridSpec(1.0, 8, 2.0, 16)
+    cols = [grid.snap(0.5)[0]]
+    sigma = sigma_affine(0.0, 1.7e308)
+    dw = _noise_batch(grid, 0, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _direct_lag_sum(M14, grid, sigma, dw, cols)
+    # Replicates are solved in turn: the first one that overflows is named.
+    k = int(np.argmax(~np.isfinite(ref).all(axis=(0, 1))))
+    i = int(np.argmax(~np.isfinite(ref[:, 0, k])))
+    assert (k, i) == (2, 7) and np.isfinite(ref[:, :, :k]).all()
+    with pytest.raises(NonFiniteFieldError, match=rf"i={i}, cell j={cols[0]}$"):
+        solve_field_batch(M14, grid, sigma, dw, columns=cols)
 
 
 def test_columns_out_of_range_rejected():
@@ -1151,14 +1177,21 @@ def _dense_operators(medium, grid):
     return ops
 
 
+def _split_fresh(fresh, m):
+    """fresh = [K_1; K_2] as K_1's row blocks and K_2's, the latter shifted back up by m."""
+    return ([b for b in fresh if b[0] < m],
+            [(r0 - m, c0, c1, a) for r0, c0, c1, a in fresh if r0 >= m])
+
+
 # m = 1 is one cell, 48 less than one block of K_{dt/4}, 192 and 256 several
 # blocks of every operator, and 200 several blocks ending in a partial one.
 @pytest.mark.parametrize("medium", [M14, HIGH_CONTRAST], ids=["demo", "contrast"])
 @pytest.mark.parametrize("m", [1, 48, 192, 200, 256])
 def test_band_blocks_match_dense_operators_and_skip_only_negligible_entries(medium, m):
     grid = GridSpec(1.0, 32, 4.0, m)
-    banded = solver._semigroup_operators(GreenKernel(medium), grid)
-    for blocks, dense in zip(banded, _dense_operators(medium, grid)):
+    fresh, step = solver._semigroup_operators(GreenKernel(medium), grid)
+    assert [r0 for r0, _, _, _ in fresh] == sorted(r0 for r0, _, _, _ in fresh)
+    for blocks, dense in zip((*_split_fresh(fresh, m), step), _dense_operators(medium, grid)):
         kept = np.zeros(dense.shape, dtype=bool)
         rows = 0
         for r0, c0, c1, a in blocks:
@@ -1189,9 +1222,9 @@ def test_operator_build_evaluates_the_kernel_only_on_the_stored_bands(monkeypatc
 
     for name in counted:
         monkeypatch.setattr(GreenKernel, name, counting(name))
-    newest, history, step = solver._semigroup_operators(GreenKernel(M14), GridSpec(1.0, 128, 4.0, 256))
-    stored = [sum(a.size for _, _, _, a in op) for op in (newest, history, step)]
-    assert counted == {"evaluate": stored[0] + stored[1], "cell_mass": stored[2]}
+    fresh, step = solver._semigroup_operators(GreenKernel(M14), GridSpec(1.0, 128, 4.0, 256))
+    stored = [sum(a.size for _, _, _, a in op) for op in (fresh, step)]
+    assert counted == {"evaluate": stored[0], "cell_mass": stored[1]}
     assert counted == {"evaluate": 63_040, "cell_mass": 66_368}
 
 
@@ -1206,6 +1239,43 @@ def _dense_semigroup_field(medium, grid, sigma, dw):
         u[i] = newest @ v + hist[inner]
         hist = step @ hist + history @ v
     return u
+
+
+def _three_product_field(medium, grid, sigma, chunk):
+    """Reference loop: the semigroup step as K_1 v, then P S and K_2 v added through a scratch block."""
+    fresh, step = solver._semigroup_operators(GreenKernel(medium), grid)
+    m, r = grid.m, chunk.width
+    newest, history = _split_fresh(fresh, m)
+    inner, padded = slice(m // 2, m // 2 + m), m + 2 * (m // 2)
+    out = np.zeros((grid.n + 1, m, r))
+    u, v = np.zeros((m, r)), np.empty((m, r))
+    hist, nxt = np.zeros((padded, r)), np.empty((padded, r))
+    scratch = np.empty((solver.BAND_BLOCK, r))
+    for i, dw in enumerate(chunk.rows(), 1):
+        sigma.evaluate(u, out=v)
+        v *= dw
+        solver._band_matmul(newest, v, u)
+        u += hist[inner]
+        out[i] = u
+        if i < grid.n:
+            solver._band_matmul(step, hist, nxt)
+            for r0, c0, c1, a in history:
+                part = scratch[:len(a)]
+                np.matmul(a, v[c0:c1], out=part)
+                nxt[r0:r0 + len(a)] += part
+            hist, nxt = nxt, hist
+    return out[:, :, :chunk.count]
+
+
+# m = 200 ends K_1's rows in a partial block, so K_2's start inside a 64-row stride.
+@pytest.mark.parametrize("sigma", [sigma_sin(0.5), sigma_affine(0.5, 1.0)], ids=["sin", "affine"])
+@pytest.mark.parametrize("m", [48, 200])
+def test_semigroup_step_is_bit_for_bit_the_three_product_step(sigma, m):
+    grid = GridSpec(1.0, 24, 4.0, m)
+    chunk = NoiseChunk(grid, 53, 5, 3, width=8)
+    ref = _three_product_field(M14, grid, sigma, chunk)
+    got = solve_field_batch(M14, grid, sigma, chunk)
+    assert got.shape == ref.shape and np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 @pytest.mark.parametrize("medium", [M14, HIGH_CONTRAST], ids=["demo", "contrast"])
