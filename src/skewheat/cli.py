@@ -1,9 +1,12 @@
 """Command-line entry point.
 
-Exit codes: 0 on success, 1 when a check or experiment gate fails, a
-solver stage fails or numpy refuses an allocation (one-line "solver
-failure" message), 2 on configuration errors, among them an out path that
-cannot be a writable directory and, on the convolution backend, an
+Exit codes: 0 on success.  1 when a check or experiment gate fails, and
+with a one-line "solver failure" message when a solver stage fails, numpy
+refuses an allocation, or a worker process cannot be forked or ends
+without its result (killed, say by the OOM killer; the message names the
+worker's replicates and the signal).  2 on configuration errors, among
+them an out path that cannot be a writable directory, more than one worker
+where os.fork does not exist and, on the convolution backend, an
 observation point outside [-L, L] or two in one cell, all found before any
 work runs, and an output file that cannot be written ("cannot write", found
 after the run; the outputs written before it stay).  A convolution run on a
@@ -84,10 +87,10 @@ def entry() -> int:
 
     Before returning it freezes the garbage collector: every live object
     moves to the permanent generation, which the collections of interpreter
-    finalization skip, so exiting does not walk what numpy, the pool and the
-    run left behind only to free memory the OS reclaims anyway.
-    Reference-counted objects are still released, and every file and pool is
-    already closed by its `with` block.  main() itself changes no
+    finalization skip, so exiting does not walk what numpy and the run left
+    behind only to free memory the OS reclaims anyway.  Reference-counted
+    objects are still released, every file is already closed by its `with`
+    block, and every worker process is already reaped.  main() itself changes no
     process-wide state, so tests call it in-process.
     """
     code = main()

@@ -6,7 +6,9 @@ tool version, the Gaussian transform and the numpy version that drew it.
 All scientific output is bit-reproducible for a fixed config and seed,
 independent of the worker count: replicates are keyed individually by
 (seed, replicate), work is split into fixed-size chunks regardless of the
-worker pool, and results are assembled by replicate index.  Wall-clock
+worker count, and results are assembled by replicate index.  At workers > 1
+the chunks are dealt round-robin to forked worker processes, each forked
+once and each reaped however the run ends.  Wall-clock
 timings therefore live only in the JSON summary's `timings` block; the CSV
 `seconds` column is reserved and always zero.  Exact-linear runs also record,
 per sampler build, the covariance quadrature's node level and the wall
@@ -27,6 +29,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import sys
 import time
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
@@ -39,6 +43,7 @@ from .medium import A_of, MediumParams
 from .kernel import GreenKernel
 from .noise import GridSpec, NoiseChunk, sample_noise, GAUSS_TRANSFORM_ID
 from .solver import (
+    SolverError,
     format_sigma,
     solve_field_batch,
     covariance_linear,
@@ -209,9 +214,13 @@ def _conv_chunk_worker(payload) -> tuple[int, np.ndarray, dict]:
 def _convolution_blocks(cfg: ExperimentConfig, grid: GridSpec, cols: list[int], log: dict):
     """Yield (j, first, rows): the (count, n+1) paths of replicates first.. at the cell cols[j].
 
-    Chunks are solved one at a time at one worker, else taken as pool.map
-    returns them.  Appends one record per chunk to log["convolution"] as it
-    comes: the solver's report plus dx_resolved, whether dx <= dx_bound.
+    With one worker or one chunk the chunks are solved here, one at a time.
+    Otherwise min(workers, chunks) forked children solve them round-robin
+    (_forked_chunks), and their results are taken in chunk order; the
+    children are killed and reaped however the generator is left.  Where
+    os.fork does not exist, that is a ConfigError raised before any chunk is
+    solved.  Appends one record per chunk to log["convolution"] as it comes:
+    the solver's report plus dx_resolved, whether dx <= dx_bound.
     """
     payloads = []
     first = 0
@@ -229,13 +238,104 @@ def _convolution_blocks(cfg: ExperimentConfig, grid: GridSpec, cols: list[int], 
             for j in range(len(cols)):
                 yield j, first_rep, chunk[:, j]
 
-    if cfg.workers <= 1 or len(payloads) <= 1:
+    workers = min(cfg.workers, len(payloads))
+    if workers <= 1:
         yield from blocks(map(_conv_chunk_worker, payloads))
         return
-    from concurrent.futures import ProcessPoolExecutor  # deferred: slow to import, unused by one worker
+    if not hasattr(os, "fork"):
+        raise ConfigError(f"workers = {cfg.workers} needs os.fork, which this platform lacks; "
+                          "set workers = 1")
+    yield from blocks(_forked_chunks(payloads, workers))
 
-    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(payloads))) as pool:
-        yield from blocks(pool.map(_conv_chunk_worker, payloads))
+
+def _forked_chunks(payloads: list, workers: int):
+    """Yield _conv_chunk_worker(payload) for each payload in order, solved in forked children.
+
+    Child w is forked once and solves payloads w, w + workers, ... in turn,
+    writing each (ok, value) to its own pipe as a length-prefixed pickle; the
+    parent reads payload k from child k % workers, so every child has at most
+    one result waiting.  An exception in a child is raised here with its type
+    and message.  A child that ends without its result, or a fork that
+    fails, is a SolverError naming the replicates and the cause.  However
+    the generator is left (a result, an error or a consumer that stops
+    early), the pipes are closed, every child still running is killed, and
+    every child is reaped.
+    """
+    from signal import SIGKILL  # deferred: unused by one worker
+
+    for stream in (sys.stdout, sys.stderr):  # nothing buffered may be written twice
+        if stream is not None:
+            stream.flush()
+    children = []  # (pid, read end of its pipe)
+    reaped = set()
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise SolverError(f"cannot start worker process {w + 1} of {workers}: "
+                                  f"{exc.strerror}") from None
+            if pid == 0:  # never returns; each pipe's one reader is the parent
+                _chunk_child(payloads[w::workers], write_fd,
+                             [read_fd] + [pipe.fileno() for _, pipe in children])
+            os.close(write_fd)  # later children must not hold it: EOF marks this child's end
+            children.append((pid, open(read_fd, "rb")))
+        for k, payload in enumerate(payloads):
+            pid, pipe = children[k % workers]
+            header = pipe.read(8)
+            size = int.from_bytes(header, "little") if len(header) == 8 else -1
+            data = pipe.read(max(size, 0))
+            if len(data) != size:
+                _, status = os.waitpid(pid, 0)
+                reaped.add(pid)
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                first, count = payload[4:6]
+                raise SolverError(f"the worker solving replicates {first}..{first + count - 1} "
+                                  f"ended without a result ({how})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if pid not in reaped:
+                os.kill(pid, SIGKILL)
+        for pid, _ in children:
+            if pid not in reaped:
+                os.waitpid(pid, 0)
+
+
+def _chunk_child(payloads: list, write_fd: int, inherited: list[int]):
+    """Body of a forked child: solve payloads in turn, send each (ok, value), then os._exit.
+
+    The child first closes the inherited pipe ends it does not write, and
+    stops after its first failure.  It never returns into the parent's code:
+    no generator, finally block or atexit handler of the parent runs twice.
+    """
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with open(write_fd, "wb") as out:
+            for payload in payloads:
+                try:
+                    message = (True, _conv_chunk_worker(payload))
+                except Exception as exc:  # sent to the parent, which raises it
+                    message = (False, exc)
+                data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+                out.write(len(data).to_bytes(8, "little"))
+                out.write(data)
+                out.flush()
+                if not message[0]:
+                    break
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _point_paths(cfg: ExperimentConfig, log: dict, grid: GridSpec, points):

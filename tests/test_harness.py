@@ -820,7 +820,7 @@ def test_summary_json_records_convolution_chunks(tmp_path, monkeypatch):
 
 
 def test_simulate_disc_variance_rows_come_from_the_first_convolution_record(tmp_path):
-    # R = 96 is two chunks, solved in two pool workers.
+    # R = 96 is two chunks, solved in two forked workers.
     cfg = _write(
         tmp_path, "c.ini",
         MEDIUM_14 + GRID_SMALL
@@ -1099,7 +1099,9 @@ def test_cli_import_leaves_scipy_special_and_integrate_unloaded(tmp_path):
     probe = ("import json, os, sys, skewheat.cli; "
              "print(sorted(m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules)); "
              "import scipy_probe; "
-             f"print(json.dumps([[skewheat.cli.main(a), 'scipy' in sys.modules] for a in {argvs!r}])); "
+             f"print(json.dumps([[skewheat.cli.main(a), 'scipy' in sys.modules, "
+             "sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing'))] "
+             f"for a in {argvs!r}])); "
              "print(os.getpid())")
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(tmp_path)]))
@@ -1107,10 +1109,13 @@ def test_cli_import_leaves_scipy_special_and_integrate_unloaded(tmp_path):
                          check=True)
     imported, after_runs, pid = out.stdout.strip().splitlines()
     assert imported == "[]"
-    assert json.loads(after_runs) == [[0, False]] * len(runs)
+    # The 2-worker quartic forks its workers without concurrent.futures or multiprocessing.
+    assert json.loads(after_runs) == [[0, False, []]] * len(runs)
     chunks = json.loads((tmp_path / "out1" / "quartic_summary.json").read_text())["convolution"]
     assert len(chunks) == 3 and not any(c["scipy"] for c in chunks)
-    assert all(c["pid"] != int(pid) for c in chunks)  # the chunks ran in pool workers
+    # The chunks ran in two forked workers, the first and third in the same one.
+    pids = [c["pid"] for c in chunks]
+    assert int(pid) not in pids and pids[0] == pids[2] != pids[1]
 
 
 def test_simulate_next_to_the_interface_exits_zero_with_finite_rows(tmp_path, capsys):
@@ -1196,33 +1201,143 @@ def test_cli_import_and_one_worker_run_leave_process_pool_unloaded(tmp_path):
 
 
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
-    # Under fork, ProcessPoolExecutor starts all max_workers processes on the
-    # first submit.  The fake records max_workers and runs the chunks here.
-    import concurrent.futures
+    # 2-replicate chunks: 4 replicates at 8 workers start 2 children, and 10
+    # at 2 workers deal 5 chunks round-robin to 2 children.  Each chunk
+    # records the pid that solved it; the records come in replicate order
+    # with the 1-worker paths.
+    chunk = harness._conv_chunk_worker
 
-    seen = []
+    def reporting(payload):
+        first, paths, report = chunk(payload)
+        return first, paths, {**report, "pid": os.getpid()}
 
-    class FakePool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(harness, "_conv_chunk_worker", reporting)
     monkeypatch.setattr(harness, "REPLICATE_CHUNK", 2)
-    cfg = parse_config(MEDIUM_14 + GRID_SMALL
-                       + "[experiment]\nx = 0.5\nreplicates = 4\nseed = 3\nworkers = 8\n")
-    log = {}
-    paths = _convolution_paths(cfg, cfg.grid, [16], log)
-    assert seen == [2]
-    assert paths.shape == (4, 1, 9) and len(log["convolution"]) == 2
+    for replicates, workers in ((4, 8), (10, 2)):
+        cfg = parse_config(MEDIUM_14 + GRID_SMALL + f"[experiment]\nx = 0.5\nreplicates = {replicates}\n"
+                           f"seed = 3\nworkers = {workers}\n")
+        log, serial_log = {}, {}
+        paths = _convolution_paths(cfg, cfg.grid, [16], log)
+        serial = _convolution_paths(replace(cfg, workers=1), cfg.grid, [16], serial_log)
+        assert np.array_equal(paths, serial) and not np.isnan(paths).any()
+        records = log["convolution"]
+        assert [r["first_replicate"] for r in records] == list(range(0, replicates, 2))
+        pids = [r["pid"] for r in records]
+        assert len(set(pids)) == 2 and os.getpid() not in pids
+        assert pids == [pids[k % 2] for k in range(len(pids))]
+        assert {r["pid"] for r in serial_log["convolution"]} == {os.getpid()}
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_worker_outlives_a_failed_or_abandoned_run(tmp_path, capsys):
+    # sigma = affine:1e200,1 overflows in the first chunk's worker; the
+    # parent raises its error, kills the other worker and reaps both.
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + GRID_SMALL
+        + f"[experiment]\nsigma = affine:1e200,1\nx = 0.5\nreplicates = 256\nseed = 3\n"
+        + f"out = {tmp_path}/out\n",
+    )
+    assert main(["quartic", "--config", cfg, "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: non-finite field value") and err.count("\n") == 1
+    _no_child_left()
+    # A consumer that stops after the first block.
+    sane = replace(load_config(cfg), sigma=solver.parse_sigma("sin1:0.5"), workers=2)
+    blocks = harness._convolution_blocks(sane, sane.grid, [16], {})
+    j, first, rows = next(blocks)
+    assert (j, first, rows.shape) == (0, 0, (64, 9))
+    blocks.close()
+    _no_child_left()
+
+
+def test_fork_failure_exits_one_with_one_line_and_reaps_the_started_worker(tmp_path, capsys,
+                                                                         monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def second_fork_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + GRID_SMALL
+        + f"[experiment]\nsigma = sin1:0.5\nx = 0.5\nreplicates = 128\nseed = 3\n"
+        + f"out = {tmp_path}/out\n",
+    )
+    assert main(["quartic", "--config", cfg, "--workers", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "solver failure: cannot start worker process 2 of 2: Resource temporarily unavailable\n")
+    assert len(forks) == 2
+    _no_child_left()
+
+
+def test_workers_without_fork_exit_two_before_any_chunk(tmp_path, capsys, monkeypatch):
+    solved = []
+    chunk = harness._conv_chunk_worker
+    monkeypatch.setattr(harness, "_conv_chunk_worker",
+                        lambda payload: solved.append(payload[4]) or chunk(payload))
+    monkeypatch.delattr(os, "fork")
+    text = (MEDIUM_14 + GRID_SMALL
+            + f"[experiment]\nx = 0.5\nseed = 3\nworkers = 2\nout = {tmp_path}/out\n")
+    # Two chunks would start two workers: a config error, before any solve.
+    cfg = _write(tmp_path, "c.ini", text + "replicates = 128\n")
+    assert main(["quartic", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: workers = 2 needs os.fork, which this platform lacks; set workers = 1\n")
+    assert solved == []
+    # One chunk runs in this process at any worker count.
+    cfg = _write(tmp_path, "one.ini", text + "replicates = 64\n")
+    assert main(["quartic", "--config", cfg]) == 0
+    assert solved == [0]
+
+
+# Makes the worker of the second chunk (replicates 64..127) kill itself.
+_KILL_PROBE = """\
+import os, signal
+from skewheat import harness
+
+_chunk = harness._conv_chunk_worker
+
+
+def chunk_killing_the_second(payload):
+    if payload[4] == 64:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _chunk(payload)
+
+
+harness._conv_chunk_worker = chunk_killing_the_second
+"""
+
+
+def test_killed_worker_exits_one_with_one_line(tmp_path):
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + GRID_SMALL
+        + f"[experiment]\nsigma = sin1:0.5\nx = 0.5\nreplicates = 192\nseed = 3\nworkers = 2\n"
+        + f"out = {tmp_path}/out\n",
+    )
+    (tmp_path / "kill_probe.py").write_text(_KILL_PROBE)
+    probe = ("import os, sys, kill_probe, skewheat.cli; "
+             f"code = skewheat.cli.main(['quartic', '--config', {cfg!r}])\n"
+             "try:\n    os.waitpid(-1, os.WNOHANG)\nexcept ChildProcessError:\n    print('reaped')\n"
+             "sys.exit(code)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(tmp_path)]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 1
+    assert out.stderr == ("solver failure: the worker solving replicates 64..127 ended without "
+                          "a result (killed by signal 9)\n")
+    assert out.stdout == "reaped\n"
 
 
 def test_convolution_point_outside_domain_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
