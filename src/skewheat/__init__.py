@@ -28,7 +28,7 @@ from .solver import (
     covariance_matrix,
     ExactLinearSampler,
 )
-from .stats import PointStats, point_statistics, averaged_points, averaged_statistics
+from .stats import PointStats, PointAccumulator, averaged_points, averaged_statistics
 
 __all__ = [
     "__version__",
@@ -53,7 +53,7 @@ __all__ = [
     "covariance_matrix",
     "ExactLinearSampler",
     "PointStats",
-    "point_statistics",
+    "PointAccumulator",
     "averaged_points",
     "averaged_statistics",
 ]

@@ -51,7 +51,6 @@ from .solver import (
     NEWEST_LAG,
 )
 from .stats import PointAccumulator, PointStats, averaged_points, averaged_statistics
-from .stats import point_statistics  # noqa: F401  (the traced benchmark run hooks it by name)
 from .config import ExperimentConfig, ConfigError, config_sha256, FORMAT_VERSION
 
 @dataclass(frozen=True)
@@ -181,10 +180,11 @@ def resolution_warning(cfg: ExperimentConfig, records: list[dict]) -> str | None
 
 
 def nonfinite_warning(cfg: ExperimentConfig, rows: list[dict]) -> str | None:
-    """One line counting the result rows whose value is inf or NaN (moments past a double).
+    """One line counting the result rows whose value is inf or NaN.
 
-    None when every value is finite, and for sigma = 0, whose increment
-    ratios are 0/0 by definition.
+    Such a value is a moment past the range of a double, or simulate's
+    variance_u_T at R = 1.  None when every value is finite, and for
+    sigma = 0, whose increment ratios are 0/0 by definition.
     """
     bad = sum(not math.isfinite(row["value"]) for row in rows)
     if not bad or cfg.sigma.constant == 0.0:
@@ -255,11 +255,11 @@ def _forked_chunks(payloads: list, workers: int):
     writing each (ok, value) to its own pipe as a length-prefixed pickle; the
     parent reads payload k from child k % workers, so every child has at most
     one result waiting.  An exception in a child is raised here with its type
-    and message.  A child that ends without its result, or a fork that
-    fails, is a SolverError naming the replicates and the cause.  However
-    the generator is left (a result, an error or a consumer that stops
-    early), the pipes are closed, every child still running is killed, and
-    every child is reaped.
+    and message.  A child that ends without its result, or a failed pipe or
+    fork, is a SolverError naming the replicates or the worker, and the
+    cause.  However the generator is left (a result, an error or a consumer
+    that stops early), the pipes are closed, every child still running is
+    killed, and every child is reaped.
     """
     from signal import SIGKILL  # deferred: unused by one worker
 
@@ -270,12 +270,13 @@ def _forked_chunks(payloads: list, workers: int):
     reaped = set()
     try:
         for w in range(workers):
-            read_fd, write_fd = os.pipe()
+            opened = ()  # the pipe's two ends, once os.pipe returns them
             try:
+                read_fd, write_fd = opened = os.pipe()
                 pid = os.fork()
             except OSError as exc:
-                os.close(read_fd)
-                os.close(write_fd)
+                for fd in opened:
+                    os.close(fd)
                 raise SolverError(f"cannot start worker process {w + 1} of {workers}: "
                                   f"{exc.strerror}") from None
             if pid == 0:  # never returns; each pipe's one reader is the parent
@@ -506,7 +507,7 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]:
             # cannot narrow its own band.
             var_se = (var_t if disc is None else disc) * math.sqrt(2.0 / (cfg.replicates - 1))
         else:
-            var_t, var_se = 0.0, math.nan
+            var_t, var_se = math.nan, math.nan  # one path has no sample variance
         target = (math.nan if c is None
                   else c * c * covariance_linear(grid.T, grid.T, xe, cfg.medium))
         rows.append(make_row(cfg, "simulate", grid.n, grid.m, xe, "mean_u_T", mean_t,

@@ -704,10 +704,3 @@ class ExactLinearSampler:
             np.matmul(draws, self._factor.T, out=rows[:, 1:])
             self.paths_s += time.perf_counter() - started
             yield first, rows[:count]
-
-    def paths_array(self, seed: int, replicates: int) -> np.ndarray:
-        """Paths of replicates 0..replicates-1, shape (replicates, n+1): path_blocks gathered."""
-        out = np.empty((replicates, self.n + 1))
-        for first, rows in self.path_blocks(seed, replicates):
-            out[first : first + len(rows)] = rows
-        return out

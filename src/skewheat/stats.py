@@ -7,21 +7,22 @@ a plug-in estimator of the local diffusivity A(x).
 
 This module is the single implementation of these statistics and of the
 pooled increment moments.  `PointAccumulator` computes all of them for the R
-paths observed at one point, time on the last axis, a block of paths at a
-time; `point_statistics` feeds it an array.  `averaged_statistics` is the
-per-replicate mean of V_n over the points of `averaged_points`.
+paths observed at one point, time on the last axis: add(first, rows) takes
+a block of paths as it is sampled, and result() returns their PointStats.
+`averaged_statistics` is the per-replicate mean of V_n over the points of
+`averaged_points`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .medium import MediumParams, tau, A_of
 from .noise import GridSpec
-from .solver import PATH_BLOCK, SigmaSpec
+from .solver import SigmaSpec
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,8 @@ class PointAccumulator:
 
     def __init__(self, replicates: int, n: int, x: float, T: float, sigma: SigmaSpec,
                  medium: MediumParams):
+        if n < 1:
+            raise ValueError("paths need n >= 1 increments")
         self.x, self.n, self.T, self.sigma, self.medium = x, n, T, sigma, medium
         self.start = max(1, math.ceil(n / 4)) - 1
         # Per replicate: V_n, the sums of sigma^4 at left and right endpoints,
@@ -124,26 +127,6 @@ class PointAccumulator:
         return PointStats(x=x, n=n, v=v, limit=limit, a_hat=a_hat, degenerate=int(np.sum(~(v > 0.0))),
                           m2=m2, m4=m4, ratio4=ratio4, ratio6=ratio6, closed_target=closed,
                           m2_target=leading_m2 * s2_mean, m4_target=leading_m4 * s4_mean)
-
-
-def point_statistics(paths: np.ndarray, x: float, T: float, sigma: SigmaSpec,
-                     medium: MediumParams) -> PointStats:
-    """All statistics of paths observed at x over [0, T]: (R, n+1) paths, or one (n+1,) path.
-
-    The paths go through a PointAccumulator PATH_BLOCK rows at a time; for
-    one path, v, limit and a_hat are scalars.
-    """
-    paths = np.asarray(paths, dtype=float)
-    if paths.ndim not in (1, 2) or paths.shape[-1] < 2:
-        raise ValueError("paths must be one (n+1,) path or (R, n+1) paths with n >= 1")
-    rows = paths[None] if paths.ndim == 1 else paths
-    acc = PointAccumulator(len(rows), rows.shape[-1] - 1, x, T, sigma, medium)
-    for first in range(0, len(rows), PATH_BLOCK):
-        acc.add(first, rows[first : first + PATH_BLOCK])
-    st = acc.result()
-    if paths.ndim == 1:
-        return replace(st, v=st.v[0], limit=st.limit[0], a_hat=st.a_hat[0])
-    return st
 
 
 def averaged_points(grid: GridSpec, num_points: int) -> list[float]:

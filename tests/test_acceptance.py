@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import exact_paths, point_stats
 from skewheat import (
     MediumParams,
     GridSpec,
@@ -22,7 +23,6 @@ from skewheat import (
     solve_field_batch,
     covariance_linear,
     ExactLinearSampler,
-    point_statistics,
     averaged_points,
     averaged_statistics,
 )
@@ -53,7 +53,7 @@ def exact_paths_512():
     """sigma = one, x = 0.5, n = 512, R = 1000 exact-backend paths (criteria 6, 7)."""
     t0 = time.perf_counter()
     sampler = ExactLinearSampler(M14, 0.5, 1.0, 512)
-    paths = sampler.paths_array(SEED, 1000)
+    paths = exact_paths(sampler, SEED, 1000)
     return paths, time.perf_counter() - t0
 
 
@@ -201,8 +201,8 @@ def test_criterion_07_moment_identities(exact_paths_512):
 def test_criterion_08_estimator_consistency(exact_sampler_1024, exact_sampler_64):
     medians = {}
     for n, sampler in ((1024, exact_sampler_1024), (64, exact_sampler_64)):
-        arr = sampler.paths_array(SEED, 200)
-        medians[n] = float(np.median(point_statistics(arr, 0.5, 1.0, sigma_one(), M14).a_hat))
+        arr = exact_paths(sampler, SEED, 200)
+        medians[n] = float(np.median(point_stats(arr, 0.5, 1.0, sigma_one(), M14).a_hat))
     err_1024 = abs(medians[1024] - 4.0) / 4.0
     err_64 = abs(medians[64] - 4.0) / 4.0
     ok = err_1024 <= 0.10 and err_64 <= 0.20 and err_1024 < err_64
@@ -259,7 +259,7 @@ def test_criterion_10_averaged_statistic():
     cols, xs_small = zip(*(grid_small.snap(x) for x in averaged_points(grid_small, 16)))
 
     def identity(paths, xs):
-        per_point = [point_statistics(p[None], x, 1.0, sigma_one(), M14) for p, x in zip(paths, xs)]
+        per_point = [point_stats(p[None], x, 1.0, sigma_one(), M14) for p, x in zip(paths, xs)]
         v_nm, _ = averaged_statistics(per_point)
         return v_nm[0] == float(np.mean([st.v[0] for st in per_point]))
 
@@ -271,7 +271,7 @@ def test_criterion_10_averaged_statistic():
     v_matrix = np.empty((200, 16))
     for idx, xs in enumerate(snapped):
         sampler = ExactLinearSampler(M14, xs, 1.0, 256)
-        arr = sampler.paths_array(SEED, 200)
+        arr = exact_paths(sampler, SEED, 200)
         v_matrix[:, idx] = np.sum(np.diff(arr, axis=1) ** 4, axis=1)
     v_nm = v_matrix.mean(axis=1)
     targets = np.array([6.0 * tau(xs, M14) / (math.pi * A_of(xs, M14)) for xs in snapped])

@@ -1,3 +1,4 @@
+import errno
 import gc
 import importlib
 import inspect
@@ -13,10 +14,11 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 import pytest
 
+from conftest import exact_paths, point_stats
 from skewheat import harness, kernel, solver
 from skewheat.config import ConfigError, load_config, parse_config
 from skewheat.noise import sample_noise
-from skewheat.stats import PointAccumulator, averaged_points, averaged_statistics, point_statistics
+from skewheat.stats import PointAccumulator, averaged_points, averaged_statistics
 from skewheat.cli import main
 from skewheat.harness import CSV_COLUMNS
 
@@ -86,19 +88,23 @@ def test_negative_diffusivity_rejected_before_running(tmp_path):
 
 
 def test_zero_noise_simulate_gives_zero_summary(tmp_path):
-    cfg = _write(
-        tmp_path, "c.ini",
-        MEDIUM_14 + GRID_SMALL
-        + f"[experiment]\nx = 0.5\nreplicates = 1\nsigma = affine:0,0\nout = {tmp_path}/out\n",
-    )
-    assert main(["simulate", "--config", cfg]) == 0
-    rows = _read_rows(tmp_path / "out" / "simulate.csv")
-    by_stat = {r["statistic"]: r for r in rows}
-    assert float(by_stat["mean_u_T"]["value"]) == 0.0
-    assert float(by_stat["variance_u_T"]["value"]) == 0.0
-    paths = (tmp_path / "out" / "paths_x000.csv").read_text()
-    data = [ln for ln in paths.splitlines() if not ln.startswith("#")][1:]
-    assert all(float(v) == 0.0 for ln in data for v in ln.split(",")[1:])
+    # The sample variance of one path is undefined: NaN at R = 1, not 0.0.
+    for replicates in (1, 2):
+        out = tmp_path / f"out{replicates}"
+        cfg = _write(
+            tmp_path, f"c{replicates}.ini",
+            MEDIUM_14 + GRID_SMALL
+            + f"[experiment]\nx = 0.5\nreplicates = {replicates}\nsigma = affine:0,0\nout = {out}\n",
+        )
+        assert main(["simulate", "--config", cfg]) == 0
+        rows = _read_rows(out / "simulate.csv")
+        by_stat = {r["statistic"]: r for r in rows}
+        assert float(by_stat["mean_u_T"]["value"]) == 0.0
+        variance = float(by_stat["variance_u_T"]["value"])
+        assert math.isnan(variance) if replicates == 1 else variance == 0.0
+        paths = (out / "paths_x000.csv").read_text()
+        data = [ln for ln in paths.splitlines() if not ln.startswith("#")][1:]
+        assert all(float(v) == 0.0 for ln in data for v in ln.split(",")[1:])
 
 
 def test_simulate_variance_column_tracks_oracle(tmp_path):
@@ -230,7 +236,7 @@ def test_convolution_convergence_solves_each_n_once(tmp_path):
 ])
 def test_streamed_point_stats_equal_whole_array_stats(backend, sigma, replicates):
     # Each block goes into its point's sums as it comes; the statistics are
-    # those of point_statistics on the point's whole (R, n+1) array, bit for bit.
+    # those of the point's whole (R, n+1) array fed as one block, bit for bit.
     cfg = parse_config(MEDIUM_14 + "[grid]\nT = 1.0\nn = 16\nL = 2.0\nm = 32\n"
                        + f"[experiment]\nsigma = {sigma}\nx = 0.5, -0.5, 0.0\n"
                        + f"replicates = {replicates}\nseed = 5\nbackend = {backend}\n")
@@ -241,10 +247,10 @@ def test_streamed_point_stats_equal_whole_array_stats(backend, sigma, replicates
         paths = _convolution_paths(cfg, grid, [grid.snap(x)[0] for x in points], {})
     else:
         paths = cfg.sigma.constant * np.stack(
-            [solver.ExactLinearSampler(cfg.medium, x, grid.T, grid.n).paths_array(cfg.seed, replicates)
+            [exact_paths(solver.ExactLinearSampler(cfg.medium, x, grid.T, grid.n), cfg.seed, replicates)
              for x in points], axis=1)
     for j, st in enumerate(streamed):
-        whole = point_statistics(paths[:, j], points[j], grid.T, cfg.sigma, cfg.medium)
+        whole = point_stats(paths[:, j], points[j], grid.T, cfg.sigma, cfg.medium)
         for field in fields(whole):
             got, want = getattr(st, field.name), getattr(whole, field.name)
             assert (got is None and want is None) or np.array_equal(got, want), (j, field.name)
@@ -286,10 +292,10 @@ def test_convergence_v_avg_matches_paths_requested_alone(tmp_path, backend, sigm
                 paths = _convolution_paths(resolved, grid, list(cols), {})
             else:
                 paths = resolved.sigma.constant * np.stack(
-                    [solver.ExactLinearSampler(resolved.medium, x, grid.T, n)
-                     .paths_array(resolved.seed, resolved.replicates) for x in xs], axis=1)
+                    [exact_paths(solver.ExactLinearSampler(resolved.medium, x, grid.T, n),
+                                 resolved.seed, resolved.replicates) for x in xs], axis=1)
             v_nm, target = averaged_statistics([
-                point_statistics(paths[:, j], x, grid.T, resolved.sigma, resolved.medium)
+                point_stats(paths[:, j], x, grid.T, resolved.sigma, resolved.medium)
                 for j, x in enumerate(xs)])
             expected.append([str(n), str(num_points),
                              *("%.17g" % v for v in (*harness._mean_se(v_nm), target))])
@@ -1013,19 +1019,24 @@ def test_blocked_output_file_exits_two_with_one_line(tmp_path, command, blocked,
 
 def test_perfbench_layer_hooks_resolve(monkeypatch):
     # The traced benchmark run wraps these attributes by name; a missing one
-    # would silently read 0 for its per-layer metric.
+    # silently reads 0 for its per-layer metric.  Only the two hooks on the
+    # whole-array path and statistics functions, which the library no longer
+    # has, are missing: no command called them, so their metrics read 0
+    # before they went too.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
     traced = importlib.import_module("traced")
+    missing = []
     for owner, attr, name, elements in traced.layer_hooks(harness, solver, kernel):
         hooked = getattr(owner, attr, None)
-        assert hooked is not None, f"{name}: {attr} not found"
-        if elements is not None:
+        if hooked is None:
+            missing.append(name)
+        elif elements is not None:
             # Each element count reads the hooked call's bound arguments by name.
             parameters = inspect.signature(hooked).parameters
             for arg in (c for c in elements.__code__.co_consts if isinstance(c, str)):
                 assert arg in parameters, f"{name}: {attr} has no parameter {arg!r}"
-    assert next(iter(inspect.signature(harness.point_statistics).parameters)) == "paths"
+    assert missing == ["solver.paths", "stats.point"]
 
 
 def test_point_accumulators_are_fed_through_harness(tmp_path, monkeypatch):
@@ -1280,6 +1291,33 @@ def test_fork_failure_exits_one_with_one_line_and_reaps_the_started_worker(tmp_p
     _no_child_left()
 
 
+def test_pipe_failure_exits_one_with_one_line_and_reaps_the_started_worker(tmp_path, capsys,
+                                                                         monkeypatch):
+    # Out of file descriptors (EMFILE) at the second worker's pipe: the first
+    # worker is already forked, the second is never forked.
+    pipes = []
+    pipe = os.pipe
+
+    def second_pipe_fails():
+        pipes.append(None)
+        if len(pipes) == 2:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return pipe()
+
+    monkeypatch.setattr(os, "pipe", second_pipe_fails)
+    cfg = _write(
+        tmp_path, "c.ini",
+        MEDIUM_14 + GRID_SMALL
+        + f"[experiment]\nsigma = sin1:0.5\nx = 0.5\nreplicates = 128\nseed = 3\n"
+        + f"out = {tmp_path}/out\n",
+    )
+    assert main(["quartic", "--config", cfg, "--workers", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "solver failure: cannot start worker process 2 of 2: Too many open files\n")
+    assert len(pipes) == 2
+    _no_child_left()
+
+
 def test_workers_without_fork_exit_two_before_any_chunk(tmp_path, capsys, monkeypatch):
     solved = []
     chunk = harness._conv_chunk_worker
@@ -1421,7 +1459,7 @@ def test_exact_quartic_csv_identical_at_one_and_two_blas_threads(tmp_path):
 ])
 def test_quartic_at_unrepresentable_moments_exits_without_traceback(tmp_path, backend, L, x, sigma):
     # Increment moments, their ratios and sigma**4 that underflow or overflow
-    # a double are inf or NaN rows, not a crash in point_statistics.
+    # a double are inf or NaN rows, not a crash in the statistics.
     _assert_cli_prints_one_line_messages(tmp_path, "quartic", (
         MEDIUM_14 + f"[grid]\nT = 1.0\nn = 4\nL = {L}\nm = 16\n"
         + f"[experiment]\nsigma = {sigma}\nx = {x}\nreplicates = 4\nseed = 1\nbackend = {backend}\n"))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+from conftest import exact_paths
 from skewheat import (
     MediumParams,
     GridSpec,
@@ -529,10 +530,10 @@ def test_covariance_matrix_rejects_a_nonuniform_grid():
 
 
 def test_exact_paths_start_at_zero_and_reproduce():
-    paths = ExactLinearSampler(M14, 0.5, 1.0, 16).paths_array(seed=31, replicates=4)
+    paths = exact_paths(ExactLinearSampler(M14, 0.5, 1.0, 16), seed=31, replicates=4)
     assert paths.shape == (4, 17)
     assert np.all(paths[:, 0] == 0.0)
-    again = ExactLinearSampler(M14, 0.5, 1.0, 16).paths_array(seed=31, replicates=4)
+    again = exact_paths(ExactLinearSampler(M14, 0.5, 1.0, 16), seed=31, replicates=4)
     assert np.array_equal(paths, again)
 
 
@@ -540,10 +541,10 @@ def test_exact_paths_replicate_keying_independent_of_batch():
     # Replicate r's path is keyed by (seed, r) alone: the replicate count of
     # the call does not move it, and another seed gives another path.
     s = ExactLinearSampler(M14, 0.5, 1.0, 16)
-    all_at_once = s.paths_array(seed=32, replicates=5)
+    all_at_once = exact_paths(s, seed=32, replicates=5)
     for count in (2, 4):
-        assert np.array_equal(s.paths_array(seed=32, replicates=count), all_at_once[:count])
-    other_seed = s.paths_array(seed=33, replicates=5)
+        assert np.array_equal(exact_paths(s, seed=32, replicates=count), all_at_once[:count])
+    other_seed = exact_paths(s, seed=33, replicates=5)
     assert not np.any(np.all(other_seed[:, 1:] == all_at_once[:, 1:], axis=1))
 
 
@@ -553,15 +554,15 @@ def test_exact_paths_every_batch_layout_is_bitwise_one_call(n):
     # gemm, whatever else the block holds, so a call for R replicates is the
     # first R rows of any longer call, bit for bit.
     s = ExactLinearSampler(M14, 0.5, 1.0, n)
-    full = s.paths_array(seed=34, replicates=300)
+    full = exact_paths(s, seed=34, replicates=300)
     for count in (1, 5, 63, 64, 65, 130):
-        assert np.array_equal(s.paths_array(seed=34, replicates=count), full[:count]), count
+        assert np.array_equal(exact_paths(s, seed=34, replicates=count), full[:count]), count
 
 
 @pytest.mark.parametrize("n", [16, 100, 512])
 def test_exact_paths_match_per_replicate_matvec(n):
     s = ExactLinearSampler(M14, 0.5, 1.0, n)
-    paths = s.paths_array(seed=35, replicates=130)  # a partial last block
+    paths = exact_paths(s, seed=35, replicates=130)  # a partial last block
     subkey = position_subkey(0.5)
     for k, path in enumerate(paths):
         z = standard_normals(35, k, n, kind=STREAM_EXACT_PATHS, subkey=subkey)
@@ -590,7 +591,7 @@ def test_interleaved_exact_samplers_draw_their_own_streams():
     # its call owns: every block is the one each sampler gives alone, bit
     # for bit, and the one a fresh Generator per replicate gives.
     a, b = ExactLinearSampler(M14, 0.5, 1.0, 16), ExactLinearSampler(M14, -0.25, 1.0, 16)
-    alone = {s: s.paths_array(seed=41, replicates=130) for s in (a, b)}
+    alone = {s: exact_paths(s, seed=41, replicates=130) for s in (a, b)}
     taken = {a: [], b: []}
     for (fa, ra), (fb, rb) in zip(a.path_blocks(41, 130), b.path_blocks(41, 130)):
         taken[a].append(ra.copy())
@@ -602,13 +603,13 @@ def test_interleaved_exact_samplers_draw_their_own_streams():
 
 def test_exact_samplers_in_two_threads_at_once_draw_their_own_streams():
     samplers = [ExactLinearSampler(M14, x, 1.0, 64) for x in (0.5, -0.25)]
-    alone = [s.paths_array(seed=42, replicates=640) for s in samplers]
+    alone = [exact_paths(s, seed=42, replicates=640) for s in samplers]
     barrier = threading.Barrier(2)
     results = [None, None]
 
     def sample(j):
         barrier.wait()
-        results[j] = samplers[j].paths_array(seed=42, replicates=640)
+        results[j] = exact_paths(samplers[j], seed=42, replicates=640)
 
     threads = [threading.Thread(target=sample, args=(j,)) for j in range(2)]
     for t in threads:
@@ -657,9 +658,9 @@ def test_exact_sampler_records_stage_seconds():
 def test_exact_sampler_accumulates_paths_seconds():
     s = ExactLinearSampler(M14, 0.5, 1.0, 16)
     assert s.paths_s == 0.0
-    s.paths_array(seed=36, replicates=70)
+    exact_paths(s, seed=36, replicates=70)
     once = s.paths_s
-    s.paths_array(seed=36, replicates=3)
+    exact_paths(s, seed=36, replicates=3)
     assert math.isfinite(once) and 0.0 < once < s.paths_s
 
 
@@ -678,7 +679,7 @@ def test_exact_paths_seconds_leave_out_the_consumer():
 
 def test_exact_path_blocks_reuse_one_buffer_and_gather_into_paths_array():
     s = ExactLinearSampler(M14, 0.5, 1.0, 16)
-    ref = s.paths_array(seed=38, replicates=130)
+    ref = exact_paths(s, seed=38, replicates=130)
     blocks = []
     for first, rows in s.path_blocks(seed=38, replicates=130):
         assert np.array_equal(rows, ref[first : first + len(rows)])
@@ -686,7 +687,7 @@ def test_exact_path_blocks_reuse_one_buffer_and_gather_into_paths_array():
         blocks.append((first, rows))
     assert [(first, len(rows)) for first, rows in blocks] == [(0, 64), (64, 64), (128, 2)]
     assert all(np.shares_memory(rows, blocks[0][1]) for _, rows in blocks)
-    assert np.array_equal(s.paths_array(seed=38, replicates=130), ref)
+    assert np.array_equal(exact_paths(s, seed=38, replicates=130), ref)
 
 
 def test_exact_sampler_records_node_level():
@@ -742,7 +743,7 @@ def test_exact_covariance_pivots_keep_a_wide_margin(medium):
 
 def test_exact_increment_kurtosis_gaussian():
     s = ExactLinearSampler(M14, 0.5, 1.0, 100)
-    arr = s.paths_array(seed=33, replicates=120)
+    arr = exact_paths(s, seed=33, replicates=120)
     d = np.diff(arr, axis=1).ravel()  # 12000 increments
     kurt = np.mean(d**4) / np.mean(d**2) ** 2
     assert kurt == pytest.approx(3.0, abs=0.2)

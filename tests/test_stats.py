@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from skewheat import stats
+from conftest import exact_paths, point_stats
 from skewheat import (
     MediumParams,
     GridSpec,
@@ -15,7 +15,7 @@ from skewheat import (
     sigma_sin,
     solve_field_batch,
     ExactLinearSampler,
-    point_statistics,
+    PointAccumulator,
     averaged_points,
     averaged_statistics,
 )
@@ -24,8 +24,8 @@ M14 = MediumParams(1, 4, 1, 1)
 
 
 def _stats(values, sigma=None, x=0.5):
-    """point_statistics of paths over [0, 1] at x in the medium M14 (sigma = one by default)."""
-    return point_statistics(np.asarray(values, dtype=float), x, 1.0, sigma or sigma_one(), M14)
+    """PointStats of paths over [0, 1] at x in M14 (sigma = one by default); one path is R = 1."""
+    return point_stats(np.array(values, dtype=float, ndmin=2), x, 1.0, sigma or sigma_one(), M14)
 
 
 def _averaged(paths, xs, sigma=None):
@@ -106,7 +106,7 @@ def test_estimator_interface_uses_eta_squared():
 
 def test_estimator_degenerate_path():
     st = _stats(np.ones(17))
-    assert st.degenerate == 1 and math.isnan(st.a_hat)
+    assert st.degenerate == 1 and math.isnan(st.a_hat[0])
 
 
 # -- pooled increment moments -----------------------------------------------------
@@ -130,7 +130,7 @@ def test_point_statistics_pools_interior_increments():
 
 def test_moment_summary_gaussian_ratios():
     sampler = ExactLinearSampler(M14, 0.5, 1.0, 64)
-    st = _stats(sampler.paths_array(seed=46, replicates=150))
+    st = _stats(exact_paths(sampler, seed=46, replicates=150))
     assert st.ratio4 == pytest.approx(3.0, abs=0.2)
     assert st.ratio6 == pytest.approx(15.0, abs=2.5)
     delta = 1.0 / 64
@@ -147,7 +147,7 @@ SIGMAS = {"one": sigma_one(), "affine:0,0.7": sigma_affine(0.0, 0.7), "sin1:0.5"
 @pytest.mark.parametrize("x", [0.5, -0.5, 0.0])
 @pytest.mark.parametrize("label", sorted(SIGMAS))
 def test_point_statistics_equals_per_path_views(label, x):
-    # The (R, n+1) batch gives each row what the row gives as one (n+1,) path.
+    # The (R, n+1) batch gives each row what the row gives as a one-replicate block.
     sigma = SIGMAS[label]
     rng = np.random.default_rng(50)
     paths = rng.normal(size=(6, 41)) * 0.3
@@ -155,9 +155,9 @@ def test_point_statistics_equals_per_path_views(label, x):
     st = _stats(paths, sigma, x)
     assert st.degenerate == 1
     for r, row in enumerate(paths):
-        one = _stats(row, sigma, x)
-        assert (st.v[r], st.limit[r]) == (one.v, one.limit)
-        assert st.a_hat[r] == one.a_hat or math.isnan(st.a_hat[r]) and math.isnan(one.a_hat)
+        one = _stats(row[None], sigma, x)
+        assert (st.v[r], st.limit[r]) == (one.v[0], one.limit[0])
+        assert st.a_hat[r] == one.a_hat[0] or math.isnan(st.a_hat[r]) and math.isnan(one.a_hat[0])
     pooled = np.diff(paths)[:, 9:]  # 1-based increment index i >= 40/4
     m2 = np.sum(np.sum(pooled**2, axis=-1)) / pooled.size  # the sum of the rows' sums
     assert st.m2 == m2
@@ -166,9 +166,9 @@ def test_point_statistics_equals_per_path_views(label, x):
 
 
 @pytest.mark.parametrize("label", sorted(SIGMAS))
-def test_point_statistics_replicate_block_width_changes_no_bit(label, monkeypatch):
+def test_point_statistics_replicate_block_width_changes_no_bit(label):
     # Every pooled mean is the sum of per-row sums over the count, so the
-    # width of the replicate blocks the paths are read in moves no bit.  The
+    # width of the replicate blocks the accumulator is fed moves no bit.  The
     # rows have unequal scales, so a sum taken block by block would round
     # differently.
     rng = np.random.default_rng(51)
@@ -176,35 +176,31 @@ def test_point_statistics_replicate_block_width_changes_no_bit(label, monkeypatc
     paths[:, 0] = 0.0
     ref = _stats(paths, SIGMAS[label])
     for width in (1, 7, 64):
-        monkeypatch.setattr(stats, "PATH_BLOCK", width)
-        got = _stats(paths, SIGMAS[label])
+        acc = PointAccumulator(len(paths), 64, 0.5, 1.0, SIGMAS[label], M14)
+        for first in range(0, len(paths), width):
+            acc.add(first, paths[first : first + width])
+        got = acc.result()
         for name in ("v", "limit", "a_hat"):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), (name, width)
         assert (got.m2, got.m4, got.ratio4, got.ratio6, got.m2_target, got.m4_target) == (
             ref.m2, ref.m4, ref.ratio4, ref.ratio6, ref.m2_target, ref.m4_target), width
 
 
-@pytest.mark.parametrize("shape", [(1,), (3, 1), (2, 3, 9)])
-def test_point_statistics_rejects_other_shapes(shape):
-    with pytest.raises(ValueError, match="one \\(n\\+1,\\) path or \\(R, n\\+1\\) paths"):
-        point_statistics(np.zeros(shape), 0.5, 1.0, sigma_one(), M14)
-
-
 def test_point_statistics_zero_increments():
-    st = point_statistics(np.zeros((3, 9)), 0.5, 1.0, sigma_one(), M14)
+    st = point_stats(np.zeros((3, 9)), 0.5, 1.0, sigma_one(), M14)
     assert st.degenerate == 3 and np.all(np.isnan(st.a_hat))
     assert st.m2 == 0.0 and math.isnan(st.ratio4) and math.isnan(st.ratio6)
     assert st.closed_target == pytest.approx(6.0 / (math.pi * 4.0), rel=1e-14)
-    assert point_statistics(np.zeros((3, 9)), 0.5, 1.0, sigma_sin(0.5), M14).closed_target is None
+    assert point_stats(np.zeros((3, 9)), 0.5, 1.0, sigma_sin(0.5), M14).closed_target is None
 
 
 def test_constant_sigma_closed_targets_scale_by_c4():
     zeros = np.zeros((3, 9))
-    one = point_statistics(zeros, 0.5, 1.0, sigma_one(), M14).closed_target
-    assert point_statistics(zeros, 0.5, 1.0, sigma_affine(0.0, 1.0), M14).closed_target == one
-    assert point_statistics(zeros, 0.5, 1.0, sigma_sin(0.0), M14).closed_target == one
-    assert point_statistics(zeros, 0.5, 1.0, sigma_affine(0.0, 2.0), M14).closed_target == 16 * one
-    st = point_statistics(zeros, 0.5, 1.0, sigma_affine(0.0, 0.7), M14)
+    one = point_stats(zeros, 0.5, 1.0, sigma_one(), M14).closed_target
+    assert point_stats(zeros, 0.5, 1.0, sigma_affine(0.0, 1.0), M14).closed_target == one
+    assert point_stats(zeros, 0.5, 1.0, sigma_sin(0.0), M14).closed_target == one
+    assert point_stats(zeros, 0.5, 1.0, sigma_affine(0.0, 2.0), M14).closed_target == 16 * one
+    st = point_stats(zeros, 0.5, 1.0, sigma_affine(0.0, 0.7), M14)
     assert st.closed_target == pytest.approx(0.7**4 * one, rel=1e-15)
     assert st.closed_target == pytest.approx(float(st.limit[0]), rel=1e-14)
     paths = np.zeros((2, 3, 9))
@@ -289,7 +285,7 @@ def test_variation_error_trend_over_dyadic_n(
     target = 6.0 / (math.pi * 4.0)
     errs, ses = [], []
     for sampler in (exact_sampler_64, exact_sampler_256, exact_sampler_1024):
-        arr = sampler.paths_array(seed=20250601, replicates=150)
+        arr = exact_paths(sampler, seed=20250601, replicates=150)
         v = np.sum(np.diff(arr, axis=1) ** 4, axis=1)
         abs_err = np.abs(v - target)
         errs.append(float(np.mean(abs_err)))
