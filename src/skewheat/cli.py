@@ -4,17 +4,19 @@ Exit codes: 0 on success.  1 when a check or experiment gate fails, and
 with a one-line "solver failure" message when a solver stage fails, numpy
 refuses an allocation, or a worker process cannot be started (no pipe,
 say at too many open files, or no fork) or ends without its result
-(killed, say by the OOM killer; the message names the worker's replicates
-and the signal).  2 on configuration errors, among
-them an out path that cannot be a writable directory, more than one worker
-where os.fork does not exist and, on the convolution backend, an
-observation point outside [-L, L] or two in one cell, all found before any
-work runs, and an output file that cannot be written ("cannot write", found
-after the run; the outputs written before it stay).  A convolution run on a
-grid with dx above sqrt(min(a1, a2)*dt/4) prints one warning line on stderr
-and keeps its exit code, and so does a run with result values that are inf
-or NaN (moments past the range of a double, or simulate's variance_u_T of
-one replicate): that line gives their count.
+(killed, say by the OOM killer, or cut off in its result; the message
+names the worker's replicates and the signal or exit status).  2 on
+configuration errors, among them an out path that cannot be a writable
+directory, more than one worker where os.fork does not exist and, on the
+convolution backend, an observation point outside [-L, L] or two in one
+cell or a newest lag T/n/4 below the smallest normal double (T/n <
+8.9e-308), all found before any work runs, and an output file that cannot
+be written ("cannot write", found after the run; the outputs written
+before it stay).  A convolution run on a grid with dx above
+sqrt(min(a1, a2)*dt/4) prints one warning line on stderr and keeps its
+exit code, and so does a run with result values that are inf or NaN
+(moments past the range of a double, or simulate's variance_u_T of one
+replicate): that line gives their count.
 """
 
 from __future__ import annotations

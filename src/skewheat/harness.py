@@ -6,9 +6,10 @@ tool version, the Gaussian transform and the numpy version that drew it.
 All scientific output is bit-reproducible for a fixed config and seed,
 independent of the worker count: replicates are keyed individually by
 (seed, replicate), work is split into fixed-size chunks regardless of the
-worker count, and results are assembled by replicate index.  At workers > 1
-the chunks are dealt round-robin to forked worker processes, each forked
-once and each reaped however the run ends.  Wall-clock
+worker count, and results are assembled by replicate index.  A chunk is
+solved from its first replicate alone; at workers > 1 the chunks are dealt
+round-robin to forked worker processes, each forked once, each sending one
+pickle per chunk and each reaped however the run ends.  Wall-clock
 timings therefore live only in the JSON summary's `timings` block; the CSV
 `seconds` column is reserved and always zero.  Exact-linear runs also record,
 per sampler build, the covariance quadrature's node level and the wall
@@ -164,6 +165,15 @@ def dx_bound(medium: MediumParams, grid: GridSpec) -> float:
     return math.sqrt(min(medium.a1, medium.a2) * NEWEST_LAG * grid.dt)
 
 
+def _check_newest_lag(grid: GridSpec) -> None:
+    """ConfigError when the newest lag NEWEST_LAG*T/n is subnormal (lost bits) or 0 (no kernel)."""
+    lag = NEWEST_LAG * grid.dt
+    if lag < sys.float_info.min:
+        raise ConfigError(f"the convolution scheme's newest lag {NEWEST_LAG:g}*T/n = {lag!r} at "
+                          f"T/n = {grid.dt!r} (n = {grid.n}) is not a normal double; it needs "
+                          f"T/n >= {sys.float_info.min / NEWEST_LAG!r}")
+
+
 def resolution_warning(cfg: ExperimentConfig, records: list[dict]) -> str | None:
     """One line naming dx and the bound when a convolution chunk ran with dx above it.
 
@@ -192,74 +202,65 @@ def nonfinite_warning(cfg: ExperimentConfig, rows: list[dict]) -> str | None:
     return f"warning: {bad} of {len(rows)} result rows have a value that is not finite"
 
 
-def _conv_chunk_worker(payload) -> tuple[int, np.ndarray, dict]:
-    """Solve one fixed-size chunk of replicates; returns (first_replicate, paths, report).
+def _solve_chunk(cfg: ExperimentConfig, grid: GridSpec, cols: list[int], first: int):
+    """Solve the chunk of replicates first.. at the cells cols; returns (paths, record).
 
-    paths has shape (count, n_points, n+1); report is what solve_field_batch
-    says about the rows it solved and its kernel stack.  The noise is a
-    NoiseChunk, never held whole: the semigroup recursion reads its rows,
-    REPLICATE_CHUNK columns wide in every chunk, and the constant-sigma FFT
-    product its replicates, each drawn by this module's sample_noise as the
-    product reaches it.  Everything a chunk computes is a pure function of
-    (seed, replicate index, grid, medium, sigma), so neither chunk
-    scheduling nor the replicate count can change a replicate's path.
+    paths has shape (count, len(cols), n+1); record holds n, m, dx_resolved
+    (whether dx <= dx_bound), first_replicate and replicates, then what
+    solve_field_batch says about the rows it solved and its kernel stack.
+    The noise is a NoiseChunk, never held whole: the semigroup recursion
+    reads its rows, REPLICATE_CHUNK columns wide in every chunk, and the
+    constant-sigma FFT product its replicates, each drawn by this module's
+    sample_noise as the product reaches it.  Everything a chunk computes is
+    a pure function of (seed, replicate index, grid, medium, sigma), so
+    neither chunk scheduling nor the replicate count can change a path.
     """
-    medium, grid, sigma, seed, first_rep, count, col_indices = payload
-    noise = NoiseChunk(grid, seed, first_rep, count, width=REPLICATE_CHUNK, draw=sample_noise)
-    report: dict = {}
-    u = solve_field_batch(medium, grid, sigma, noise, columns=col_indices, report=report)
-    return first_rep, np.ascontiguousarray(np.transpose(u, (2, 1, 0))), report
+    count = min(REPLICATE_CHUNK, cfg.replicates - first)
+    noise = NoiseChunk(grid, cfg.seed, first, count, width=REPLICATE_CHUNK, draw=sample_noise)
+    record = {"n": grid.n, "m": grid.m, "dx_resolved": grid.dx <= dx_bound(cfg.medium, grid),
+              "first_replicate": first, "replicates": count}
+    u = solve_field_batch(cfg.medium, grid, cfg.sigma, noise, columns=cols, report=record)
+    return np.ascontiguousarray(np.transpose(u, (2, 1, 0))), record
 
 
 def _convolution_blocks(cfg: ExperimentConfig, grid: GridSpec, cols: list[int], log: dict):
     """Yield (j, first, rows): the (count, n+1) paths of replicates first.. at the cell cols[j].
 
-    With one worker or one chunk the chunks are solved here, one at a time.
-    Otherwise min(workers, chunks) forked children solve them round-robin
+    Each chunk is _solve_chunk of its first replicate.  With one worker or
+    one chunk the chunks are solved here, one at a time.  Otherwise
+    min(workers, chunks) forked children solve them round-robin
     (_forked_chunks), and their results are taken in chunk order; the
     children are killed and reaped however the generator is left.  Where
     os.fork does not exist, that is a ConfigError raised before any chunk is
-    solved.  Appends one record per chunk to log["convolution"] as it comes:
-    the solver's report plus dx_resolved, whether dx <= dx_bound.
+    solved.  Appends each chunk's record to log["convolution"] as it comes.
     """
-    payloads = []
-    first = 0
-    while first < cfg.replicates:
-        count = min(REPLICATE_CHUNK, cfg.replicates - first)
-        payloads.append((cfg.medium, grid, cfg.sigma, cfg.seed, first, count, cols))
-        first += count
-    records = log.setdefault("convolution", [])
-    resolved = grid.dx <= dx_bound(cfg.medium, grid)
-
-    def blocks(results):
-        for first_rep, chunk, report in results:
-            records.append({"n": grid.n, "m": grid.m, "dx_resolved": resolved,
-                            "first_replicate": first_rep, "replicates": chunk.shape[0], **report})
-            for j in range(len(cols)):
-                yield j, first_rep, chunk[:, j]
-
-    workers = min(cfg.workers, len(payloads))
-    if workers <= 1:
-        yield from blocks(map(_conv_chunk_worker, payloads))
-        return
-    if not hasattr(os, "fork"):
+    firsts = range(0, cfg.replicates, REPLICATE_CHUNK)
+    solve = partial(_solve_chunk, cfg, grid, cols)
+    workers = min(cfg.workers, len(firsts))
+    if workers > 1 and not hasattr(os, "fork"):
         raise ConfigError(f"workers = {cfg.workers} needs os.fork, which this platform lacks; "
                           "set workers = 1")
-    yield from blocks(_forked_chunks(payloads, workers))
+    chunks = map(solve, firsts) if workers <= 1 else _forked_chunks(solve, firsts, workers)
+    records = log.setdefault("convolution", [])
+    for paths, record in chunks:
+        records.append(record)
+        for j in range(len(cols)):
+            yield j, record["first_replicate"], paths[:, j]
 
 
-def _forked_chunks(payloads: list, workers: int):
-    """Yield _conv_chunk_worker(payload) for each payload in order, solved in forked children.
+def _forked_chunks(solve, firsts: range, workers: int):
+    """Yield solve(first) for each first of firsts in order, solved in forked children.
 
-    Child w is forked once and solves payloads w, w + workers, ... in turn,
-    writing each (ok, value) to its own pipe as a length-prefixed pickle; the
-    parent reads payload k from child k % workers, so every child has at most
-    one result waiting.  An exception in a child is raised here with its type
-    and message.  A child that ends without its result, or a failed pipe or
-    fork, is a SolverError naming the replicates or the worker, and the
-    cause.  However the generator is left (a result, an error or a consumer
-    that stops early), the pipes are closed, every child still running is
-    killed, and every child is reaped.
+    Child w is forked once, inherits solve and its share firsts[w::workers]
+    and solves them in turn, writing each (ok, value) to its own pipe as a
+    pickle; the parent reads chunk k from child k % workers, so every child
+    has at most one result waiting.  An exception in a child is raised here
+    with its type and message.  A child that ends without its result (no
+    pickle or a cut-off one), or a failed pipe or fork, is a SolverError
+    naming the replicates or the worker, and the cause.  However the
+    generator is left (a result, an error or a consumer that stops early),
+    the pipes are closed, every child still running is killed, and every
+    child is reaped.
     """
     from signal import SIGKILL  # deferred: unused by one worker
 
@@ -280,24 +281,22 @@ def _forked_chunks(payloads: list, workers: int):
                 raise SolverError(f"cannot start worker process {w + 1} of {workers}: "
                                   f"{exc.strerror}") from None
             if pid == 0:  # never returns; each pipe's one reader is the parent
-                _chunk_child(payloads[w::workers], write_fd,
+                _chunk_child(solve, firsts[w::workers], write_fd,
                              [read_fd] + [pipe.fileno() for _, pipe in children])
             os.close(write_fd)  # later children must not hold it: EOF marks this child's end
             children.append((pid, open(read_fd, "rb")))
-        for k, payload in enumerate(payloads):
+        for k, first in enumerate(firsts):
             pid, pipe = children[k % workers]
-            header = pipe.read(8)
-            size = int.from_bytes(header, "little") if len(header) == 8 else -1
-            data = pipe.read(max(size, 0))
-            if len(data) != size:
+            try:
+                ok, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
                 _, status = os.waitpid(pid, 0)
                 reaped.add(pid)
                 code = os.waitstatus_to_exitcode(status)
                 how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                first, count = payload[4:6]
-                raise SolverError(f"the worker solving replicates {first}..{first + count - 1} "
-                                  f"ended without a result ({how})")
-            ok, value = pickle.loads(data)
+                last = min(first + firsts.step, firsts.stop) - 1
+                raise SolverError(f"the worker solving replicates {first}..{last} "
+                                  f"ended without a result ({how})") from None
             if not ok:
                 raise value
             yield value
@@ -311,8 +310,8 @@ def _forked_chunks(payloads: list, workers: int):
                 os.waitpid(pid, 0)
 
 
-def _chunk_child(payloads: list, write_fd: int, inherited: list[int]):
-    """Body of a forked child: solve payloads in turn, send each (ok, value), then os._exit.
+def _chunk_child(solve, firsts: range, write_fd: int, inherited: list[int]):
+    """Body of a forked child: send (ok, solve(first)) for each first in turn, then os._exit.
 
     The child first closes the inherited pipe ends it does not write, and
     stops after its first failure.  It never returns into the parent's code:
@@ -323,14 +322,12 @@ def _chunk_child(payloads: list, write_fd: int, inherited: list[int]):
         for fd in inherited:
             os.close(fd)
         with open(write_fd, "wb") as out:
-            for payload in payloads:
+            for first in firsts:
                 try:
-                    message = (True, _conv_chunk_worker(payload))
+                    message = (True, solve(first))
                 except Exception as exc:  # sent to the parent, which raises it
                     message = (False, exc)
-                data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-                out.write(len(data).to_bytes(8, "little"))
-                out.write(data)
+                pickle.dump(message, out, protocol=pickle.HIGHEST_PROTOCOL)
                 out.flush()
                 if not message[0]:
                     break
@@ -360,6 +357,7 @@ def _point_paths(cfg: ExperimentConfig, log: dict, grid: GridSpec, points):
     if not cfg.x_points:
         raise ConfigError("this command needs at least one observation point in [experiment] x")
     if cfg.backend == "convolution":
+        _check_newest_lag(grid)
         outside = [x for x in points if abs(x) > grid.L]
         if outside:
             raise ConfigError(f"observation point x = {outside[0]!r} lies outside [-L, L] = "
@@ -454,6 +452,8 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool, dict]
     """Per n of n_list, one solve at the observation points and at the averaged points of m_list."""
     if not cfg.n_list:
         raise ConfigError("convergence needs a nonempty [experiment] n_list")
+    if cfg.backend == "convolution":  # the largest n has the shortest lag
+        _check_newest_lag(replace(cfg.grid, n=max(cfg.n_list)))
     rows, avg_rows = [], []
     log: dict = {}
     trend: dict[float, list[tuple[int, float]]] = {}

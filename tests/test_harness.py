@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import astuple, fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -512,6 +513,39 @@ def test_exact_quartic_at_a_subnormal_horizon_exits_zero(tmp_path, T):
     assert len(lines) == 1 and lines[0].endswith("result rows have a value that is not finite")
 
 
+@pytest.mark.parametrize("sigma", ["one", "sin1:0.5"])
+@pytest.mark.parametrize("T", ["1e-310", "5e-324"])
+def test_convolution_quartic_at_a_subnormal_lag_exits_two_with_one_line(tmp_path, T, sigma):
+    # The newest lag 0.25*T/n is subnormal at 1e-310 (where sigma = one's
+    # kernel would overflow in its square) and 0 at 5e-324: a config error
+    # before any chunk is solved.
+    text = ((CONFIGS / "demo_quartic.ini").read_text().replace("T = 1.0", f"T = {T}")
+            .replace("n = 512", "n = 1").replace("sigma = one", f"sigma = {sigma}")
+            .replace("backend = exact-linear", "backend = convolution"))
+    assert f"T = {T}\nn = 1\n" in text and "backend = convolution" in text
+    lines = _assert_cli_prints_one_line_messages(
+        tmp_path, "quartic", text.replace("replicates = 1000", "replicates = 64"), codes=(2,),
+        prefix="config error: the convolution scheme's newest lag 0.25*T/n = ")
+    assert len(lines) == 1 and f"at T/n = {float(T)!r} (n = 1)" in lines[0]
+    assert not (tmp_path / "out" / "quartic.csv").exists()
+
+
+def test_convergence_with_a_subnormal_lag_at_its_largest_n_exits_two_before_any_solve(
+        tmp_path, capsys, monkeypatch):
+    # T/n = 2e-306 at n = 1 is normal; at n = 32 the lag is 1.5625e-308.
+    solved = []
+    monkeypatch.setattr(harness, "solve_field_batch", lambda *args, **kwargs: solved.append(args))
+    text = ((CONFIGS / "demo_convergence.ini").read_text().replace("T = 1.0", "T = 2e-306")
+            .replace("n_list = 16, 32", "n_list = 1, 32"))
+    cfg = _write(tmp_path, "c.ini", text)
+    assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: the convolution scheme's newest lag 0.25*T/n = 1.5625e-308 at "
+        "T/n = 6.25e-308 (n = 32) is not a normal double; it needs T/n >= 8.900295434028806e-308\n")
+    assert solved == []
+    assert not (tmp_path / "out" / "convergence.csv").exists()
+
+
 def test_indefinite_covariance_exits_one_naming_the_pivot(tmp_path, monkeypatch, capsys):
     # No diagonal shift is tried: the first non-positive pivot is the failure.
     exact = solver.covariance_matrix
@@ -649,8 +683,7 @@ def test_chunk_worker_paths_equal_contiguous_stack_solve(sigma, count):
                        + f"[experiment]\nsigma = {sigma}\nx = 0.5\nseed = 21\n")
     grid, first, cols = cfg.grid, 3, [11, 4, 11]
     sig = solver.parse_sigma(sigma)
-    first_rep, paths, report = harness._conv_chunk_worker(
-        (cfg.medium, grid, sig, cfg.seed, first, count, cols))
+    paths, report = harness._solve_chunk(replace(cfg, replicates=first + count), grid, cols, first)
     width = harness.REPLICATE_CHUNK
     stack = np.zeros((grid.n, grid.m, width))
     stack[:, :, :count] = np.stack([sample_noise(grid, cfg.seed, first + k)
@@ -658,7 +691,9 @@ def test_chunk_worker_paths_equal_contiguous_stack_solve(sigma, count):
     expected_report: dict = {}
     full = solver.solve_field_batch(cfg.medium, grid, sig, stack, columns=cols,
                                     report=expected_report)
-    assert first_rep == first
+    resolved = grid.dx <= harness.dx_bound(cfg.medium, grid)
+    assert [report.pop(k) for k in ("n", "m", "dx_resolved", "first_replicate", "replicates")] == [
+        8, 16, resolved, first, count]
     assert paths.flags.c_contiguous
     assert np.array_equal(paths, np.transpose(full[:, :, :count], (2, 1, 0)))
     # The stack holds every column's n = 8 rows; the worker, one
@@ -703,11 +738,11 @@ def test_fft_chunk_holds_one_replicate_of_noise():
 
 def _chunk_worker_peak(cfg, count):
     """tracemalloc peak of one chunk of count replicates at the cells 112, 128 and 143."""
-    payload = (cfg.medium, cfg.grid, cfg.sigma, cfg.seed, 0, count, [112, 128, 143])
-    harness._conv_chunk_worker(payload)  # warm-up: numpy's and the kernel's first-call caches
+    solve = partial(harness._solve_chunk, replace(cfg, replicates=count), cfg.grid, [112, 128, 143])
+    solve(0)  # warm-up: numpy's and the kernel's first-call caches
     tracemalloc.start()
     try:
-        harness._conv_chunk_worker(payload)
+        solve(0)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1082,15 +1117,15 @@ _SCIPY_PROBE = """\
 import os, sys
 from skewheat import harness
 
-_chunk = harness._conv_chunk_worker
+_solve = harness._solve_chunk
 
 
-def chunk_reporting_scipy(payload):
-    first, paths, report = _chunk(payload)
-    return first, paths, {**report, "scipy": "scipy" in sys.modules, "pid": os.getpid()}
+def chunk_reporting_scipy(*args):
+    paths, record = _solve(*args)
+    return paths, {**record, "scipy": "scipy" in sys.modules, "pid": os.getpid()}
 
 
-harness._conv_chunk_worker = chunk_reporting_scipy
+harness._solve_chunk = chunk_reporting_scipy
 """
 
 
@@ -1213,18 +1248,18 @@ def test_cli_import_and_one_worker_run_leave_process_pool_unloaded(tmp_path):
 
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     # 2-replicate chunks: 4 replicates at 8 workers start 2 children, and 10
-    # at 2 workers deal 5 chunks round-robin to 2 children.  Each chunk
-    # records the pid that solved it; the records come in replicate order
-    # with the 1-worker paths.
-    chunk = harness._conv_chunk_worker
+    # at 2 or 3 workers deal 5 chunks round-robin to 2 or 3 children.  Each
+    # chunk records the pid that solved it; the records come in replicate
+    # order with the 1-worker paths.
+    solve = harness._solve_chunk
 
-    def reporting(payload):
-        first, paths, report = chunk(payload)
-        return first, paths, {**report, "pid": os.getpid()}
+    def reporting(*args):
+        paths, record = solve(*args)
+        return paths, {**record, "pid": os.getpid()}
 
-    monkeypatch.setattr(harness, "_conv_chunk_worker", reporting)
+    monkeypatch.setattr(harness, "_solve_chunk", reporting)
     monkeypatch.setattr(harness, "REPLICATE_CHUNK", 2)
-    for replicates, workers in ((4, 8), (10, 2)):
+    for replicates, workers, children in ((4, 8, 2), (10, 2, 2), (10, 3, 3)):
         cfg = parse_config(MEDIUM_14 + GRID_SMALL + f"[experiment]\nx = 0.5\nreplicates = {replicates}\n"
                            f"seed = 3\nworkers = {workers}\n")
         log, serial_log = {}, {}
@@ -1234,8 +1269,8 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
         records = log["convolution"]
         assert [r["first_replicate"] for r in records] == list(range(0, replicates, 2))
         pids = [r["pid"] for r in records]
-        assert len(set(pids)) == 2 and os.getpid() not in pids
-        assert pids == [pids[k % 2] for k in range(len(pids))]
+        assert len(set(pids)) == children and os.getpid() not in pids
+        assert pids == [pids[k % children] for k in range(len(pids))]
         assert {r["pid"] for r in serial_log["convolution"]} == {os.getpid()}
 
 
@@ -1320,9 +1355,9 @@ def test_pipe_failure_exits_one_with_one_line_and_reaps_the_started_worker(tmp_p
 
 def test_workers_without_fork_exit_two_before_any_chunk(tmp_path, capsys, monkeypatch):
     solved = []
-    chunk = harness._conv_chunk_worker
-    monkeypatch.setattr(harness, "_conv_chunk_worker",
-                        lambda payload: solved.append(payload[4]) or chunk(payload))
+    solve = harness._solve_chunk
+    monkeypatch.setattr(harness, "_solve_chunk",
+                        lambda *args: solved.append(args[-1]) or solve(*args))
     monkeypatch.delattr(os, "fork")
     text = (MEDIUM_14 + GRID_SMALL
             + f"[experiment]\nx = 0.5\nseed = 3\nworkers = 2\nout = {tmp_path}/out\n")
@@ -1343,38 +1378,77 @@ _KILL_PROBE = """\
 import os, signal
 from skewheat import harness
 
-_chunk = harness._conv_chunk_worker
+_solve = harness._solve_chunk
 
 
-def chunk_killing_the_second(payload):
-    if payload[4] == 64:
+def chunk_killing_the_second(cfg, grid, cols, first):
+    if first == 64:
         os.kill(os.getpid(), signal.SIGKILL)
-    return _chunk(payload)
+    return _solve(cfg, grid, cols, first)
 
 
-harness._conv_chunk_worker = chunk_killing_the_second
+harness._solve_chunk = chunk_killing_the_second
 """
 
 
-def test_killed_worker_exits_one_with_one_line(tmp_path):
+# Makes the worker of the second chunk (replicates 64..127) write the first
+# half of its result's pickle, then exit with status 3.
+_CUT_PROBE = """\
+import os, pickle
+
+_dump = pickle.dump
+
+
+def dump_cut_short(message, out, protocol):
+    ok, value = message
+    if ok and value[1]["first_replicate"] == 64:
+        data = pickle.dumps(message, protocol=protocol)
+        out.write(data[: len(data) // 2])
+        out.flush()
+        os._exit(3)
+    _dump(message, out, protocol=protocol)
+
+
+pickle.dump = dump_cut_short
+"""
+
+
+def _run_worker_probe(tmp_path, probe_source):
+    """A 3-chunk, 2-worker sin1:0.5 quartic in a fresh interpreter that first imports probe_source.
+
+    Prints "reaped" when the run leaves no child behind; exits with the run's code.
+    """
     cfg = _write(
         tmp_path, "c.ini",
         MEDIUM_14 + GRID_SMALL
         + f"[experiment]\nsigma = sin1:0.5\nx = 0.5\nreplicates = 192\nseed = 3\nworkers = 2\n"
         + f"out = {tmp_path}/out\n",
     )
-    (tmp_path / "kill_probe.py").write_text(_KILL_PROBE)
-    probe = ("import os, sys, kill_probe, skewheat.cli; "
+    (tmp_path / "worker_probe.py").write_text(probe_source)
+    probe = ("import os, sys, worker_probe, skewheat.cli; "
              f"code = skewheat.cli.main(['quartic', '--config', {cfg!r}])\n"
              "try:\n    os.waitpid(-1, os.WNOHANG)\nexcept ChildProcessError:\n    print('reaped')\n"
              "sys.exit(code)")
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(tmp_path)]))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                         timeout=120)
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_killed_worker_exits_one_with_one_line(tmp_path):
+    out = _run_worker_probe(tmp_path, _KILL_PROBE)
     assert out.returncode == 1
     assert out.stderr == ("solver failure: the worker solving replicates 64..127 ended without "
                           "a result (killed by signal 9)\n")
+    assert out.stdout == "reaped\n"
+
+
+def test_worker_cut_off_in_its_result_exits_one_with_one_line(tmp_path):
+    # The parent reads a pickle that ends early, then EOF.
+    out = _run_worker_probe(tmp_path, _CUT_PROBE)
+    assert out.returncode == 1
+    assert out.stderr == ("solver failure: the worker solving replicates 64..127 ended without "
+                          "a result (exit status 3)\n")
     assert out.stdout == "reaped\n"
 
 
