@@ -19,9 +19,6 @@ from .solver import (
     SolverError,
     NonFiniteFieldError,
     CovarianceError,
-    sigma_one,
-    sigma_affine,
-    sigma_sin,
     parse_sigma,
     solve_field_batch,
     covariance_linear,
@@ -44,9 +41,6 @@ __all__ = [
     "SolverError",
     "NonFiniteFieldError",
     "CovarianceError",
-    "sigma_one",
-    "sigma_affine",
-    "sigma_sin",
     "parse_sigma",
     "solve_field_batch",
     "covariance_linear",

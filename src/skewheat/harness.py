@@ -205,9 +205,9 @@ def nonfinite_warning(cfg: ExperimentConfig, rows: list[dict]) -> str | None:
 def _solve_chunk(cfg: ExperimentConfig, grid: GridSpec, cols: list[int], first: int):
     """Solve the chunk of replicates first.. at the cells cols; returns (paths, record).
 
-    paths has shape (count, len(cols), n+1); record holds n, m, dx_resolved
-    (whether dx <= dx_bound), first_replicate and replicates, then what
-    solve_field_batch says about the rows it solved and its kernel stack.
+    paths is solve_field_batch's (count, len(cols), n+1) array itself; record
+    holds n, m, dx_resolved (whether dx <= dx_bound), first_replicate and
+    replicates, then what solve_field_batch says of its rows and kernel stack.
     The noise is a NoiseChunk, never held whole: the semigroup recursion
     reads its rows, REPLICATE_CHUNK columns wide in every chunk, and the
     constant-sigma FFT product its replicates, each drawn by this module's
@@ -219,8 +219,7 @@ def _solve_chunk(cfg: ExperimentConfig, grid: GridSpec, cols: list[int], first: 
     noise = NoiseChunk(grid, cfg.seed, first, count, width=REPLICATE_CHUNK, draw=sample_noise)
     record = {"n": grid.n, "m": grid.m, "dx_resolved": grid.dx <= dx_bound(cfg.medium, grid),
               "first_replicate": first, "replicates": count}
-    u = solve_field_batch(cfg.medium, grid, cfg.sigma, noise, columns=cols, report=record)
-    return np.ascontiguousarray(np.transpose(u, (2, 1, 0))), record
+    return solve_field_batch(cfg.medium, grid, cfg.sigma, noise, columns=cols, report=record), record
 
 
 def _convolution_blocks(cfg: ExperimentConfig, grid: GridSpec, cols: list[int], log: dict):

@@ -84,7 +84,7 @@ class CovarianceError(SolverError):
 class SigmaSpec:
     """Noise coefficient sigma(u), held as its coefficients.
 
-    sigma(u) is 1 + amp*sin(u) when amp is nonzero, else h1*u + h2.
+    sigma(u) is 1 + amp*sin(u) when amp is nonzero, else h1*u + h2 (SigmaSpec() is 1).
     constant is the value c of a sigma that does not depend on u, and None
     otherwise; every choice that turns on sigma reads it.  For a constant
     sigma the solution is c times the sigma = 1 solution.
@@ -115,26 +115,11 @@ class SigmaSpec:
         return out
 
 
-def sigma_one() -> SigmaSpec:
-    """sigma identically one (the linear, exactly Gaussian case)."""
-    return SigmaSpec()
-
-
-def sigma_affine(h1: float, h2: float) -> SigmaSpec:
-    """sigma(u) = h1*u + h2, Lipschitz bound |h1|."""
-    return SigmaSpec(h1=float(h1), h2=float(h2))
-
-
-def sigma_sin(amp: float) -> SigmaSpec:
-    """sigma(u) = 1 + amp*sin(u), Lipschitz bound |amp|."""
-    return SigmaSpec(amp=float(amp))
-
-
 def parse_sigma(spec: str) -> SigmaSpec:
     """Parse a sigma preset string: "one", "affine:h1,h2" or "sin1:amp"."""
     spec = spec.strip()
     if spec == "one":
-        return sigma_one()
+        return SigmaSpec()
     if ":" in spec:
         name, _, args = spec.partition(":")
         try:
@@ -144,9 +129,9 @@ def parse_sigma(spec: str) -> SigmaSpec:
         if not all(map(math.isfinite, values)):
             raise ValueError(f"non-finite numeric arguments in sigma spec {spec!r}")
         if name == "affine" and len(values) == 2:
-            return sigma_affine(*values)
+            return SigmaSpec(h1=values[0], h2=values[1])
         if name == "sin1" and len(values) == 1:
-            return sigma_sin(values[0])
+            return SigmaSpec(amp=values[0])
     raise ValueError(f"unknown sigma spec {spec!r}; expected 'one', 'affine:h1,h2' or 'sin1:amp'")
 
 
@@ -154,7 +139,7 @@ def format_sigma(sigma: SigmaSpec) -> str:
     """The preset string that parse_sigma reads back as sigma."""
     if sigma.amp:
         return f"sin1:{sigma.amp!r}"
-    return "one" if sigma == sigma_one() else f"affine:{sigma.h1!r},{sigma.h2!r}"
+    return "one" if sigma == SigmaSpec() else f"affine:{sigma.h1!r},{sigma.h2!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +260,9 @@ def solve_field_batch(
     the (n, m, R) increments, which the semigroup recursion reads through
     rows(), one time row per step, and the FFT product through
     replicates(), one replicate at a time, neither holding them all.  The
-    result has shape (n+1, p) or (n+1, p, R) with row 0 identically zero,
-    where p is the number of requested cell indices in columns (default:
-    all m cells, in grid order).
+    result is paths, time last, written by the scheme with no transposed
+    copy: (p, n+1) or (R, p, n+1), time 0 identically zero, where p is the
+    number of requested cell indices in columns (default: all m, in order).
     The scheme is u_i = sum over d of K_d @ v_{i-d} with
     v_k = sigma(u_k) * dW_k and K_d the kernel at the lag of _cell_lags, so
     row i depends on noise rows < i only.
@@ -338,7 +323,7 @@ def solve_field_batch(
         out = _semigroup_field(kernel, grid, sigma, dW, cols, report)
     else:
         out = _fft_rows_field(kernel, grid, sigma.constant, dW, cols, report)
-    return out[:, :, 0] if squeeze else out
+    return out[0] if squeeze else out
 
 
 def _semigroup_field(kernel, grid, sigma, dW, cols, report):
@@ -353,6 +338,7 @@ def _semigroup_field(kernel, grid, sigma, dW, cols, report):
     row block into buffers allocated once: w = [K_1; K_2] v (u is w's first
     m rows, the history's new term the rest) and P S_i, under np.errstate,
     so an overflow stops at _check_finite and not at numpy's warnings.
+    Step i's kept cells go to out[:, :, i] of the (R, p, n+1) paths.
     """
     n, m, count = dW.shape
     if isinstance(dW, np.ndarray):
@@ -367,7 +353,7 @@ def _semigroup_field(kernel, grid, sigma, dW, cols, report):
                       stack_mib=8 * stored / 2**20,
                       band_fraction=stored / (m * m + padded * m + padded**2))
     inner, cells = slice(m // 2, m // 2 + m), np.arange(m)
-    out = np.zeros((n + 1, len(cols), count))
+    out = np.zeros((count, len(cols), n + 1))
     w, v = np.zeros((m + padded, r)), np.empty((m, r))
     u = w[:m]
     hist, nxt = np.zeros((padded, r)), np.empty((padded, r))
@@ -378,7 +364,7 @@ def _semigroup_field(kernel, grid, sigma, dW, cols, report):
             _band_matmul(fresh, v, w)
             u += hist[inner]
             _check_finite(u[None], i, cells)
-            out[i] = u[cols, :count]
+            out[:, :, i] = u[cols, :count].T
             if i < n:
                 _band_matmul(step, hist, nxt)
                 nxt += w[m:]
@@ -404,8 +390,9 @@ def _fft_rows_field(kernel, grid, c, dW, cols, report):
     replicate's path does not depend on the others, the solve is exactly c
     times sigma = 1's, and a field that overflows stops at _check_finite, with
     no numpy warning, in the rows that overflow in the direct sum and not in
-    the padded transforms.  khat is allocated before any array of length n,
-    so a grid past memory is refused before any page is touched.
+    the padded transforms; replicate k's paths go to out[k, :, 1:].  khat
+    is allocated before any array of length n, so a grid past memory is
+    refused before any page is touched.
     """
     n, m, r = dW.shape
     rows, pick = np.unique(cols, return_inverse=True)
@@ -418,11 +405,18 @@ def _fft_rows_field(kernel, grid, c, dW, cols, report):
     khat = np.empty((n + 1, p, m), dtype=complex)
     y = grid.cell_centers
     lags = _cell_lags(grid.dt, n)
-    squares = np.zeros(p)
+    squares, shift = np.zeros(p), np.zeros(p, dtype=np.int32)
     for lo in range(0, m, FFT_BLOCK):
         block = slice(lo, min(lo + FFT_BLOCK, m))
         k_rows = kernel.evaluate(lags[:, None, None], y[None, rows, None], y[None, None, block])
         khat[:, :, block] = np.fft.rfft(k_rows, nfft, axis=0)
+        # Row j's squares are summed at the scale 4**-shift[j], raised as a
+        # block needs it, so that its peak stays below 2**480 and no square
+        # or sum of 2**63 of them overflows.  Powers of two scale exactly.
+        peak = np.maximum(k_rows.max(axis=(0, 2)), -k_rows.min(axis=(0, 2)))
+        need = np.maximum(shift, np.frexp(peak)[1] - 480)
+        squares, shift = np.ldexp(squares, 2 * (shift - need)), need
+        np.ldexp(k_rows, -shift[:, None], out=k_rows)
         squares += np.square(k_rows, out=k_rows).sum(axis=(0, 2))
     if isinstance(dW, np.ndarray):
         replicates, noise_bytes = iter(np.moveaxis(dW, 2, 0)), dW.nbytes
@@ -430,10 +424,11 @@ def _fft_rows_field(kernel, grid, c, dW, cols, report):
         replicates, noise_bytes = dW.replicates(), 8 * n * m
     if report is not None:
         held = khat.nbytes + (n + 1) * m * 16
+        with np.errstate(over="ignore"):  # a variance past a double's range is inf
+            var = c * c * np.ldexp(squares[pick] * grid.dt * grid.dx, 2 * shift[pick])
         report.update(noise_mib=noise_bytes / 2**20, rows_per_step=p, kernel_stack="fft",
-                      stack_mib=held / 2**20,
-                      disc_variance_u_T=(c * c * (squares[pick] * grid.dt * grid.dx)).tolist())
-    out = np.zeros((n + 1, len(cols), r))
+                      stack_mib=held / 2**20, disc_variance_u_T=var.tolist())
+    out = np.zeros((r, len(cols), n + 1))
     # Each replicate's noise is transformed as the rows of an (m, n) copy:
     # pocketfft runs that faster than axis 0 of (n, m), with the same bits.
     # One transform buffer serves every replicate, and each one's noise is let
@@ -449,7 +444,7 @@ def _fft_rows_field(kernel, grid, c, dW, cols, report):
             np.fft.rfft(v, nfft, out=vhat)
             u = np.fft.irfft(khat @ vhat.T[:, :, None], nfft, axis=0)[:n, :, 0] * scale * c + 0.0
             _check_finite(u, 1, rows)
-            out[1:, :, k] = u[:, pick]
+            out[k, :, 1:] = u[:, pick].T
     return out
 
 

@@ -18,8 +18,7 @@ from skewheat import (
     sample_noise,
     tau,
     A_of,
-    sigma_one,
-    sigma_sin,
+    SigmaSpec,
     solve_field_batch,
     covariance_linear,
     ExactLinearSampler,
@@ -82,9 +81,9 @@ def convolution_run():
             [sample_noise(grid, SEED, first + r) for r in range(count)],
             axis=2,
         )
-        u = solve_field_batch(M14, grid, sigma_one(), stack, columns=[j])
-        values_T[first : first + count] = u[-1, 0, :]
-        increments.append(np.diff(u[:, 0, :], axis=0))
+        u = solve_field_batch(M14, grid, SigmaSpec(), stack, columns=[j])
+        values_T[first : first + count] = u[:, 0, -1]
+        increments.append(np.diff(u[:, 0], axis=1))
         first += count
     return xs, values_T, np.concatenate([b.ravel() for b in increments])
 
@@ -202,7 +201,7 @@ def test_criterion_08_estimator_consistency(exact_sampler_1024, exact_sampler_64
     medians = {}
     for n, sampler in ((1024, exact_sampler_1024), (64, exact_sampler_64)):
         arr = exact_paths(sampler, SEED, 200)
-        medians[n] = float(np.median(point_stats(arr, 0.5, 1.0, sigma_one(), M14).a_hat))
+        medians[n] = float(np.median(point_stats(arr, 0.5, 1.0, SigmaSpec(), M14).a_hat))
     err_1024 = abs(medians[1024] - 4.0) / 4.0
     err_64 = abs(medians[64] - 4.0) / 4.0
     ok = err_1024 <= 0.10 and err_64 <= 0.20 and err_1024 < err_64
@@ -216,7 +215,7 @@ def test_criterion_08_estimator_consistency(exact_sampler_1024, exact_sampler_64
 def test_criterion_09_nonlinear_error_trend():
     # The quantitative n**(-1/20) rate is not reproducible at desk scale;
     # the stated substitute is a nonincreasing error trend within 2 SE.
-    sigma = sigma_sin(0.5)
+    sigma = SigmaSpec(amp=0.5)
     errs = {}
     ses = {}
     for n in (16, 32, 64):
@@ -232,7 +231,7 @@ def test_criterion_09_nonlinear_error_trend():
                 axis=2,
             )
             u = solve_field_batch(M14, grid, sigma, stack)
-            block = u[:, j, :].T  # (count, n+1)
+            block = u[:, j]  # (count, n+1)
             v = np.sum(np.diff(block, axis=1) ** 4, axis=1)
             limit = coef * (1.0 / n) * np.sum(sigma.evaluate(block[:, :-1]) ** 4, axis=1)
             abs_err[first : first + count] = np.abs(v - limit)
@@ -255,15 +254,15 @@ def test_criterion_10_averaged_statistic():
     # Bit-level identity on a simulated field: the averaged statistic is the
     # mean of the points' quartic variations.
     grid_small = GridSpec(1.0, 16, 4.0, 256)
-    u = solve_field_batch(M14, grid_small, sigma_one(), sample_noise(grid_small, SEED, 0))
+    u = solve_field_batch(M14, grid_small, SigmaSpec(), sample_noise(grid_small, SEED, 0))
     cols, xs_small = zip(*(grid_small.snap(x) for x in averaged_points(grid_small, 16)))
 
     def identity(paths, xs):
-        per_point = [point_stats(p[None], x, 1.0, sigma_one(), M14) for p, x in zip(paths, xs)]
+        per_point = [point_stats(p[None], x, 1.0, SigmaSpec(), M14) for p, x in zip(paths, xs)]
         v_nm, _ = averaged_statistics(per_point)
         return v_nm[0] == float(np.mean([st.v[0] for st in per_point]))
 
-    identity_field = identity(u[:, list(cols)].T, xs_small)
+    identity_field = identity(u[list(cols)], xs_small)
 
     # Monte Carlo tracking with the exact backend at the snapped points.
     grid = GridSpec(1.0, 256, 4.0, 256)

@@ -17,7 +17,7 @@ from skewheat.config import (
 )
 from skewheat.medium import MediumParams
 from skewheat.noise import GridSpec
-from skewheat.solver import sigma_affine, sigma_one, sigma_sin
+from skewheat.solver import SigmaSpec
 
 BASE = """
 [medium]
@@ -52,7 +52,7 @@ def test_parse_full_config():
     assert cfg.medium == MediumParams(1.0, 4.0, 1.0, 1.0)
     assert cfg.grid == GridSpec(T=1.0, n=64, L=8.0, m=128)
     assert cfg.kind == "quartic"
-    assert cfg.sigma == sigma_sin(0.5)
+    assert cfg.sigma == SigmaSpec(amp=0.5)
     assert cfg.x_points == (0.5, -0.5, 0.0)
     assert cfg.replicates == 100
     assert cfg.seed == 20240601
@@ -86,7 +86,7 @@ def test_defaults_applied():
         "[medium]\na1=1\na2=1\nrho1=1\nrho2=1\n[grid]\nT=1\nn=4\nL=2\nm=4\n"
     )
     assert cfg.kind is None
-    assert cfg.sigma == sigma_one()
+    assert cfg.sigma == SigmaSpec()
     assert cfg.x_points == ()
     assert cfg.replicates == 1
     assert cfg.backend == "convolution"
@@ -225,8 +225,8 @@ def test_round_trip_and_hash_property():
     finite = st.floats(-1e6, 1e6, allow_nan=False)
     positive = st.floats(1e-6, 1e6)
     count = st.integers(1, 10**6)
-    sigma = st.one_of(st.just(sigma_one()), st.builds(sigma_affine, finite, finite),
-                      st.builds(sigma_sin, finite))
+    sigma = st.one_of(st.just(SigmaSpec()), st.builds(SigmaSpec, h1=finite, h2=finite),
+                      st.builds(SigmaSpec, amp=finite))
     out_dir = st.from_regex(r"[A-Za-z0-9_./-]{0,24}", fullmatch=True)
     configs = st.builds(
         ExperimentConfig,

@@ -530,6 +530,41 @@ def test_convolution_quartic_at_a_subnormal_lag_exits_two_with_one_line(tmp_path
     assert not (tmp_path / "out" / "quartic.csv").exists()
 
 
+def test_fft_variance_whose_kernel_squares_overflow_is_finite(tmp_path):
+    # a1 = 0.01 at the normal newest lag 0.25*T/n = 2.25e-308: the kernel's
+    # peak, 2.66e154, squares past a double's range, but the scheme's exact
+    # Var u(T) at x = -0.5 is about 3.979.  The run's one line is the
+    # resolution warning.
+    text = (CONFIGS / "demo_simulate.ini").read_text()
+    for old, new in (("kind = simulate", "kind = quartic"), ("sigma = sin1:0.5", "sigma = one"),
+                     ("n = 32\n", "n = 1\n"), ("T = 1.0", "T = 9e-308"), ("a1 = 1.0", "a1 = 0.01")):
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    lines = _assert_cli_prints_one_line_messages(tmp_path, "quartic", text, codes=(0,))
+    assert len(lines) == 1 and lines[0].startswith("warning: dx = ")
+    records = json.loads((tmp_path / "out" / "quartic_summary.json").read_text())["convolution"]
+    cfg = parse_config(text)
+    grid, y = cfg.grid, cfg.grid.cell_centers
+    lags = solver._cell_lags(grid.dt, grid.n)[:, None]
+    for record in records:
+        for x, got in zip(cfg.x_points, record["disc_variance_u_T"]):
+            k = kernel.GreenKernel(cfg.medium).evaluate(lags, y[grid.snap(x)[0]], y[None, :])
+            want = math.fsum((k.ravel() * math.sqrt(grid.dt * grid.dx)) ** 2)
+            assert got == pytest.approx(want, rel=1e-12), x
+    assert records[0]["disc_variance_u_T"][0] == pytest.approx(3.979, rel=1e-3)
+
+
+def test_fft_variance_past_a_doubles_range_is_inf_with_no_numpy_warning(tmp_path):
+    # a1 = 3e-308, lag 25, dx = 1e6: the kernel's peak is about 1e152, so the
+    # exact Var u(T) is about 1e304 * dt * dx = 1e312, past a double's range.
+    text = (MEDIUM_14.replace("a1 = 1.0", "a1 = 3e-308") + "[grid]\nT = 100.0\nn = 1\nL = 1e6\nm = 2\n"
+            + "[experiment]\nx = -0.5\nreplicates = 4\nseed = 0\n")
+    lines = _assert_cli_prints_one_line_messages(tmp_path, "quartic", text, codes=(0,))
+    assert len(lines) == 2 and lines[0].startswith("warning: dx = ")
+    [record] = json.loads((tmp_path / "out" / "quartic_summary.json").read_text())["convolution"]
+    assert record["kernel_stack"] == "fft" and record["disc_variance_u_T"] == [math.inf]
+
+
 def test_convergence_with_a_subnormal_lag_at_its_largest_n_exits_two_before_any_solve(
         tmp_path, capsys, monkeypatch):
     # T/n = 2e-306 at n = 1 is normal; at n = 32 the lag is 1.5625e-308.
@@ -665,8 +700,8 @@ def test_convolution_paths_equal_full_field_columns(sigma, monkeypatch):
             noise[:, :, k] = sample_noise(grid, cfg.seed, r)
         return solver.solve_field_batch(cfg.medium, grid, cfg.sigma, noise)
 
-    full = np.concatenate([chunk(first) for first in (0, 3, 6)], axis=2)[:, :, :7]
-    assert np.array_equal(paths, np.transpose(full[:, cols, :], (2, 1, 0)))
+    full = np.concatenate([chunk(first) for first in (0, 3, 6)])[:7]
+    assert np.array_equal(paths, full[:, cols])
     rows = 2 if sigma == "one" else 24
     assert [(r["first_replicate"], r["replicates"], r["rows_per_step"]) for r in log["convolution"]] \
         == [(0, 3, rows), (3, 3, rows), (6, 1, rows)]
@@ -695,12 +730,37 @@ def test_chunk_worker_paths_equal_contiguous_stack_solve(sigma, count):
     assert [report.pop(k) for k in ("n", "m", "dx_resolved", "first_replicate", "replicates")] == [
         8, 16, resolved, first, count]
     assert paths.flags.c_contiguous
-    assert np.array_equal(paths, np.transpose(full[:, :, :count], (2, 1, 0)))
+    assert np.array_equal(paths, full[:count])
     # The stack holds every column's n = 8 rows; the worker, one
     # replicate's (sigma = 1), or all n = 8 rows in its one NOISE_ROWS block.
     assert expected_report.pop("noise_mib") == 8 * 16 * width * 8 / 2**20
     assert report.pop("noise_mib") == 8 * 16 * (1 if sigma == "one" else width) * 8 / 2**20
     assert report == expected_report
+
+
+@pytest.mark.parametrize("sigma", ["one", "sin1:0.5"])
+def test_one_worker_blocks_are_views_of_the_solvers_paths(sigma, monkeypatch):
+    # No chunk's paths are copied on their way to the statistics: at one
+    # worker, each (count, n+1) block of cell j is a view of the array that
+    # solve_field_batch returned for its chunk.
+    solve, solved = harness.solve_field_batch, []
+
+    def recording(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(harness, "solve_field_batch", recording)
+    monkeypatch.setattr(harness, "REPLICATE_CHUNK", 3)
+    cfg = parse_config(MEDIUM_14 + GRID_SMALL
+                       + f"[experiment]\nsigma = {sigma}\nx = 0.5\nreplicates = 7\nseed = 3\n")
+    assert cfg.workers == 1
+    blocks = list(harness._convolution_blocks(cfg, cfg.grid, [16, 4], {}))
+    assert len(solved) == 3 and [(j, first) for j, first, _ in blocks] == [
+        (0, 0), (1, 0), (0, 3), (1, 3), (0, 6), (1, 6)]
+    for j, first, rows in blocks:
+        paths = solved[first // 3]
+        assert np.shares_memory(rows, paths) and rows.shape == (len(paths), cfg.grid.n + 1)
+        assert np.array_equal(rows, paths[:, j])
 
 
 @pytest.mark.parametrize("sigma, held_rows", [("one", 40), ("sin1:0.5", 16)])

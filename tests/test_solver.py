@@ -15,9 +15,7 @@ from skewheat import (
     GridSpec,
     NoiseChunk,
     sample_noise,
-    sigma_one,
-    sigma_affine,
-    sigma_sin,
+    SigmaSpec,
     parse_sigma,
     solve_field_batch,
     covariance_linear,
@@ -42,13 +40,13 @@ M14_JUMP = MediumParams(1, 4, 1, 2)
 
 
 def test_sigma_presets():
-    one = sigma_one()
+    one = SigmaSpec()
     assert np.array_equal(one.evaluate(np.array([-3.0, 7.0])), [1.0, 1.0])
 
-    aff = sigma_affine(2.0, -1.0)
+    aff = SigmaSpec(h1=2.0, h2=-1.0)
     assert aff.evaluate(np.array([0.0, 3.0])).tolist() == [-1.0, 5.0]
 
-    sin = sigma_sin(0.5)
+    sin = SigmaSpec(amp=0.5)
     assert sin.evaluate(np.array([0.0]))[0] == 1.0
 
 
@@ -72,9 +70,9 @@ def test_sigma_evaluate_into_out_is_the_expression_bit_for_bit():
 
 
 def test_parse_sigma_round_trip_and_errors():
-    assert parse_sigma("one") == sigma_one()
-    assert parse_sigma("affine:2.0,-1.0") == sigma_affine(2.0, -1.0)
-    assert parse_sigma("sin1:0.5") == sigma_sin(0.5)
+    assert parse_sigma("one") == SigmaSpec()
+    assert parse_sigma("affine:2.0,-1.0") == SigmaSpec(h1=2.0, h2=-1.0)
+    assert parse_sigma("sin1:0.5") == SigmaSpec(amp=0.5)
     for bad in ("two", "affine:1", "sin1:", "sin1:а"):
         with pytest.raises(ValueError):
             parse_sigma(bad)
@@ -102,14 +100,14 @@ def test_sigma_spec_is_a_value():
         spec = parse_sigma(text)
         assert spec == parse_sigma(text)
         assert pickle.loads(pickle.dumps(spec)) == spec
-    assert parse_sigma("affine:0.5,1") == sigma_affine(0.5, 1.0)
-    assert parse_sigma("affine:0,1") == sigma_one()
+    assert parse_sigma("affine:0.5,1") == SigmaSpec(h1=0.5, h2=1.0)
+    assert parse_sigma("affine:0,1") == SigmaSpec()
     assert parse_sigma("sin1:0.5") != parse_sigma("sin1:0.25")
 
 
 def test_sigma_lipschitz_spot_check():
     rng = np.random.default_rng(13)
-    for spec, bound in ((sigma_affine(1.7, 0.4), 1.7), (sigma_sin(0.5), 0.5)):
+    for spec, bound in ((SigmaSpec(h1=1.7, h2=0.4), 1.7), (SigmaSpec(amp=0.5), 0.5)):
         u = rng.uniform(-10, 10, size=500)
         v = rng.uniform(-10, 10, size=500)
         lhs = np.abs(spec.evaluate(u) - spec.evaluate(v))
@@ -121,34 +119,34 @@ def test_sigma_lipschitz_spot_check():
 
 def test_zero_noise_gives_zero_field():
     grid = GridSpec(1.0, 8, 4.0, 16)
-    u = solve_field_batch(M14, grid, sigma_sin(0.5), np.zeros((grid.n, grid.m)))
+    u = solve_field_batch(M14, grid, SigmaSpec(amp=0.5), np.zeros((grid.n, grid.m)))
     assert np.all(u == 0.0)
 
 
 def test_zero_sigma_gives_zero_field():
     grid = GridSpec(1.0, 8, 4.0, 16)
-    u = solve_field_batch(M14, grid, sigma_affine(0.0, 0.0), sample_noise(grid, 21, 0))
+    u = solve_field_batch(M14, grid, SigmaSpec(h1=0.0, h2=0.0), sample_noise(grid, 21, 0))
     assert np.all(u == 0.0)
 
 
 def test_initial_row_zero_and_shape():
     grid = GridSpec(1.0, 8, 4.0, 16)
-    u = solve_field_batch(M14, grid, sigma_one(), sample_noise(grid, 22, 0))
-    assert u.shape == (9, 16)
-    assert np.all(u[0] == 0.0)
+    u = solve_field_batch(M14, grid, SigmaSpec(), sample_noise(grid, 22, 0))
+    assert u.shape == (16, 9)
+    assert np.all(u[:, 0] == 0.0)
 
 
 def test_incompatible_noise_shape_rejected():
     grid = GridSpec(1.0, 8, 4.0, 16)
     with pytest.raises(ValueError, match="incompatible"):
-        solve_field_batch(M14, grid, sigma_one(), np.zeros((4, 16)))
+        solve_field_batch(M14, grid, SigmaSpec(), np.zeros((4, 16)))
 
 
 def test_non_finite_field_abort_names_indices():
     grid = GridSpec(1.0, 4, 4.0, 8)
     inc = np.zeros((4, 8))
     inc[1, 3] = 1e300
-    sigma = sigma_affine(1e9, 1.0)
+    sigma = SigmaSpec(h1=1e9, h2=1.0)
     with pytest.raises(NonFiniteFieldError, match=r"i=3"):
         solve_field_batch(M14, grid, sigma, inc)
 
@@ -157,34 +155,34 @@ def test_linearity_in_noise_for_sigma_one():
     grid = GridSpec(1.0, 10, 4.0, 24)
     n1 = sample_noise(grid, 23, 0)
     n2 = sample_noise(grid, 23, 1)
-    u1 = solve_field_batch(M14, grid, sigma_one(), n1)
-    u2 = solve_field_batch(M14, grid, sigma_one(), n2)
-    both = solve_field_batch(M14, grid, sigma_one(), n1 + n2)
+    u1 = solve_field_batch(M14, grid, SigmaSpec(), n1)
+    u2 = solve_field_batch(M14, grid, SigmaSpec(), n2)
+    both = solve_field_batch(M14, grid, SigmaSpec(), n1 + n2)
     np.testing.assert_allclose(both, u1 + u2, rtol=1e-12, atol=1e-15)
 
 
 def test_adaptedness_row_perturbation():
     grid = GridSpec(1.0, 8, 4.0, 16)
     noise = sample_noise(grid, 24, 0)
-    base = solve_field_batch(M14, grid, sigma_sin(0.5), noise)
+    base = solve_field_batch(M14, grid, SigmaSpec(amp=0.5), noise)
     k = 4
     bumped = noise.copy()
     bumped[k] += 0.1
-    pert = solve_field_batch(M14, grid, sigma_sin(0.5), bumped)
-    assert np.array_equal(pert[: k + 1], base[: k + 1])
-    assert not np.array_equal(pert[k + 1 :], base[k + 1 :])
+    pert = solve_field_batch(M14, grid, SigmaSpec(amp=0.5), bumped)
+    assert np.array_equal(pert[:, : k + 1], base[:, : k + 1])
+    assert not np.array_equal(pert[:, k + 1 :], base[:, k + 1 :])
 
 
-@pytest.mark.parametrize("sigma", [sigma_one(), sigma_sin(0.5)], ids=["one", "sin"])
+@pytest.mark.parametrize("sigma", [SigmaSpec(), SigmaSpec(amp=0.5)], ids=["one", "sin"])
 def test_solve_field_is_one_replicate_batch(sigma):
-    # An (n, m) noise array gives the (n+1, m) field of the one-replicate batch.
+    # An (n, m) noise array gives the (m, n+1) field of the one-replicate batch.
     grid = GridSpec(1.0, 6, 4.0, 12)
     noise = sample_noise(grid, 25, 0)
     batch = solve_field_batch(M14, grid, sigma, noise[:, :, None])
-    assert np.array_equal(solve_field_batch(M14, grid, sigma, noise), batch[:, :, 0])
+    assert np.array_equal(solve_field_batch(M14, grid, sigma, noise), batch[0])
 
 
-@pytest.mark.parametrize("sigma", [sigma_one(), sigma_sin(0.5)], ids=["one", "sin"])
+@pytest.mark.parametrize("sigma", [SigmaSpec(), SigmaSpec(amp=0.5)], ids=["one", "sin"])
 def test_transposed_noise_view_solves_like_contiguous_copy(sigma):
     # Any (n, m, R) array works: a strided view gives the contiguous copy's bits.
     grid = GridSpec(1.0, 10, 4.0, 40)
@@ -202,9 +200,9 @@ def test_batch_matches_loop_layout():
     stack = np.stack(
         [sample_noise(grid, 26, r) for r in range(3)], axis=2
     )
-    batch = solve_field_batch(M14, grid, sigma_sin(0.5), stack)
-    assert batch.shape == (7, 12, 3)
-    assert np.all(batch[0] == 0.0)
+    batch = solve_field_batch(M14, grid, SigmaSpec(amp=0.5), stack)
+    assert batch.shape == (3, 12, 7)
+    assert np.all(batch[:, :, 0] == 0.0)
 
 
 # -- exact covariance --------------------------------------------------------
@@ -784,9 +782,9 @@ def test_solver_variance_tracks_oracle_small_run():
     stack = np.stack(
         [sample_noise(grid, 35, r) for r in range(reps)], axis=2
     )
-    u = solve_field_batch(M14, grid, sigma_one(), stack)
+    u = solve_field_batch(M14, grid, SigmaSpec(), stack)
     j, xs = grid.snap(0.5)
-    var = np.var(u[-1, j, :], ddof=1)
+    var = np.var(u[:, j, -1], ddof=1)
     target = covariance_linear(1.0, 1.0, xs, M14)
     assert var == pytest.approx(target, rel=0.10)
 
@@ -800,8 +798,8 @@ def test_second_moment_uniformly_bounded_under_refinement():
         stack = np.stack(
             [sample_noise(grid, 36, r) for r in range(256)], axis=2
         )
-        u = solve_field_batch(M14, grid, sigma_sin(0.5), stack)
-        second = np.mean(u**2, axis=2)
+        u = solve_field_batch(M14, grid, SigmaSpec(amp=0.5), stack)
+        second = np.mean(u**2, axis=0)
         assert np.isfinite(second).all()
         target_mix.append(second.max())
     assert target_mix[1] == pytest.approx(target_mix[0], rel=0.3)
@@ -814,7 +812,7 @@ def _noise_batch(grid, seed, reps):
     return np.stack([sample_noise(grid, seed, r) for r in range(reps)], axis=2)
 
 
-@pytest.mark.parametrize("sigma", [sigma_one(), sigma_affine(0.0, 0.7)], ids=["one", "affine0"])
+@pytest.mark.parametrize("sigma", [SigmaSpec(), SigmaSpec(h1=0.0, h2=0.7)], ids=["one", "affine0"])
 @pytest.mark.parametrize("n, m, reps", [(12, 24, 1), (20, 48, 3), (16, 40, 8)])
 def test_constant_sigma_columns_match_full_field(sigma, n, m, reps):
     grid = GridSpec(1.0, n, 4.0, m)
@@ -822,14 +820,14 @@ def test_constant_sigma_columns_match_full_field(sigma, n, m, reps):
     dw = _noise_batch(grid, 40, reps)
     full = solve_field_batch(M14, grid, sigma, dw)
     part = solve_field_batch(M14, grid, sigma, dw, columns=cols)
-    assert part.shape == (n + 1, len(cols), reps)
+    assert part.shape == (reps, len(cols), n + 1)
     assert np.array_equal(part, full[:, cols, :])
     # Every replicate is solved alone, so one replicate gives its bits.
     single = solve_field_batch(M14, grid, sigma, dw[:, :, 0], columns=cols)
-    assert np.array_equal(single, full[:, cols, 0])
+    assert np.array_equal(single, full[0, cols, :])
 
 
-@pytest.mark.parametrize("sigma", [sigma_one(), sigma_affine(0.0, 0.7)], ids=["one", "affine0"])
+@pytest.mark.parametrize("sigma", [SigmaSpec(), SigmaSpec(h1=0.0, h2=0.7)], ids=["one", "affine0"])
 @pytest.mark.parametrize("reps", [1, 3, 64])
 def test_constant_sigma_cell_path_does_not_depend_on_the_other_cells(sigma, reps):
     # A lone cell's per-frequency product is a matrix-matrix one like a
@@ -847,14 +845,14 @@ def test_nonlinear_sigma_columns_equal_full_field_exactly():
     grid = GridSpec(1.0, 10, 4.0, 24)
     cols = [3, 17, 3, 0, 23]
     dw = _noise_batch(grid, 41, 3)
-    full = solve_field_batch(M14, grid, sigma_sin(0.5), dw)
+    full = solve_field_batch(M14, grid, SigmaSpec(amp=0.5), dw)
     report = {}
-    part = solve_field_batch(M14, grid, sigma_sin(0.5), dw, columns=cols, report=report)
+    part = solve_field_batch(M14, grid, SigmaSpec(amp=0.5), dw, columns=cols, report=report)
     assert np.array_equal(part, full[:, cols, :])
     assert report["rows_per_step"] == 24
 
 
-@pytest.mark.parametrize("sigma", [sigma_one(), sigma_sin(0.5)], ids=["one", "sin"])
+@pytest.mark.parametrize("sigma", [SigmaSpec(), SigmaSpec(amp=0.5)], ids=["one", "sin"])
 def test_column_solve_reports_kernel_path(sigma):
     grid = GridSpec(1.0, 8, 4.0, 16)
     dw = _noise_batch(grid, 42, 2)
@@ -881,7 +879,7 @@ def test_column_solve_reports_kernel_path(sigma):
                       "stack_mib": 9 * 16 * (2 + 1) * 16 / 2**20}
 
 
-@pytest.mark.parametrize("sigma", [sigma_sin(0.5), sigma_affine(0.5, 1.0)], ids=["sin", "affine"])
+@pytest.mark.parametrize("sigma", [SigmaSpec(amp=0.5), SigmaSpec(h1=0.5, h2=1.0)], ids=["sin", "affine"])
 def test_semigroup_field_from_noise_stream_equals_array_solve(sigma):
     # n = 40 rows are read in 16-row blocks, the last one partial, 8 columns
     # wide: 5 replicates and 3 of zero noise.  The 5 paths are the bits of
@@ -895,14 +893,14 @@ def test_semigroup_field_from_noise_stream_equals_array_solve(sigma):
     array = np.zeros((40, 48, 8))
     array[:, :, :5] = np.stack([sample_noise(grid, 43, 7 + j) for j in range(5)], axis=2)
     whole = solve_field_batch(M14, grid, sigma, array, columns=cols, report=from_array)
-    assert streamed.shape == (41, 4, 5) and not whole[:, :, 5:].any()
-    assert np.array_equal(streamed.view(np.uint64), whole[:, :, :5].view(np.uint64))
+    assert streamed.shape == (5, 4, 41) and not whole[5:].any()
+    assert np.array_equal(streamed.view(np.uint64), whole[:5].view(np.uint64))
     assert from_stream.pop("noise_mib") == 16 * 48 * 8 * 8 / 2**20
     assert from_array.pop("noise_mib") == 40 * 48 * 8 * 8 / 2**20
     assert from_stream == from_array
 
 
-@pytest.mark.parametrize("sigma", [sigma_one(), sigma_affine(0.0, 0.7)], ids=["one", "affine0"])
+@pytest.mark.parametrize("sigma", [SigmaSpec(), SigmaSpec(h1=0.0, h2=0.7)], ids=["one", "affine0"])
 def test_fft_product_from_noise_replicates_equals_array_solve(sigma):
     # Each replicate is drawn only when the product reaches it, and gives the
     # bits of the (n, m, R) array's solve.  The rows' width plays no part:
@@ -936,10 +934,10 @@ def test_fft_product_holds_one_transform_and_one_replicate_of_noise():
     grid = GridSpec(1.0, 256, 4.0, 256)
     cols = [112, 128, 143]
     chunk = NoiseChunk(grid, 1, 0, 8)
-    solve_field_batch(M14, grid, sigma_one(), NoiseChunk(grid, 1, 0, 1), columns=cols)  # first-call caches
+    solve_field_batch(M14, grid, SigmaSpec(), NoiseChunk(grid, 1, 0, 1), columns=cols)  # first-call caches
     tracemalloc.start()
     try:
-        solve_field_batch(M14, grid, sigma_one(), chunk, columns=cols)
+        solve_field_batch(M14, grid, SigmaSpec(), chunk, columns=cols)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -953,7 +951,7 @@ def test_column_solve_overflow_names_grid_cell():
     inc = np.zeros((4, 16))
     inc[1, :] = 1e308
     with pytest.raises(NonFiniteFieldError, match=r"i=2, cell j=5$"):
-        solve_field_batch(M14, grid, sigma_one(), inc, columns=[12, 5])
+        solve_field_batch(M14, grid, SigmaSpec(), inc, columns=[12, 5])
 
 
 @pytest.mark.parametrize("c", [0.7, -0.3, 0.0, 1e300])
@@ -961,8 +959,8 @@ def test_constant_sigma_solve_is_exactly_c_times_the_sigma_one_solve(c):
     grid = GridSpec(1.0, 20, 4.0, 48)
     cols = [grid.snap(x)[0] for x in (0.5, -0.5)]
     dw = _noise_batch(grid, 44, 3)
-    one = solve_field_batch(M14, grid, sigma_one(), dw, columns=cols)
-    got = solve_field_batch(M14, grid, sigma_affine(0.0, c), dw, columns=cols)
+    one = solve_field_batch(M14, grid, SigmaSpec(), dw, columns=cols)
+    got = solve_field_batch(M14, grid, SigmaSpec(h1=0.0, h2=c), dw, columns=cols)
     assert np.array_equal(got, c * one)
     assert not np.signbit(got[got == 0.0]).any()
 
@@ -972,14 +970,14 @@ def test_constant_sigma_overflow_names_the_row_of_the_direct_lag_sum():
     # transforms do not overflow where the direct lag sum stays finite.
     grid = GridSpec(1.0, 8, 2.0, 16)
     cols = [grid.snap(0.5)[0]]
-    sigma = sigma_affine(0.0, 1.7e308)
+    sigma = SigmaSpec(h1=0.0, h2=1.7e308)
     dw = _noise_batch(grid, 0, 4)
     with np.errstate(over="ignore", invalid="ignore"):
         ref = _direct_lag_sum(M14, grid, sigma, dw, cols)
     # Replicates are solved in turn: the first one that overflows is named.
-    k = int(np.argmax(~np.isfinite(ref).all(axis=(0, 1))))
-    i = int(np.argmax(~np.isfinite(ref[:, 0, k])))
-    assert (k, i) == (2, 7) and np.isfinite(ref[:, :, :k]).all()
+    k = int(np.argmax(~np.isfinite(ref).all(axis=(1, 2))))
+    i = int(np.argmax(~np.isfinite(ref[k, 0])))
+    assert (k, i) == (2, 7) and np.isfinite(ref[:k]).all()
     with pytest.raises(NonFiniteFieldError, match=rf"i={i}, cell j={cols[0]}$"):
         solve_field_batch(M14, grid, sigma, dw, columns=cols)
 
@@ -987,11 +985,11 @@ def test_constant_sigma_overflow_names_the_row_of_the_direct_lag_sum():
 def test_columns_out_of_range_rejected():
     grid = GridSpec(1.0, 4, 4.0, 16)
     with pytest.raises(ValueError, match="columns"):
-        solve_field_batch(M14, grid, sigma_one(), np.zeros((4, 16)), columns=[3, 16])
+        solve_field_batch(M14, grid, SigmaSpec(), np.zeros((4, 16)), columns=[3, 16])
 
 
 def _direct_lag_sum(medium, grid, sigma, dw, cols):
-    """Reference for constant sigma: u_i = sum over d of K_d[cols] @ v_{i-d}, lag by lag."""
+    """Reference for constant sigma: u_i = sum over d of K_d[cols] @ v_{i-d}, lag by lag, time last."""
     kernel = GreenKernel(medium)
     y = grid.cell_centers
     lags = [grid.dt / 4] + [(d - 0.5) * grid.dt for d in range(2, grid.n + 1)]
@@ -1000,11 +998,11 @@ def _direct_lag_sum(medium, grid, sigma, dw, cols):
     u = np.zeros((grid.n + 1, len(cols)) + dw.shape[2:])
     for i in range(1, grid.n + 1):
         u[i] = sum(rows[d - 1] @ v[i - d] for d in range(1, i + 1))
-    return u
+    return u.T
 
 
 # m = 8 fits one FFT block; 48 and 70 take two and three, the last one partial.
-@pytest.mark.parametrize("sigma", [sigma_one(), sigma_affine(0.0, 0.7)], ids=["one", "affine0"])
+@pytest.mark.parametrize("sigma", [SigmaSpec(), SigmaSpec(h1=0.0, h2=0.7)], ids=["one", "affine0"])
 @pytest.mark.parametrize("n, L, m", [(1, 2.0, 8), (20, 4.0, 48), (33, 3.0, 70)])
 @pytest.mark.parametrize("reps", [1, 3, 8])
 def test_fft_product_matches_direct_lag_sum(sigma, n, L, m, reps):
@@ -1014,23 +1012,23 @@ def test_fft_product_matches_direct_lag_sum(sigma, n, L, m, reps):
     ref = _direct_lag_sum(M14, grid, sigma, dw, cols)
     got = solve_field_batch(M14, grid, sigma, dw, columns=cols)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert np.all(got[0] == 0.0)
+    assert np.all(got[:, :, 0] == 0.0)
     single = solve_field_batch(M14, grid, sigma, dw[:, :, 0], columns=cols)
-    assert np.max(np.abs(single - ref[:, :, 0])) <= 1e-13 * np.max(np.abs(ref[:, :, 0]))
+    assert np.max(np.abs(single - ref[0])) <= 1e-13 * np.max(np.abs(ref[0]))
 
 
 def test_fft_product_is_causal_to_rounding():
     grid = GridSpec(1.0, 24, 4.0, 40)
     cols = [grid.snap(x)[0] for x in (-0.5, 0.0, 0.5)]
     dw = _noise_batch(grid, 44, 3)
-    base = solve_field_batch(M14, grid, sigma_one(), dw, columns=cols)
+    base = solve_field_batch(M14, grid, SigmaSpec(), dw, columns=cols)
     scale = np.max(np.abs(base))
     for k in (0, 7, 23):
         bumped = dw.copy()
         bumped[k] += 0.1
-        pert = solve_field_batch(M14, grid, sigma_one(), bumped, columns=cols)
-        assert np.max(np.abs(pert[: k + 1] - base[: k + 1])) <= 1e-14 * scale
-        assert np.min(np.max(np.abs(pert[k + 1:] - base[k + 1:]), axis=(1, 2))) > 1e-6 * scale
+        pert = solve_field_batch(M14, grid, SigmaSpec(), bumped, columns=cols)
+        assert np.max(np.abs(pert[..., : k + 1] - base[..., : k + 1])) <= 1e-14 * scale
+        assert np.min(np.max(np.abs(pert[..., k + 1:] - base[..., k + 1:]), axis=(0, 1))) > 1e-6 * scale
 
 
 def _direct_scheme_variance(medium, grid, x):
@@ -1040,7 +1038,7 @@ def _direct_scheme_variance(medium, grid, x):
     return float(np.sum(rows**2) * grid.dt * grid.dx)
 
 
-@pytest.mark.parametrize("sigma", [sigma_one(), sigma_affine(0.0, 0.7)], ids=["one", "affine0"])
+@pytest.mark.parametrize("sigma", [SigmaSpec(), SigmaSpec(h1=0.0, h2=0.7)], ids=["one", "affine0"])
 @pytest.mark.parametrize("m, blocks", [(8, 1), (48, 2), (70, 3)])
 def test_fft_report_variance_is_direct_kernel_sum(sigma, m, blocks):
     # The FFT product sums the squared kernel rows FFT_BLOCK source cells at
@@ -1073,7 +1071,7 @@ def test_fft_report_variance_is_the_schemes_exact_variance():
     reps = grid.n * grid.m
     basis = np.eye(reps).reshape(grid.n, grid.m, reps) * math.sqrt(grid.dt * grid.dx)
     report = {}
-    u_T = solve_field_batch(M14, grid, sigma_one(), basis, columns=[j], report=report)[-1, 0]
+    u_T = solve_field_batch(M14, grid, SigmaSpec(), basis, columns=[j], report=report)[:, 0, -1]
     assert np.sum(u_T**2) == pytest.approx(direct, rel=1e-12)
     assert report["disc_variance_u_T"][0] == pytest.approx(direct, rel=1e-13)
 
@@ -1082,7 +1080,7 @@ def test_fft_report_variance_is_the_schemes_exact_variance():
 
 
 def _direct_field(medium, grid, sigma, dw):
-    """Reference scheme: u_i = sum over d of K_d @ v_{i-d}, every lag summed directly."""
+    """Reference scheme: u_i = sum over d of K_d @ v_{i-d}, every lag summed directly, time last."""
     kernel = GreenKernel(medium)
     y = grid.cell_centers
     lags = [grid.dt / 4] + [(d - 0.5) * grid.dt for d in range(2, grid.n + 1)]
@@ -1092,19 +1090,19 @@ def _direct_field(medium, grid, sigma, dw):
     for i in range(1, grid.n + 1):
         v[i - 1] = sigma.evaluate(u[i - 1]) * dw[i - 1]
         u[i] = sum(stack[d - 1] @ v[i - d] for d in range(1, i + 1))
-    return u
+    return u.T
 
 
 def _quartic_variation_at(u, grid, xs):
     cols = [grid.snap(x)[0] for x in xs]
-    return np.mean(np.sum(np.diff(u[:, cols], axis=0) ** 4, axis=0), axis=-1)
+    return np.mean(np.sum(np.diff(u[:, cols], axis=-1) ** 4, axis=-1), axis=0)
 
 
 # Tolerances are about twice the deviations measured with 8 replicates:
 # V_n 1.1e-2 and path 2.7e-2 on (n=16, L=4, m=25), whose middle cell is
 # centered on the interface; V_n 4.4e-3 and path 4.8e-3 on (n=24, L=2, m=32).
 # A single step (n=1) is one lag: the same sum, up to rounding.
-@pytest.mark.parametrize("sigma", [sigma_sin(0.5), sigma_affine(0.3, 1.0)], ids=["sin", "affine"])
+@pytest.mark.parametrize("sigma", [SigmaSpec(amp=0.5), SigmaSpec(h1=0.3, h2=1.0)], ids=["sin", "affine"])
 @pytest.mark.parametrize("n, L, m, v_tol, path_tol",
                          [(16, 4.0, 25, 0.025, 0.05), (24, 2.0, 32, 0.01, 0.01),
                           (1, 2.0, 8, 1e-13, 1e-13)])
@@ -1114,7 +1112,7 @@ def test_semigroup_recursion_tracks_direct_lag_sum(sigma, n, L, m, v_tol, path_t
     ref = _direct_field(M14, grid, sigma, dw)
     got = solve_field_batch(M14, grid, sigma, dw)
     # Rows 1 and 2 hold one and two lags: the same sums, up to BLAS rounding.
-    np.testing.assert_allclose(got[:3], ref[:3], rtol=1e-13, atol=1e-14 * np.max(np.abs(ref)))
+    np.testing.assert_allclose(got[..., :3], ref[..., :3], rtol=1e-13, atol=1e-14 * np.max(np.abs(ref)))
     xs = (-0.5, 0.0, 0.5)
     v_ref, v_got = _quartic_variation_at(ref, grid, xs), _quartic_variation_at(got, grid, xs)
     assert np.max(np.abs(v_got / v_ref - 1.0)) <= v_tol
@@ -1132,7 +1130,7 @@ def test_newest_lag_moves_both_schemes_together(m, monkeypatch):
     y = grid.cell_centers
     k1, k2 = (GreenKernel(M14).evaluate(lag, y[:, None], y[None, :])
               for lag in (0.3 * grid.dt, 1.5 * grid.dt))
-    direct = np.stack([np.zeros_like(dw[0]), k1 @ dw[0], k1 @ dw[1] + k2 @ dw[0]])
+    direct = np.stack([np.zeros_like(dw[0]), k1 @ dw[0], k1 @ dw[1] + k2 @ dw[0]]).T
     for spec, stack in (("sin1:1e-300", "semigroup"), ("one", "fft")):
         report = {}
         got = solve_field_batch(M14, grid, parse_sigma(spec), dw, report=report)
@@ -1153,8 +1151,8 @@ def test_semigroup_recursion_stable_on_coarse_grid():
     assert midpoint.sum(axis=1).max() > 1.2
     assert cells.sum(axis=1).max() <= 1.0
     dw = _noise_batch(grid, 51, 8)
-    ref = _direct_field(M14, grid, sigma_sin(0.5), dw)
-    got = solve_field_batch(M14, grid, sigma_sin(0.5), dw)
+    ref = _direct_field(M14, grid, SigmaSpec(amp=0.5), dw)
+    got = solve_field_batch(M14, grid, SigmaSpec(amp=0.5), dw)
     assert np.isfinite(got).all()
     assert np.max(np.abs(got)) == pytest.approx(np.max(np.abs(ref)), rel=0.10)
 
@@ -1230,7 +1228,7 @@ def test_operator_build_evaluates_the_kernel_only_on_the_stored_bands(monkeypatc
 
 
 def _dense_semigroup_field(medium, grid, sigma, dw):
-    """Reference recursion: the semigroup scheme with the dense operators."""
+    """Reference recursion: the semigroup scheme with the dense operators, time last."""
     newest, history, step = _dense_operators(medium, grid)
     inner = slice(grid.m // 2, grid.m // 2 + grid.m)
     u = np.zeros((grid.n + 1,) + dw.shape[1:])
@@ -1239,11 +1237,14 @@ def _dense_semigroup_field(medium, grid, sigma, dw):
         v = sigma.evaluate(u[i - 1]) * dw[i - 1]
         u[i] = newest @ v + hist[inner]
         hist = step @ hist + history @ v
-    return u
+    return u.T
 
 
 def _three_product_field(medium, grid, sigma, chunk):
-    """Reference loop: the semigroup step as K_1 v, then P S and K_2 v added through a scratch block."""
+    """Reference loop: the semigroup step as K_1 v, then P S and K_2 v added through a scratch block.
+
+    Returns the paths time last, like solve_field_batch.
+    """
     fresh, step = solver._semigroup_operators(GreenKernel(medium), grid)
     m, r = grid.m, chunk.width
     newest, history = _split_fresh(fresh, m)
@@ -1265,11 +1266,11 @@ def _three_product_field(medium, grid, sigma, chunk):
                 np.matmul(a, v[c0:c1], out=part)
                 nxt[r0:r0 + len(a)] += part
             hist, nxt = nxt, hist
-    return out[:, :, :chunk.count]
+    return out[:, :, :chunk.count].T
 
 
 # m = 200 ends K_1's rows in a partial block, so K_2's start inside a 64-row stride.
-@pytest.mark.parametrize("sigma", [sigma_sin(0.5), sigma_affine(0.5, 1.0)], ids=["sin", "affine"])
+@pytest.mark.parametrize("sigma", [SigmaSpec(amp=0.5), SigmaSpec(h1=0.5, h2=1.0)], ids=["sin", "affine"])
 @pytest.mark.parametrize("m", [48, 200])
 def test_semigroup_step_is_bit_for_bit_the_three_product_step(sigma, m):
     grid = GridSpec(1.0, 24, 4.0, m)
@@ -1283,8 +1284,8 @@ def test_semigroup_step_is_bit_for_bit_the_three_product_step(sigma, m):
 def test_banded_recursion_matches_dense_operator_recursion(medium):
     grid = GridSpec(1.0, 32, 4.0, 192)
     dw = _noise_batch(grid, 52, 4)
-    ref = _dense_semigroup_field(medium, grid, sigma_sin(0.5), dw)
-    got = solve_field_batch(medium, grid, sigma_sin(0.5), dw)
+    ref = _dense_semigroup_field(medium, grid, SigmaSpec(amp=0.5), dw)
+    got = solve_field_batch(medium, grid, SigmaSpec(amp=0.5), dw)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 

@@ -10,9 +10,7 @@ from skewheat import (
     sample_noise,
     tau,
     A_of,
-    sigma_one,
-    sigma_affine,
-    sigma_sin,
+    SigmaSpec,
     solve_field_batch,
     ExactLinearSampler,
     PointAccumulator,
@@ -25,7 +23,7 @@ M14 = MediumParams(1, 4, 1, 1)
 
 def _stats(values, sigma=None, x=0.5):
     """PointStats of paths over [0, 1] at x in M14 (sigma = one by default); one path is R = 1."""
-    return point_stats(np.array(values, dtype=float, ndmin=2), x, 1.0, sigma or sigma_one(), M14)
+    return point_stats(np.array(values, dtype=float, ndmin=2), x, 1.0, sigma or SigmaSpec(), M14)
 
 
 def _averaged(paths, xs, sigma=None):
@@ -64,7 +62,7 @@ def test_limit_functional_sigma_one_closed_form():
 
 
 def test_limit_functional_zero_path_vanishing_sigma():
-    assert _stats(np.zeros(17), sigma_affine(1.0, 0.0)).limit == 0.0
+    assert _stats(np.zeros(17), SigmaSpec(h1=1.0, h2=0.0)).limit == 0.0
 
 
 def test_limit_functional_vs_trapezoid():
@@ -72,7 +70,7 @@ def test_limit_functional_vs_trapezoid():
     # half a cell of the endpoint difference.
     rng = np.random.default_rng(42)
     vals = rng.normal(size=129) * 0.3
-    sigma = sigma_sin(0.5)
+    sigma = SigmaSpec(amp=0.5)
     got = _stats(vals, sigma).limit
     s4 = sigma.evaluate(vals) ** 4
     delta = 1.0 / (len(vals) - 1)
@@ -94,7 +92,7 @@ def test_estimator_sigma_one_identity():
 def test_estimator_scale_equivariance_constant_sigma():
     rng = np.random.default_rng(44)
     c = 1.7
-    st = _stats(rng.normal(size=65), sigma_affine(0.0, c))
+    st = _stats(rng.normal(size=65), SigmaSpec(h1=0.0, h2=c))
     assert st.a_hat == pytest.approx(6.0 * c**4 / (math.pi * st.v), rel=1e-12)
 
 
@@ -141,7 +139,7 @@ def test_moment_summary_gaussian_ratios():
 
 # -- statistics core and its views --------------------------------------------
 
-SIGMAS = {"one": sigma_one(), "affine:0,0.7": sigma_affine(0.0, 0.7), "sin1:0.5": sigma_sin(0.5)}
+SIGMAS = {"one": SigmaSpec(), "affine:0,0.7": SigmaSpec(h1=0.0, h2=0.7), "sin1:0.5": SigmaSpec(amp=0.5)}
 
 
 @pytest.mark.parametrize("x", [0.5, -0.5, 0.0])
@@ -187,25 +185,25 @@ def test_point_statistics_replicate_block_width_changes_no_bit(label):
 
 
 def test_point_statistics_zero_increments():
-    st = point_stats(np.zeros((3, 9)), 0.5, 1.0, sigma_one(), M14)
+    st = point_stats(np.zeros((3, 9)), 0.5, 1.0, SigmaSpec(), M14)
     assert st.degenerate == 3 and np.all(np.isnan(st.a_hat))
     assert st.m2 == 0.0 and math.isnan(st.ratio4) and math.isnan(st.ratio6)
     assert st.closed_target == pytest.approx(6.0 / (math.pi * 4.0), rel=1e-14)
-    assert point_stats(np.zeros((3, 9)), 0.5, 1.0, sigma_sin(0.5), M14).closed_target is None
+    assert point_stats(np.zeros((3, 9)), 0.5, 1.0, SigmaSpec(amp=0.5), M14).closed_target is None
 
 
 def test_constant_sigma_closed_targets_scale_by_c4():
     zeros = np.zeros((3, 9))
-    one = point_stats(zeros, 0.5, 1.0, sigma_one(), M14).closed_target
-    assert point_stats(zeros, 0.5, 1.0, sigma_affine(0.0, 1.0), M14).closed_target == one
-    assert point_stats(zeros, 0.5, 1.0, sigma_sin(0.0), M14).closed_target == one
-    assert point_stats(zeros, 0.5, 1.0, sigma_affine(0.0, 2.0), M14).closed_target == 16 * one
-    st = point_stats(zeros, 0.5, 1.0, sigma_affine(0.0, 0.7), M14)
+    one = point_stats(zeros, 0.5, 1.0, SigmaSpec(), M14).closed_target
+    assert point_stats(zeros, 0.5, 1.0, SigmaSpec(h1=0.0, h2=1.0), M14).closed_target == one
+    assert point_stats(zeros, 0.5, 1.0, SigmaSpec(amp=0.0), M14).closed_target == one
+    assert point_stats(zeros, 0.5, 1.0, SigmaSpec(h1=0.0, h2=2.0), M14).closed_target == 16 * one
+    st = point_stats(zeros, 0.5, 1.0, SigmaSpec(h1=0.0, h2=0.7), M14)
     assert st.closed_target == pytest.approx(0.7**4 * one, rel=1e-15)
     assert st.closed_target == pytest.approx(float(st.limit[0]), rel=1e-14)
     paths = np.zeros((2, 3, 9))
     xs = [0.0, 0.5, -0.5]
-    assert _averaged(paths, xs, sigma_affine(0.0, 2.0))[1] == 16 * _averaged(paths, xs)[1]
+    assert _averaged(paths, xs, SigmaSpec(h1=0.0, h2=2.0))[1] == 16 * _averaged(paths, xs)[1]
 
 
 def test_increment_targets_read_sigma():
@@ -214,7 +212,7 @@ def test_increment_targets_read_sigma():
     rng = np.random.default_rng(52)
     paths = rng.normal(size=(5, 17))
     one = _stats(paths)
-    sigma = sigma_sin(0.5)
+    sigma = SigmaSpec(amp=0.5)
     st = _stats(paths, sigma)
     s2 = sigma.evaluate(paths[:, 3:16]) ** 2
     assert st.m2_target == pytest.approx(one.m2_target * np.mean(s2), rel=1e-14)
@@ -230,7 +228,7 @@ def test_averaged_statistics_equals_per_replicate_view():
         assert v_nm[r] == np.mean([_stats(p, x=x).v for p, x in zip(paths[r], xs)])
     assert target == pytest.approx(np.mean([_stats(np.zeros(17), x=x).limit for x in xs]),
                                    rel=1e-14)
-    assert math.isnan(_averaged(paths, xs, sigma_sin(0.5))[1])
+    assert math.isnan(_averaged(paths, xs, SigmaSpec(amp=0.5))[1])
 
 
 # -- averaged statistic -----------------------------------------------------------
@@ -239,9 +237,9 @@ def test_averaged_statistics_equals_per_replicate_view():
 def _field_points(num_points, seed=48):
     """A sigma = one field's snapped averaged points and their (1, P, n+1) paths."""
     grid = GridSpec(1.0, 8, 2.0, 32)
-    u = solve_field_batch(M14, grid, sigma_one(), sample_noise(grid, seed, 0))
+    u = solve_field_batch(M14, grid, SigmaSpec(), sample_noise(grid, seed, 0))
     cols, xs = zip(*(grid.snap(x) for x in averaged_points(grid, num_points)))
-    return list(xs), u[:, list(cols)].T[None]
+    return list(xs), u[list(cols)][None]
 
 
 def test_averaged_single_point_reduces_to_pointwise():
